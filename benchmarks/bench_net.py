@@ -1,12 +1,10 @@
-"""Network fast-lane benchmark: datagrams/sec through the event path.
+"""Network microbenchmark: datagrams/sec through the datagram path.
 
-Measures the per-datagram overhead of :class:`repro.net.network.Network`
--- the layer the event-path fast lane optimizes -- and pins the lane's
-correctness contract::
+Measures the per-datagram overhead of :class:`repro.net.network.Network`,
+the one send -> arrive path every substrate shares::
 
     python benchmarks/bench_net.py                 # full microbench
     python benchmarks/bench_net.py --ops 50000     # quicker run
-    python benchmarks/bench_net.py --parity-only   # CI gate mode
 
 Three microbench rows time the complete datagram lifecycle (send through
 arrival callback, simulator driven between batches so the pending queue
@@ -16,16 +14,11 @@ stays small):
   delay memo;
 - ``send_unreliable`` -- unicast through the loss draw (rate 0, so the
   draw itself is what's measured);
-- ``multicast`` -- the batched fan-out lane, one stats update per call.
+- ``multicast`` -- a fan-out, i.e. a loop of sends.
 
-The ``parity`` section re-runs identical traffic down both lanes -- the
-fast lane (no tracer, no faults) and the reference path (a
-:class:`~repro.obs.tracer.NullTracer` installed, which forces the traced
-branch while discarding events) -- and requires byte-identical stats,
-delivery order, arrival times and final clock.  A fault-lane row does the
-same across a partition/heal cycle against a never-faulted control with
-the same effective traffic.  CI runs ``--parity-only`` as a gate; the
-throughput rows are trajectory data, not gates.
+The rows are trajectory data, not gates.  What used to be this script's
+parity section (a tracer or a healed fault must not change the traffic)
+is pinned by ``tests/test_net_network.py``.
 
 Not a pytest module: run it directly.
 """
@@ -46,7 +39,6 @@ if SRC not in sys.path:
 
 from repro.net.latency import ConstantLatency  # noqa: E402
 from repro.net.network import Network  # noqa: E402
-from repro.obs import tracer as obs  # noqa: E402
 from repro.sim.kernel import Simulator  # noqa: E402
 
 #: Datagrams sent per batch before draining the simulator; keeps the
@@ -114,79 +106,11 @@ def bench_multicast(ops: int, fanout: int) -> Dict[str, Any]:
     }
 
 
-def _drive_traffic(sim: Simulator, net: Network) -> Tuple[Dict, List, float]:
-    """A fixed traffic mix exercising unicast, multicast and FIFO clamps."""
-    boxes: Dict[str, List] = {}
-    for name in ("a", "b", "c"):
-        box: List = []
-        boxes[name] = box
-        net.register(name, lambda src, payload, size, _box=box:
-                     _box.append((src, payload, size, sim.now)))
-    for round_no in range(200):
-        net.send("a", "b", ("u", round_no), size_bytes=32)
-        net.send("a", "b", ("u2", round_no), size_bytes=32,
-                 reliable=False)
-        net.multicast("b", ["a", "b", "c"], ("m", round_no), size_bytes=48)
-        net.send("c", "missing", ("drop", round_no), size_bytes=8)
-        if round_no % 50 == 0:
-            sim.run_until_idle()
-    sim.run_until_idle()
-    return net.stats.as_dict(), sorted(boxes.items()), sim.now
-
-
-def parity_fast_vs_reference() -> bool:
-    """Fast lane vs tracer-armed reference path: identical observables."""
-    outcomes = []
-    for install_tracer in (False, True):
-        sim = Simulator(seed=11)
-        net = Network(sim, latency=ConstantLatency(0.002))
-        if install_tracer:
-            obs.install(obs.NullTracer())
-        try:
-            outcomes.append(_drive_traffic(sim, net))
-        finally:
-            if install_tracer:
-                obs.uninstall()
-    return outcomes[0] == outcomes[1]
-
-
-def parity_fault_cycle() -> bool:
-    """A partition/heal cycle re-arms and then disarms the fault gate.
-
-    After heal, the network must return to the fast lane (flag down) and
-    the post-heal traffic must match a never-faulted control run.
-    """
-    def post_heal_run(with_cycle: bool) -> Tuple:
-        sim = Simulator(seed=13)
-        net = Network(sim, latency=ConstantLatency(0.002))
-        warmup: List = []
-        net.register("a", lambda *args: None)
-        net.register("b", lambda src, payload, size:
-                     warmup.append(payload))
-        if with_cycle:
-            net.partition(["a"], ["b"])
-            assert net._faults_active
-            net.heal()
-        assert not net._faults_active
-        baseline = net.stats.as_dict()
-        received: List = []
-        net.register("b", lambda src, payload, size:
-                     received.append((payload, sim.now)))
-        for index in range(100):
-            net.send("a", "b", index, size_bytes=16)
-        sim.run_until_idle()
-        delta = {key: value - baseline[key]
-                 for key, value in net.stats.as_dict().items()}
-        return delta, received
-    return post_heal_run(True) == post_heal_run(False)
-
-
 def main(argv) -> int:
     """Run the network microbench and write the JSON report."""
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_net.py",
-        description="Benchmark the datagram fast lane and check its "
-                    "parity contract.",
+        description="Benchmark the datagram send/multicast lifecycle.",
     )
     parser.add_argument("--ops", type=int, default=200_000,
                         help="datagrams per microbench row "
@@ -195,26 +119,11 @@ def main(argv) -> int:
                         help="multicast fan-out (default 20)")
     parser.add_argument("--out", default="BENCH_net.json",
                         help="report path (default BENCH_net.json)")
-    parser.add_argument("--parity-only", action="store_true",
-                        help="run only the parity checks (CI gate mode); "
-                             "exit non-zero on mismatch, write no report")
     args = parser.parse_args(argv)
 
-    parity = {
-        "fast_vs_reference": parity_fast_vs_reference(),
-        "fault_cycle_rearms_and_disarms": parity_fault_cycle(),
-    }
-    if not all(parity.values()):
-        print(f"PARITY FAILURE: {parity}", file=sys.stderr)
-        return 1
-    print(f"parity: {parity}")
-    if args.parity_only:
-        return 0
-
     report: Dict[str, Any] = {
-        "benchmark": "datagram fast lane: send/multicast lifecycle",
+        "benchmark": "datagram path: send/multicast lifecycle",
         "cpu_count": os.cpu_count(),
-        "parity": parity,
         "send_reliable": bench_send(args.ops, reliable=True),
         "send_unreliable": bench_send(args.ops, reliable=False),
         "multicast": bench_multicast(args.ops, args.fanout),

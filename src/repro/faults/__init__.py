@@ -8,11 +8,11 @@ one substrate.  This package makes it so:
   :class:`FaultEvent`\\ s (partitions, heals, loss bursts, node crash and
   restart) plus parametric generators (periodic flap, seeded random
   churn);
-- :mod:`repro.faults.transport` -- the :class:`FaultableTransport`
-  control surface and the :class:`FaultableTransportMixin` partition /
-  queue / heal / crash machinery shared by the simulated
-  :class:`~repro.net.network.Network` and the wall-clock
-  :class:`~repro.runtime.live.LiveNetwork`;
+- :mod:`repro.faults.transport` -- the :class:`FaultableTransportMixin`
+  partition / queue / heal / crash control surface and state behind the
+  one datagram path of :class:`~repro.net.network.Network`, which the
+  wall-clock :class:`~repro.runtime.live.LiveNetwork` and
+  :class:`~repro.runtime.socket.SocketNetwork` inherit;
 - :mod:`repro.faults.injector` -- the :class:`FaultInjector` that executes
   a plan against the :class:`~repro.transport.interface.Clock` protocol,
   either on a timer (soaks, sweeps) or stepped manually at convergence
@@ -45,7 +45,7 @@ from repro.faults.plan import (
     periodic_flap,
     random_churn,
 )
-from repro.faults.transport import FaultableTransport, FaultableTransportMixin
+from repro.faults.transport import FaultableTransportMixin
 
 __all__ = [
     "FAULT_PLANS",
@@ -55,7 +55,6 @@ __all__ = [
     "FaultPlan",
     "FaultPlanDef",
     "FaultPlanError",
-    "FaultableTransport",
     "FaultableTransportMixin",
     "Heal",
     "LossBurst",

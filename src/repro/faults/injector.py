@@ -2,7 +2,7 @@
 
 The :class:`FaultInjector` is the one piece of code that turns the
 declarative :class:`~repro.faults.plan.FaultPlan` into calls on the
-:class:`~repro.faults.transport.FaultableTransport` control surface.  It
+:class:`~repro.faults.transport.FaultableTransportMixin` control surface.  It
 supports two driving modes:
 
 - **timed** (:meth:`start`): every event is scheduled on the

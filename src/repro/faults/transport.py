@@ -1,10 +1,9 @@
-"""The fault control surface shared by both network stacks.
+"""The fault control surface and fault state of the datagram network.
 
 :class:`FaultableTransportMixin` is the partition / queue / heal / crash
-machinery that used to live inside the simulated
-:class:`~repro.net.network.Network`, extracted so the wall-clock
-:class:`~repro.runtime.live.LiveNetwork` implements the *identical*
-semantics:
+machinery behind :class:`~repro.net.network.Network` -- and, by
+inheritance, behind the wall-clock substrates -- so every backend has
+the *identical* semantics:
 
 - a **partition** separates two node sets; reliable datagrams between
   separated nodes queue (TCP keeps retransmitting) and flush on heal,
@@ -19,11 +18,14 @@ semantics:
 - a **loss rate** applies to unreliable datagrams only, sampled from the
   seeded RNG the concrete transport hands to :meth:`_init_faults`.
 
-Concrete transports call :meth:`_fault_blocked` in their ``send`` path,
-:meth:`_lose_unreliable` in their unreliable delivery path,
-:meth:`_crashed_at_arrival` when a datagram lands, and provide ``stats``
-(a :class:`~repro.net.network.NetworkStats`) plus
-``_deliver_reliable(src, dst, payload, size_bytes)``.
+The one datagram path (:class:`~repro.net.network.Network`, which the
+wall-clock substrates specialise) calls :meth:`_fault_blocked` from
+``send`` whenever ``_faults_active`` is up, :meth:`_lose_unreliable` for
+the loss draw and :meth:`_crashed_at_arrival` when a datagram lands; it
+provides ``stats`` (a :class:`~repro.net.network.NetworkStats`),
+``_obs_now()`` (its clock reading, for trace timestamps) and
+``_schedule_arrival(src, dst, payload, size_bytes, reliable)``, which a
+heal uses to release queued datagrams.
 
 Fault state is normally mutated on the protocol thread (the simulator's
 event loop or the live dispatcher): the
@@ -32,72 +34,23 @@ through the :class:`~repro.transport.interface.Clock`, and harness code
 routes manual mutations through ``Backend.call``.  The live transport's
 ``send`` may nevertheless run on any thread, so the partition queue and
 fault sets are guarded by a reentrant lock -- a queued reliable datagram
-can never be lost to a send racing a concurrent heal's flush.
+can never be lost to a send racing a concurrent heal's flush.  ``send``
+reads ``_faults_active`` *outside* that lock; that is safe because every
+mutator raises the flag before it touches fault state and lowers it only
+after (a heal: after its flush), so a send that could be affected by a
+mutation in progress always sees the flag up and waits at the gate.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import (
-    FrozenSet,
-    List,
-    Optional,
-    Protocol,
-    Sequence,
-    Tuple,
-    runtime_checkable,
-)
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.obs import tracer as _obs
 from repro.sim.rng import SeededRng
 
 #: One queued reliable datagram: (src, dst, payload, size_bytes).
 QueuedDatagram = Tuple[str, str, object, int]
-
-
-@runtime_checkable
-class FaultableTransport(Protocol):
-    """The fault-injection control surface of a transport.
-
-    Both the simulated and the live network implement this on top of the
-    base :class:`~repro.transport.interface.Transport` protocol, so a
-    :class:`~repro.faults.injector.FaultInjector` can execute the same
-    :class:`~repro.faults.plan.FaultPlan` against either substrate.
-    """
-
-    loss_rate: float
-
-    def partition(self, side_a: Sequence[str], side_b: Sequence[str]) -> None:
-        """Cut connectivity between two node sets until a heal."""
-        ...
-
-    def heal(
-        self,
-        side_a: Optional[Sequence[str]] = None,
-        side_b: Optional[Sequence[str]] = None,
-    ) -> None:
-        """Remove one partition (both sides) or all (no arguments)."""
-        ...
-
-    def partitioned(self, src: str, dst: str) -> bool:
-        """Whether a partition currently separates ``src`` and ``dst``."""
-        ...
-
-    def set_loss_rate(self, rate: float) -> None:
-        """Set the unreliable-datagram loss rate (loss bursts)."""
-        ...
-
-    def crash_node(self, node: str) -> None:
-        """Take ``node`` down; its traffic is dropped until restart."""
-        ...
-
-    def restart_node(self, node: str) -> None:
-        """Bring a crashed ``node`` back up."""
-        ...
-
-    def is_crashed(self, node: str) -> bool:
-        """Whether ``node`` is currently crashed."""
-        ...
 
 
 class FaultableTransportMixin:
@@ -118,28 +71,21 @@ class FaultableTransportMixin:
         self._partition_queue: List[QueuedDatagram] = []
         self._crashed: set = set()
         self._fault_lock = threading.RLock()
-        # True whenever a partition or a crash is in effect.  The
-        # simulated network's send fast lane keys off this flag to skip
-        # the whole fault gate while the network is healthy; every
-        # mutator below keeps it equal to
-        # ``bool(self._partitions or self._crashed)``.
+        # True whenever a partition or a crash is in effect: ``send``
+        # and ``_arrive`` enter the gate only while it is up, so a
+        # healthy network pays one attribute read per datagram.  At rest
+        # it equals ``bool(self._partitions or self._crashed)``; every
+        # mutator below raises it *before* mutating and lowers it last
+        # (see the module docstring for why the order matters).
         self._faults_active = False
-
-    def _obs_now(self) -> float:
-        """The concrete transport's clock reading for trace timestamps.
-
-        The mixin has no clock of its own; both networks override this
-        (virtual time on sim, wall-clock seconds on live).
-        """
-        return 0.0
 
     # -- partitions -----------------------------------------------------------
 
     def partition(self, side_a: Sequence[str], side_b: Sequence[str]) -> None:
         """Cut connectivity between two node sets until :meth:`heal`."""
         with self._fault_lock:
-            self._partitions.append((frozenset(side_a), frozenset(side_b)))
             self._faults_active = True
+            self._partitions.append((frozenset(side_a), frozenset(side_b)))
 
     def heal(
         self,
@@ -174,8 +120,8 @@ class FaultableTransportMixin:
                         f"no partition {sorted(cut[0])} | {sorted(cut[1])} "
                         "to heal"
                     )
-            self._faults_active = bool(self._partitions or self._crashed)
             self._flush_partition_queue()
+            self._faults_active = bool(self._partitions or self._crashed)
 
     def partitioned(self, src: str, dst: str) -> bool:
         """Whether a partition currently separates ``src`` and ``dst``."""
@@ -201,10 +147,10 @@ class FaultableTransportMixin:
             raise ValueError(f"loss_rate must be in [0, 1), got {rate!r}")
         self.loss_rate = rate
 
-    def _lose_unreliable(self) -> bool:
-        """Sample whether the next unreliable datagram is lost (and count)."""
+    def _lose_unreliable(self, src: str, dst: str) -> bool:
+        """Sample whether this unreliable datagram is lost (and drop it)."""
         if self.loss_rate > 0 and self._loss_rng.bernoulli(self.loss_rate):
-            self.stats.datagrams_dropped_loss += 1
+            self._drop("loss", src, dst)
             return True
         return False
 
@@ -213,8 +159,8 @@ class FaultableTransportMixin:
     def crash_node(self, node: str) -> None:
         """Take ``node`` down; queued entries involving it are dropped."""
         with self._fault_lock:
-            self._crashed.add(node)
             self._faults_active = True
+            self._crashed.add(node)
             kept: List[QueuedDatagram] = []
             for entry in self._partition_queue:
                 if entry[0] == node or entry[1] == node:
@@ -238,7 +184,16 @@ class FaultableTransportMixin:
         """The currently crashed node names."""
         return frozenset(self._crashed)
 
-    # -- the send-path gate -----------------------------------------------------
+    # -- the datagram-path gates ------------------------------------------------
+
+    def _drop(self, reason: str, src: str, dst: str) -> None:
+        """Count one datagram dropped for ``reason`` and trace the drop."""
+        counter = "datagrams_dropped_" + reason
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.event(
+                self._obs_now(), "net.drop", node=dst, src=src, reason=reason,
+            )
 
     def _fault_blocked(
         self, src: str, dst: str, payload: object, size_bytes: int,
@@ -248,19 +203,13 @@ class FaultableTransportMixin:
 
         Crashes drop (either endpoint down); partitions queue reliable
         datagrams and drop unreliable ones.  Loss is *not* sampled here
-        -- it belongs to the unreliable delivery path, after the
-        partition check, so a partitioned datagram never consumes a loss
-        draw (which would shift every later draw and break seed
-        stability).
+        -- ``send`` draws it after this gate, so a partitioned datagram
+        never consumes a loss draw (which would shift every later draw
+        and break seed stability).
         """
         with self._fault_lock:
             if src in self._crashed or dst in self._crashed:
-                self.stats.datagrams_dropped_crashed += 1
-                if _obs.ACTIVE is not None:
-                    _obs.ACTIVE.event(
-                        self._obs_now(), "net.drop", node=dst,
-                        src=src, reason="crashed",
-                    )
+                self._drop("crashed", src, dst)
                 return True
             if self.partitioned(src, dst):
                 if reliable:
@@ -273,12 +222,7 @@ class FaultableTransportMixin:
                             src=src, reason="partition",
                         )
                 else:
-                    self.stats.datagrams_dropped_partition += 1
-                    if _obs.ACTIVE is not None:
-                        _obs.ACTIVE.event(
-                            self._obs_now(), "net.drop", node=dst,
-                            src=src, reason="partition",
-                        )
+                    self._drop("partition", src, dst)
                 return True
         return False
 
@@ -295,18 +239,15 @@ class FaultableTransportMixin:
                 ):
                     still_blocked.append((src, dst, payload, size_bytes))
                 else:
-                    self._deliver_reliable(src, dst, payload, size_bytes)
+                    self._schedule_arrival(src, dst, payload, size_bytes,
+                                           True)
             # Prepend: delivery above may have queued nothing, but a
             # re-partition during flush must not reorder survivors.
             self._partition_queue = still_blocked + self._partition_queue
 
-    def _crashed_at_arrival(self, dst: str) -> bool:
+    def _crashed_at_arrival(self, src: str, dst: str) -> bool:
         """Drop (and count) a datagram in flight when its target died."""
         if dst in self._crashed:
-            self.stats.datagrams_dropped_crashed += 1
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self._obs_now(), "net.drop", node=dst, reason="crashed",
-                )
+            self._drop("crashed", src, dst)
             return True
         return False

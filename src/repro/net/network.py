@@ -1,4 +1,4 @@
-"""Datagram-level network simulation.
+"""Datagram-level network: the one send -> arrive path of every substrate.
 
 The :class:`Network` connects named nodes.  It delivers raw datagrams with a
 latency model, an optional loss rate, and optional partitions.  Two delivery
@@ -14,20 +14,28 @@ This split mirrors the paper's prototype, which used TCP "for the sake of
 simplicity" while observing that the coherence protocol's own ordering would
 permit UDP (Section 4.2; measured in experiment X5).
 
-The partition / heal / crash machinery itself lives in
-:class:`~repro.faults.transport.FaultableTransportMixin`, shared with the
-wall-clock :class:`~repro.runtime.live.LiveNetwork` so one
-:class:`~repro.faults.plan.FaultPlan` runs identically on both substrates.
+**One path.**  :meth:`Network.send`, :meth:`Network.multicast` and
+:meth:`Network._arrive` are the only bodies that count, gate, trace and
+hand over a datagram; the wall-clock
+:class:`~repro.runtime.live.LiveNetwork` and the multi-process
+:class:`~repro.runtime.socket.SocketNetwork` inherit them and supply only
+what genuinely differs per substrate:
 
-**Event fast path.**  ``send`` and ``multicast`` run a fast lane whenever no
-fault is active (no partition, no crashed node -- the mixin maintains the
-``_faults_active`` flag) and no tracer is installed: the per-datagram fault
-gate, its lock, and the trace-hook guards are skipped entirely.  Installing
-a tracer or injecting any fault re-arms the full reference path, which is
-byte-identical in stats and schedule to the fast lane (pinned by the
-regression tests and the ``bench_net`` parity check).  Latency lookups are
-memoized per ``(src, dst)`` pair for models that declare themselves
-size-independent and deterministic via
+- the clock (``Network.sim``: a ``Simulator`` or a ``LiveLoop``);
+- :meth:`Network._schedule_arrival` -- virtual time, the per-pair delay
+  memo and the reliable FIFO clamp here, ``LiveLoop.schedule`` there;
+- :meth:`Network._handler_for` -- how a destination resolves to a
+  receive handler (plain dict, locked dict, or a node channel);
+- :attr:`Network.MEMBERSHIP_AT_SEND` -- whether ``send`` rejects an
+  unregistered source and drops an unknown destination up front.
+
+The fault gate and the trace hooks are data on that path, not a second
+lane: ``send`` reads ``_faults_active`` (kept by
+:class:`~repro.faults.transport.FaultableTransportMixin`, which owns the
+partition / heal / crash state) and ``repro.obs.tracer.ACTIVE``, and a
+healthy, untraced network pays exactly those two reads per datagram.
+Latency lookups are memoized per ``(src, dst)`` pair for models that
+declare themselves size-independent and deterministic via
 :meth:`~repro.net.latency.LatencyModel.pair_delay`; assigning a new model
 to :attr:`Network.latency` resets the memo.
 """
@@ -134,7 +142,20 @@ class NodeNotRegistered(KeyError):
 
 
 class Network(FaultableTransportMixin):
-    """Simulated datagram network between named nodes."""
+    """Datagram network between named nodes, in virtual time.
+
+    Also the core the wall-clock substrates specialise: see the module
+    docstring for the four things a subclass supplies.  ``sim`` is the
+    clock the network runs on -- a ``Simulator`` here, the ``LiveLoop``
+    when a wall-clock subclass constructs it.
+    """
+
+    #: Whether :meth:`send` enforces membership: an unregistered source
+    #: raises :class:`NodeNotRegistered` and an unknown destination is
+    #: dropped before the fault gate.  The wall-clock substrates accept
+    #: any source (node processes and ad-hoc senders are not in the
+    #: handler table) and notice a missing destination on arrival.
+    MEMBERSHIP_AT_SEND = True
 
     def __init__(
         self,
@@ -180,11 +201,15 @@ class Network(FaultableTransportMixin):
         """Whether a node currently has a receive handler."""
         return node in self._handlers
 
+    def _handler_for(self, dst: str) -> Optional[ReceiveHandler]:
+        """The receive handler a datagram for ``dst`` is handed to."""
+        return self._handlers.get(dst)
+
     def _obs_now(self) -> float:
-        """Trace timestamps come from the shared virtual clock."""
+        """Trace timestamps come from the substrate's clock."""
         return self.sim.now
 
-    # -- sending ----------------------------------------------------------------
+    # -- the datagram path ----------------------------------------------------
 
     def send(
         self,
@@ -196,64 +221,36 @@ class Network(FaultableTransportMixin):
     ) -> None:
         """Send one datagram.  ``reliable`` selects the delivery class.
 
-        The fast lane runs when no fault is active and no tracer is
-        installed; otherwise the full reference path (fault gate + trace
-        hooks) handles the datagram identically.
+        Counted as sent, then consumed by the first gate that applies --
+        unknown destination, active fault (crash drop, partition queue or
+        drop), loss draw (unreliable only, after the partition check so a
+        partitioned datagram never shifts the loss stream) -- or
+        scheduled to arrive.
         """
-        if self._faults_active or _obs.ACTIVE is not None:
-            return self._send_reference(src, dst, payload, size_bytes,
-                                        reliable)
-        handlers = self._handlers
-        if src not in handlers:
+        strict = self.MEMBERSHIP_AT_SEND
+        if strict and src not in self._handlers:
             raise NodeNotRegistered(src)
         stats = self.stats
         stats.datagrams_sent += 1
         stats.bytes_sent += size_bytes
-        if dst not in handlers:
-            stats.datagrams_dropped_unregistered += 1
-            return
-        if reliable:
-            self._deliver_reliable(src, dst, payload, size_bytes)
-        else:
-            self._deliver_unreliable(src, dst, payload, size_bytes)
-
-    def _send_reference(
-        self,
-        src: str,
-        dst: str,
-        payload: object,
-        size_bytes: int,
-        reliable: bool,
-    ) -> None:
-        """The reference send path: fault gate plus trace hooks.
-
-        Armed whenever a fault is active or a tracer is installed; its
-        observable behaviour (stats, schedule, RNG draws) is identical to
-        the fast lane when no fault consumes the datagram.
-        """
-        if src not in self._handlers:
-            raise NodeNotRegistered(src)
-        self.stats.datagrams_sent += 1
-        self.stats.bytes_sent += size_bytes
         if _obs.ACTIVE is not None:
+            # send() may run on any thread on the wall-clock substrates;
+            # RecordingTracer's list append is atomic, so concurrent
+            # emissions interleave but never corrupt.
             _obs.ACTIVE.event(
-                self.sim.now, "net.send", node=src,
+                self._obs_now(), "net.send", node=src,
                 dst=dst, size=size_bytes, reliable=reliable,
             )
-        if dst not in self._handlers:
-            self.stats.datagrams_dropped_unregistered += 1
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self.sim.now, "net.drop", node=dst,
-                    src=src, reason="unregistered",
-                )
+        if strict and dst not in self._handlers:
+            self._drop("unregistered", src, dst)
             return
-        if self._fault_blocked(src, dst, payload, size_bytes, reliable):
+        if self._faults_active and self._fault_blocked(
+            src, dst, payload, size_bytes, reliable
+        ):
             return
-        if reliable:
-            self._deliver_reliable(src, dst, payload, size_bytes)
-        else:
-            self._deliver_unreliable(src, dst, payload, size_bytes)
+        if not reliable and self._lose_unreliable(src, dst):
+            return
+        self._schedule_arrival(src, dst, payload, size_bytes, reliable)
 
     def multicast(
         self,
@@ -263,42 +260,11 @@ class Network(FaultableTransportMixin):
         size_bytes: int = 0,
         reliable: bool = True,
     ) -> None:
-        """Send the same payload to every destination (skipping ``src``).
-
-        Equivalent to a loop of :meth:`send` calls -- same stats, same
-        FIFO clamps, same traced events -- but the batched fast lane
-        checks the source registration and the fault/tracer gate once
-        for the whole fan-out.  With a fault or tracer active, the
-        per-destination reference path runs instead (destinations can be
-        gated differently by a partition).
-        """
-        if self._faults_active or _obs.ACTIVE is not None:
-            for dst in dsts:
-                if dst != src:
-                    self._send_reference(src, dst, payload, size_bytes,
-                                         reliable)
-            return
-        targets = [dst for dst in dsts if dst != src]
-        if not targets:
-            return
-        handlers = self._handlers
-        if src not in handlers:
-            raise NodeNotRegistered(src)
-        deliver = (self._deliver_reliable if reliable
-                   else self._deliver_unreliable)
-        dropped = 0
-        for dst in targets:
-            if dst not in handlers:
-                dropped += 1
-                continue
-            deliver(src, dst, payload, size_bytes)
-        stats = self.stats
-        stats.datagrams_sent += len(targets)
-        stats.bytes_sent += len(targets) * size_bytes
-        if dropped:
-            stats.datagrams_dropped_unregistered += dropped
-
-    # -- delivery ------------------------------------------------------------------
+        """Send the same payload to every destination (skipping ``src``)."""
+        send = self.send
+        for dst in dsts:
+            if dst != src:
+                send(src, dst, payload, size_bytes, reliable)
 
     def _pair_delay(self, src: str, dst: str, size_bytes: int) -> float:
         """One datagram's delay, memoized per pair when the model allows.
@@ -322,54 +288,45 @@ class Network(FaultableTransportMixin):
             cache[key] = delay
         return delay
 
-    def _deliver_reliable(
-        self, src: str, dst: str, payload: object, size_bytes: int
+    def _schedule_arrival(
+        self, src: str, dst: str, payload: object, size_bytes: int,
+        reliable: bool,
     ) -> None:
+        """Schedule :meth:`_arrive` after this datagram's network delay."""
         arrival = self.sim.now + self._pair_delay(src, dst, size_bytes)
-        # FIFO clamp: a reliable stream never reorders within a (src, dst)
-        # pair, exactly like a TCP connection.
-        key = (src, dst)
-        fifo = self._fifo_clock
-        floor = fifo.get(key, 0.0)
-        if arrival < floor:
-            arrival = floor
-        fifo[key] = arrival
-        self.sim.schedule_at(arrival, self._arrive, src, dst, payload, size_bytes)
-
-    def _deliver_unreliable(
-        self, src: str, dst: str, payload: object, size_bytes: int
-    ) -> None:
-        if self._lose_unreliable():
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self.sim.now, "net.drop", node=dst,
-                    src=src, reason="loss",
-                )
-            return
-        delay = self._pair_delay(src, dst, size_bytes)
-        self.sim.schedule(delay, self._arrive, src, dst, payload, size_bytes)
+        if reliable:
+            # FIFO clamp: a reliable stream never reorders within a
+            # (src, dst) pair, exactly like a TCP connection.
+            key = (src, dst)
+            fifo = self._fifo_clock
+            floor = fifo.get(key, 0.0)
+            if arrival < floor:
+                arrival = floor
+            fifo[key] = arrival
+        self.sim.schedule_at(arrival, self._arrive, src, dst, payload,
+                             size_bytes)
 
     def _arrive(self, src: str, dst: str, payload: object, size_bytes: int) -> None:
-        if self._faults_active and self._crashed_at_arrival(dst):
+        """A datagram lands: last crash check, then hand it to ``dst``."""
+        if self._faults_active and self._crashed_at_arrival(src, dst):
             return
-        handler = self._handlers.get(dst)
+        handler = self._handler_for(dst)
         if handler is None:
-            self.stats.datagrams_dropped_unregistered += 1
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self.sim.now, "net.drop", node=dst,
-                    src=src, reason="unregistered",
-                )
+            self._drop("unregistered", src, dst)
             return
+        self._delivered(src, dst, size_bytes)
+        handler(src, payload, size_bytes)
+
+    def _delivered(self, src: str, dst: str, size_bytes: int) -> None:
+        """Count one datagram handed over at ``dst`` and trace it."""
         stats = self.stats
         stats.datagrams_delivered += 1
         stats.bytes_delivered += size_bytes
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.event(
-                self.sim.now, "net.deliver", node=dst,
+                self._obs_now(), "net.deliver", node=dst,
                 src=src, size=size_bytes,
             )
-        handler(src, payload, size_bytes)
 
     # -- introspection ---------------------------------------------------------------
 

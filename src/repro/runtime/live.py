@@ -12,12 +12,10 @@ import heapq
 import itertools
 import threading
 import time
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Optional
 
-from repro.faults.transport import FaultableTransportMixin
-from repro.net.network import NetworkStats
-from repro.obs import tracer as _obs
-from repro.obs.metrics import MetricsRegistry
+from repro.net.latency import ConstantLatency
+from repro.net.network import Network
 from repro.sim.rng import SeededRng
 
 
@@ -168,31 +166,25 @@ class LiveLoop:
                     self._busy = False
 
 
-class LiveNetwork(FaultableTransportMixin):
-    """In-process message delivery compatible with the Network interface.
+class LiveNetwork(Network):
+    """The :class:`~repro.net.network.Network` datagram path in wall-clock time.
 
-    Delivery happens on the loop's dispatcher thread after the configured
-    latency, preserving the single-threaded protocol model.  The full
-    fault control surface of the simulated network (partitions with
-    reliable-traffic queueing, partial heal, crash/restart, loss bursts)
-    comes from the shared
-    :class:`~repro.faults.transport.FaultableTransportMixin`; fault
-    mutations must run on the dispatcher thread (route through
-    ``Backend.call`` or a :class:`~repro.faults.injector.FaultInjector`).
+    ``send``, ``multicast``, the fault gate and ``_arrive`` are inherited
+    unchanged; this substrate supplies a locked handler table (``send``
+    may run on any thread), no membership check at send time, and
+    arrivals scheduled on the loop's dispatcher thread after the
+    configured latency -- which preserves the single-threaded protocol
+    model.  Fault mutations must run on the dispatcher thread (route
+    through ``Backend.call`` or a
+    :class:`~repro.faults.injector.FaultInjector`).
     """
 
-    def __init__(self, loop: LiveLoop, latency: float = 0.0) -> None:
-        self.loop = loop
-        self.latency = latency
-        self.metrics = MetricsRegistry()
-        self.stats = NetworkStats().bind(self.metrics)
-        self._handlers: Dict[str, Callable] = {}
-        self._lock = threading.Lock()
-        self._init_faults(loss_rng=loop.rng.fork("network-loss"))
+    MEMBERSHIP_AT_SEND = False
 
-    def _obs_now(self) -> float:
-        """Trace timestamps come from the loop's wall clock."""
-        return self.loop.now
+    def __init__(self, loop: LiveLoop, latency: float = 0.0) -> None:
+        super().__init__(loop, latency=ConstantLatency(latency))
+        self.loop = loop
+        self._lock = threading.Lock()
 
     def register(self, node: str, handler: Callable) -> None:
         """Attach a node's receive handler."""
@@ -215,71 +207,13 @@ class LiveNetwork(FaultableTransportMixin):
         with self._lock:
             return set(self._handlers)
 
-    def send(self, src: str, dst: str, payload: object,
-             size_bytes: int = 0, reliable: bool = True) -> None:
-        """Deliver after the configured latency, on the dispatcher."""
-        self.stats.datagrams_sent += 1
-        self.stats.bytes_sent += size_bytes
-        if _obs.ACTIVE is not None:
-            # send() may run on any thread; RecordingTracer's list append
-            # is atomic, so concurrent emissions interleave but never
-            # corrupt (live traces are not deterministic anyway).
-            _obs.ACTIVE.event(
-                self.loop.now, "net.send", node=src,
-                dst=dst, size=size_bytes, reliable=reliable,
-            )
-        if self._fault_blocked(src, dst, payload, size_bytes, reliable):
-            return
-        if reliable:
-            self._deliver_reliable(src, dst, payload, size_bytes)
-        else:
-            self._deliver_unreliable(src, dst, payload, size_bytes)
-
-    def _deliver_reliable(self, src: str, dst: str, payload: object,
-                          size_bytes: int) -> None:
-        """Schedule dispatcher delivery; loop seq order keeps pairs FIFO."""
-        self.loop.schedule(self.latency, self._arrive, src, dst, payload,
-                           size_bytes)
-
-    def _deliver_unreliable(self, src: str, dst: str, payload: object,
-                            size_bytes: int) -> None:
-        """Unreliable delivery: subject to the (fault-driven) loss rate."""
-        if self._lose_unreliable():
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self.loop.now, "net.drop", node=dst,
-                    src=src, reason="loss",
-                )
-            return
-        self.loop.schedule(self.latency, self._arrive, src, dst, payload,
-                           size_bytes)
-
-    def _arrive(self, src: str, dst: str, payload: object,
-                size_bytes: int) -> None:
-        if self._crashed_at_arrival(dst):
-            return
+    def _handler_for(self, dst: str) -> Optional[Callable]:
+        """The registered handler, read under the membership lock."""
         with self._lock:
-            handler = self._handlers.get(dst)
-        if handler is None:
-            self.stats.datagrams_dropped_unregistered += 1
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self.loop.now, "net.drop", node=dst,
-                    src=src, reason="unregistered",
-                )
-            return
-        self.stats.datagrams_delivered += 1
-        self.stats.bytes_delivered += size_bytes
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.event(
-                self.loop.now, "net.deliver", node=dst,
-                src=src, size=size_bytes,
-            )
-        handler(src, payload, size_bytes)
+            return self._handlers.get(dst)
 
-    def multicast(self, src: str, dsts, payload: object,
-                  size_bytes: int = 0, reliable: bool = True) -> None:
-        """Send to each destination."""
-        for dst in dsts:
-            if dst != src:
-                self.send(src, dst, payload, size_bytes, reliable=reliable)
+    def _schedule_arrival(self, src: str, dst: str, payload: object,
+                          size_bytes: int, reliable: bool) -> None:
+        """Arrive on the dispatcher; loop seq order keeps pairs FIFO."""
+        self.loop.schedule(self._latency.delay(src, dst, size_bytes),
+                           self._arrive, src, dst, payload, size_bytes)

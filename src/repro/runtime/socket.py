@@ -31,6 +31,7 @@ import dataclasses
 import itertools
 import os
 import shutil
+import socket
 import tempfile
 import threading
 import time
@@ -38,7 +39,6 @@ from typing import Any, Dict, List, Optional
 
 from repro.coherence.trace import TraceRecorder
 from repro.core.interfaces import Role
-from repro.obs import tracer as _obs
 from repro.runtime.live import LiveLoop, LiveNetwork
 from repro.runtime.registry import Registry
 from repro.runtime.supervisor import NodeSupervisor
@@ -84,7 +84,7 @@ class SocketHub:
         self._calls: Dict[int, Dict[str, Any]] = {}
         self._call_ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._closing = False
+        self._closing = threading.Event()
         self._listener = listen(self.address)
         self._accept_thread = threading.Thread(
             target=self._accept_loop, name="repro-hub-accept", daemon=True
@@ -280,15 +280,14 @@ class SocketHub:
 
     def _sweep_loop(self) -> None:
         """Expire registry entries whose heartbeats went silent."""
-        while not self._closing:
-            time.sleep(self.heartbeat_interval)
+        while not self._closing.wait(self.heartbeat_interval):
             self.registry.expire(time.monotonic())
 
     # -- teardown ------------------------------------------------------------
 
     def shutdown(self) -> None:
         """Stop every node, close every socket, remove the run dir."""
-        self._closing = True
+        self._closing.set()
         with self._lock:
             channels = dict(self._channels)
             self._channels.clear()
@@ -301,9 +300,17 @@ class SocketHub:
         for channel in channels.values():
             channel.close()
         try:
+            # close() alone leaves a thread blocked in accept() asleep on
+            # Linux; shutting the listening socket down wakes it.
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        try:
             self._listener.close()
         except OSError:
             pass
+        for thread in (self._accept_thread, self._sweeper):
+            thread.join(timeout=2.0)
         for name in self.registry.names():
             self.registry.deregister(name)
         if self._owns_run_dir:
@@ -356,29 +363,23 @@ class SocketNetwork(LiveNetwork):
 
     def _arrive(self, src: str, dst: str, payload: object,
                 size_bytes: int) -> None:
+        """Local destinations take the shared body; remote ones a frame.
+
+        For a remote destination the frame write *is* the hand-over, so
+        it is counted delivered only once :meth:`SocketHub.forward`
+        reports the frame written; a node whose channel is gone (never
+        attached, or closed under the write) drops as unregistered.
+        """
         with self._lock:
             remote = dst in self._remote
         if not remote:
             super()._arrive(src, dst, payload, size_bytes)
+        elif self._faults_active and self._crashed_at_arrival(src, dst):
             return
-        if self._crashed_at_arrival(dst):
-            return
-        if self.hub.channel_for(dst) is None:
-            self.stats.datagrams_dropped_unregistered += 1
-            if _obs.ACTIVE is not None:
-                _obs.ACTIVE.event(
-                    self.loop.now, "net.drop", node=dst,
-                    src=src, reason="unregistered",
-                )
-            return
-        self.stats.datagrams_delivered += 1
-        self.stats.bytes_delivered += size_bytes
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.event(
-                self.loop.now, "net.deliver", node=dst,
-                src=src, size=size_bytes,
-            )
-        self.hub.forward(dst, src, payload, size_bytes)
+        elif self.hub.forward(dst, src, payload, size_bytes):
+            self._delivered(src, dst, size_bytes)
+        else:
+            self._drop("unregistered", src, dst)
 
     # -- fault teeth ---------------------------------------------------------
 

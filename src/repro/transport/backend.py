@@ -21,7 +21,7 @@ Three backends ship:
 
 Harness code written against this interface (the parity tests, the live
 sweep adapter, :func:`repro.workload.scenarios.build_tree`) runs unchanged
-on either substrate.
+on every substrate.
 """
 
 from __future__ import annotations
@@ -43,7 +43,8 @@ class BackendError(RuntimeError):
 class Backend:
     """Abstract driving interface over one clock/transport pair."""
 
-    #: Registry name ("sim" / "live"); also what ``make_backend`` accepts.
+    #: Registry name ("sim" / "live" / "live-socket"); also what
+    #: ``make_backend`` accepts.
     name: str = "abstract"
 
     clock: Any
@@ -358,9 +359,9 @@ BACKENDS = {
 def make_backend(backend: Union[str, Backend], **kwargs: Any) -> Backend:
     """Build (or pass through) a backend.
 
-    ``backend`` is a registry name (``"sim"`` / ``"live"``) or an already
-    constructed :class:`Backend`, which is returned as-is (keyword
-    arguments must then be absent).
+    ``backend`` is a registry name (``"sim"`` / ``"live"`` /
+    ``"live-socket"``) or an already constructed :class:`Backend`, which
+    is returned as-is (keyword arguments must then be absent).
     """
     if isinstance(backend, Backend):
         if kwargs:

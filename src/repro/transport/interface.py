@@ -8,10 +8,15 @@ substrate capabilities:
   (and owns the run's seeded RNG);
 - a :class:`Transport` that delivers datagrams between named nodes.
 
-Two implementations exist: the deterministic virtual-time pair
-(:class:`~repro.sim.kernel.Simulator` + :class:`~repro.net.network.Network`)
-and the wall-clock pair (:class:`~repro.runtime.live.LiveLoop` +
-:class:`~repro.runtime.live.LiveNetwork`).  Because both satisfy these
+Three hub-side pairs exist: the deterministic virtual-time pair
+(:class:`~repro.sim.kernel.Simulator` + :class:`~repro.net.network.Network`),
+the wall-clock pair (:class:`~repro.runtime.live.LiveLoop` +
+:class:`~repro.runtime.live.LiveNetwork`) and the multi-process pair
+(``LiveLoop`` + :class:`~repro.runtime.socket.SocketNetwork`); the two
+wall-clock transports inherit ``Network``'s datagram path.  Inside a
+``live-socket`` node process,
+:class:`~repro.runtime.node.NodeTransport` satisfies :class:`Transport`
+as a pure framing bridge to the hub.  Because all satisfy these
 protocols, the identical replication protocol stack runs in simulated and
 real time; any future substrate (an SSH pool, a shared-memory transport)
 only needs to implement these two interfaces.

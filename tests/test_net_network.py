@@ -281,7 +281,7 @@ def test_unregister_stops_delivery():
     assert received == []
 
 
-# -- fast-lane parity: multicast vs a loop of sends ---------------------------
+# -- multicast is a loop of sends ----------------------------------------------
 
 
 def _fanout_build(seed=11, latency=None):
@@ -311,8 +311,8 @@ def _fanout_drive(sim, net, use_multicast, reliable):
 
 @pytest.mark.parametrize("reliable", [True, False])
 def test_multicast_equals_loop_of_sends(reliable):
-    # Same seed, same latency jitter: the batched fast lane must produce
-    # the identical stats, delivery schedule and FIFO clamps as the
+    # Same seed, same latency jitter: multicast must produce the
+    # identical stats, delivery schedule and FIFO clamps as the
     # equivalent loop of unicast sends.
     results = []
     for use_multicast in (False, True):
@@ -326,8 +326,8 @@ def test_multicast_equals_loop_of_sends(reliable):
 
 
 def test_multicast_equals_loop_of_sends_traced():
-    # With a tracer installed both paths take the per-destination
-    # reference lane; the traced event streams must coincide exactly.
+    # With a tracer installed the traced event streams must coincide
+    # exactly, too.
     from repro.obs import tracer as obs
 
     streams = []
@@ -400,3 +400,72 @@ def test_fifo_clamp_survives_heal_flush_with_memoized_latency():
     # Arrival times were monotone (the clamp held across the flush).
     clamp = net._fifo_clock[("a", "b")]
     assert clamp >= 1.0 + 0.05
+
+
+# -- the gates are data on one path: tracing and healed faults change nothing --
+
+
+def _mixed_traffic(sim, net):
+    """Unicast, unreliable, multicast and a dead address, over 200 rounds."""
+    boxes = {name: [] for name in "abc"}
+    for name in "abc":
+        net.register(name, lambda src, payload, size, _box=boxes[name]:
+                     _box.append((src, payload, size, sim.now)))
+    for round_no in range(200):
+        net.send("a", "b", ("u", round_no), size_bytes=32)
+        net.send("a", "b", ("u2", round_no), size_bytes=32, reliable=False)
+        net.multicast("b", ["a", "b", "c"], ("m", round_no), size_bytes=48)
+        net.send("c", "missing", ("drop", round_no), size_bytes=8)
+        if round_no % 50 == 0:
+            sim.run_until_idle()
+    sim.run_until_idle()
+    return net.stats.as_dict(), boxes, sim.now
+
+
+def test_installed_tracer_does_not_change_the_traffic():
+    # A NullTracer arms every trace hook on the path while discarding the
+    # events: stats, delivery order, arrival times and the final clock
+    # must equal the untraced run's exactly.
+    from repro.obs import tracer as obs
+
+    outcomes = []
+    for tracer in (None, obs.NullTracer()):
+        sim = Simulator(seed=11)
+        net = make_net(sim, latency=ConstantLatency(0.002), loss_rate=0.1)
+        obs.install(tracer)
+        try:
+            outcomes.append(_mixed_traffic(sim, net))
+        finally:
+            obs.uninstall()
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0]["datagrams_dropped_loss"] > 0
+
+
+def test_healed_network_carries_traffic_like_a_never_faulted_one():
+    # A partition/heal (and crash/restart) cycle must leave nothing
+    # behind: the traffic sent afterwards is counted, clamped and
+    # delivered exactly as on a control network that never saw a fault.
+    def post_fault_run(with_cycle):
+        sim = Simulator(seed=13)
+        net = make_net(sim, latency=ConstantLatency(0.002))
+        received = []
+        net.register("a", collector([]))
+        net.register("b", lambda src, payload, size:
+                     received.append((payload, sim.now)))
+        if with_cycle:
+            net.partition(["a"], ["b"])
+            net.crash_node("a")
+            net.restart_node("a")
+            net.heal()
+        before = net.stats.as_dict()
+        for index in range(100):
+            net.send("a", "b", index, size_bytes=16,
+                     reliable=index % 3 != 0)
+        sim.run_until_idle()
+        delta = {key: value - before[key]
+                 for key, value in net.stats.as_dict().items()}
+        return delta, received
+
+    faulted, control = post_fault_run(True), post_fault_run(False)
+    assert faulted == control
+    assert len(control[1]) == 100

@@ -347,3 +347,67 @@ class TestSocketDeploymentLifecycle:
                 os.waitpid(pid, os.WNOHANG)
         assert not os.path.exists(run_dir), "hub must remove its run dir"
         assert hub.registry.names() == []
+        assert _wait_no_hub_threads() == []
+
+
+def _wait_no_hub_threads(timeout=2.0):
+    """Names of ``repro-hub-*`` threads still alive after ``timeout``.
+
+    The accept and sweeper threads are joined by ``shutdown`` itself; a
+    serve thread exits as soon as it reads EOF on its closed channel.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        alive = [thread.name for thread in threading.enumerate()
+                 if thread.name.startswith("repro-hub-")]
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.01)
+
+
+class TestSocketHubWithoutNodes:
+    """Hub-side behaviour that needs no node process."""
+
+    def test_stop_leaves_no_hub_thread_behind(self):
+        # The acceptor sits in accept() with no connection ever coming:
+        # exactly the thread a bare listener.close() used to strand.
+        from repro.transport.backend import SocketBackend
+
+        backend = SocketBackend()
+        backend.start()
+        assert any(thread.name == "repro-hub-accept"
+                   for thread in threading.enumerate())
+        backend.stop()
+        assert _wait_no_hub_threads(timeout=0.0) == []
+
+    def test_failed_frame_write_is_a_drop_not_a_delivery(self):
+        # The node's channel is still attached when the datagram lands
+        # but closes under the write (here: already closed).  That is an
+        # unregistered destination, never a delivered datagram.
+        from repro.obs import tracer as obs
+        from repro.transport.backend import SocketBackend
+
+        backend = SocketBackend(latency=0.0)
+        ours, theirs = socket.socketpair()
+        channel = FrameChannel(ours)
+        try:
+            net, hub = backend.transport, backend.hub
+            net.register_remote("store")
+            hub._channels["store"] = channel
+            channel.close()
+            backend.start()
+            with obs.trace_run() as tracer:
+                net.send("client", "store", {"k": 1}, size_bytes=12)
+                backend.settle()
+            stats = net.stats
+            assert stats.datagrams_sent == 1
+            assert (stats.datagrams_delivered, stats.bytes_delivered) == (0, 0)
+            assert stats.datagrams_dropped_unregistered == 1
+            kinds = [(event["kind"], event.get("reason"))
+                     for event in tracer.events
+                     if event["kind"].startswith("net.")]
+            assert kinds == [("net.send", None),
+                             ("net.drop", "unregistered")]
+        finally:
+            backend.stop()
+            theirs.close()
