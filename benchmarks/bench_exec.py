@@ -1,29 +1,26 @@
-"""Executor benchmark: points/sec and bytes-through-pipe per executor.
+"""Sweep-execution benchmark: in process vs the hub at 1/2/4 workers.
 
-Runs one large-trace sweep -- every point returns multi-hundred-KB
-payloads of per-metric sample arrays and trace records, the shape the
-report grids actually produce -- under each registered executor and
-emits ``BENCH_exec.json``::
+Three sections, emitted as ``BENCH_exec.json``::
 
     python benchmarks/bench_exec.py                  # defaults
     python benchmarks/bench_exec.py --points 16 --samples 200000
     python benchmarks/bench_exec.py --out BENCH_exec.json
 
-For each executor the report records wall-clock points/sec plus the
-transport accounting from ``ExecutorStats``: ``pipe_bytes`` (what
-crossed the worker pool's pickle pipe), ``payload_bytes`` (the encoded
-payload volume), and for the distributed executor ``wire_bytes`` (framed
-socket traffic) and ``retries``.  The shared-memory executor moves the
-payloads out of the pipe entirely -- only (label, segment, length,
-digest) descriptors cross it -- which is the number the ROADMAP's
-"shared-memory result transport" item asked to see.
-
-A second section scales the distributed executor across 1/2/4 local
-worker daemons on a *stall-bound* sweep (each point holds a fixed stall,
-the shape of remote compute or I/O a multi-host sweep actually fans
-out).  Worker capacity is additive there, so points/sec rises above the
-serial baseline as daemons are added -- on any host, including the
-1-CPU boxes where a CPU-bound sweep cannot parallelize at all.
+- ``payload_heavy``: one large-trace sweep -- every point returns
+  multi-hundred-KB payloads of per-metric sample arrays and trace
+  records, the shape the report grids actually produce -- on a cold
+  on-disk cache, in process (``serial``) and through the hub with 1, 2
+  and 4 forked workers.  Hub rows carry its transport accounting:
+  ``payload_bytes`` (encoded result volume), ``wire_bytes`` (framed
+  socket traffic) and ``retries``.
+- ``stall_bound``: the same four rows on a sweep whose points each hold
+  a fixed stall (the shape of remote compute or I/O).  Worker capacity
+  is additive there, so points/sec rises above the serial baseline as
+  workers are added -- on any host, including 1-CPU boxes where a
+  CPU-bound sweep cannot parallelize at all.
+- ``fixed_overhead``: ``run_sweep(parallel=2)`` over 4 and 64 no-op
+  points: what it costs to bind the hub, fork the workers, serve and
+  shut down, with nothing to compute.
 
 Not a pytest module: run it directly (CI treats the perf trajectory as
 data, not as a gate).
@@ -37,23 +34,25 @@ import os
 import sys
 import tempfile
 import time
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from repro.exec import (
-    EXECUTORS,
     DistributedExecutor,
     ResultCache,
     SweepSpec,
-    default_parallelism,
     run_sweep,
 )
+
+#: Hub worker counts every section's parallel rows run at.
+WORKER_COUNTS = (1, 2, 4)
 
 
 def large_trace_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One sweep point returning a large, trace-shaped payload.
 
     Exact binary fractions of the derived seed keep the payload
-    deterministic (and bit-identical across executors) without an RNG.
+    deterministic (and bit-identical at every worker count) without an
+    RNG.
     """
     samples = int(config["samples"])
     base = seed % (1 << 20)
@@ -86,7 +85,7 @@ def stalled_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
     The stall stands in for the remote compute / device I/O a
     multi-host sweep fans out; the payload stays deterministic so the
-    distributed runs remain byte-identical to serial.
+    parallel runs remain byte-identical to serial.
     """
     time.sleep(float(config["stall_s"]))
     base = seed % (1 << 16)
@@ -105,159 +104,139 @@ def build_stalled_spec(points: int, stall_s: float) -> SweepSpec:
     return spec
 
 
-def bench_executor(name: str, points: int, samples: int,
-                   parallel: int, repeats: int = 1) -> Dict[str, Any]:
-    """Measure one executor on the cold cached sweep; return its entry.
+def noop_point(config: Dict[str, Any], seed: int) -> int:
+    """Nothing to compute: what remains is the machinery."""
+    return config["index"]
+
+
+def build_noop_spec(points: int) -> SweepSpec:
+    """The fixed-overhead sweep: ``points`` no-op points."""
+    spec = SweepSpec(name="bench-exec-noop", run_point=noop_point)
+    for index in range(points):
+        spec.add(f"np-{index:02d}", index=index)
+    return spec
+
+
+def bench_rows(spec_factory, repeats: int) -> Dict[str, Any]:
+    """``serial`` plus one hub row per worker count, on a cold cache.
 
     Each run gets a fresh (cold) on-disk cache, the configuration every
     real grid sweep runs under: the timing therefore includes writing
-    each point's entry, which the shared-memory executor does from the
-    worker's already-encoded bytes while the others re-encode.
-
-    Two passes: a stats pass first (counting process-pool pipe bytes
-    re-pickles every result, which must not pollute the timing), then
-    ``repeats`` stats-free timed passes, of which the best counts --
-    single-pass timings drift by several percent run to run.
+    each point's entry, which the hub does from the worker's
+    already-encoded bytes while the in-process path encodes.  The best
+    of ``repeats`` passes counts -- single-pass timings drift by
+    several percent run to run.  Hub rows include worker start-up and
+    shutdown, so the numbers are end-to-end, not steady-state.
     """
-    stats_executor = EXECUTORS[name](collect_stats=True)
-    with tempfile.TemporaryDirectory(prefix="bench-exec-") as cache_dir:
-        run_sweep(build_spec(points, samples), parallel=parallel,
-                  executor=stats_executor, cache=ResultCache(cache_dir))
-    stats = stats_executor.stats
-
-    elapsed = float("inf")
-    for _ in range(repeats):
-        executor = EXECUTORS[name]()
-        with tempfile.TemporaryDirectory(prefix="bench-exec-") as cache_dir:
-            cache = ResultCache(cache_dir)
-            started = time.perf_counter()
-            measured = run_sweep(build_spec(points, samples),
-                                 parallel=parallel, executor=executor,
-                                 cache=cache)
-            elapsed = min(elapsed, time.perf_counter() - started)
-            assert len(measured) == points
-            assert cache.writes == points
-    return {
-        "points": points,
-        "samples_per_point": samples,
-        "workers": parallel or default_parallelism(points),
-        "seconds": round(elapsed, 4),
-        "points_per_sec": round(points / elapsed, 3),
-        "pipe_bytes": stats.pipe_bytes,
-        "payload_bytes": stats.payload_bytes,
-        "wire_bytes": stats.wire_bytes,
-        "retries": stats.retries,
-    }
-
-
-def bench_distributed_scaling(points: int, stall_s: float
-                              ) -> Dict[str, Any]:
-    """Serial baseline vs 1/2/4 worker daemons on the stall-bound sweep.
-
-    One timed pass per row: the timing is stall-dominated, so run-to-run
-    drift is far below the worker-count effect being measured.  Each
-    distributed row includes daemon startup, so the speedup numbers are
-    end-to-end, not steady-state.
-    """
-    section: Dict[str, Any] = {
-        "points": points,
-        "stall_s_per_point": stall_s,
-        "rows": {},
-    }
-
-    def timed(executor) -> float:
-        with tempfile.TemporaryDirectory(prefix="bench-exec-") as cache_dir:
-            started = time.perf_counter()
-            measured = run_sweep(build_stalled_spec(points, stall_s),
-                                 executor=executor,
-                                 cache=ResultCache(cache_dir))
-            elapsed = time.perf_counter() - started
-            assert len(measured) == points
-        return elapsed
-
-    serial_elapsed = timed(EXECUTORS["serial"]())
-    section["rows"]["serial"] = {
-        "seconds": round(serial_elapsed, 4),
-        "points_per_sec": round(points / serial_elapsed, 3),
-    }
-    print(f"{'stalled serial':>14}: "
-          f"{points / serial_elapsed:8.2f} points/sec")
-    for workers in (1, 2, 4):
-        executor = DistributedExecutor(collect_stats=True, workers=workers)
-        elapsed = timed(executor)
-        row = {
-            "workers": workers,
+    rows: Dict[str, Any] = {}
+    points = len(spec_factory().points)
+    for workers in (None,) + WORKER_COUNTS:
+        elapsed = float("inf")
+        hub: Optional[DistributedExecutor] = None
+        for _ in range(repeats):
+            # The instance is only a handle on the transport counters;
+            # passing it at one worker measures the hub itself.
+            hub = DistributedExecutor() if workers else None
+            with tempfile.TemporaryDirectory(prefix="bench-exec-") as root:
+                cache = ResultCache(root)
+                started = time.perf_counter()
+                measured = run_sweep(spec_factory(), parallel=workers or 1,
+                                     executor=hub, cache=cache)
+                elapsed = min(elapsed, time.perf_counter() - started)
+                assert len(measured) == points
+                assert cache.writes == points
+        row: Dict[str, Any] = {
             "seconds": round(elapsed, 4),
             "points_per_sec": round(points / elapsed, 3),
-            "wire_bytes": executor.stats.wire_bytes,
-            "retries": executor.stats.retries,
-            "speedup_vs_serial": round(serial_elapsed / elapsed, 3),
         }
-        section["rows"][f"distributed_{workers}w"] = row
-        print(f"{'distributed':>11}-{workers}w: "
-              f"{row['points_per_sec']:8.2f} points/sec   "
-              f"wire {row['wire_bytes']:>12,} B   "
-              f"retries {row['retries']}   "
-              f"speedup {row['speedup_vs_serial']:.2f}x")
+        if hub is None:
+            name = "serial"
+        else:
+            name = f"parallel_{workers}w"
+            row.update(
+                workers=workers,
+                payload_bytes=hub.stats.payload_bytes,
+                wire_bytes=hub.stats.wire_bytes,
+                retries=hub.stats.retries,
+                speedup_vs_serial=round(
+                    rows["serial"]["seconds"] / elapsed, 3),
+            )
+        rows[name] = row
+        print(f"{name:>12}: {row['points_per_sec']:9.2f} points/sec"
+              + (f"   wire {row['wire_bytes']:>12,} B   "
+                 f"speedup {row['speedup_vs_serial']:.2f}x" if hub else ""))
+    return rows
+
+
+def bench_fixed_overhead(repeats: int) -> Dict[str, Any]:
+    """Best-of-N wall time of ``run_sweep(parallel=2)`` on no-op points."""
+    section: Dict[str, Any] = {"workers": 2, "best_of": repeats}
+    for points in (4, 64):
+        elapsed = float("inf")
+        for _ in range(repeats):
+            started = time.perf_counter()
+            measured = run_sweep(build_noop_spec(points), parallel=2)
+            elapsed = min(elapsed, time.perf_counter() - started)
+            assert len(measured) == points
+        section[f"points_{points}_ms"] = round(elapsed * 1000, 2)
+        print(f"{'no-op x' + str(points):>12}: {elapsed * 1000:9.2f} ms")
     return section
 
 
 def main(argv) -> int:
-    """Run the benchmark matrix and write the JSON report."""
+    """Run the three sections and write the JSON report."""
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_exec.py",
-        description="Benchmark sweep executors on a large-trace sweep.",
+        description="Benchmark sweep execution: in process vs the hub.",
     )
     parser.add_argument("--points", type=int, default=8,
-                        help="sweep points (default 8)")
+                        help="payload-heavy sweep points (default 8)")
     parser.add_argument("--samples", type=int, default=100_000,
                         help="samples per metric array per point "
                              "(default 100000; ~2.4 MB of arrays/point)")
-    parser.add_argument("--parallel", type=int, default=0,
-                        help="worker-pool size for the pool executors "
-                             "(default 0: one per CPU, clamped to the "
-                             "point count)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timed passes per executor; the best run "
-                             "counts (default 3)")
+                        help="timed passes per payload-heavy row; the "
+                             "best run counts (default 3)")
     parser.add_argument("--stall-points", type=int, default=16,
-                        help="points in the distributed-scaling sweep "
+                        help="points in the stall-bound sweep "
                              "(default 16)")
     parser.add_argument("--stall", type=float, default=0.25,
-                        help="per-point stall in the scaling sweep, "
+                        help="per-point stall in the stall-bound sweep, "
                              "seconds (default 0.25)")
+    parser.add_argument("--overhead-repeats", type=int, default=10,
+                        help="passes per fixed-overhead row; the best "
+                             "run counts (default 10)")
     parser.add_argument("--out", default="BENCH_exec.json",
                         help="report path (default BENCH_exec.json)")
     args = parser.parse_args(argv)
 
-    report = {
-        "benchmark": "large-trace sweep through repro.exec executors",
-        # The host matters: on a 1-CPU box the pool executors degrade
-        # to one worker and the comparison is pure transport overhead;
-        # multicore hosts additionally overlap worker-side encoding.
+    report: Dict[str, Any] = {
+        "benchmark": "sweep execution: in process vs the hub's workers",
+        # The host matters: with fewer CPUs than workers the hub rows
+        # of the payload-heavy sweep measure transport overhead, not
+        # overlap; the stall-bound rows scale regardless.
         "cpu_count": os.cpu_count(),
-        "executors": {},
     }
-    for name in sorted(EXECUTORS):
-        entry = bench_executor(name, args.points, args.samples,
-                               args.parallel, args.repeats)
-        report["executors"][name] = entry
-        print(f"{name:>14}: {entry['points_per_sec']:8.2f} points/sec   "
-              f"pipe {entry['pipe_bytes']:>12,} B   "
-              f"payload {entry['payload_bytes']:>12,} B")
-
-    pool = report["executors"]["process-pool"]
-    shm = report["executors"]["shared-memory"]
-    report["shared_memory_vs_pool"] = {
-        "pipe_bytes_ratio": (
-            round(shm["pipe_bytes"] / pool["pipe_bytes"], 6)
-            if pool["pipe_bytes"] else None
-        ),
-        "speedup": round(shm["points_per_sec"] / pool["points_per_sec"], 3),
+    print("payload-heavy sweep")
+    report["payload_heavy"] = {
+        "points": args.points,
+        "samples_per_point": args.samples,
+        "best_of": args.repeats,
+        "rows": bench_rows(lambda: build_spec(args.points, args.samples),
+                           args.repeats),
     }
-    report["distributed_scaling"] = bench_distributed_scaling(
-        args.stall_points, args.stall
-    )
+    print("stall-bound sweep")
+    # One pass per row: the timing is stall-dominated, so run-to-run
+    # drift is far below the worker-count effect being measured.
+    report["stall_bound"] = {
+        "points": args.stall_points,
+        "stall_s_per_point": args.stall,
+        "best_of": 1,
+        "rows": bench_rows(
+            lambda: build_stalled_spec(args.stall_points, args.stall), 1),
+    }
+    print("fixed overhead, parallel=2")
+    report["fixed_overhead"] = bench_fixed_overhead(args.overhead_repeats)
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

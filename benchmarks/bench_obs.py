@@ -54,7 +54,7 @@ def bench_disabled_sweep(points: int, samples: int,
         with tempfile.TemporaryDirectory(prefix="bench-obs-") as cache_dir:
             started = time.perf_counter()
             run_sweep(build_spec(points, samples), parallel=1,
-                      executor="serial", cache=ResultCache(cache_dir))
+                      cache=ResultCache(cache_dir))
             best = min(best, time.perf_counter() - started)
     return {
         "points": points,
@@ -108,7 +108,7 @@ def main(argv) -> int:
                         help="timing repeats; the best run counts "
                              "(default 3)")
     parser.add_argument("--baseline", default="BENCH_exec.json",
-                        help="committed executor benchmark to compare "
+                        help="committed sweep-execution benchmark to compare "
                              "the disabled path against "
                              "(default BENCH_exec.json)")
     parser.add_argument("--out", default="BENCH_obs.json",
@@ -129,7 +129,9 @@ def main(argv) -> int:
     try:
         with open(args.baseline) as handle:
             baseline = json.load(handle)
-        baseline_pps = baseline["executors"]["serial"]["points_per_sec"]
+        baseline_pps = (
+            baseline["payload_heavy"]["rows"]["serial"]["points_per_sec"]
+        )
     except (OSError, KeyError, ValueError):
         print(f"(no serial baseline in {args.baseline}; skipping the "
               "regression comparison)")

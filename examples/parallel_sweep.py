@@ -8,21 +8,18 @@ window trade coherence traffic for staleness as the cache tree grows?),
 then runs it three ways:
 
 1. serially in-process (``parallel=1``);
-2. fanned out over a ``multiprocessing`` worker pool (``parallel=0``,
-   one worker per CPU);
-3. fanned out with results staged in shared-memory segments
-   (``executor="shared-memory"``) instead of the pool's pickle pipe;
-4. again with the on-disk result cache, so the re-run is near-instant.
+2. fanned out to forked workers served by the sweep hub
+   (``parallel=0``, one worker per CPU);
+3. again with the on-disk result cache, so the re-run is near-instant.
 
 Every point's simulation seed derives from a stable hash of its config
-(`repro.exec.derive_seed`), so all four give bit-identical results.
+(`repro.exec.derive_seed`), so all three give bit-identical results.
 
 Run:  python examples/parallel_sweep.py
 
 The stock paper experiments expose the same knobs on the command line::
 
     python -m repro.experiments x1 x2 --parallel 0 --cache-dir .sweep-cache
-    python -m repro.experiments x10 --parallel 0 --executor shared-memory
 """
 
 import tempfile
@@ -100,11 +97,6 @@ def main() -> None:
     parallel_s = time.perf_counter() - started
     assert parallel == serial, "parallel execution must be bit-identical"
 
-    started = time.perf_counter()
-    shm = run_sweep(build_spec(), parallel=0, executor="shared-memory")
-    shm_s = time.perf_counter() - started
-    assert shm == serial, "shared-memory transport must be bit-identical"
-
     with tempfile.TemporaryDirectory() as cache_dir:
         run_sweep(build_spec(), parallel=0, cache_dir=cache_dir)
         started = time.perf_counter()
@@ -124,7 +116,6 @@ def main() -> None:
     print()
     print(f"serial       {serial_s * 1000:7.1f} ms")
     print(f"parallel     {parallel_s * 1000:7.1f} ms  (identical results)")
-    print(f"shared-mem   {shm_s * 1000:7.1f} ms  (identical results)")
     print(f"cached       {cached_s * 1000:7.1f} ms  (identical results)")
 
 

@@ -2,21 +2,19 @@
 
 The experiments layer describes a sweep as a :class:`SweepSpec` -- a
 list of independent points plus a pure ``run_point(config, seed)``
-function -- and :func:`run_sweep` executes it through a pluggable
-three-layer stack:
+function -- and :func:`run_sweep` executes it; how is one number:
 
-- an :class:`Executor` (:mod:`repro.exec.backends`) decides *how*
-  points run: :class:`SerialExecutor` in process,
-  :class:`PicklePipeExecutor` over a worker pool with payloads pickled
-  through the pool pipe, :class:`SharedMemoryExecutor` with payloads
-  staged in ``multiprocessing.shared_memory`` segments and only a tiny
-  descriptor crossing the pipe, or :class:`DistributedExecutor` fanning
-  points out to worker daemons over the codec-framed wire layer;
+- ``parallel=1`` evaluates the pending points in the calling process
+  (:func:`~repro.exec.backends.evaluate_in_process`); ``parallel=N``
+  (``0`` = one per CPU) forks N local workers and serves them from a
+  pull hub over the codec-framed wire layer
+  (:class:`DistributedExecutor`), which also admits workers started on
+  other hosts when ``REPRO_HUB_BIND`` names a reachable address;
 - the codec (:mod:`repro.exec.codec`) gives the large per-point
-  artifacts one compact binary form shared by the shared-memory
-  transport and the on-disk :class:`ResultCache`;
+  artifacts one compact binary form shared by the hub's result frames
+  and the on-disk :class:`ResultCache`;
 - seeds derive from a stable hash of each point's config
-  (:func:`derive_seed`), so every path produces bit-identical results.
+  (:func:`derive_seed`), so both paths produce bit-identical results.
 
 Typical use::
 
@@ -28,21 +26,13 @@ Typical use::
     spec = SweepSpec(name="my-sweep", run_point=my_point)
     for n in (1, 2, 4, 8):
         spec.add(f"n={n}", n=n)
-    measured = run_sweep(spec, parallel=4, cache_dir=".sweep-cache",
-                         executor="shared-memory")
+    measured = run_sweep(spec, parallel=4, cache_dir=".sweep-cache")
 """
 
 from repro.exec.backends import (
-    EXECUTOR_ENV,
-    EXECUTORS,
-    Executor,
     ExecutorStats,
     PointTask,
-    PicklePipeExecutor,
-    SerialExecutor,
-    SharedMemoryExecutor,
     default_parallelism,
-    resolve_executor,
 )
 from repro.exec.cache import ResultCache, code_fingerprint
 from repro.exec.cli import (
@@ -52,11 +42,7 @@ from repro.exec.cli import (
     supported_exec_kwargs,
 )
 from repro.exec.codec import CodecError, decode_result, encode_result
-from repro.exec.distributed import (
-    HUB_BIND_ENV,
-    WORKERS_ENV,
-    DistributedExecutor,
-)
+from repro.exec.distributed import HUB_BIND_ENV, DistributedExecutor
 from repro.exec.runner import (
     SweepPointError,
     cached_point_labels,
@@ -69,17 +55,10 @@ from repro.exec.spec import SweepPoint, SweepSpec
 __all__ = [
     "CodecError",
     "DistributedExecutor",
-    "EXECUTOR_ENV",
-    "EXECUTORS",
-    "Executor",
     "ExecutorStats",
     "HUB_BIND_ENV",
     "PointTask",
-    "PicklePipeExecutor",
-    "WORKERS_ENV",
     "ResultCache",
-    "SerialExecutor",
-    "SharedMemoryExecutor",
     "SweepPoint",
     "SweepPointError",
     "SweepSpec",
@@ -93,7 +72,6 @@ __all__ = [
     "derive_seed",
     "encode_result",
     "exec_kwargs",
-    "resolve_executor",
     "run_cached_single",
     "run_sweep",
     "supported_exec_kwargs",

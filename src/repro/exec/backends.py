@@ -1,26 +1,19 @@
-"""Pluggable sweep executors: how a sweep's points actually run.
+"""What a sweep point is to the machinery that runs it.
 
 The runner (:mod:`repro.exec.runner`) decides *what* to run -- which
-points are pending after the cache is consulted -- and hands the
-resulting :class:`PointTask` list to an :class:`Executor`, which decides
-*how*: in process, over a worker pool with results pickled through the
-pool pipe, over a worker pool with results staged in
-``multiprocessing.shared_memory`` segments so only a tiny
-``(label, segment name, length, digest)`` descriptor crosses the pipe,
-or fanned out to remote worker daemons over the codec-framed wire layer
-(:class:`~repro.exec.distributed.DistributedExecutor`, registered on
-import of :mod:`repro.exec`).
+points are pending after the cache is consulted -- and turns each into
+a :class:`PointTask`.  There are exactly two ways a task is evaluated,
+chosen by the worker count alone: :func:`evaluate_in_process` (one
+worker: the calling process, in order) and the pull hub of
+:mod:`repro.exec.distributed` (more: forked local workers, plus any
+remote daemons that join).  Both hand back :class:`TaskResult` tuples
+built by the same :func:`_evaluate`, so telemetry, ``REPRO_TRACE``
+tracing and failure capture behave identically.
 
 Because every point's seed is derived from its config and point
-functions are pure, the executors are pure mechanism: they return
-bit-identical results and leave bit-identical cache entries whichever
-one runs a sweep, at any worker count, in any completion order.
-
-Selection: ``run_sweep(executor=...)`` / the ``--executor`` CLI flag
-name an entry of :data:`EXECUTORS`; when neither is given, the
-``REPRO_EXECUTOR`` environment variable is consulted, and failing that
-the runner picks ``serial`` for one worker and ``process-pool``
-otherwise (the historical behaviour).
+functions are pure, the two ways are pure mechanism: they return
+bit-identical results and leave bit-identical cache entries at any
+worker count, in any completion order.
 """
 
 from __future__ import annotations
@@ -28,8 +21,6 @@ from __future__ import annotations
 import dataclasses
 import multiprocessing
 import os
-import pickle
-import sys
 import time
 import traceback
 import zlib
@@ -38,15 +29,12 @@ from typing import (
     Callable,
     Dict,
     Hashable,
-    Iterable,
     Iterator,
     List,
+    NamedTuple,
     Optional,
-    Tuple,
-    Union,
 )
 
-from repro.exec.codec import CodecError, decode_result, encode_result
 from repro.obs import tracer as _obs
 
 try:
@@ -54,20 +42,17 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     _resource = None
 
-#: Environment variable naming the default executor when the caller
-#: does not pass one explicitly (the CI shared-memory job sets it).
-EXECUTOR_ENV = "REPRO_EXECUTOR"
-
-#: One executor result: ``(task index, success, payload-or-traceback)``.
-TaskResult = Tuple[int, bool, Any]
+#: Manifest/error name of the in-process path (the hub's is
+#: :attr:`repro.exec.distributed.DistributedExecutor.name`).
+IN_PROCESS = "serial"
 
 
 @dataclasses.dataclass(frozen=True)
 class PointTask:
-    """One unit of executor work: evaluate ``run_point(config, seed)``.
+    """One unit of sweep work: evaluate ``run_point(config, seed)``.
 
-    Carries the point's label so fan-out failures (and shared-memory
-    descriptors) stay attributable without a trip back to the spec.
+    Carries the point's label so fan-out failures stay attributable
+    without a trip back to the spec.
     """
 
     run_point: Callable[[Dict[str, Any], int], Any]
@@ -79,50 +64,27 @@ class PointTask:
 
 @dataclasses.dataclass
 class ExecutorStats:
-    """Transport accounting for one :meth:`Executor.run` call.
+    """Transport accounting for one hub-served sweep.
 
-    ``pipe_bytes`` is what crossed the worker pool's pickle pipe;
-    ``payload_bytes`` is the encoded size of the payloads themselves
-    (for the shared-memory executor, the bytes that *bypassed* the
-    pipe).  Filled in only when the executor was built with
-    ``collect_stats=True`` -- measuring the pool pipe requires
-    re-serializing results, which is benchmark work, not sweep work.
-
-    The distributed executor additionally fills ``wire_bytes`` (framed
-    bytes that crossed worker sockets, headers included) and
-    ``retries`` (task re-dispatches after a worker loss), always --
-    both are free byproducts of serving the queue.
+    ``payload_bytes`` is the encoded size of the result payloads,
+    ``wire_bytes`` the framed bytes that crossed worker sockets (both
+    directions, headers included) and ``retries`` the task
+    re-dispatches after a worker loss -- all free byproducts of serving
+    the queue.
     """
 
-    points: int = 0
-    failures: int = 0
-    pipe_bytes: int = 0
     payload_bytes: int = 0
     wire_bytes: int = 0
     retries: int = 0
 
 
-def default_parallelism(
-    task_count: Optional[int] = None,
-    remote_slots: Optional[Iterable[int]] = None,
-) -> int:
+def default_parallelism(task_count: Optional[int] = None) -> int:
     """Worker count used when the caller asks for ``parallel=0``.
 
     Clamped to ``task_count`` when known: a four-point sweep on a
     64-core host should fork four workers, not 64 idle ones.
-
-    ``remote_slots`` -- the per-worker slot counts remote daemons
-    advertise in their hello/welcome handshake -- replaces the local
-    ``cpu_count`` when given: a sweep served by remote workers has
-    exactly as much capacity as those workers advertise, which has
-    nothing to do with how many cores the *hub* machine happens to
-    have.  An empty iterable means no capacity is known yet and
-    degrades to one worker.
     """
-    if remote_slots is not None:
-        workers = max(1, sum(max(0, int(slots)) for slots in remote_slots))
-    else:
-        workers = max(1, os.cpu_count() or 1)
+    workers = max(1, os.cpu_count() or 1)
     if task_count is not None:
         workers = max(1, min(workers, task_count))
     return workers
@@ -130,16 +92,16 @@ def default_parallelism(
 
 @dataclasses.dataclass(frozen=True)
 class PointTelemetry:
-    """Per-point resource telemetry, measured inside the worker.
+    """Per-point resource telemetry, measured where the point ran.
 
     ``peak_rss_kb`` is the *process* high-water mark (``ru_maxrss``), so
-    under a reused pool worker it is an upper bound for the point, not
-    an exact attribution.  ``events`` counts traced events and is zero
+    under a reused worker it is an upper bound for the point, not an
+    exact attribution.  ``events`` counts traced events and is zero
     unless the :data:`~repro.obs.tracer.TRACE_ENV` variable is set.
-    ``worker`` and ``retries`` attribute a point to the remote worker
-    daemon that computed it and count how often it was re-dispatched
-    after a worker loss; both stay at their defaults under the local
-    executors, where neither concept exists.
+    ``worker`` and ``retries`` attribute a point to the hub worker that
+    computed it and count how often it was re-dispatched after a worker
+    loss; both stay at their defaults in process, where neither concept
+    exists.
     """
 
     wall_s: float
@@ -149,19 +111,20 @@ class PointTelemetry:
     retries: int = 0
 
 
-class TelemetryEnvelope:
-    """Pairs one result payload with its telemetry for the trip back.
+class TaskResult(NamedTuple):
+    """One evaluated task, as the runner iterates it.
 
-    :meth:`Executor._count` -- the single point every yielded triple
-    passes through -- unwraps it, so nothing outside this module ever
-    sees an envelope in a result triple.
+    ``payload`` is the point's return value, or the traceback text when
+    ``ok`` is false.  ``blob`` is the payload's canonical codec bytes
+    when the transport already produced them (the hub path), so the
+    cache write can skip re-encoding.
     """
 
-    __slots__ = ("payload", "telemetry")
-
-    def __init__(self, payload: Any, telemetry: PointTelemetry) -> None:
-        self.payload = payload
-        self.telemetry = telemetry
+    index: int
+    ok: bool
+    payload: Any
+    telemetry: PointTelemetry
+    blob: Optional[bytes] = None
 
 
 def _peak_rss_kb() -> int:
@@ -174,16 +137,16 @@ def _peak_rss_kb() -> int:
 def _evaluate(task: PointTask) -> TaskResult:
     """Evaluate one point; never raises (failures are data).
 
-    Raising inside a pool worker would surface in the parent stripped of
-    the point's identity, so failures travel back as
-    ``(index, False, traceback text)``.  Success and failure payloads
-    alike travel wrapped in a :class:`TelemetryEnvelope` carrying the
-    point's wall time and peak RSS; with :data:`~repro.obs.tracer.TRACE_ENV`
-    set, the point runs under a fresh tracer and the envelope also
-    carries the traced-event count.
+    Raising inside a worker would surface in the parent stripped of the
+    point's identity, so a failure comes back as ``ok=False`` with the
+    traceback text as payload.  Either way the result carries the
+    point's wall time and peak RSS; with
+    :data:`~repro.obs.tracer.TRACE_ENV` set, the point runs under a
+    fresh tracer and the telemetry also carries the traced-event count.
     """
     started = time.perf_counter()
     events = 0
+    ok = True
     try:
         if _obs.env_trace_requested():
             with _obs.trace_run() as run_tracer:
@@ -195,22 +158,26 @@ def _evaluate(task: PointTask) -> TaskResult:
     except Exception:
         # KeyboardInterrupt/SystemExit propagate: a user interrupt must
         # abort the sweep, not masquerade as a failed point.
-        telemetry = PointTelemetry(
-            wall_s=time.perf_counter() - started,
-            peak_rss_kb=_peak_rss_kb(), events=events,
-        )
-        return task.index, False, TelemetryEnvelope(
-            traceback.format_exc(), telemetry
-        )
+        ok, payload = False, traceback.format_exc()
     telemetry = PointTelemetry(
         wall_s=time.perf_counter() - started,
         peak_rss_kb=_peak_rss_kb(), events=events,
     )
-    return task.index, True, TelemetryEnvelope(payload, telemetry)
+    return TaskResult(task.index, ok, payload, telemetry)
+
+
+def evaluate_in_process(tasks: List[PointTask]) -> Iterator[TaskResult]:
+    """Evaluate every task in the calling process, in declaration order.
+
+    No serialization happens at all; this is both the one-worker path
+    and the fallback when worker processes cannot be started.
+    """
+    for task in tasks:
+        yield _evaluate(task)
 
 
 def _pool_context():
-    """The ``multiprocessing`` context pool executors build on.
+    """The ``multiprocessing`` context the local worker pool starts from.
 
     Prefers ``fork`` (cheap, inherits the imported package), then
     ``forkserver``, then ``spawn`` -- an explicit preference order
@@ -223,373 +190,6 @@ def _pool_context():
     return multiprocessing.get_context()
 
 
-class Executor:
-    """How a list of :class:`PointTask`\\ s is evaluated.
-
-    Subclasses implement :meth:`run`, which yields result triples as
-    they become available, in any order (the runner reassembles by
-    index).  Streaming matters: the caller consumes each result -- and
-    releases its transport resources -- while later points are still
-    computing, so peak memory stays flat over a large sweep.
-    ``collect_stats=True`` makes :attr:`stats` meaningful once a
-    :meth:`run` has been fully consumed.
-    """
-
-    #: Registry / CLI name; subclasses override.
-    name = "abstract"
-
-    def __init__(self, collect_stats: bool = False):
-        self.collect_stats = collect_stats
-        self.stats = ExecutorStats()
-        #: Canonical codec bytes per task index, for executors whose
-        #: transport already produced them; the runner drains this so
-        #: cache writes can skip re-encoding (see ResultCache.put_encoded).
-        #: Populated only while ``retain_encoded`` is set -- holding
-        #: every blob of a cacheless sweep would just be dead weight.
-        self.encoded_payloads: Dict[int, bytes] = {}
-        self.retain_encoded = False
-        #: Per-task-index :class:`PointTelemetry`, filled as results are
-        #: consumed; the runner drains this into the run manifest.
-        self.telemetry: Dict[int, PointTelemetry] = {}
-
-    def run(self, tasks: List[PointTask], workers: int = 1
-            ) -> Iterator[TaskResult]:
-        """Evaluate every task; yield one result triple per task."""
-        raise NotImplementedError
-
-    def _reset_stats(self, tasks: List[PointTask]) -> None:
-        self.stats = ExecutorStats(points=len(tasks))
-        self.encoded_payloads = {}
-        self.telemetry = {}
-
-    def _count(self, triple: TaskResult) -> TaskResult:
-        """Fold one yielded triple into the failure count.
-
-        Also the single telemetry-unwrap point: a payload still wrapped
-        in a :class:`TelemetryEnvelope` is recorded and unwrapped here,
-        so consumers always see bare payloads.
-        """
-        index, ok, payload = triple
-        if isinstance(payload, TelemetryEnvelope):
-            self.telemetry[index] = payload.telemetry
-            payload = payload.payload
-        if not ok:
-            self.stats.failures += 1
-        return index, ok, payload
-
-
-class SerialExecutor(Executor):
-    """Evaluate every point in the calling process, in order.
-
-    No serialization happens at all, so ``pipe_bytes`` and
-    ``payload_bytes`` stay zero; this is both the one-worker fast path
-    and the fallback when process spawning is unavailable.
-    """
-
-    name = "serial"
-
-    def run(self, tasks: List[PointTask], workers: int = 1
-            ) -> Iterator[TaskResult]:
-        """Evaluate tasks in declaration order, in process."""
-        self._reset_stats(tasks)
-        return self._iterate(tasks)
-
-    def _iterate(self, tasks: List[PointTask]) -> Iterator[TaskResult]:
-        for task in tasks:
-            yield self._count(_evaluate(task))
-
-
-class _PoolExecutor(Executor):
-    """Shared pool plumbing: context choice, clamping, serial fallback.
-
-    Results stream back through ``imap_unordered`` and are yielded as
-    they are collected, so the parent's per-result work (decoding a
-    shared-memory segment, writing the cache entry in the runner)
-    overlaps the workers still computing -- the same pipelining the
-    classic pool gets from unpickling in its result thread -- and no
-    more than one undelivered payload is held at a time.
-    """
-
-    #: Module-level worker function (must be picklable by reference).
-    _worker: Callable[[PointTask], TaskResult] = staticmethod(_evaluate)
-
-    def run(self, tasks: List[PointTask], workers: int = 1
-            ) -> Iterator[TaskResult]:
-        """Fan tasks out over a worker pool; stream through transport."""
-        self._reset_stats(tasks)
-        if not tasks:
-            return iter(())
-        if workers == 0:
-            workers = default_parallelism(len(tasks))
-        workers = max(1, min(workers, len(tasks)))
-        # Only pool *creation* falls back to serial (sandboxes without
-        # process-spawn rights); an error after workers exist -- a
-        # killed worker, a torn segment -- must surface, not silently
-        # recompute everything.
-        try:
-            pool = _pool_context().Pool(processes=workers)
-        except OSError as exc:
-            # Determinism makes the serial results identical.  stderr,
-            # so rendered tables stay byte-identical regardless.
-            print(f"repro.exec: worker pool unavailable ({exc}); "
-                  "falling back to serial execution", file=sys.stderr)
-            return self._iterate_serial(tasks)
-        return self._consume(pool, tasks)
-
-    def _iterate_serial(self, tasks: List[PointTask]
-                        ) -> Iterator[TaskResult]:
-        for task in tasks:
-            yield self._count(_evaluate(task))
-
-    def _consume(self, pool, tasks: List[PointTask]
-                 ) -> Iterator[TaskResult]:
-        with pool:
-            failure: Optional[BaseException] = None
-            for triple in pool.imap_unordered(type(self)._worker, tasks):
-                if failure is not None:
-                    # Keep draining so every staged segment is
-                    # released before the error surfaces.
-                    self._discard(triple)
-                    continue
-                try:
-                    collected = self._collect_one(triple)
-                except CodecError as exc:
-                    failure = exc
-                    continue
-                yield self._count(collected)
-            if failure is not None:
-                raise failure
-
-    def _collect_one(self, triple: TaskResult) -> TaskResult:
-        """Turn one pipe-crossing result back into a result triple."""
-        return triple
-
-    def _discard(self, triple: TaskResult) -> None:
-        """Release any transport resources of an abandoned result."""
-
-
-class PicklePipeExecutor(_PoolExecutor):
-    """The classic pool: whole payloads pickled through the result pipe.
-
-    This is the historical ``parallel=N`` behaviour, now one pluggable
-    mechanism among several.  (Deliberately *not* named after stdlib's
-    ``concurrent.futures.ProcessPoolExecutor`` -- the registry name
-    ``process-pool`` describes the mechanism, the class name the
-    transport.)
-    """
-
-    name = "process-pool"
-
-    def _collect_one(self, triple: TaskResult) -> TaskResult:
-        """Account for pipe traffic when stats are requested."""
-        if self.collect_stats:
-            # Re-pickling costs what the pipe cost; only under stats.
-            size = len(
-                pickle.dumps(triple, protocol=pickle.HIGHEST_PROTOCOL)
-            )
-            self.stats.pipe_bytes += size
-            self.stats.payload_bytes += size
-        return triple
-
-
-@dataclasses.dataclass(frozen=True)
-class SegmentRef:
-    """What the shared-memory executor sends through the pool pipe.
-
-    The payload itself stays in the named ``multiprocessing``
-    shared-memory segment; only this descriptor is pickled.  ``digest``
-    (a crc32 of the encoded payload -- transport integrity, not
-    cryptography) lets the parent detect a torn or corrupted segment
-    before decoding.
-    """
-
-    label: Hashable
-    segment: Optional[str]
-    length: int
-    digest: str
-    #: Inline fallback used when segment allocation failed in a worker
-    #: (e.g. ``/dev/shm`` unavailable); the encoded payload rides the
-    #: pipe instead, still codec-framed and digest-checked.
-    blob: Optional[bytes] = None
-    #: Worker-side telemetry; rides the descriptor (not the segment) so
-    #: the parent records it even for results it later fails to decode.
-    telemetry: Optional[PointTelemetry] = None
-
-
 def _payload_digest(blob: bytes) -> str:
     """Digest protecting one encoded payload in transit (crc32)."""
     return f"{zlib.crc32(blob):08x}"
-
-
-def _evaluate_to_segment(task: PointTask) -> TaskResult:
-    """Worker side of the shared-memory transport.
-
-    Encodes the payload with the codec, stages it in a fresh segment,
-    and returns only a :class:`SegmentRef`.  Failures (traceback text)
-    are small and travel the pipe directly -- including encoding
-    failures (e.g. an unpicklable payload member), which must surface
-    as attributable point failures, not abort the whole pool.
-    """
-    from multiprocessing import shared_memory
-
-    index, ok, payload = _evaluate(task)
-    if not ok:
-        # The failure envelope (traceback + telemetry) is small; it
-        # travels the pipe directly and _count unwraps it as usual.
-        return index, False, payload
-    telemetry = None
-    if isinstance(payload, TelemetryEnvelope):
-        telemetry, payload = payload.telemetry, payload.payload
-    try:
-        blob = encode_result(payload)
-    except Exception:
-        failure = traceback.format_exc()
-        if telemetry is not None:
-            return index, False, TelemetryEnvelope(failure, telemetry)
-        return index, False, failure
-    digest = _payload_digest(blob)
-    try:
-        segment = shared_memory.SharedMemory(create=True, size=len(blob))
-    except OSError:
-        return index, True, SegmentRef(task.label, None, len(blob),
-                                       digest, blob=blob,
-                                       telemetry=telemetry)
-    try:
-        segment.buf[:len(blob)] = blob
-        name = segment.name
-    finally:
-        segment.close()
-    return index, True, SegmentRef(task.label, name, len(blob), digest,
-                                   telemetry=telemetry)
-
-
-def _read_segment(ref: SegmentRef) -> bytes:
-    """Drain (and unlink) one shared-memory segment in the parent."""
-    from multiprocessing import shared_memory
-
-    segment = shared_memory.SharedMemory(name=ref.segment)
-    try:
-        return bytes(segment.buf[:ref.length])
-    finally:
-        segment.close()
-        try:
-            segment.unlink()
-        except FileNotFoundError:
-            pass
-
-
-class SharedMemoryExecutor(_PoolExecutor):
-    """Pool execution with results staged in shared-memory segments.
-
-    Workers codec-encode each payload into a
-    ``multiprocessing.shared_memory`` segment and send only the
-    ``(label, segment name, length, digest)`` descriptor through the
-    pipe; the parent attaches, verifies the digest, decodes, and
-    unlinks.  Serialization of the large artifacts thus leaves the
-    pool-pipe critical path entirely.
-    """
-
-    name = "shared-memory"
-
-    _worker = staticmethod(_evaluate_to_segment)
-
-    def run(self, tasks: List[PointTask], workers: int = 1
-            ) -> Iterator[TaskResult]:
-        """Fan out over a pool with segments pre-tracked by the parent.
-
-        The resource tracker must exist *before* the pool forks:
-        workers then register their segments with the parent's tracker,
-        and the parent's ``unlink`` unregisters from that same tracker.
-        Otherwise each worker spawns its own tracker, which warns about
-        (already-unlinked) "leaked" segments at shutdown.
-        """
-        if tasks:
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except (ImportError, AttributeError, OSError):
-                pass  # tracking is best-effort; transport still works
-        return super().run(tasks, workers=workers)
-
-    def _collect_one(self, triple: TaskResult) -> TaskResult:
-        """Attach, verify and decode one staged result.
-
-        The segment is unlinked as soon as its bytes are drained, so a
-        digest or decode failure never leaks it.
-        """
-        index, ok, payload = triple
-        if not ok or not isinstance(payload, SegmentRef):
-            return triple
-        if payload.segment is None:
-            blob = payload.blob
-        else:
-            try:
-                blob = _read_segment(payload)
-            except OSError as exc:
-                raise CodecError(
-                    f"point {payload.label!r}: shared-memory segment "
-                    f"{payload.segment!r} unreadable ({exc})"
-                )
-        if _payload_digest(blob) != payload.digest:
-            raise CodecError(
-                f"point {payload.label!r}: shared-memory payload "
-                f"digest mismatch (segment {payload.segment!r})"
-            )
-        if self.collect_stats:
-            self.stats.pipe_bytes += len(pickle.dumps(
-                triple, protocol=pickle.HIGHEST_PROTOCOL,
-            ))
-            self.stats.payload_bytes += len(blob)
-        if self.retain_encoded:
-            self.encoded_payloads[index] = blob
-        decoded: Any = decode_result(blob)
-        if payload.telemetry is not None:
-            # Re-wrap so _count stays the single telemetry-unwrap point.
-            decoded = TelemetryEnvelope(decoded, payload.telemetry)
-        return index, ok, decoded
-
-    def _discard(self, triple: TaskResult) -> None:
-        """Unlink an abandoned segment without decoding it."""
-        _, ok, payload = triple
-        if (ok and isinstance(payload, SegmentRef)
-                and payload.segment is not None):
-            try:
-                _read_segment(payload)
-            except OSError:
-                pass
-
-
-#: Registry of selectable executors, keyed by CLI name.
-EXECUTORS: Dict[str, type] = {
-    SerialExecutor.name: SerialExecutor,
-    PicklePipeExecutor.name: PicklePipeExecutor,
-    SharedMemoryExecutor.name: SharedMemoryExecutor,
-}
-
-
-def resolve_executor(
-    executor: Union[Executor, str, None] = None,
-    parallel: int = 1,
-) -> Executor:
-    """Turn an executor selection into a live :class:`Executor`.
-
-    Precedence: an explicit instance, an explicit registry name, the
-    ``REPRO_EXECUTOR`` environment variable, then the parallelism-based
-    default (``serial`` for one worker, ``process-pool`` otherwise).
-    """
-    if isinstance(executor, Executor):
-        return executor
-    if executor is None:
-        executor = os.environ.get(EXECUTOR_ENV) or None
-    if executor is None:
-        executor = (SerialExecutor.name if parallel <= 1
-                    else PicklePipeExecutor.name)
-    try:
-        factory = EXECUTORS[executor]
-    except KeyError:
-        raise ValueError(
-            f"unknown executor {executor!r}; "
-            f"registered: {', '.join(EXECUTORS)}"
-        ) from None
-    return factory()

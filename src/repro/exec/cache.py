@@ -74,9 +74,9 @@ class ResultCache:
     """Entry-per-point cache keyed by config hash + code version.
 
     Entries are codec-encoded (:mod:`repro.exec.codec`), so the bytes a
-    sweep leaves on disk are identical whichever executor computed the
-    results -- the cache-key-equality half of the executor-parity
-    guarantee.
+    sweep leaves on disk are identical whether the results were computed
+    in process or by the hub's workers -- the cache-key-equality half of
+    the parity guarantee.
     """
 
     def __init__(self, root: os.PathLike, fingerprint: Optional[str] = None):
@@ -148,9 +148,9 @@ class ResultCache:
                     fn_key: str = "", point_seed: int = 0) -> None:
         """Store one already-encoded point result (atomic rename).
 
-        This is the shared-memory transport's fast path: the worker
-        already produced the canonical codec bytes, so they flow from
-        the segment to disk without a decode/re-encode round trip.
+        This is the hub path's write: the worker already produced the
+        canonical codec bytes, so they flow from its digest-checked
+        result frame to disk without being encoded a second time.
         Because encoding is deterministic, the entry is byte-identical
         to what :meth:`put` would have written.
         """

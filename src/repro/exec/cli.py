@@ -1,11 +1,11 @@
 """Command-line glue for sweep execution.
 
 Adds the standard execution flags to an ``argparse`` parser and turns
-the parsed namespace back into the ``parallel=...``/``cache_dir=...``/
-``executor=...`` keyword arguments that runner-aware experiment entry
-points accept.  Entry points that predate the runner simply don't take
-the keywords; :func:`supported_exec_kwargs` filters them out so one
-dispatcher can drive both kinds.
+the parsed namespace back into the ``parallel=...``/``cache_dir=...``
+keyword arguments that runner-aware experiment entry points accept.
+Entry points that predate the runner simply don't take the keywords;
+:func:`supported_exec_kwargs` filters them out so one dispatcher can
+drive both kinds.
 """
 
 from __future__ import annotations
@@ -13,9 +13,6 @@ from __future__ import annotations
 import argparse
 import inspect
 from typing import Any, Callable, Dict, Optional
-
-from repro.exec.backends import EXECUTOR_ENV, EXECUTORS
-from repro.exec.distributed import WORKERS_ENV, DistributedExecutor
 
 
 def _worker_count(text: str) -> int:
@@ -31,27 +28,11 @@ def _worker_count(text: str) -> int:
 
 
 def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
-    """Install ``--parallel``, ``--executor`` and the cache flags."""
+    """Install ``--parallel`` and the cache flags."""
     parser.add_argument(
         "--parallel", type=_worker_count, default=1, metavar="N",
-        help="worker-pool size for sweep points "
-             "(1 = serial, 0 = one per CPU; results are identical)",
-    )
-    parser.add_argument(
-        "--executor", default=None, metavar="NAME",
-        choices=sorted(EXECUTORS),
-        help="sweep execution mechanism: one of "
-             f"{', '.join(sorted(EXECUTORS))} (default: serial for "
-             "--parallel 1, process-pool otherwise; the "
-             f"{EXECUTOR_ENV} environment variable overrides the "
-             "default; results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--workers", type=_worker_count, default=None, metavar="N",
-        help="worker-daemon count for --executor distributed "
-             "(localhost auto-spawn; 0 = external workers only, needs "
-             f"REPRO_HUB_BIND; default: the {WORKERS_ENV} environment "
-             "variable, then --parallel)",
+        help="worker count for sweep points (1 = in this process, "
+             "0 = one per CPU; results are identical)",
     )
     parser.add_argument(
         "--cache-dir", default=None, metavar="PATH",
@@ -92,21 +73,10 @@ def apply_cache_maintenance(namespace: argparse.Namespace) -> Optional[str]:
 
 
 def exec_kwargs(namespace: argparse.Namespace) -> Dict[str, Any]:
-    """The execution keywords encoded in a parsed namespace.
-
-    ``--workers`` only means something to the distributed executor, so
-    a namespace carrying it turns the executor *name* into a prebuilt
-    :class:`~repro.exec.distributed.DistributedExecutor` instance --
-    the runner accepts either form.
-    """
-    executor: Any = getattr(namespace, "executor", None)
-    workers = getattr(namespace, "workers", None)
-    if workers is not None and executor == DistributedExecutor.name:
-        executor = DistributedExecutor(workers=workers)
+    """The execution keywords encoded in a parsed namespace."""
     return {
         "parallel": namespace.parallel,
         "cache_dir": namespace.cache_dir,
-        "executor": executor,
     }
 
 

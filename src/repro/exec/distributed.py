@@ -1,12 +1,11 @@
-"""Distributed sweep executor: fan points out to worker daemons.
+"""The parallel sweep path: a pull hub serving forked local workers.
 
-The fourth :class:`~repro.exec.backends.Executor`: the hub (this
-module) serves a *pull-based work queue* over the codec-framed wire
-layer (:mod:`repro.runtime.wire`); worker daemons
-(``python -m repro.exec.worker``) request the next task whenever they
-have a free slot.  Pull dispatch is natural work-stealing -- a slow
-point occupies exactly one worker while every other worker keeps
-draining the queue, so stragglers cannot stall the sweep.
+``run_sweep(spec, parallel=N)`` with more than one worker serves the
+pending points from a *pull-based work queue* over the codec-framed
+wire layer (:mod:`repro.runtime.wire`); workers request the next task
+whenever they have a free slot.  Pull dispatch is natural work-stealing
+-- a slow point occupies exactly one worker while every other worker
+keeps draining the queue, so stragglers cannot stall the sweep.
 
 Layers, mirroring the queue-based-load-leveling / retry-with-backoff
 patterns the ROADMAP names:
@@ -15,21 +14,23 @@ patterns the ROADMAP names:
   per-worker assignments, bounded retry-with-backoff on worker loss,
   duplicate-result suppression.  It never touches a socket, which is
   what makes the wire protocol unit-testable.
-- :class:`DistributedExecutor` is the I/O shell: it binds a listener
-  (a Unix socket in a throwaway run directory by default, or any
-  ``unix:``/``tcp:`` address for multi-host use), spawns localhost
-  workers through a :class:`WorkerSupervisor` when asked, runs one
-  reader thread per worker connection, sweeps heartbeat liveness
-  through the shared :class:`~repro.runtime.registry.Registry`, and
-  streams result triples back to the runner as they arrive.
+- :class:`DistributedExecutor` is the I/O shell: it binds a listener (a
+  Unix socket in a throwaway run directory, or the ``unix:``/``tcp:``
+  address named by ``REPRO_HUB_BIND`` so daemons on other hosts can
+  join), starts the local workers from the ``multiprocessing`` context
+  -- each runs the same :func:`repro.exec.worker.serve` loop that
+  ``python -m repro.exec.worker`` runs -- keeps one reader thread per
+  worker connection, sweeps heartbeat liveness through the shared
+  :class:`~repro.runtime.registry.Registry`, and streams results back
+  to the runner as they arrive.
 
 Determinism is inherited, not engineered: point functions are pure and
 seeds derive from configs, so any worker may compute any point -- even
 twice, when a presumed-dead worker turns out to be merely slow -- and
 the codec bytes that come back are identical.  Results therefore land
 in the :class:`~repro.exec.cache.ResultCache` byte-identical to the
-serial executor's, regardless of worker count, completion order, or
-mid-sweep worker crashes (the executor-parity goldens pin this).
+in-process path's, regardless of worker count, completion order, or
+mid-sweep worker crashes (the parity goldens pin this).
 
 Worker loss is detected two ways: the worker's socket EOF (instant, the
 SIGKILL path) and heartbeat expiry (a hung-but-connected worker).
@@ -43,27 +44,26 @@ from __future__ import annotations
 import os
 import queue
 import shutil
+import socket
 import sys
 import tempfile
 import threading
 import time
 from collections import deque
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.exec.backends import (
-    EXECUTORS,
-    Executor,
+    ExecutorStats,
     PointTask,
     PointTelemetry,
     TaskResult,
-    TelemetryEnvelope,
     _payload_digest,
-    default_parallelism,
+    _pool_context,
+    evaluate_in_process,
 )
 from repro.exec.codec import CodecError, decode_result
-from repro.exec.worker import WORKER_ENV, function_reference
+from repro.exec.worker import WORKER_ENV, function_reference, serve
 from repro.runtime.registry import Registry
-from repro.runtime.supervisor import NodeSupervisor
 from repro.runtime.wire import (
     Address,
     FrameChannel,
@@ -72,74 +72,34 @@ from repro.runtime.wire import (
     parse_address,
 )
 
-#: Environment variable naming the worker-daemon count for the
-#: distributed executor (the ``--workers`` CLI flag overrides it).
-WORKERS_ENV = "REPRO_WORKERS"
-
 #: Environment variable naming the hub bind address (``unix:<path>`` or
 #: ``tcp:<host>:<port>``) for multi-host sweeps; unset means a private
-#: Unix socket plus localhost auto-spawned workers.
+#: Unix socket that only the local workers know.
 HUB_BIND_ENV = "REPRO_HUB_BIND"
 
-
-class WorkerSupervisor(NodeSupervisor):
-    """Spawn/kill/reap ``repro.exec.worker`` daemons (localhost mode).
-
-    Reuses the node supervisor's lifecycle machinery wholesale -- only
-    the command line and the log-redirect variable differ.  Worker
-    stdout/stderr lands in ``<name>.log`` under the log directory
-    (``REPRO_WORKER_LOG_DIR`` redirects it; the CI distributed-sweep
-    job uploads those logs on failure).
-    """
-
-    log_env = "REPRO_WORKER_LOG_DIR"
-
-    def __init__(
-        self,
-        run_dir: str,
-        hub_address: Address,
-        log_dir: str = "",
-        slots: int = 1,
-    ) -> None:
-        super().__init__(run_dir, hub_address, log_dir=log_dir)
-        self.slots = max(1, int(slots))
-
-    def build_argv(self, name: str, restore: bool = False) -> List[str]:
-        """The worker-daemon command line (``restore`` is meaningless here)."""
-        return [
-            sys.executable,
-            "-m",
-            "repro.exec.worker",
-            "--hub",
-            _format_connect_address(self.hub_address),
-            "--name",
-            name,
-            "--slots",
-            str(self.slots),
-        ]
+#: How long shutdown waits for a worker that was told ``bye`` (and for
+#: the hub's own threads) before it stops waiting politely.
+SHUTDOWN_GRACE = 2.0
 
 
-def _format_connect_address(address: Address) -> str:
-    """Render the address workers should *connect* to.
+def _connect_address(address: Address) -> Address:
+    """The address local workers should *connect* to.
 
     A hub bound to the TCP wildcard is reachable locally via loopback;
-    everything else formats as-is.
+    everything else is used as bound.
     """
-    if isinstance(address, tuple):
-        host, port = address
-        if host in ("", "0.0.0.0", "::"):
-            host = "127.0.0.1"
-        return f"tcp:{host}:{int(port)}"
-    return f"unix:{address}"
+    if isinstance(address, tuple) and address[0] in ("", "0.0.0.0", "::"):
+        return ("127.0.0.1", address[1])
+    return address
 
 
-def _coerce_address(address: Union[Address, str, None]) -> Optional[Address]:
-    """Accept ``unix:``/``tcp:`` strings, raw paths, or tuples."""
-    if address is None or isinstance(address, tuple):
-        return address
-    if address.startswith(("unix:", "tcp:")):
-        return parse_address(address)
-    return address  # a bare Unix-socket path
+def _local_worker(address: Address, name: str,
+                  inherited: Optional[socket.socket]) -> None:
+    """Body of one local worker process."""
+    if inherited is not None:
+        # fork copied the hub's listener; only the hub accepts on it.
+        inherited.close()
+    sys.exit(serve(address, name))
 
 
 class SweepHub:
@@ -166,8 +126,13 @@ class SweepHub:
         self.attempts: Dict[int, int] = {i: 0 for i in self.tasks}
         self.assigned: Dict[str, Set[int]] = {}
         self.completed: Set[int] = set()
-        self.slots: Dict[str, int] = {}
         self.lost: Set[str] = set()
+        # Resolved before anything starts: a closure or local function
+        # cannot be imported by reference on any worker.
+        self._references = {
+            fn: function_reference(fn)
+            for fn in {task.run_point for task in tasks}
+        }
         self._lock = threading.Lock()
 
     # -- introspection -------------------------------------------------------
@@ -177,12 +142,6 @@ class SweepHub:
         """Every task delivered (computed, or failed out of retries)."""
         with self._lock:
             return len(self.completed) == len(self.tasks)
-
-    def capacity(self) -> int:
-        """Advertised-slot capacity of the currently registered workers."""
-        with self._lock:
-            slots = list(self.slots.values())
-        return default_parallelism(len(self.tasks), remote_slots=slots)
 
     def inflight(self) -> Dict[str, List[int]]:
         """Worker name -> sorted in-flight task indices (for tests/kill)."""
@@ -194,10 +153,9 @@ class SweepHub:
 
     # -- protocol events -----------------------------------------------------
 
-    def register(self, name: str, slots: int) -> None:
+    def register(self, name: str) -> None:
         """A worker said hello (re-registration replaces the old entry)."""
         with self._lock:
-            self.slots[name] = max(1, int(slots))
             self.lost.discard(name)
             self.assigned.setdefault(name, set())
 
@@ -230,19 +188,19 @@ class SweepHub:
                     "label": task.label,
                     "config": task.config,
                     "seed": task.seed,
-                    "fn": function_reference(task.run_point),
+                    "fn": self._references[task.run_point],
                     "attempt": self.attempts[index],
                 }
             delay = 0.05 if soonest is None else max(0.01, soonest - now)
             return "wait", {"delay": round(min(delay, 0.25), 4)}
 
     def complete(self, name: str, body: Dict[str, Any]
-                 ) -> Optional[Tuple[TaskResult, Optional[bytes]]]:
+                 ) -> Optional[TaskResult]:
         """Absorb one ``result`` frame; ``None`` for duplicates.
 
-        Returns the runner-facing result triple plus the canonical
-        codec bytes (for the cache's no-re-encode path).  A torn blob
-        (digest mismatch) or undecodable payload raises
+        The returned result carries the canonical codec bytes next to
+        the decoded payload (for the cache's no-re-encode path).  A torn
+        blob (digest mismatch) or undecodable payload raises
         :class:`~repro.exec.codec.CodecError`; the caller treats the
         worker as faulty and requeues, exactly like a connection loss.
         """
@@ -273,13 +231,13 @@ class SweepHub:
             worker=name,
             retries=retries,
         )
-        return (index, ok, TelemetryEnvelope(payload, telemetry)), blob
+        return TaskResult(index, ok, payload, telemetry, blob)
 
     def lose(self, name: str, now: float
              ) -> Tuple[List[TaskResult], int]:
         """A worker died: requeue its in-flight tasks with backoff.
 
-        Returns ``(failure triples, requeued count)`` -- failures are
+        Returns ``(failure results, requeued count)`` -- failures are
         tasks whose retry budget is exhausted; they complete the sweep
         as attributable point failures rather than hanging it.
         """
@@ -289,7 +247,6 @@ class SweepHub:
             if name in self.lost:
                 return [], 0
             self.lost.add(name)
-            self.slots.pop(name, None)
             indices = sorted(self.assigned.pop(name, ()))
             for index in indices:
                 if index in self.completed:
@@ -302,11 +259,12 @@ class SweepHub:
                         wall_s=0.0, worker=name,
                         retries=self.attempts[index] - 1,
                     )
-                    failures.append((index, False, TelemetryEnvelope(
+                    failures.append(TaskResult(
+                        index, False,
                         f"point {label!r} lost with worker {name!r}; "
                         f"{self.max_retries} retries exhausted",
                         telemetry,
-                    )))
+                    ))
                 else:
                     delay = min(
                         self.retry_base_delay
@@ -319,93 +277,63 @@ class SweepHub:
         return failures, requeued
 
 
-class DistributedExecutor(Executor):
-    """Evaluate points on worker daemons over the wire layer.
+class DistributedExecutor:
+    """Serve a sweep's points to worker processes over the wire layer.
 
-    ``workers`` is the localhost auto-spawn count (``None`` consults
-    the ``REPRO_WORKERS`` environment variable, then falls back to the
-    runner's worker count; ``0`` spawns nothing and requires
-    ``address`` plus externally launched workers).  ``address`` binds
-    the hub to a fixed ``unix:``/``tcp:`` endpoint for multi-host
-    sweeps; by default the hub binds a private Unix socket in a
-    throwaway run directory, so single-machine users get the
-    multi-host-shaped path with zero setup.
+    The hub binds a private Unix socket in a throwaway run directory --
+    or the address in ``REPRO_HUB_BIND``, where externally launched
+    ``python -m repro.exec.worker`` daemons may join -- and starts the
+    requested number of local workers either way, so a sweep never sits
+    waiting for remote workers that do not come.
 
     Transport accounting is always on: ``stats.wire_bytes`` (framed
-    socket bytes, both directions), ``stats.retries`` (task
-    re-dispatches after worker loss), and per-worker attribution in
-    :attr:`worker_points` / :attr:`worker_retries` and each point's
-    :class:`~repro.exec.backends.PointTelemetry`.
+    socket bytes, both directions) and ``stats.retries`` (task
+    re-dispatches after worker loss); per-worker attribution rides each
+    result's :class:`~repro.exec.backends.PointTelemetry`.
     """
 
+    #: Manifest/error name of this path.
     name = "distributed"
 
     def __init__(
         self,
-        collect_stats: bool = False,
-        workers: Optional[int] = None,
-        address: Union[Address, str, None] = None,
         max_retries: int = 3,
         retry_base_delay: float = 0.05,
         heartbeat_ttl: float = 2.0,
         worker_timeout: float = 60.0,
-        slots_per_worker: int = 1,
     ) -> None:
-        super().__init__(collect_stats)
-        if workers is None:
-            env = os.environ.get(WORKERS_ENV)
-            workers = int(env) if env else None
-        if address is None:
-            env_bind = os.environ.get(HUB_BIND_ENV)
-            address = parse_address(env_bind) if env_bind else None
-        self.workers = workers
-        self.address = _coerce_address(address)
-        if self.workers == 0 and self.address is None:
-            raise ValueError(
-                "DistributedExecutor(workers=0) needs an address for "
-                "external workers to connect to"
-            )
         self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
         self.heartbeat_ttl = heartbeat_ttl
         self.worker_timeout = worker_timeout
-        self.slots_per_worker = max(1, int(slots_per_worker))
-        #: Per-worker delivered-point and retry counts of the last run.
-        self.worker_points: Dict[str, int] = {}
-        self.worker_retries: Dict[str, int] = {}
-        #: Advertised-slot capacity observed during the last run.
-        self.remote_capacity = 0
-        # Per-run I/O state (rebuilt by _serve).
+        self.stats = ExecutorStats()
+        # Per-run state (rebuilt by _serve).
         self._hub: Optional[SweepHub] = None
-        self._supervisor: Optional[WorkerSupervisor] = None
+        self._procs: Dict[str, Any] = {}
 
     # -- run -----------------------------------------------------------------
 
     def run(self, tasks: List[PointTask], workers: int = 1
             ) -> Iterator[TaskResult]:
-        """Serve the sweep's work queue; yield results as they land."""
+        """Serve the sweep's work queue; yield results as they land.
+
+        Results stream in completion order (the runner reassembles by
+        index), so the caller caches each one while later points are
+        still computing and peak memory stays flat over a large sweep.
+        """
         if os.environ.get(WORKER_ENV):
             # A worker resolving a point function imports the sweep
             # script's module; without this refusal an unguarded script
             # would re-run its sweep on import, forking without bound.
             raise RuntimeError(
-                "refusing to start a distributed sweep inside a sweep "
+                "refusing to start a parallel sweep inside a sweep "
                 "worker; put the sweep behind 'if __name__ == "
                 "\"__main__\":' in the script that defines it"
             )
-        self._reset_stats(tasks)
-        self.worker_points = {}
-        self.worker_retries = {}
-        self.remote_capacity = 0
+        self.stats = ExecutorStats()
         if not tasks:
             return iter(())
-        if workers == 0:
-            workers = default_parallelism(len(tasks))
-        spawn = self.workers if self.workers is not None else workers
-        spawn = max(0, min(spawn, len(tasks)))
-        if self.address is None and spawn == 0:
-            spawn = 1  # a private-socket hub with no workers would hang
-        return self._serve(list(tasks), spawn)
+        return self._serve(list(tasks), max(1, min(workers, len(tasks))))
 
     # -- test/kill introspection ---------------------------------------------
 
@@ -415,10 +343,8 @@ class DistributedExecutor(Executor):
         return hub.inflight() if hub is not None else {}
 
     def worker_pid(self, name: str) -> int:
-        """PID of an auto-spawned worker (KeyError when unknown)."""
-        if self._supervisor is None:
-            raise KeyError(name)
-        return self._supervisor.pid(name)
+        """PID of a running sweep's local worker (KeyError when unknown)."""
+        return self._procs[name].pid
 
     # -- serving -------------------------------------------------------------
 
@@ -427,22 +353,37 @@ class DistributedExecutor(Executor):
         hub = SweepHub(tasks, max_retries=self.max_retries,
                        retry_base_delay=self.retry_base_delay)
         registry = Registry(ttl=self.heartbeat_ttl)
-        results: "queue.Queue" = queue.Queue()
+        results: "queue.Queue[TaskResult]" = queue.Queue()
         stop = threading.Event()
         channels: List[FrameChannel] = []
+        readers: List[threading.Thread] = []
         channel_by_name: Dict[str, FrameChannel] = {}
         lock = threading.Lock()
         run_dir = tempfile.mkdtemp(prefix="repro-sweep-hub-")
+        bind = os.environ.get(HUB_BIND_ENV)
         address: Address = (
-            os.path.join(run_dir, "hub.sock")
-            if self.address is None else self.address
+            parse_address(bind) if bind
+            else os.path.join(run_dir, "hub.sock")
         )
         state = {
             "last_progress": time.monotonic(),
-            "respawns": spawn,  # replacement budget in auto-spawn mode
-            "next_worker": spawn,
+            "respawns": spawn,  # replacement budget for dead local workers
         }
+        context = _pool_context()
+        procs = self._procs = {}
         self._hub = hub
+
+        def start_worker() -> None:
+            name = f"w{len(procs)}"
+            forked = context.get_start_method() == "fork"
+            proc = context.Process(
+                target=_local_worker,
+                args=(_connect_address(address), name,
+                      listener if forked else None),
+                name=f"repro-sweep-{name}", daemon=True,
+            )
+            proc.start()
+            procs[name] = proc
 
         def lose_worker(name: str) -> None:
             now = time.monotonic()
@@ -451,12 +392,8 @@ class DistributedExecutor(Executor):
             with lock:
                 channel_by_name.pop(name, None)
                 self.stats.retries += requeued
-                if requeued:
-                    self.worker_retries[name] = (
-                        self.worker_retries.get(name, 0) + requeued
-                    )
-            for triple in failures:
-                results.put(("triple", triple, None))
+            for result in failures:
+                results.put(result)
 
         def reader(channel: FrameChannel) -> None:
             name: Optional[str] = None
@@ -468,16 +405,14 @@ class DistributedExecutor(Executor):
                     kind, body = frame
                     if kind == "hello":
                         name = str(body["node"])
-                        slots = int(body.get("slots", 1))
-                        hub.register(name, slots)
+                        hub.register(name)
                         registry.register(
                             name, int(body.get("pid", 0)), conn=channel,
-                            now=time.monotonic(), slots=slots,
+                            now=time.monotonic(),
                         )
                         with lock:
                             channel_by_name[name] = channel
                             state["last_progress"] = time.monotonic()
-                            self.remote_capacity = hub.capacity()
                         channel.send(
                             "welcome", node=name,
                             paths=[p or os.getcwd() for p in sys.path],
@@ -493,18 +428,14 @@ class DistributedExecutor(Executor):
                         channel.send(kind_out, **body_out)
                     elif kind == "result":
                         registry.beat(name, time.monotonic())
-                        delivered = hub.complete(name, body)
-                        if delivered is None:
+                        result = hub.complete(name, body)
+                        if result is None:
                             continue
-                        triple, blob = delivered
                         with lock:
                             state["last_progress"] = time.monotonic()
-                            self.worker_points[name] = (
-                                self.worker_points.get(name, 0) + 1
-                            )
-                            if blob is not None:
-                                self.stats.payload_bytes += len(blob)
-                        results.put(("triple", triple, blob))
+                            if result.blob is not None:
+                                self.stats.payload_bytes += len(result.blob)
+                        results.put(result)
                     elif kind == "bye":
                         break
             except (WireError, CodecError, KeyError, TypeError, ValueError):
@@ -516,42 +447,21 @@ class DistributedExecutor(Executor):
                     lose_worker(name)
                 channel.close()
 
-        def accept_loop(listener) -> None:
-            while not stop.is_set():
+        def accept_loop() -> None:
+            while True:
                 try:
                     conn, _ = listener.accept()
-                except socket_timeout_errors:
-                    continue
                 except OSError:
-                    return  # listener closed during shutdown
+                    return  # listener shut down
                 channel = FrameChannel(conn)
-                with lock:
-                    channels.append(channel)
-                threading.Thread(
+                thread = threading.Thread(
                     target=reader, args=(channel,),
                     name="repro-hub-reader", daemon=True,
-                ).start()
-
-        import socket as _socket
-        socket_timeout_errors = (_socket.timeout, TimeoutError)
-
-        listener = listen(address)
-        listener.settimeout(0.2)
-        if isinstance(address, tuple):
-            address = listener.getsockname()[:2]  # resolve port 0
-        supervisor: Optional[WorkerSupervisor] = None
-        if spawn:
-            supervisor = WorkerSupervisor(
-                run_dir, address, slots=self.slots_per_worker
-            )
-            self._supervisor = supervisor
-            for i in range(spawn):
-                supervisor.spawn(f"w{i}")
-        acceptor = threading.Thread(
-            target=accept_loop, args=(listener,),
-            name="repro-hub-accept", daemon=True,
-        )
-        acceptor.start()
+                )
+                with lock:
+                    channels.append(channel)
+                    readers.append(thread)
+                thread.start()
 
         def tick() -> None:
             """Idle-loop maintenance: expiry, respawn, hang detection."""
@@ -565,44 +475,54 @@ class DistributedExecutor(Executor):
                     lose_worker(name)
             if hub.done:
                 return
-            if supervisor is not None and not registry.names():
-                if not supervisor.live_pids():
-                    with lock:
-                        budget = state["respawns"]
-                        state["respawns"] = max(0, budget - 1)
-                        worker_id = state["next_worker"]
-                        state["next_worker"] += 1
-                    if budget <= 0:
-                        raise WireError(
-                            "distributed sweep: every spawned worker "
-                            f"exited (logs under {supervisor.log_dir!r})"
-                        )
-                    supervisor.spawn(f"w{worker_id}")
-                    with lock:
-                        state["last_progress"] = time.monotonic()
+            if not registry.names() and not any(
+                    proc.is_alive() for proc in procs.values()):
+                if state["respawns"] <= 0:
+                    raise WireError(
+                        "parallel sweep: every local worker exited"
+                    )
+                state["respawns"] -= 1
+                start_worker()
+                with lock:
+                    state["last_progress"] = time.monotonic()
             with lock:
                 stalled = now - state["last_progress"]
             if not registry.names() and stalled > self.worker_timeout:
                 raise WireError(
-                    f"distributed sweep: no workers connected for "
+                    f"parallel sweep: no workers connected for "
                     f"{self.worker_timeout:.0f}s"
                 )
 
+        listener = listen(address)
+        if isinstance(address, tuple):
+            address = listener.getsockname()[:2]  # resolve port 0
+        acceptor = threading.Thread(
+            target=accept_loop, name="repro-hub-accept", daemon=True,
+        )
+        unavailable: Optional[OSError] = None
         try:
-            delivered = 0
-            while delivered < len(tasks):
-                try:
-                    _, triple, blob = results.get(timeout=0.1)
-                except queue.Empty:
-                    tick()
-                    continue
-                index = triple[0]
-                if blob is not None and self.retain_encoded:
-                    self.encoded_payloads[index] = blob
-                delivered += 1
-                yield self._count(triple)
+            # Workers start while this is still the only hub thread (no
+            # lock is mid-acquire in the forked copy); the listener is
+            # already bound, so their connects wait in its backlog.
+            try:
+                for _ in range(spawn):
+                    start_worker()
+            except OSError as exc:
+                unavailable = exc
+            else:
+                acceptor.start()
+                delivered = 0
+                while delivered < len(tasks):
+                    try:
+                        result = results.get(timeout=0.1)
+                    except queue.Empty:
+                        tick()
+                        continue
+                    delivered += 1
+                    yield result
         finally:
             stop.set()
+            deadline = time.monotonic() + SHUTDOWN_GRACE
             with lock:
                 open_channels = list(channels)
             for channel in open_channels:
@@ -610,29 +530,47 @@ class DistributedExecutor(Executor):
                     channel.send("bye")
                 except WireError:
                     pass
+            told = set(registry.names())
             try:
-                listener.close()
+                # shutdown() wakes the acceptor out of accept(); close()
+                # alone leaves it blocked on Linux.
+                listener.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            if supervisor is not None:
-                supervisor.shutdown()
+            listener.close()
+            for name, proc in procs.items():
+                if name in told:
+                    proc.join(timeout=max(0.0, deadline - time.monotonic()))
+                if proc.is_alive():
+                    # Never got as far as hello, or deaf to bye: every
+                    # result is in, so nothing it holds is wanted.
+                    proc.kill()
+                proc.join()
             for channel in open_channels:
                 channel.close()
-            acceptor.join(timeout=1.0)
+            with lock:
+                threads = [acceptor] if acceptor.is_alive() else []
+                threads += readers
+            for thread in threads:
+                thread.join(timeout=max(0.0, deadline - time.monotonic()))
             with lock:
                 self.stats.wire_bytes = sum(
                     ch.sent_bytes + ch.recv_bytes for ch in channels
                 )
             self._hub = None
-            self._supervisor = None
-            if isinstance(address, str) and os.path.exists(address):
+            self._procs = {}
+            if bind and isinstance(address, str):
                 try:
-                    os.unlink(address)
+                    os.unlink(address)  # may live outside run_dir
                 except OSError:
                     pass
             shutil.rmtree(run_dir, ignore_errors=True)
-
-
-#: Registered on import (``repro.exec`` imports this module), so the
-#: name is selectable wherever the serial/pool executors are.
-EXECUTORS[DistributedExecutor.name] = DistributedExecutor
+        if unavailable is not None:
+            # Only worker *start* falls back (sandboxes without fork
+            # rights); an error after workers exist -- a killed worker,
+            # a torn blob -- must surface, not silently recompute.
+            # Determinism makes the in-process results identical.
+            # stderr, so rendered tables stay byte-identical regardless.
+            print(f"repro.exec: sweep workers unavailable ({unavailable}); "
+                  "evaluating in process", file=sys.stderr)
+            yield from evaluate_in_process(tasks)

@@ -118,19 +118,15 @@ def run_live_smoke(
     seed: int = 0,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> Dict[Hashable, Any]:
     """Execute the backend smoke sweep through the runner/cache.
 
-    ``executor`` selects the sweep execution mechanism exactly as in
-    :func:`~repro.exec.runner.run_sweep`; live points run wall-clock
-    threads *inside* whichever worker evaluates them, so the transport
-    choice is orthogonal to the backend choice.
+    Live points run wall-clock threads *inside* whichever worker
+    evaluates them, so ``parallel`` is orthogonal to the backend choice.
     """
     return run_sweep(
         smoke_spec(backends=backends, writes=writes, n_caches=n_caches,
                    seed=seed),
         parallel=parallel,
         cache_dir=cache_dir,
-        executor=executor,
     )

@@ -1,30 +1,32 @@
-"""Sweep execution: deterministic fan-out over a pluggable executor.
+"""Sweep execution: deterministic fan-out, one number to choose it.
 
-``run_sweep(spec, parallel=N, executor=...)`` evaluates every point of a
+``run_sweep(spec, parallel=N)`` evaluates every point of a
 :class:`~repro.exec.spec.SweepSpec` and returns an ordered
 ``{label: result}`` mapping.  The runner owns *what* runs (cache
-consultation, ordering, failure attribution); the chosen
-:class:`~repro.exec.backends.Executor` owns *how* (in process, over a
-pool pipe, or through shared-memory segments).  Because each point's
-seed is derived from its config (:mod:`repro.exec.seeding`) and
-``run_point`` is pure, the results are bit-identical whichever executor
-runs them -- and identical again when they come straight out of the
-on-disk cache.
+consultation, ordering, failure attribution); the worker count alone
+decides *how*: one worker evaluates in process
+(:func:`~repro.exec.backends.evaluate_in_process`), more are served by
+the pull hub (:class:`~repro.exec.distributed.DistributedExecutor`).
+Because each point's seed is derived from its config
+(:mod:`repro.exec.seeding`) and ``run_point`` is pure, the results are
+bit-identical either way -- and identical again when they come straight
+out of the on-disk cache.
 """
 
 from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.exec.backends import (
-    Executor,
+    IN_PROCESS,
     PointTask,
     default_parallelism,
-    resolve_executor,
+    evaluate_in_process,
 )
 from repro.exec.cache import ResultCache, function_fingerprint
+from repro.exec.distributed import DistributedExecutor
 from repro.exec.spec import SweepSpec
 from repro.obs.manifest import RunManifest, point_record
 
@@ -32,9 +34,9 @@ from repro.obs.manifest import RunManifest, point_record
 class SweepPointError(RuntimeError):
     """One sweep point failed; carries the failing point's identity.
 
-    ``executor`` names the mechanism the point ran under, so fan-out
-    failures in sweep logs are attributable to a transport (or to the
-    point function itself, when every executor fails alike).
+    ``executor`` names the path the point ran under (in process or the
+    hub), so fan-out failures in sweep logs are attributable to the
+    transport (or to the point function itself, when both fail alike).
     ``elapsed`` is the failing point's wall time inside the worker, and
     ``manifest_entry`` the run-manifest record built for it (persisted
     when the sweep had a manifest; still attached when not) -- so a
@@ -80,21 +82,23 @@ def run_sweep(
     parallel: int = 1,
     cache_dir: Optional[os.PathLike] = None,
     cache: Optional[ResultCache] = None,
-    executor: Union[Executor, str, None] = None,
+    executor: Optional[DistributedExecutor] = None,
     manifest: Optional[RunManifest] = None,
 ) -> Dict[Hashable, Any]:
     """Evaluate every point of ``spec``; return ``{label: result}``.
 
-    ``parallel`` is the worker-pool size (``1`` = in-process serial,
-    ``0`` = one worker per CPU, clamped to the pending-point count).
-    ``executor`` selects the execution mechanism by registry name
-    (``serial``, ``process-pool``, ``shared-memory``) or as a prebuilt
-    :class:`~repro.exec.backends.Executor`; when omitted, the
-    ``REPRO_EXECUTOR`` environment variable and then the parallelism
-    decide.  ``cache_dir`` (or a prebuilt ``cache``) enables the on-disk
-    result cache; cached points are not recomputed.  Results come back
-    in point-declaration order regardless of which worker finished
-    first, bit-identical across executors.
+    ``parallel`` is the worker count (``0`` = one worker per CPU),
+    clamped to the pending-point count: one worker evaluates in this
+    process, more are forked and served by the hub.  ``cache_dir`` (or a
+    prebuilt ``cache``) enables the on-disk result cache; cached points
+    are not recomputed.  Results come back in point-declaration order
+    regardless of which worker finished first, bit-identical at every
+    worker count.
+
+    ``executor`` is a handle, not a choice: a caller that must watch the
+    hub while it serves (which worker holds which point, transport
+    byte counts) passes the instance to serve this sweep, at whatever
+    worker count ``parallel`` says.
 
     ``manifest`` receives one telemetry record per point (wall time,
     peak RSS, cache hit/miss, executor) plus the run totals; when
@@ -146,53 +150,43 @@ def run_sweep(
     ]
     workers = (default_parallelism(len(tasks)) if parallel == 0
                else min(parallel, max(1, len(tasks))))
-    chosen = resolve_executor(executor, parallel=workers)
-    chosen.retain_encoded = cache is not None
+    if executor is None and workers > 1:
+        executor = DistributedExecutor()
+    if executor is None:
+        outcomes, path = evaluate_in_process(tasks), IN_PROCESS
+    else:
+        outcomes, path = executor.run(tasks, workers), executor.name
     if manifest is not None:
-        # Hits are recorded once the executor is resolved so every
-        # record of this run names the same mechanism.
+        # Hits are recorded once the path is known so every record of
+        # this run names the same mechanism.
         for index, wall in hit_walls:
             manifest.record(point_record(
                 spec.name, spec.points[index].label, "ok", "hit",
-                chosen.name, wall,
+                path, wall,
             ))
     # Results stream in completion order; each one is cached (and its
     # transport bytes released) immediately, so a large sweep never
     # holds more than one undelivered payload.  Failures are remembered
-    # rather than raised mid-stream: the executor finishes draining its
+    # rather than raised mid-stream: the hub finishes draining its
     # transport, completed points still reach the cache, and the
     # reported point is deterministic (lowest index) regardless of
     # which worker failed first.
-    failures: Dict[int, str] = {}
-    failure_entries: Dict[int, Dict[str, Any]] = {}
-    for index, ok, payload in chosen.run(tasks, workers=workers):
+    failures: Dict[int, Dict[str, Any]] = {}
+    for index, ok, payload, telemetry, blob in outcomes:
         point = spec.points[index]
-        telemetry = chosen.telemetry.pop(index, None)
-        wall = telemetry.wall_s if telemetry is not None else 0.0
-        rss = telemetry.peak_rss_kb if telemetry is not None else 0
-        events = telemetry.events if telemetry is not None else 0
-        retries = telemetry.retries if telemetry is not None else 0
-        worker = telemetry.worker if telemetry is not None else ""
+        entry = point_record(
+            spec.name, point.label, "ok" if ok else "failed", "miss", path,
+            telemetry.wall_s, peak_rss_kb=telemetry.peak_rss_kb,
+            events=telemetry.events, retries=telemetry.retries,
+            worker=telemetry.worker, error=None if ok else str(payload),
+        )
+        if manifest is not None:
+            manifest.record(entry)
         if not ok:
-            failures[index] = payload
-            entry = point_record(
-                spec.name, point.label, "failed", "miss", chosen.name,
-                wall, peak_rss_kb=rss, events=events, retries=retries,
-                worker=worker, error=str(payload),
-            )
-            failure_entries[index] = entry
-            if manifest is not None:
-                manifest.record(entry)
+            failures[index] = entry
             continue
         results[index] = payload
-        if manifest is not None:
-            manifest.record(point_record(
-                spec.name, point.label, "ok", "miss", chosen.name,
-                wall, peak_rss_kb=rss, events=events, retries=retries,
-                worker=worker,
-            ))
         if cache is not None:
-            blob = chosen.encoded_payloads.pop(index, None)
             if blob is not None:
                 # The transport already produced the canonical bytes;
                 # they go straight to disk without re-encoding.
@@ -204,7 +198,7 @@ def run_sweep(
                           fn_key, point_seed=spec.seed_for(point))
     if manifest is not None:
         manifest.record_run(
-            spec.name, chosen.name, workers, len(spec.points),
+            spec.name, path, workers, len(spec.points),
             computed=len(tasks) - len(failures), hits=len(hit_walls),
             failures=len(failures),
             wall_s=time.perf_counter() - run_started,
@@ -212,12 +206,10 @@ def run_sweep(
     if failures:
         index = min(failures)
         point = spec.points[index]
-        entry = failure_entries.get(index)
+        entry = failures[index]
         raise SweepPointError(
-            spec.name, point.label, point.config, failures[index],
-            executor=chosen.name,
-            elapsed=entry["wall_s"] if entry else 0.0,
-            manifest_entry=entry,
+            spec.name, point.label, point.config, entry["error"],
+            executor=path, elapsed=entry["wall_s"], manifest_entry=entry,
         )
 
     return {

@@ -17,9 +17,8 @@ the cache changes none of its output.
 from __future__ import annotations
 
 import os
-from typing import Any, Dict, Optional, Union
+from typing import Any, Dict, Optional
 
-from repro.exec.backends import Executor
 from repro.exec.runner import run_sweep
 from repro.exec.spec import PointFunction, SweepSpec
 
@@ -32,17 +31,13 @@ def run_cached_single(
     run_point: PointFunction,
     config: Dict[str, Any],
     cache_dir: Optional[os.PathLike] = None,
-    executor: Union[Executor, str, None] = None,
 ) -> Any:
     """Run one single-run experiment through the runner/cache.
 
     ``name`` keys the cache (use a stable per-experiment identifier);
     ``config`` must be plain data (it is hashed into the cache key) and
     should carry everything the run depends on, including its seed.
-    ``executor`` rides through to :func:`~repro.exec.runner.run_sweep`
-    unchanged -- a single point still exercises the selected transport.
     """
     spec = SweepSpec(name=name, run_point=run_point)
     spec.add(POINT_LABEL, **config)
-    return run_sweep(spec, parallel=1, cache_dir=cache_dir,
-                     executor=executor)[POINT_LABEL]
+    return run_sweep(spec, parallel=1, cache_dir=cache_dir)[POINT_LABEL]

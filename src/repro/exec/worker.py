@@ -1,9 +1,11 @@
-"""Sweep worker daemon: ``python -m repro.exec.worker``.
+"""Sweep worker: :func:`serve`, also ``python -m repro.exec.worker``.
 
-One remote executor for the distributed sweep backend
-(:class:`~repro.exec.distributed.DistributedExecutor`).  The daemon
-connects back to its hub over the codec-framed wire layer
-(:mod:`repro.runtime.wire`, retrying with backoff so spawn order never
+One worker of the sweep hub
+(:class:`~repro.exec.distributed.DistributedExecutor`): the hub forks
+its local workers straight into :func:`serve`, and the command line
+runs the same function on any host that can reach the hub's address.
+The worker connects to its hub over the codec-framed wire layer
+(:mod:`repro.runtime.wire`, retrying with backoff so start order never
 matters), announces itself with a ``hello`` frame carrying its
 advertised ``slots`` capacity, and then serves a *pull-based* loop:
 
@@ -12,11 +14,13 @@ advertised ``slots`` capacity, and then serves a *pull-based* loop:
   ``wait`` (nothing dispatchable right now -- back off and ask again),
   or ``bye`` (the sweep is complete);
 - each task is resolved to its module-level point function, evaluated
-  through the same :func:`~repro.exec.backends._evaluate` path the
-  local executors use (so ``REPRO_TRACE`` tracing and telemetry behave
+  through the same :func:`~repro.exec.backends._evaluate` the
+  in-process path uses (so ``REPRO_TRACE`` tracing and telemetry behave
   identically), codec-encoded, and streamed back as a ``result`` frame
   whose payload bytes are digest-protected -- the hub writes them into
-  the :class:`~repro.exec.cache.ResultCache` without re-encoding;
+  the :class:`~repro.exec.cache.ResultCache` without re-encoding.  A
+  result too large for one frame comes back as that point's failure,
+  naming its size and the limit; the worker keeps serving;
 - a daemon thread beats the hub's heartbeat registry so a hung worker
   is noticed (a SIGKILLed one is noticed faster, by its socket EOF).
 
@@ -24,13 +28,13 @@ Because point functions are pure and seeds derive from configs, a
 worker is pure mechanism: any task can run on any worker, any number of
 times, and the bytes that come back are identical.  That is what lets
 the hub requeue in-flight tasks of a lost worker and still produce a
-result tree byte-identical to the serial executor's.
+result tree byte-identical to the in-process path's.
 
 ``--slots N`` advertises capacity and runs up to ``N`` tasks
 concurrently on in-process threads.  Python threads only overlap
 points that block (I/O, subprocesses); for CPU-bound sweep points run
-one single-slot daemon per core instead -- that is exactly what the
-hub's localhost auto-spawn mode does.
+one single-slot worker per core instead -- that is exactly what the
+hub does with its local workers.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import importlib
 import importlib.util
 import inspect
 import os
+import select
 import sys
 import threading
 import traceback
@@ -49,7 +54,9 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.exec.backends import PointTask, _evaluate, _payload_digest
 from repro.exec.codec import encode_result
 from repro.runtime.wire import (
+    Address,
     FrameChannel,
+    FrameTooLarge,
     WireError,
     connect_with_backoff,
     parse_address,
@@ -58,8 +65,8 @@ from repro.runtime.wire import (
 #: Default liveness beat interval (the hub TTL is several multiples).
 HEARTBEAT_INTERVAL = 0.25
 
-#: Set in every worker process.  The distributed executor refuses to
-#: start inside a process where it is set: a sweep script without an
+#: Set in every worker process.  The hub refuses to start inside a
+#: process where it is set: a sweep script without an
 #: ``if __name__ == "__main__"`` guard would otherwise re-run its own
 #: sweep on import (the same recursion multiprocessing's ``spawn``
 #: start method guards against), forking workers without bound.
@@ -78,7 +85,7 @@ def function_reference(fn: Callable) -> Dict[str, str]:
     qualname = getattr(fn, "__qualname__", "") or getattr(fn, "__name__", "")
     if not qualname or "<locals>" in qualname:
         raise ValueError(
-            f"distributed execution needs a module-level point function, "
+            f"parallel execution needs a module-level point function, "
             f"got {fn!r}"
         )
     try:
@@ -207,27 +214,18 @@ class WorkerRuntime:
             config=body["config"],
             seed=int(body["seed"]),
         )
-        _, ok, envelope = _evaluate(task)
-        telemetry = envelope.telemetry
-        payload = envelope.payload
+        _, ok, payload, telemetry, _ = _evaluate(task)
         blob = b""
         if ok:
             try:
                 blob = encode_result(payload)
             except Exception:
                 ok, payload = False, traceback.format_exc()
-        if ok:
-            self._send_result(
-                index, True, blob=blob,
-                wall_s=telemetry.wall_s, peak_rss_kb=telemetry.peak_rss_kb,
-                events=telemetry.events,
-            )
-        else:
-            self._send_result(
-                index, False, error=str(payload),
-                wall_s=telemetry.wall_s, peak_rss_kb=telemetry.peak_rss_kb,
-                events=telemetry.events,
-            )
+        self._send_result(
+            index, ok, blob=blob, error="" if ok else str(payload),
+            wall_s=telemetry.wall_s, peak_rss_kb=telemetry.peak_rss_kb,
+            events=telemetry.events,
+        )
 
     def _send_result(
         self,
@@ -241,20 +239,27 @@ class WorkerRuntime:
     ) -> None:
         body: Dict[str, Any] = {
             "index": index,
-            "ok": ok,
             "wall_s": float(wall_s),
             "peak_rss_kb": int(peak_rss_kb),
             "events": int(events),
         }
-        if ok:
-            body["blob"] = blob
-            body["digest"] = _payload_digest(blob)
-        else:
-            body["error"] = error
+        outcome: Dict[str, Any] = (
+            {"ok": True, "blob": blob, "digest": _payload_digest(blob)}
+            if ok else {"ok": False, "error": error}
+        )
         with self._lock:
             self._outstanding -= 1
         try:
-            self.channel.send("result", **body)
+            try:
+                self.channel.send("result", **body, **outcome)
+            except FrameTooLarge as exc:
+                # The peer is fine, this result is not: report it as the
+                # point's failure and keep serving.
+                self.channel.send(
+                    "result", **body, ok=False,
+                    error=f"encoded result of {len(blob)} bytes does not "
+                          f"fit one wire frame: {exc}",
+                )
         except WireError:
             self._stopping = True
             return
@@ -300,12 +305,13 @@ class WorkerRuntime:
                     with self._lock:
                         self._requested -= 1
                         idle = self._requested + self._outstanding == 0
-                    if idle:
-                        # Nothing running and nothing promised: back off
-                        # for the hub-suggested delay, then re-ask.
-                        self._stop_heartbeat.wait(
-                            float(body.get("delay", 0.05))
-                        )
+                    # Nothing running and nothing promised: back off
+                    # for the hub-suggested delay, then re-ask -- unless
+                    # the hub speaks first (``bye``: the sweep finished
+                    # while this worker had nothing to do).
+                    if idle and not select.select(
+                            [self.channel.sock], [], [],
+                            float(body.get("delay", 0.05)))[0]:
                         self._request()
                 elif kind == "bye":
                     break
@@ -318,18 +324,40 @@ class WorkerRuntime:
         return 0
 
 
+def serve(
+    address: Address,
+    name: str,
+    slots: int = 1,
+    heartbeat_interval: float = HEARTBEAT_INTERVAL,
+    connect_timeout: float = 20.0,
+) -> int:
+    """Connect to the hub at ``address`` and serve tasks until ``bye``."""
+    os.environ[WORKER_ENV] = "1"
+    try:
+        sock = connect_with_backoff(address, timeout=connect_timeout)
+    except WireError as exc:
+        print(f"repro.exec.worker {name}: {exc}", file=sys.stderr)
+        return 1
+    runtime = WorkerRuntime(
+        FrameChannel(sock), name, slots=slots,
+        heartbeat_interval=heartbeat_interval,
+    )
+    return runtime.run()
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """Parse arguments, connect to the hub, and serve tasks."""
+    """Parse the command line and :func:`serve`."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.exec.worker",
-        description="Sweep worker daemon for the distributed executor.",
+        description="Sweep worker for a hub on another host "
+                    "(REPRO_HUB_BIND).",
     )
     parser.add_argument("--hub", required=True,
                         help="hub address (unix:<path> or tcp:<host>:<port>)")
     parser.add_argument("--name", required=True, help="this worker's name")
     parser.add_argument("--slots", type=int, default=1,
                         help="advertised task capacity (default 1; run one "
-                             "daemon per core for CPU-bound sweeps)")
+                             "worker per core for CPU-bound sweeps)")
     parser.add_argument("--heartbeat-interval", type=float,
                         default=HEARTBEAT_INTERVAL, metavar="SECONDS",
                         help=f"liveness beat period (default "
@@ -339,19 +367,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="give up connecting to the hub after this long "
                              "(default 20)")
     args = parser.parse_args(argv)
-    os.environ[WORKER_ENV] = "1"
-    try:
-        sock = connect_with_backoff(
-            parse_address(args.hub), timeout=args.connect_timeout
-        )
-    except WireError as exc:
-        print(f"repro.exec.worker {args.name}: {exc}", file=sys.stderr)
-        return 1
-    runtime = WorkerRuntime(
-        FrameChannel(sock), args.name, slots=args.slots,
+    return serve(
+        parse_address(args.hub), args.name, slots=args.slots,
         heartbeat_interval=args.heartbeat_interval,
+        connect_timeout=args.connect_timeout,
     )
-    return runtime.run()
 
 
 if __name__ == "__main__":

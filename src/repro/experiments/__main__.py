@@ -7,18 +7,15 @@ Usage::
     python -m repro.experiments --only t1,f3,x5     # the same, flag form
     python -m repro.experiments x1 --parallel 4     # fan sweep points out
     python -m repro.experiments --parallel 0 --cache-dir .sweep-cache
-    python -m repro.experiments x10 --parallel 0 --executor shared-memory
     python -m repro.experiments --cache-dir .sweep-cache --cache-clear
 
 Experiment ids match DESIGN.md section 4 (t1 t2 f1 f2 f3 f4 x1..x13).
 Every experiment accepts ``--cache-dir`` (on-disk result cache keyed by
 config hash + code version; stale code-fingerprint trees are evicted on
 startup, ``--cache-clear`` wipes the cache entirely); sweep-shaped
-experiments also accept ``--parallel`` (worker-pool size; 0 means one
-worker per CPU), ``--executor`` (serial, process-pool, shared-memory,
-or distributed -- the result-transport mechanism) and ``--workers``
-(daemon count for the distributed executor).  Results are bit-identical
-at any parallelism under every executor.
+experiments also accept ``--parallel`` (worker count: 1 evaluates in
+this process, more are forked and served by the sweep hub, 0 means one
+worker per CPU).  Results are bit-identical at any parallelism.
 """
 
 from __future__ import annotations

@@ -94,8 +94,7 @@ def run_x8_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 def run_adaptive(seed: int = 0, edits: int = 20, reads: int = 10,
                  n_caches: int = 4, parallel: int = 1,
-                 cache_dir: Optional[str] = None,
-                 executor: Optional[str] = None) -> ExperimentResult:
+                 cache_dir: Optional[str] = None) -> ExperimentResult:
     """X8: static policy vs the self-adaptive controller."""
     result = ExperimentResult(
         name="X8: Self-adaptive policies (paper §5 future work)",
@@ -109,8 +108,7 @@ def run_adaptive(seed: int = 0, edits: int = 20, reads: int = 10,
                             ("adaptive", True)):
         spec.add(label, adaptive=adaptive, edits=edits, reads=reads,
                  n_caches=n_caches)
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for label, point in measured.items():
         metrics = point["metrics"]
         result.add_row(

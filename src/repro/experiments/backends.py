@@ -22,13 +22,12 @@ def run_backend_smoke(
     n_caches: int = 2,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X9: sim/live/live-socket backend parity smoke (~2s wall-clock)."""
     measured = run_live_smoke(
         backends=("sim", "live", "live-socket"), writes=writes,
         n_caches=n_caches, seed=seed, parallel=parallel,
-        cache_dir=cache_dir, executor=executor,
+        cache_dir=cache_dir,
     )
     result = ExperimentResult(
         name="X9: Backend parity -- the same stack in virtual and wall-clock "

@@ -58,14 +58,13 @@ def run_conference(
     lazy_interval: float = 5.0,
     read_back: bool = True,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """Run the prototype scenario and validate its coherence claims."""
     return run_cached_single(
         "f3-conference", _conference_point,
         {"seed": seed, "updates": updates, "reads": reads,
          "lazy_interval": lazy_interval, "read_back": read_back},
-        cache_dir=cache_dir, executor=executor,
+        cache_dir=cache_dir,
     )
 
 
@@ -153,8 +152,7 @@ def _fig4_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
 
 
 def run_fig4_wid_flow(seed: int = 0,
-                      cache_dir: Optional[str] = None,
-                      executor: Optional[str] = None) -> ExperimentResult:
+                      cache_dir: Optional[str] = None) -> ExperimentResult:
     """Trace the Fig. 4 mechanics explicitly: WiDs and expected-write state.
 
     Issues three incremental writes, captures the per-store expected-write
@@ -162,7 +160,7 @@ def run_fig4_wid_flow(seed: int = 0,
     out-of-order path by checking the final vectors agree.
     """
     return run_cached_single("f4-wid-flow", _fig4_point, {"seed": seed},
-                             cache_dir=cache_dir, executor=executor)
+                             cache_dir=cache_dir)
 
 
 def _fig4_wid_flow(seed: int) -> ExperimentResult:

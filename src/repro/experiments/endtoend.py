@@ -142,7 +142,6 @@ def run_endtoend(
     horizon: float = 60.0,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X5: TCP/wait vs UDP/wait vs UDP/demand."""
     result = ExperimentResult(
@@ -162,8 +161,7 @@ def run_endtoend(
     for label, reliable, reaction in variants:
         spec.add(label, reliable=reliable, reaction=reaction,
                  loss_rate=loss_rate, writes=writes, horizon=horizon)
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for label, run in measured.items():
         result.add_row(
             label,

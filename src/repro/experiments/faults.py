@@ -27,7 +27,6 @@ def run_fault_grid(
     grid: str = "x11-faults",
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X11: run a fault grid and summarize it per (strategy, fault plan).
 
@@ -37,8 +36,7 @@ def run_fault_grid(
     grid_def = get_grid(grid)
     if not grid_def.is_fault_grid:
         raise ValueError(f"{grid!r} is not a fault grid")
-    results = run_grid(grid_def, parallel=parallel, cache_dir=cache_dir,
-                       executor=executor)
+    results = run_grid(grid_def, parallel=parallel, cache_dir=cache_dir)
     tables = aggregate(grid_def, results)
     largest = max(grid_def.sizes)
     result = ExperimentResult(
@@ -77,7 +75,6 @@ def run_fault_soak(
     seed: int = 0,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X12: fault soak smoke -- one fault plan, three substrates, same behaviour.
 
@@ -90,7 +87,7 @@ def run_fault_soak(
     """
     measured = execute_fault_soak(
         backends=("sim", "live", "live-socket"), seed=seed,
-        parallel=parallel, cache_dir=cache_dir, executor=executor,
+        parallel=parallel, cache_dir=cache_dir,
     )
     result = ExperimentResult(
         name="X12: Fault soak smoke -- the same fault plan in virtual and "

@@ -38,12 +38,10 @@ def _fig1_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
 
 
 def run_fig1(seed: int = 0,
-             cache_dir: Optional[str] = None,
-             executor: Optional[str] = None) -> ExperimentResult:
+             cache_dir: Optional[str] = None) -> ExperimentResult:
     """F1: one Web object distributed across four address spaces."""
     return run_cached_single("f1-architecture", _fig1_point,
-                             {"seed": seed}, cache_dir=cache_dir,
-                             executor=executor)
+                             {"seed": seed}, cache_dir=cache_dir)
 
 
 def _fig1(seed: int) -> ExperimentResult:
@@ -113,13 +111,12 @@ def run_fig2(
     scope: StoreScope = StoreScope.PERMANENT_AND_OBJECT_INITIATED,
     writes: int = 12,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """F2: layered stores; guarantee weakening below the scope layer."""
     return run_cached_single(
         "f2-store-layers", _fig2_point,
         {"seed": seed, "scope": scope, "writes": writes},
-        cache_dir=cache_dir, executor=executor,
+        cache_dir=cache_dir,
     )
 
 

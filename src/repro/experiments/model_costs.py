@@ -123,7 +123,6 @@ def run_model_costs(
     reads_per_client: int = 10,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """Measure every model under the same multi-writer workload."""
     result = ExperimentResult(
@@ -144,8 +143,7 @@ def run_model_costs(
             n_caches=n_caches,
             reads_per_client=reads_per_client,
         )
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for label, point in measured.items():
         metrics = point["metrics"]
         result.add_row(

@@ -269,8 +269,7 @@ def run_x3_point(config: Dict[str, object], seed: int
 
 
 def run_per_object(seed: int = 0, parallel: int = 1,
-                   cache_dir: Optional[str] = None,
-                   executor: Optional[str] = None) -> ExperimentResult:
+                   cache_dir: Optional[str] = None) -> ExperimentResult:
     """X3: compare per-object policies against each global strategy."""
     result = ExperimentResult(
         name="X3: Per-object strategies vs a single global strategy",
@@ -288,8 +287,7 @@ def run_per_object(seed: int = 0, parallel: int = 1,
         ("no caching", CacheMode.NONE),
     ):
         spec.add(label, strategy="baseline", mode=mode, ttl=8.0)
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for label, run in measured.items():
         result.add_row(label, int(run[0]), f"{run[1]:.3f}", f"{run[2]:.4f}")
     result.data["measured"] = measured

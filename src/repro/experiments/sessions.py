@@ -119,8 +119,7 @@ def run_x7_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 
 def run_sessions(seed: int = 0, updates: int = 8, parallel: int = 1,
-                 cache_dir: Optional[str] = None,
-                 executor: Optional[str] = None) -> ExperimentResult:
+                 cache_dir: Optional[str] = None) -> ExperimentResult:
     """X7: enforcement on/off for RYW (master) and MR (roaming reader)."""
     result = ExperimentResult(
         name="X7: Session-guarantee enforcement -- cost and effect",
@@ -133,8 +132,7 @@ def run_sessions(seed: int = 0, updates: int = 8, parallel: int = 1,
                      base_seed=seed, paired=True)
     spec.add("off (check only)", enforce=False, updates=updates)
     spec.add("on (RYW + MR enforced)", enforce=True, updates=updates)
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for label, point in measured.items():
         result.add_row(
             label,

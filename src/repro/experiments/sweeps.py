@@ -95,7 +95,6 @@ def run_transfer_instant(
     lazy_intervals: tuple = (1.0, 5.0, 20.0),
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X1: immediate vs lazy update propagation for a hot object."""
     result = ExperimentResult(
@@ -111,8 +110,7 @@ def run_transfer_instant(
     for interval in lazy_intervals:
         spec.add(f"lazy ({interval:g}s)", interval=interval, writes=writes,
                  n_caches=n_caches)
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for label, metrics in measured.items():
         result.add_row(
             label,
@@ -158,7 +156,6 @@ def run_propagation(
     n_caches: int = 4,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X2: update vs invalidate across read/write ratios."""
     result = ExperimentResult(
@@ -180,8 +177,7 @@ def run_propagation(
             p.value for p in (Propagation.UPDATE, Propagation.INVALIDATE)
         ],
     )
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for (ratio, propagation), metrics in measured.items():
         result.add_row(
             f"{ratio:g}",
@@ -229,7 +225,6 @@ def run_initiative_and_transfer(
     n_caches: int = 4,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X6: push vs pull initiative, partial vs full transfer types."""
     result = ExperimentResult(
@@ -262,8 +257,7 @@ def run_initiative_and_transfer(
             writes=writes,
             n_caches=n_caches,
         )
-    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir,
-                         executor=executor)
+    measured = run_sweep(spec, parallel=parallel, cache_dir=cache_dir)
     for (initiative, instant, coherence, access), metrics in measured.items():
         result.add_row(
             initiative,

@@ -23,7 +23,6 @@ def run_table1_grid(
     grid: str = "table1-small",
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> ExperimentResult:
     """X10: run one named report grid and summarize it per strategy.
 
@@ -33,8 +32,7 @@ def run_table1_grid(
     other.
     """
     grid_def = get_grid(grid)
-    results = run_grid(grid_def, parallel=parallel, cache_dir=cache_dir,
-                       executor=executor)
+    results = run_grid(grid_def, parallel=parallel, cache_dir=cache_dir)
     tables = aggregate(grid_def, results)
     largest = max(grid_def.sizes)
     result = ExperimentResult(

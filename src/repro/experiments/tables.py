@@ -22,12 +22,11 @@ def _table1_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
     return _table1()
 
 
-def run_table1(cache_dir: Optional[str] = None,
-               executor: Optional[str] = None) -> ExperimentResult:
+def run_table1(cache_dir: Optional[str] = None) -> ExperimentResult:
     """Regenerate Table 1: implementation parameters for replication
     policies."""
     return run_cached_single("t1-table1", _table1_point, {},
-                             cache_dir=cache_dir, executor=executor)
+                             cache_dir=cache_dir)
 
 
 def _table1() -> ExperimentResult:
@@ -55,12 +54,11 @@ def _table2_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
     return _table2()
 
 
-def run_table2(cache_dir: Optional[str] = None,
-               executor: Optional[str] = None) -> ExperimentResult:
+def run_table2(cache_dir: Optional[str] = None) -> ExperimentResult:
     """Regenerate Table 2: replication strategy parameter values for the
     conference-page example."""
     return run_cached_single("t2-table2", _table2_point, {},
-                             cache_dir=cache_dir, executor=executor)
+                             cache_dir=cache_dir)
 
 
 def _table2() -> ExperimentResult:

@@ -191,16 +191,10 @@ def run_fault_soak(
     seed: int = 0,
     parallel: int = 1,
     cache_dir: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> Dict[Hashable, Any]:
-    """Execute the fault soak sweep through the runner/cache.
-
-    ``executor`` selects the sweep execution mechanism exactly as in
-    :func:`repro.exec.run_sweep`.
-    """
+    """Execute the fault soak sweep through the runner/cache."""
     return run_sweep(
         fault_soak_spec(backends=backends, seed=seed),
         parallel=parallel,
         cache_dir=cache_dir,
-        executor=executor,
     )

@@ -64,9 +64,8 @@ def point_record(
 ) -> Dict[str, Any]:
     """Build one ``point`` manifest record (plain dict, JSON-ready).
 
-    ``worker`` names the remote daemon that computed the point under
-    the distributed executor; the key is emitted only when set, so
-    local-executor manifests are unchanged.
+    ``worker`` names the hub worker that computed the point; the key
+    is emitted only when set, so in-process manifests do not carry it.
     """
     record: Dict[str, Any] = {
         "rec": "point",

@@ -5,9 +5,9 @@ the named grid and regenerates ``RESULTS.md`` plus one SVG heat map per
 metric under ``--out``; ``--check`` renders in memory and fails when the
 on-disk artifacts differ (the CI staleness gate); ``--list`` catalogs
 the registered grids and metrics.  The execution flags (``--parallel``,
-``--executor``, ``--cache-dir``, ``--cache-clear``) are the same ones
+``--cache-dir``, ``--cache-clear``) are the same ones
 ``python -m repro.experiments`` takes, backed by the same runner and
-cache; the book renders bit-identically under every executor.
+cache; the book renders bit-identically at every ``--parallel``.
 """
 
 from __future__ import annotations
@@ -132,8 +132,7 @@ def main(argv: List[str]) -> int:
         spec = grid_spec(grid)
         warm = len(cached_point_labels(spec, cache))
         print(f"grid {grid.name}: {warm}/{len(spec.points)} points cached")
-    results = run_grid(grid, parallel=args.parallel, cache=cache,
-                       executor=args.executor)
+    results = run_grid(grid, parallel=args.parallel, cache=cache)
     health = None
     if args.health:
         from repro.obs import MANIFEST_NAME, load_manifest, summarize_manifest

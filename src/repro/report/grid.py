@@ -514,16 +514,14 @@ def run_grid(
     parallel: int = 1,
     cache_dir: Optional[str] = None,
     cache: Optional[ResultCache] = None,
-    executor: Optional[str] = None,
 ) -> Mapping[Hashable, Dict[str, float]]:
     """Execute a grid through the cached parallel runner.
 
     Returns ``{(protocol, workload, size, rep): metric dict}`` in
     declaration order; cached cells are replayed, missing cells computed.
     A prebuilt ``cache`` (:class:`~repro.exec.ResultCache`) takes
-    precedence over ``cache_dir``.  ``executor`` selects the sweep
-    execution mechanism exactly as in :func:`repro.exec.run_sweep`;
-    the rendered book is bit-identical whichever one runs the cells.
+    precedence over ``cache_dir``.  The rendered book is bit-identical
+    at every ``parallel``.
     """
     return run_sweep(grid_spec(grid), parallel=parallel,
-                     cache_dir=cache_dir, cache=cache, executor=executor)
+                     cache_dir=cache_dir, cache=cache)

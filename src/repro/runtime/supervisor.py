@@ -29,10 +29,9 @@ class NodeSupervisor:
     """Spawn, kill, restart and reap ``repro.runtime.node`` processes.
 
     The lifecycle machinery (per-child log files, SIGKILL-and-reap,
-    terminate-then-kill shutdown) is child-agnostic; subclasses that
-    supervise a different daemon override :attr:`log_env` and
-    :meth:`build_argv` (the sweep-worker supervisor in
-    :mod:`repro.exec.distributed` does exactly that).
+    terminate-then-kill shutdown) is child-agnostic; a subclass that
+    supervises a different daemon overrides :attr:`log_env` and
+    :meth:`build_argv`.
     """
 
     #: Environment variable redirecting the per-child log directory;
@@ -74,9 +73,9 @@ class NodeSupervisor:
 
     def write_spec(self, name: str, spec: Dict[str, Any]) -> str:
         """Persist the node spec; returns its path."""
-        # Imported here, not at module level: repro.exec's own init
-        # imports this module (via the distributed executor's worker
-        # supervisor), so the back-edge must stay lazy.
+        # Imported here, not at module level: repro.exec's init imports
+        # repro.runtime (the sweep hub uses its wire layer and registry),
+        # whose init imports this module, so the back-edge stays lazy.
         from repro.exec.codec import encode_result
 
         path = self.spec_path(name)

@@ -9,8 +9,8 @@ pickle-frame fallback, so the one deterministic codec from the sweep
 transport is also the wire format here (ROADMAP: one wire layer, two
 uses).
 
-Frame kinds (the complete vocabulary; the store runtime and the
-distributed sweep executor share the handshake/liveness frames):
+Frame kinds (the complete vocabulary; the store runtime and the sweep
+hub share the handshake/liveness frames):
 
 - ``hello`` / ``welcome`` -- node registration handshake (name + pid;
   sweep workers additionally advertise their ``slots`` capacity);
@@ -44,10 +44,10 @@ import time
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 # NOTE: repro.exec.codec is imported inside send/recv, not here.  The
-# exec package's own init imports this module (via the distributed
-# executor), so a module-level import back into repro.exec would make
-# the two packages' initialization order matter; the function-level
-# import is a sys.modules hit after the first frame.
+# exec package's own init imports this module (via the sweep hub), so a
+# module-level import back into repro.exec would make the two packages'
+# initialization order matter; the function-level import is a
+# sys.modules hit after the first frame.
 
 #: 4-byte big-endian frame length prefix.
 _HEADER = struct.Struct(">I")
@@ -62,6 +62,14 @@ Address = Union[str, Tuple[str, int]]
 
 class WireError(ConnectionError):
     """A frame could not be read or written (peer gone, stream corrupt)."""
+
+
+class FrameTooLarge(WireError):
+    """A frame to send exceeds :data:`MAX_FRAME_BYTES`.
+
+    Nothing was written and the peer is fine: unlike every other
+    :class:`WireError`, the connection stays usable.
+    """
 
 
 def format_address(address: Address) -> str:
@@ -165,8 +173,8 @@ class FrameChannel:
         self._send_lock = threading.Lock()
         self._closed = False
         #: Framed bytes written/read on this channel (headers included).
-        #: The distributed sweep executor folds these into its
-        #: ``wire_bytes`` transport accounting; counters survive close.
+        #: The sweep hub folds these into its ``wire_bytes`` transport
+        #: accounting; counters survive close.
         self.sent_bytes = 0
         self.recv_bytes = 0
 
@@ -176,7 +184,10 @@ class FrameChannel:
 
         blob = encode_result({"kind": kind, "body": body})
         if len(blob) > MAX_FRAME_BYTES:
-            raise WireError(f"frame {kind!r} exceeds {MAX_FRAME_BYTES} bytes")
+            raise FrameTooLarge(
+                f"frame {kind!r} is {len(blob)} bytes; the limit is "
+                f"{MAX_FRAME_BYTES}"
+            )
         with self._send_lock:
             if self._closed:
                 raise WireError("channel closed")

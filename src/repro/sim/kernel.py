@@ -7,10 +7,11 @@ and therefore one virtual clock.
 
 The queue implementation is pluggable (``scheduler="heap"`` or
 ``"calendar"``, see :mod:`repro.sim.queues`): the binary heap is the
-small-population default, the calendar queue keeps per-event cost flat at
-O(10^5)+ pending events.  Both fire events in the identical
-``(time, seq)`` total order, so seeded runs are bit-identical across
-scheduler choices.
+default and the faster of the two below ~10^5 pending events; the
+calendar queue's amortized O(1) operations only overtake it beyond
+that (see the hold-model numbers in ROADMAP.md).  Both fire events in
+the identical ``(time, seq)`` total order, so seeded runs are
+bit-identical across scheduler choices.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ Event` ordered by ``(time, seq)``.  Two implementations ship:
   ``width``-sized slice of virtual time.  Push hashes an event to its
   bucket directly; pop scans forward from the current day.  With the
   bucket count tracking the pending-event count, both operations are
-  amortized O(1), which is what makes O(10^5)-client populations (and
-  their O(10^5)-entry pending sets) affordable.
+  amortized O(1).  Measured on the hold model that only pays off from
+  roughly 10^5 pending events up (it is slower than the heap below, and
+  1.2-1.4x faster at 10^6), a pending set no workload in this tree
+  reaches.
 
 Both queues key their internal heaps by explicit ``(time, seq, event)``
 tuples rather than comparing :class:`~repro.sim.events.Event` objects:

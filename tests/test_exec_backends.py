@@ -1,43 +1,44 @@
-"""Tests for the pluggable executor stack (``repro.exec.backends``).
+"""Tests for the two sweep execution paths (``repro.exec.backends``).
 
 Point functions live at module level because worker processes import
-them by reference.  The parity tests are the tentpole guarantee: the
-executor axis is pure mechanism, so results and cache entries are
-bit-identical whichever executor produced them.
+them by reference.  The parity tests are the tentpole guarantee: how a
+sweep's points are fanned out is pure mechanism, so results and cache
+entries are bit-identical in process and through the hub.
 """
 
 import hashlib
 import json
 import multiprocessing
+import os
+import threading
 from pathlib import Path
 
 import pytest
 
 from repro.exec import (
-    EXECUTOR_ENV,
-    EXECUTORS,
-    PicklePipeExecutor,
+    DistributedExecutor,
     ResultCache,
-    SerialExecutor,
-    SharedMemoryExecutor,
+    SweepPointError,
     SweepSpec,
     default_parallelism,
     encode_result,
-    resolve_executor,
     run_sweep,
 )
-from repro.exec.backends import PointTask, _pool_context
+from repro.exec import distributed
+from repro.exec.backends import _pool_context
+from repro.obs.manifest import load_manifest
 
 GOLDEN = Path(__file__).parent / "golden" / "exec_executor_signature.json"
 
-ALL_EXECUTORS = sorted(EXECUTORS)
+#: ``parallel`` -> the path name manifests and errors carry for it.
+PATHS = {1: "serial", 2: "distributed"}
 
 
 def trace_point(config, seed):
     """A deterministic pseudo-trace: the large-artifact payload shape.
 
     Built from exact binary fractions of the derived seed, so the bytes
-    are identical on every platform and under every executor.
+    are identical on every platform and on both execution paths.
     """
     count = config["count"]
     base = seed % (1 << 20)
@@ -53,6 +54,10 @@ def trace_point(config, seed):
     }
 
 
+def pid_point(config, seed):
+    return os.getpid()
+
+
 def failing_point(config, seed):
     raise RuntimeError(f"point {config['tag']} exploded")
 
@@ -62,10 +67,24 @@ def unencodable_point(config, seed):
     return {"handle": open("/dev/null")}
 
 
+def oversize_point(config, seed):
+    """One point's result is too large for a single wire frame."""
+    if config["tag"] == "huge":
+        return bytes(65 * 1024 * 1024)
+    return config["tag"]
+
+
 def _trace_spec():
     spec = SweepSpec(name="executor-parity", run_point=trace_point)
     for tag in ("alpha", "beta", "gamma", "delta"):
         spec.add(tag, tag=tag, count=64)
+    return spec
+
+
+def _tagged_spec(name, run_point, tags):
+    spec = SweepSpec(name=name, run_point=run_point)
+    for tag in tags:
+        spec.add(tag, tag=tag)
     return spec
 
 
@@ -74,37 +93,45 @@ def _signature(results):
     return hashlib.sha256(blob).hexdigest()
 
 
+def _result_tree(root):
+    return {
+        str(path.relative_to(root)): path.read_bytes()
+        for path in Path(root).rglob("*.res")
+    }
+
+
 class TestResolution:
-    def test_default_is_serial_for_one_worker(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert isinstance(resolve_executor(None, parallel=1), SerialExecutor)
+    """The worker count is the only thing that picks the path."""
 
-    def test_default_is_process_pool_for_many_workers(self, monkeypatch):
-        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
-        assert isinstance(resolve_executor(None, parallel=4),
-                          PicklePipeExecutor)
+    def test_default_is_serial_for_one_worker(self, tmp_path):
+        spec = _tagged_spec("pids", pid_point, ("a", "b", "c"))
+        measured = run_sweep(spec, parallel=1, cache_dir=tmp_path)
+        assert set(measured.values()) == {os.getpid()}
+        records = load_manifest(tmp_path / "manifest.jsonl")
+        assert {r["executor"] for r in records} == {"serial"}
 
-    def test_env_variable_overrides_the_default(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "shared-memory")
-        assert isinstance(resolve_executor(None, parallel=1),
-                          SharedMemoryExecutor)
+    def test_more_workers_are_forked_and_served_by_the_hub(self, tmp_path):
+        spec = _tagged_spec("pids", pid_point, ("a", "b", "c"))
+        measured = run_sweep(spec, parallel=2, cache_dir=tmp_path)
+        assert os.getpid() not in measured.values()
+        records = load_manifest(tmp_path / "manifest.jsonl")
+        assert {r["executor"] for r in records} == {"distributed"}
+        assert {r["worker"] for r in records if r["rec"] == "point"} \
+            <= {"w0", "w1"}
 
-    def test_explicit_name_beats_env(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "shared-memory")
-        assert isinstance(resolve_executor("serial", parallel=4),
-                          SerialExecutor)
+    def test_one_pending_point_needs_no_workers(self):
+        spec = _tagged_spec("pids", pid_point, ("only",))
+        assert run_sweep(spec, parallel=4) == {"only": os.getpid()}
 
     def test_explicit_instance_passes_through(self):
-        executor = SharedMemoryExecutor(collect_stats=True)
-        assert resolve_executor(executor, parallel=1) is executor
-
-    def test_unknown_name_rejected_with_catalog(self):
-        with pytest.raises(ValueError) as excinfo:
-            resolve_executor("teleport", parallel=1)
-        message = str(excinfo.value)
-        assert "teleport" in message
-        for name in EXECUTORS:
-            assert name in message
+        # The handle seam: the instance serves the sweep, at whatever
+        # worker count ``parallel`` says -- here a hub with one worker.
+        hub = DistributedExecutor()
+        spec = _tagged_spec("pids", pid_point, ("a", "b"))
+        measured = run_sweep(spec, parallel=1, executor=hub)
+        assert len(set(measured.values())) == 1
+        assert os.getpid() not in measured.values()
+        assert hub.stats.wire_bytes > hub.stats.payload_bytes > 0
 
 
 class TestParallelismDefaults:
@@ -124,118 +151,116 @@ class TestParallelismDefaults:
         assert _pool_context().get_start_method() == "spawn"
 
 
+class TestWorkerStart:
+    def test_forced_spawn_still_completes_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        golden = json.loads(GOLDEN.read_text())
+        measured = run_sweep(_trace_spec(), parallel=2)
+        assert _signature(measured) == golden["signature"]
+
+    def test_start_failure_falls_back_in_process(self, monkeypatch, capsys):
+        class NoFork:
+            @staticmethod
+            def get_start_method():
+                return "fork"
+
+            @staticmethod
+            def Process(*args, **kwargs):
+                raise OSError("fork: operation not permitted")
+
+        monkeypatch.setattr(distributed, "_pool_context", NoFork)
+        spec = _tagged_spec("pids", pid_point, ("a", "b", "c"))
+        measured = run_sweep(spec, parallel=2)
+        assert set(measured.values()) == {os.getpid()}
+        notice = capsys.readouterr().err
+        assert notice.count("sweep workers unavailable") == 1
+        assert "operation not permitted" in notice
+
+
 class TestExecutorParity:
     def test_results_and_cache_entries_bit_identical(self, tmp_path):
         results = {}
         trees = {}
-        for name in ALL_EXECUTORS:
+        for parallel, name in PATHS.items():
             cache = ResultCache(tmp_path / name, fingerprint="pinned")
-            results[name] = run_sweep(_trace_spec(), parallel=2,
-                                      cache=cache, executor=name)
-            trees[name] = {
-                str(path.relative_to(tmp_path / name)): path.read_bytes()
-                for path in (tmp_path / name).rglob("*.res")
-            }
-        reference = ALL_EXECUTORS[0]
-        for name in ALL_EXECUTORS[1:]:
-            assert results[name] == results[reference]
-            assert list(results[name]) == list(results[reference])
-            # Same cache keys (paths) and the same bytes under them.
-            assert trees[name] == trees[reference]
-        assert len(trees[reference]) == len(_trace_spec().points)
+            results[name] = run_sweep(_trace_spec(), parallel=parallel,
+                                      cache=cache)
+            trees[name] = _result_tree(tmp_path / name)
+            records = load_manifest(tmp_path / name / "manifest.jsonl")
+            assert {r["executor"] for r in records} == {name}
+        assert results["distributed"] == results["serial"]
+        assert list(results["distributed"]) == list(results["serial"])
+        # Same cache keys (paths) and the same bytes under them.
+        assert trees["distributed"] == trees["serial"]
+        assert len(trees["serial"]) == len(_trace_spec().points)
 
     def test_golden_signature_pinned(self):
         golden = json.loads(GOLDEN.read_text())
-        for name in ALL_EXECUTORS:
-            measured = run_sweep(_trace_spec(), parallel=2, executor=name)
+        for parallel, name in PATHS.items():
+            measured = run_sweep(_trace_spec(), parallel=parallel)
             assert _signature(measured) == golden["signature"], (
-                f"executor {name!r} diverged from the golden sweep "
+                f"the {name!r} path diverged from the golden sweep "
                 "signature"
             )
 
-    def test_streamed_blobs_do_not_accumulate(self, tmp_path):
-        # Cache writes pop each encoded blob as its result streams in,
-        # so a cached sweep never holds the whole payload volume.
-        executor = SharedMemoryExecutor()
+    def test_hub_bytes_reach_the_cache_without_reencoding(
+            self, tmp_path, monkeypatch):
+        # The worker's digest-checked codec bytes are what lands on
+        # disk: nothing on the hub side encodes a result again.
+        def refuse(*args, **kwargs):
+            raise AssertionError("a hub result was re-encoded")
+
+        monkeypatch.setattr(ResultCache, "put", refuse)
         cache = ResultCache(tmp_path, fingerprint="pinned")
-        run_sweep(_trace_spec(), parallel=2, cache=cache,
-                  executor=executor)
-        assert executor.encoded_payloads == {}
+        run_sweep(_trace_spec(), parallel=2, cache=cache)
         assert cache.writes == len(_trace_spec().points)
-
-    def test_single_point_sweep_still_uses_the_selected_transport(self):
-        spec = SweepSpec(name="one", run_point=trace_point)
-        spec.add("only", tag="only", count=16)
-        executor = SharedMemoryExecutor(collect_stats=True)
-        measured = run_sweep(spec, parallel=1, executor=executor)
-        assert measured["only"]["summary"]["count"] == 16
-        assert executor.stats.payload_bytes > 0
-
-
-class TestSharedMemoryTransport:
-    def test_descriptors_cross_the_pipe_not_payloads(self):
-        executor = SharedMemoryExecutor(collect_stats=True)
-        run_sweep(_trace_spec(), parallel=2, executor=executor)
-        stats = executor.stats
-        assert stats.points == 4
-        assert stats.failures == 0
-        assert stats.payload_bytes > 0
-        assert stats.pipe_bytes > 0
-        # The descriptors are tiny next to the payloads they replace.
-        assert stats.pipe_bytes < stats.payload_bytes
-
-    def test_worker_side_segment_fallback_inlines_the_blob(self):
-        # Simulate segment allocation failing inside the worker: the
-        # blob rides the pipe inline, still framed and digest-checked.
-        from repro.exec.backends import SegmentRef, _evaluate_to_segment
-
-        task = PointTask(run_point=trace_point, index=0, label="x",
-                         config={"tag": "x", "count": 8}, seed=1)
-        index, ok, ref = _evaluate_to_segment(task)
-        assert ok and isinstance(ref, SegmentRef)
-        inline = SegmentRef(ref.label, None, ref.length, ref.digest,
-                            blob=encode_result(
-                                trace_point(task.config, task.seed)))
-        executor = SharedMemoryExecutor()
-        result = executor._collect_one((index, True, inline))
-        assert result[1] is True
-        assert result[2]["summary"]["count"] == 8
-        # Clean up the real segment created above.
-        from repro.exec.backends import _read_segment
-        _read_segment(ref)
-
-    def test_digest_mismatch_is_detected(self):
-        from repro.exec.backends import SegmentRef
-        from repro.exec.codec import CodecError
-
-        blob = encode_result({"x": 1})
-        bad = SegmentRef("pt", None, len(blob), "0" * 16, blob=blob)
-        with pytest.raises(CodecError):
-            SharedMemoryExecutor()._collect_one((0, True, bad))
 
 
 class TestFailurePaths:
-    @pytest.mark.parametrize("name", ALL_EXECUTORS)
-    def test_failures_travel_the_pipe_as_data(self, name):
-        from repro.exec import SweepPointError
-
-        spec = SweepSpec(name="fragile", run_point=failing_point)
-        spec.add("boom", tag="boom")
+    @pytest.mark.parametrize("parallel", PATHS, ids=list(PATHS.values()))
+    def test_failures_travel_the_pipe_as_data(self, parallel):
+        spec = _tagged_spec("fragile", failing_point, ("boom", "bang"))
         with pytest.raises(SweepPointError) as excinfo:
-            run_sweep(spec, parallel=2, executor=name)
-        assert excinfo.value.executor == name
+            run_sweep(spec, parallel=parallel)
+        assert excinfo.value.label == "boom"
+        assert excinfo.value.executor == PATHS[parallel]
         assert "exploded" in excinfo.value.detail
 
     def test_unencodable_payload_is_an_attributable_failure(self):
         # Encoding happens in the worker; an unserializable payload must
         # come back as a SweepPointError naming the point, not as a bare
-        # pickling error that aborts the pool.
-        from repro.exec import SweepPointError
-
-        spec = SweepSpec(name="unencodable", run_point=unencodable_point)
-        spec.add("bad", tag="bad")
+        # pickling error that takes the worker down.
+        spec = _tagged_spec("unencodable", unencodable_point,
+                            ("bad", "worse"))
         with pytest.raises(SweepPointError) as excinfo:
-            run_sweep(spec, parallel=2, executor="shared-memory")
+            run_sweep(spec, parallel=2)
         assert excinfo.value.label == "bad"
-        assert excinfo.value.executor == "shared-memory"
+        assert excinfo.value.executor == "distributed"
         assert "pickle" in excinfo.value.detail.lower()
+
+    def test_oversize_result_fails_its_point_not_the_sweep(self, tmp_path):
+        # A result too large for one wire frame used to leave the hub
+        # waiting forever on a worker that kept heartbeating.
+        spec = _tagged_spec("oversize", oversize_point,
+                            ("small", "huge", "tiny"))
+        cache = ResultCache(tmp_path, fingerprint="pinned")
+        outcome = {}
+
+        def drive():
+            try:
+                run_sweep(spec, parallel=2, cache=cache)
+            except BaseException as exc:  # surfaces in the main thread
+                outcome["error"] = exc
+
+        sweep = threading.Thread(target=drive, daemon=True)
+        sweep.start()
+        sweep.join(timeout=60.0)
+        assert not sweep.is_alive(), "oversize result hung the sweep"
+        error = outcome.get("error")
+        assert isinstance(error, SweepPointError), error
+        assert error.label == "huge"
+        assert "bytes does not fit one wire frame" in error.detail
+        assert f"the limit is {64 * 1024 * 1024}" in error.detail
+        # The worker kept serving: the other points reached the cache.
+        assert len(_result_tree(tmp_path)) == 2

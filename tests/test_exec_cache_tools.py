@@ -117,7 +117,7 @@ class TestCodecBackedCache:
         spec = SweepSpec(name="probe", run_point=identity_point)
         for tag in ("a", "b", "c"):
             spec.add(tag, payload=tag)
-        run_sweep(spec, parallel=1, cache=cache, executor="serial")
+        run_sweep(spec, parallel=1, cache=cache)
         counters = (cache.hits, cache.misses, cache.writes)
         probe = SweepSpec(name="probe", run_point=identity_point)
         for tag in ("a", "b", "c", "d"):
@@ -169,29 +169,26 @@ _CALLS = []
 
 
 class TestSingleRunCaching:
-    # executor="serial" is pinned: these tests observe the in-process
-    # _CALLS side effect, which a pool-based executor (e.g. a
-    # REPRO_EXECUTOR CI override) would confine to a worker process.
+    # A single run is one point, so it is evaluated in this process:
+    # these tests observe the in-process _CALLS side effect.
     def test_run_cached_single_hits_cache(self, tmp_path):
         _CALLS.clear()
         first = run_cached_single("single", _stateful_point, {"tag": "a"},
-                                  cache_dir=tmp_path, executor="serial")
+                                  cache_dir=tmp_path)
         again = run_cached_single("single", _stateful_point, {"tag": "a"},
-                                  cache_dir=tmp_path, executor="serial")
+                                  cache_dir=tmp_path)
         assert first == again == {"tag": "a", "calls": 1}
         assert _CALLS == ["a"]
         # A different config is a different cache key.
         other = run_cached_single("single", _stateful_point, {"tag": "b"},
-                                  cache_dir=tmp_path, executor="serial")
+                                  cache_dir=tmp_path)
         assert other["tag"] == "b"
         assert _CALLS == ["a", "b"]
 
     def test_without_cache_dir_runs_inline(self):
         _CALLS.clear()
-        run_cached_single("single", _stateful_point, {"tag": "c"},
-                          executor="serial")
-        run_cached_single("single", _stateful_point, {"tag": "c"},
-                          executor="serial")
+        run_cached_single("single", _stateful_point, {"tag": "c"})
+        run_cached_single("single", _stateful_point, {"tag": "c"})
         assert _CALLS == ["c", "c"]
 
 

@@ -1,4 +1,4 @@
-"""Tests for the distributed sweep executor (``repro.exec.distributed``).
+"""Tests for the parallel sweep path (``repro.exec.distributed``).
 
 Three layers, separately:
 
@@ -8,9 +8,9 @@ Three layers, separately:
 - one real :class:`~repro.exec.worker.WorkerRuntime` is driven over a
   socketpair by a scripted hub -- the worker side of the
   hello/next/task/result/heartbeat framing;
-- full sweeps run against auto-spawned worker processes, including the
+- full sweeps run against the hub's forked workers, including the
   headline fault test: SIGKILL a worker mid-sweep and the sweep still
-  completes with a cache tree byte-identical to the serial executor's,
+  completes with a cache tree byte-identical to the in-process path's,
   the retry attributed in the run manifest.
 
 Point functions live at module level because workers import them by
@@ -20,6 +20,8 @@ reference.
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import time
 from pathlib import Path
@@ -27,16 +29,16 @@ from pathlib import Path
 import pytest
 
 from repro.exec import (
+    HUB_BIND_ENV,
     ResultCache,
     SweepSpec,
-    default_parallelism,
     run_sweep,
 )
 from repro.exec.codec import CodecError, decode_result
 from repro.exec.distributed import (
     DistributedExecutor,
     SweepHub,
-    WorkerSupervisor,
+    _connect_address,
 )
 from repro.exec.backends import PointTask, _payload_digest
 from repro.exec.worker import (
@@ -92,7 +94,7 @@ def _hub_tasks(count):
 class TestSweepHubProtocol:
     def test_next_task_dispatches_in_index_order(self):
         hub = SweepHub(_hub_tasks(3))
-        hub.register("w0", slots=1)
+        hub.register("w0")
         kind, body = hub.next_task("w0", now=0.0)
         assert kind == "task"
         assert body["index"] == 0
@@ -106,8 +108,8 @@ class TestSweepHubProtocol:
 
     def test_wait_when_everything_is_in_flight(self):
         hub = SweepHub(_hub_tasks(1))
-        hub.register("w0", slots=1)
-        hub.register("w1", slots=1)
+        hub.register("w0")
+        hub.register("w1")
         assert hub.next_task("w0", now=0.0)[0] == "task"
         kind, body = hub.next_task("w1", now=0.0)
         assert kind == "wait"
@@ -115,7 +117,7 @@ class TestSweepHubProtocol:
 
     def test_result_completes_and_attributes_the_point(self):
         hub = SweepHub(_hub_tasks(1))
-        hub.register("w0", slots=1)
+        hub.register("w0")
         _, body = hub.next_task("w0", now=0.0)
         blob = encode_result(grid_point(body["config"], body["seed"]))
         delivered = hub.complete("w0", {
@@ -124,18 +126,17 @@ class TestSweepHubProtocol:
             "peak_rss_kb": 10, "events": 0,
         })
         assert delivered is not None
-        (index, ok, envelope), returned = delivered
-        assert (index, ok) == (0, True)
-        assert returned == blob
-        assert envelope.telemetry.worker == "w0"
-        assert envelope.telemetry.retries == 0
-        assert envelope.payload == grid_point({"n": 0}, 1000)
+        assert (delivered.index, delivered.ok) == (0, True)
+        assert delivered.blob == blob
+        assert delivered.telemetry.worker == "w0"
+        assert delivered.telemetry.retries == 0
+        assert delivered.payload == grid_point({"n": 0}, 1000)
         assert hub.done
         assert hub.next_task("w0", now=1.0)[0] == "bye"
 
     def test_duplicate_result_is_suppressed(self):
         hub = SweepHub(_hub_tasks(1))
-        hub.register("w0", slots=1)
+        hub.register("w0")
         hub.next_task("w0", now=0.0)
         blob = encode_result(grid_point({"n": 0}, 1000))
         frame = {"index": 0, "ok": True, "blob": blob,
@@ -145,7 +146,7 @@ class TestSweepHubProtocol:
 
     def test_torn_result_blob_is_rejected(self):
         hub = SweepHub(_hub_tasks(1))
-        hub.register("w0", slots=1)
+        hub.register("w0")
         hub.next_task("w0", now=0.0)
         blob = encode_result(grid_point({"n": 0}, 1000))
         with pytest.raises(CodecError):
@@ -154,13 +155,13 @@ class TestSweepHubProtocol:
 
     def test_worker_loss_requeues_with_backoff(self):
         hub = SweepHub(_hub_tasks(2), retry_base_delay=0.5)
-        hub.register("w0", slots=1)
+        hub.register("w0")
         _, body = hub.next_task("w0", now=0.0)
         assert body["index"] == 0
         failures, requeued = hub.lose("w0", now=10.0)
         assert failures == []
         assert requeued == 1
-        hub.register("w1", slots=1)
+        hub.register("w1")
         # Index 1 was never dispatched and is immediately available;
         # index 0 is held back until its backoff deadline passes.
         _, body = hub.next_task("w1", now=10.0)
@@ -176,43 +177,23 @@ class TestSweepHubProtocol:
         hub = SweepHub(_hub_tasks(1), max_retries=1, retry_base_delay=0.0)
         for round_ in range(2):
             name = f"w{round_}"
-            hub.register(name, slots=1)
+            hub.register(name)
             kind, _ = hub.next_task(name, now=float(round_))
             assert kind == "task"
             failures, _ = hub.lose(name, now=float(round_))
         assert len(failures) == 1
-        index, ok, envelope = failures[0]
-        assert (index, ok) == (0, False)
-        assert "retries exhausted" in envelope.payload
-        assert envelope.telemetry.retries == 1
+        failure = failures[0]
+        assert (failure.index, failure.ok) == (0, False)
+        assert "retries exhausted" in failure.payload
+        assert failure.telemetry.retries == 1
         assert hub.done
 
     def test_lost_worker_asking_again_is_told_bye(self):
         hub = SweepHub(_hub_tasks(2))
-        hub.register("w0", slots=1)
+        hub.register("w0")
         hub.next_task("w0", now=0.0)
         hub.lose("w0", now=0.0)
         assert hub.next_task("w0", now=5.0)[0] == "bye"
-
-    def test_capacity_follows_advertised_slots(self):
-        hub = SweepHub(_hub_tasks(16))
-        assert hub.capacity() == 1  # nothing registered yet
-        hub.register("w0", slots=3)
-        hub.register("w1", slots=2)
-        assert hub.capacity() == 5
-        hub.lose("w1", now=0.0)
-        assert hub.capacity() == 3
-
-
-class TestRemoteParallelism:
-    def test_remote_slots_replace_local_cpu_count(self):
-        assert default_parallelism(remote_slots=[2, 3]) == 5
-        assert default_parallelism(task_count=4, remote_slots=[2, 3]) == 4
-        assert default_parallelism(task_count=100, remote_slots=[8]) == 8
-
-    def test_empty_or_bogus_slots_degrade_to_one(self):
-        assert default_parallelism(remote_slots=[]) == 1
-        assert default_parallelism(remote_slots=[0, -4]) == 1
 
 
 class TestFunctionReference:
@@ -227,6 +208,12 @@ class TestFunctionReference:
 
         with pytest.raises(ValueError):
             function_reference(local)
+        # ...and up front: before a hub exists, let alone a worker.
+        spec = SweepSpec(name="local", run_point=local)
+        spec.add("a", n=1)
+        spec.add("b", n=2)
+        with pytest.raises(ValueError, match="module-level"):
+            run_sweep(spec, parallel=2)
 
     def test_source_file_fallback_for_unimportable_modules(self, tmp_path):
         script = tmp_path / "sweep_script.py"
@@ -324,12 +311,12 @@ class TestWorkerProtocol:
         hub_channel.send("bye")
 
 
-def _grid_spec(gate=None, slow_label="n=0"):
+def _grid_spec(gate=None, slow_labels=("n=0",), points=6):
     spec = SweepSpec(name="dist-grid", run_point=gated_point)
-    for n in range(6):
+    for n in range(points):
         label = f"n={n}"
         config = {"n": n}
-        if gate is not None and label == slow_label:
+        if gate is not None and label in slow_labels:
             config["gate"] = gate
         spec.add(label, **config)
     return spec
@@ -342,21 +329,38 @@ def _result_tree(root):
     }
 
 
+def _children():
+    """PIDs of this process's live (or unreaped) children."""
+    me = str(os.getpid())
+    found = set()
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+        except OSError:
+            continue  # exited while we were looking
+        # pid (comm) state ppid ...; comm may contain spaces.
+        if stat.rpartition(")")[2].split()[1] == me:
+            found.add(int(entry))
+    return found
+
+
 class TestDistributedSweeps:
     def test_stats_account_wire_traffic_and_attribution(self, tmp_path):
-        executor = DistributedExecutor(collect_stats=True, workers=2)
+        executor = DistributedExecutor()
         spec = SweepSpec(name="stats", run_point=grid_point)
         for n in range(5):
             spec.add(f"n={n}", n=n)
-        measured = run_sweep(spec, executor=executor)
+        measured = run_sweep(spec, parallel=2, executor=executor,
+                             cache_dir=tmp_path)
         assert len(measured) == 5
-        assert executor.stats.points == 5
-        assert executor.stats.failures == 0
         assert executor.stats.wire_bytes > executor.stats.payload_bytes > 0
         assert executor.stats.retries == 0
-        assert sum(executor.worker_points.values()) == 5
-        assert set(executor.worker_points) <= {"w0", "w1"}
-        assert executor.remote_capacity == 2
+        points = [r for r in load_manifest(tmp_path / "manifest.jsonl")
+                  if r["rec"] == "point"]
+        assert len(points) == 5
+        assert {r["worker"] for r in points} <= {"w0", "w1"}
 
     def test_refuses_recursion_inside_a_worker(self, monkeypatch):
         from repro.exec.worker import WORKER_ENV
@@ -364,24 +368,107 @@ class TestDistributedSweeps:
         monkeypatch.setenv(WORKER_ENV, "1")
         spec = SweepSpec(name="nested", run_point=grid_point)
         spec.add("n=1", n=1)
+        spec.add("n=2", n=2)
         with pytest.raises(RuntimeError, match="__main__"):
-            run_sweep(spec, executor=DistributedExecutor(workers=1))
+            run_sweep(spec, parallel=2)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_no_thread_or_child_process_outlives_the_sweep(self):
+        children = _children()
+        # Fewer points than workers: one worker is told ``wait`` and is
+        # idling in its back-off when the sweep completes.
+        for points in (2, 3, 24):
+            started = time.monotonic()
+            assert len(run_sweep(_grid_spec(points=points), parallel=4)) \
+                == points
+            elapsed = time.monotonic() - started
+            assert elapsed < 2.0, f"{points}-point sweep took {elapsed:.2f}s"
+            assert not [
+                thread.name for thread in threading.enumerate()
+                if thread.name.startswith("repro-hub-")
+            ]
+            assert _children() <= children
+
+    def test_tcp_wildcard_bind_connects_via_loopback(self):
+        assert _connect_address(("0.0.0.0", 4242)) == ("127.0.0.1", 4242)
+        assert _connect_address(("10.0.0.7", 4242)) == ("10.0.0.7", 4242)
+        assert _connect_address("/tmp/hub.sock") == "/tmp/hub.sock"
+
+    def test_external_worker_joins_through_hub_bind(
+            self, tmp_path, monkeypatch):
+        """``REPRO_HUB_BIND`` is the whole multi-host story: the hub
+        serves on that address, still starts its local workers, and an
+        externally launched daemon computes points next to them."""
+        address = f"unix:{tmp_path / 'hub.sock'}"
+        gate = str(tmp_path / "gate")
+        monkeypatch.setenv(HUB_BIND_ENV, address)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        env.pop(HUB_BIND_ENV)
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.exec.worker",
+             "--hub", address, "--name", "remote"],
+            env=env,
+        )
+        cache_dir = tmp_path / "cache"
+        outcome = {}
+
+        def drive():
+            try:
+                # Two local workers; both gated points can be held
+                # while a third worker still finds work.
+                outcome["results"] = run_sweep(
+                    _grid_spec(gate=gate, slow_labels=("n=0", "n=1")),
+                    parallel=2, cache_dir=cache_dir,
+                )
+            except BaseException as exc:  # surfaces in the main thread
+                outcome["error"] = exc
+
+        sweep = threading.Thread(target=drive)
+        sweep.start()
+        try:
+            # Held shut until the daemon has had time to connect: with
+            # the gated points pinning two workers, the third gets work.
+            daemon_deadline = time.time() + 20.0
+            manifest = cache_dir / "manifest.jsonl"
+            while time.time() < daemon_deadline:
+                if manifest.exists() and len(
+                        manifest.read_text().splitlines()) >= 4:
+                    break
+                time.sleep(0.02)
+        finally:
+            Path(gate).touch()
+            sweep.join(timeout=60.0)
+            try:
+                daemon.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait()
+        assert not sweep.is_alive()
+        assert "error" not in outcome, outcome.get("error")
+        assert daemon.returncode == 0  # it was told ``bye``
+        assert not (tmp_path / "hub.sock").exists()
+        workers = {
+            record["worker"] for record in load_manifest(manifest)
+            if record.get("rec") == "point"
+        }
+        assert workers == {"w0", "w1", "remote"}
 
     def test_worker_kill_mid_sweep_is_byte_identical(self, tmp_path):
         """SIGKILL one worker while it holds a point: the sweep must
-        complete, the cache tree must match the serial executor's byte
+        complete, the cache tree must match the in-process path's byte
         for byte, and the retry must be attributed in the manifest."""
         gate = str(tmp_path / "gate")
         serial_dir = tmp_path / "serial"
         dist_dir = tmp_path / "dist"
 
-        executor = DistributedExecutor(collect_stats=True, workers=2)
+        executor = DistributedExecutor()
         outcome = {}
 
         def drive():
             try:
                 outcome["results"] = run_sweep(
-                    _grid_spec(gate=gate),
+                    _grid_spec(gate=gate), parallel=2,
                     cache=ResultCache(dist_dir, fingerprint="pinned"),
                     executor=executor,
                 )
@@ -413,7 +500,7 @@ class TestDistributedSweeps:
         serial_results = run_sweep(
             _grid_spec(gate=gate),
             cache=ResultCache(serial_dir, fingerprint="pinned"),
-            executor="serial",
+            parallel=1,
         )
         assert outcome["results"] == serial_results
         dist_tree = _result_tree(dist_dir)
@@ -426,22 +513,6 @@ class TestDistributedSweeps:
                    and r.get("label") == "n=0"]
         assert retried and retried[0]["retries"] >= 1
         assert retried[0]["worker"] != victim  # finished elsewhere
-
-
-class TestWorkerSupervisorArgv:
-    def test_builds_worker_command_lines(self, tmp_path):
-        supervisor = WorkerSupervisor(str(tmp_path), str(tmp_path / "s"),
-                                      slots=2)
-        argv = supervisor.build_argv("w3")
-        assert argv[1:3] == ["-m", "repro.exec.worker"]
-        assert argv[argv.index("--name") + 1] == "w3"
-        assert argv[argv.index("--slots") + 1] == "2"
-        assert argv[argv.index("--hub") + 1].startswith("unix:")
-
-    def test_tcp_wildcard_bind_connects_via_loopback(self, tmp_path):
-        supervisor = WorkerSupervisor(str(tmp_path), ("0.0.0.0", 4242))
-        argv = supervisor.build_argv("w0")
-        assert argv[argv.index("--hub") + 1] == "tcp:127.0.0.1:4242"
 
 
 class TestWorkerAttributionSurfaces:

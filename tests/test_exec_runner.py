@@ -131,14 +131,16 @@ class TestFailures:
         assert "ValueError" in error.detail
 
     @pytest.mark.parametrize(
-        "executor", ["serial", "process-pool", "shared-memory"]
+        "parallel, executor", [(1, "serial"), (2, "distributed")],
+        ids=["serial", "distributed"],
     )
-    def test_failure_message_names_executor_and_label(self, executor):
+    def test_failure_message_names_executor_and_label(
+            self, parallel, executor):
         spec = SweepSpec(name="fragile", run_point=failing_point)
         for x in (1, 2, 3):
             spec.add(f"x={x}", x=x)
         with pytest.raises(SweepPointError) as excinfo:
-            run_sweep(spec, parallel=2, executor=executor)
+            run_sweep(spec, parallel=parallel)
         error = excinfo.value
         assert error.executor == executor
         assert repr(executor) in str(error)

@@ -308,12 +308,8 @@ def swept_manifest(tmp_path):
     for x in range(3):
         spec.add(f"x-{x}", x=x)
     cache_dir = tmp_path / "cache"
-    # Executor pinned so the recorded names are assertable even under
-    # a REPRO_EXECUTOR override (the tier1-shared-memory CI job).
-    run_sweep(spec, parallel=1, executor="serial",
-              cache=ResultCache(cache_dir))
-    run_sweep(spec, parallel=1, executor="serial",
-              cache=ResultCache(cache_dir))  # all hits
+    run_sweep(spec, parallel=1, cache=ResultCache(cache_dir))
+    run_sweep(spec, parallel=1, cache=ResultCache(cache_dir))  # all hits
     return cache_dir
 
 

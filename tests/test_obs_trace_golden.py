@@ -2,12 +2,12 @@
 
 The observability acceptance claims: a seeded simulated run traces
 deterministically (so the JSONL is golden-pinnable), the identical
-trace comes back from every sweep executor (the trace is built inside
-whichever worker evaluates the point, and virtual time plus canonical
-serialization leave nothing host-dependent), and the live backend
-emits the same protocol-decision shape as the simulator for the same
-scenario (timestamps and transport interleavings differ, decisions
-must not).
+trace comes back in process and from the sweep hub's workers (the trace
+is built inside whichever worker evaluates the point, and virtual time
+plus canonical serialization leave nothing host-dependent), and the
+live backend emits the same protocol-decision shape as the simulator
+for the same scenario (timestamps and transport interleavings differ,
+decisions must not).
 
 Regenerate the pin after an intentional event-vocabulary change::
 
@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec import EXECUTORS, run_sweep
+from repro.exec import run_sweep
 from repro.exec.live import live_smoke_point
 from repro.exec.spec import SweepSpec
 from repro.obs import events_jsonl, trace_run
@@ -63,20 +63,25 @@ class TestGoldenTrace:
                 "repl.write", "repl.read", "repl.propagate",
                 "repl.emit"} <= kinds
 
-    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("parallel", [1, 2],
+                             ids=["serial", "distributed"])
     def test_trace_bit_identical_under_every_executor(
-            self, executor, tmp_path, monkeypatch):
+            self, parallel, tmp_path, monkeypatch):
         # REPRO_TRACE=<dir> makes the evaluating worker trace the point
-        # and persist trace-<label>.jsonl there, wherever it runs.
+        # and persist trace-<label>.jsonl there, wherever it runs: in
+        # this process, or in the hub's forked workers.
         trace_dir = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE", str(trace_dir))
         spec = SweepSpec(name="obs-golden", run_point=live_smoke_point)
         spec.add("sim", **CONFIG)
-        run_sweep(spec, parallel=1, executor=executor)
-        written = trace_dir / "trace-sim.jsonl"
-        assert written.read_text() == GOLDEN.read_text(), (
-            f"executor {executor!r} produced a different trace"
-        )
+        spec.add("again", **CONFIG)
+        run_sweep(spec, parallel=parallel)
+        for label in spec.labels():
+            written = trace_dir / f"trace-{label}.jsonl"
+            assert written.read_text() == GOLDEN.read_text(), (
+                f"parallel={parallel} produced a different trace "
+                f"for {label!r}"
+            )
 
 
 class TestSimLiveTraceParity:
