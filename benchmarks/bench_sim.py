@@ -1,10 +1,8 @@
-"""Simulation-core benchmark: clients/sec across scheduler and cohort modes.
+"""Simulation-core benchmark: clients/sec, per-client vs cohorted readers.
 
 Drives one fixed read-heavy scenario (the Fig. 2 tree under the
-conference-example policy) at a configurable client population through
-the four corners of the scale matrix -- ``scheduler`` in
-``{heap, calendar}`` x ``cohort`` in ``{per-client, cohorted}`` -- and
-emits ``BENCH_sim.json``::
+conference-example policy) at a configurable client population with
+per-client and with cohorted readers, and emits ``BENCH_sim.json``::
 
     python benchmarks/bench_sim.py                   # 10^4 clients
     python benchmarks/bench_sim.py --caches 4 --readers 100 --cohort 50
@@ -14,17 +12,7 @@ Per configuration the report records wall-clock clients-simulated/sec
 (population / end-to-end seconds, build included -- binding 10^4 browsers
 is real cost that cohorts remove), kernel events/sec, and the process
 peak RSS.  Every configuration runs in its own subprocess so
-``ru_maxrss`` is that configuration's high-water mark, not the matrix's.
-
-Two extra sections pin the claims behind the matrix:
-
-- ``queue_microbench`` -- a raw hold-model (push/pop churn at a large
-  steady pending count) comparison of the two event queues, where the
-  calendar queue's O(1) behaviour actually shows; the scenario runs at
-  small pending counts are dominated by protocol work, not queue ops.
-- ``signature_parity`` -- the coherence signature of a small reference
-  run compared across ``scheduler="heap"`` / ``"calendar"``: bit-equal,
-  because both queues fire the identical ``(time, seq)`` order.
+``ru_maxrss`` is that configuration's high-water mark, not the pair's.
 
 Not a pytest module: run it directly (CI treats the perf trajectory as
 data, not as a gate).
@@ -39,7 +27,7 @@ import resource
 import subprocess
 import sys
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -47,8 +35,6 @@ if SRC not in sys.path:
     sys.path.insert(0, SRC)
 
 from repro.replication.policy import ReplicationPolicy  # noqa: E402
-from repro.sim.events import Event  # noqa: E402
-from repro.sim.queues import make_event_queue  # noqa: E402
 from repro.workload.profiles import WorkloadProfile, run_profile  # noqa: E402
 
 #: The benchmark traffic mix: a handful of master writes under a large
@@ -63,7 +49,6 @@ BENCH_PROFILE = WorkloadProfile(
 
 
 def run_scenario(
-    scheduler: str,
     cohort_size: int,
     n_caches: int,
     readers_per_cache: int,
@@ -79,12 +64,10 @@ def run_scenario(
         seed=seed,
         n_readers_per_cache=readers_per_cache,
         cohort_size=cohort_size,
-        scheduler=scheduler,
     )
     elapsed = time.perf_counter() - started
     events = deployment.sim.events_fired
     return {
-        "scheduler": scheduler,
         "cohort_size": cohort_size,
         "clients": population,
         "processes": 1 + (
@@ -99,7 +82,7 @@ def run_scenario(
 
 
 def run_scenario_isolated(args: argparse.Namespace,
-                          scheduler: str, cohort: int) -> Dict[str, Any]:
+                          cohort: int) -> Dict[str, Any]:
     """Run one configuration in a fresh subprocess; best of ``repeats``.
 
     Isolation keeps ``ru_maxrss`` per-configuration and each timing free
@@ -108,7 +91,6 @@ def run_scenario_isolated(args: argparse.Namespace,
     best: Dict[str, Any] = {}
     for _ in range(args.repeats):
         payload = json.dumps({
-            "scheduler": scheduler,
             "cohort_size": cohort,
             "n_caches": args.caches,
             "readers_per_cache": args.readers,
@@ -126,62 +108,12 @@ def run_scenario_isolated(args: argparse.Namespace,
     return best
 
 
-def bench_queue(scheduler: str, pending: int, churn: int) -> Dict[str, Any]:
-    """Raw hold-model event-queue churn: the scheduler-only comparison.
-
-    Fills the queue to ``pending`` events, then performs ``churn``
-    hold operations (pop the minimum, push a replacement slightly in the
-    future) -- the steady-state access pattern of a large simulation.
-    """
-    def nop() -> None:
-        pass
-
-    queue = make_event_queue(scheduler)
-    # Deterministic quasi-uniform arrival times; no RNG needed.
-    for seq in range(pending):
-        queue.push(Event(time=(seq * 0.61803398875) % 60.0, seq=seq, fn=nop))
-    started = time.perf_counter()
-    seq = pending
-    for _ in range(churn):
-        event = queue.pop()
-        queue.push(Event(time=event.time + 30.0, seq=seq, fn=nop))
-        seq += 1
-    elapsed = time.perf_counter() - started
-    return {
-        "pending": pending,
-        "churn_ops": churn,
-        "seconds": round(elapsed, 4),
-        "ops_per_sec": round(churn / elapsed, 1),
-    }
-
-
-def signature_parity(seed: int) -> Dict[str, Any]:
-    """Coherence-signature equality across schedulers (reference run)."""
-    from repro.coherence.trace import coherence_signature
-
-    signatures: List[Dict] = []
-    for scheduler in ("heap", "calendar"):
-        deployment = run_profile(
-            ReplicationPolicy.conference_example(),
-            BENCH_PROFILE,
-            n_caches=2,
-            seed=seed,
-            n_readers_per_cache=5,
-            scheduler=scheduler,
-        )
-        signatures.append(coherence_signature(deployment.site.trace))
-    return {
-        "population": 10,
-        "match": signatures[0] == signatures[1],
-    }
-
-
 def main(argv) -> int:
-    """Run the benchmark matrix and write the JSON report."""
+    """Run both configurations and write the JSON report."""
     parser = argparse.ArgumentParser(
         prog="python benchmarks/bench_sim.py",
-        description="Benchmark the simulation core across scheduler/cohort "
-                    "configurations.",
+        description="Benchmark the simulation core with per-client and "
+                    "cohorted readers.",
     )
     parser.add_argument("--caches", type=int, default=20,
                         help="client-initiated stores (default 20)")
@@ -196,9 +128,6 @@ def main(argv) -> int:
     parser.add_argument("--repeats", type=int, default=2,
                         help="runs per configuration; best counts "
                              "(default 2)")
-    parser.add_argument("--queue-pending", type=int, default=100_000,
-                        help="pending events in the raw queue microbench "
-                             "(default 100000)")
     parser.add_argument("--out", default="BENCH_sim.json",
                         help="report path (default BENCH_sim.json)")
     parser.add_argument("--single", metavar="JSON", default=None,
@@ -212,47 +141,25 @@ def main(argv) -> int:
 
     population = args.caches * args.readers
     report: Dict[str, Any] = {
-        "benchmark": "Fig. 2 tree, read-heavy traffic, scheduler x cohort",
+        "benchmark": "Fig. 2 tree, read-heavy traffic, per-client vs cohort",
         "cpu_count": os.cpu_count(),
         "population": population,
         "cohort_size": args.cohort,
         "configurations": {},
     }
-    matrix = [
-        ("heap", 1),
-        ("calendar", 1),
-        ("heap", args.cohort),
-        ("calendar", args.cohort),
-    ]
-    for scheduler, cohort in matrix:
-        label = f"{scheduler}+{'cohort' if cohort > 1 else 'per-client'}"
-        entry = run_scenario_isolated(args, scheduler, cohort)
+    for label, cohort in (("per-client", 1), ("cohort", args.cohort)):
+        entry = run_scenario_isolated(args, cohort)
         report["configurations"][label] = entry
-        print(f"{label:>20}: {entry['clients_per_sec']:>12,.0f} clients/sec  "
+        print(f"{label:>12}: {entry['clients_per_sec']:>12,.0f} clients/sec  "
               f"{entry['events_per_sec']:>12,.0f} events/sec  "
               f"rss {entry['peak_rss_kb']:>8,} KB")
 
-    baseline = report["configurations"]["heap+per-client"]
-    best = report["configurations"]["calendar+cohort"]
-    report["calendar_cohort_vs_heap_per_client"] = round(
-        best["clients_per_sec"] / baseline["clients_per_sec"], 2
+    configurations = report["configurations"]
+    report["cohort_vs_per_client"] = round(
+        configurations["cohort"]["clients_per_sec"]
+        / configurations["per-client"]["clients_per_sec"], 2
     )
-
-    churn = max(10_000, args.queue_pending // 2)
-    queues = {
-        name: bench_queue(name, args.queue_pending, churn)
-        for name in ("heap", "calendar")
-    }
-    report["queue_microbench"] = queues
-    report["calendar_vs_heap_queue_ratio"] = round(
-        queues["calendar"]["ops_per_sec"] / queues["heap"]["ops_per_sec"], 3
-    )
-    report["signature_parity"] = signature_parity(args.seed)
-
-    print(f"calendar+cohort vs heap+per-client: "
-          f"{report['calendar_cohort_vs_heap_per_client']}x   "
-          f"queue ratio {report['calendar_vs_heap_queue_ratio']}x   "
-          f"parity {report['signature_parity']['match']}")
+    print(f"cohort vs per-client: {report['cohort_vs_per_client']}x")
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2)
         handle.write("\n")

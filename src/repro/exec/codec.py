@@ -19,9 +19,9 @@ per-metric sample arrays -- a dense, deterministic binary form:
 Encoding is deterministic: the same value always produces the same
 bytes (dict insertion order is preserved through a round trip), which
 is what lets the golden tests assert cache-entry *byte* equality across
-executors.  :func:`decode_result` is strict -- any malformed, truncated
-or trailing input raises :class:`CodecError` rather than returning a
-partial value, so a corrupt cache entry or shared-memory segment is
+worker counts.  :func:`decode_result` is strict -- any malformed,
+truncated or trailing input raises :class:`CodecError` rather than
+returning a partial value, so a corrupt cache entry or wire frame is
 always detected.
 """
 

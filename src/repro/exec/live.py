@@ -49,9 +49,6 @@ def live_smoke_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
         pages=dict(pages),
         seed=int(config.get("seed", 0)),
         backend=backend,
-        # Event-queue choice for the sim backend; must never change the
-        # signature (the scheduler-parity golden pins exactly that).
-        scheduler=config.get("scheduler"),
     )
     try:
         master = deployment.browsers["master"]

@@ -6,10 +6,10 @@ its local workers straight into :func:`serve`, and the command line
 runs the same function on any host that can reach the hub's address.
 The worker connects to its hub over the codec-framed wire layer
 (:mod:`repro.runtime.wire`, retrying with backoff so start order never
-matters), announces itself with a ``hello`` frame carrying its
-advertised ``slots`` capacity, and then serves a *pull-based* loop:
+matters), announces itself with a ``hello`` frame, and then serves a
+*pull-based* loop:
 
-- when it has a free slot it sends a ``next`` frame; the hub answers
+- when it is idle it sends a ``next`` frame; the hub answers
   with one ``task`` (function reference + config + derived seed), a
   ``wait`` (nothing dispatchable right now -- back off and ask again),
   or ``bye`` (the sweep is complete);
@@ -30,11 +30,9 @@ times, and the bytes that come back are identical.  That is what lets
 the hub requeue in-flight tasks of a lost worker and still produce a
 result tree byte-identical to the in-process path's.
 
-``--slots N`` advertises capacity and runs up to ``N`` tasks
-concurrently on in-process threads.  Python threads only overlap
-points that block (I/O, subprocesses); for CPU-bound sweep points run
-one single-slot worker per core instead -- that is exactly what the
-hub does with its local workers.
+A worker runs one task at a time on its own thread: ask, evaluate,
+answer, ask again.  To use more cores, run one worker per core -- that
+is exactly what the hub does with its local workers.
 """
 
 from __future__ import annotations
@@ -48,7 +46,6 @@ import select
 import sys
 import threading
 import traceback
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.exec.backends import PointTask, _evaluate, _payload_digest
@@ -151,26 +148,19 @@ class WorkerRuntime:
         self,
         channel: FrameChannel,
         name: str,
-        slots: int = 1,
         heartbeat_interval: float = HEARTBEAT_INTERVAL,
     ) -> None:
         self.channel = channel
         self.name = name
-        self.slots = max(1, int(slots))
         self.heartbeat_interval = heartbeat_interval
         self._stop_heartbeat = threading.Event()
         self._stopping = False
-        self._lock = threading.Lock()
-        self._requested = 0
-        self._outstanding = 0
 
     # -- handshake -----------------------------------------------------------
 
     def _handshake(self) -> bool:
         """Register with the hub; adopt its import paths."""
-        self.channel.send(
-            "hello", node=self.name, pid=os.getpid(), slots=self.slots
-        )
+        self.channel.send("hello", node=self.name, pid=os.getpid())
         frame = self.channel.recv()
         if frame is None or frame[0] != "welcome":
             return False
@@ -184,20 +174,13 @@ class WorkerRuntime:
     # -- requesting ----------------------------------------------------------
 
     def _request(self) -> None:
-        """Ask for work for every idle slot (at most one ask per slot)."""
-        while True:
-            with self._lock:
-                if (self._stopping
-                        or self._requested + self._outstanding >= self.slots):
-                    return
-                self._requested += 1
-            try:
-                self.channel.send("next", node=self.name)
-            except WireError:
-                self._stopping = True
-                return
+        """Ask the hub for one task."""
+        try:
+            self.channel.send("next", node=self.name)
+        except WireError:
+            self._stopping = True
 
-    # -- task execution (pool threads) ---------------------------------------
+    # -- task execution ------------------------------------------------------
 
     def _execute(self, body: Dict[str, Any]) -> None:
         """Evaluate one task and stream its result frame back."""
@@ -247,8 +230,6 @@ class WorkerRuntime:
             {"ok": True, "blob": blob, "digest": _payload_digest(blob)}
             if ok else {"ok": False, "error": error}
         )
-        with self._lock:
-            self._outstanding -= 1
         try:
             try:
                 self.channel.send("result", **body, **outcome)
@@ -262,9 +243,6 @@ class WorkerRuntime:
                 )
         except WireError:
             self._stopping = True
-            return
-        # Completion-driven pull: the freed slot asks for more work.
-        self._request()
 
     # -- threads -------------------------------------------------------------
 
@@ -285,10 +263,6 @@ class WorkerRuntime:
             daemon=True,
         )
         beat.start()
-        pool = ThreadPoolExecutor(
-            max_workers=self.slots,
-            thread_name_prefix=f"repro-worker-{self.name}",
-        )
         try:
             self._request()
             while not self._stopping:
@@ -297,19 +271,13 @@ class WorkerRuntime:
                     break
                 kind, body = frame
                 if kind == "task":
-                    with self._lock:
-                        self._requested -= 1
-                        self._outstanding += 1
-                    pool.submit(self._execute, body)
+                    self._execute(body)
+                    self._request()
                 elif kind == "wait":
-                    with self._lock:
-                        self._requested -= 1
-                        idle = self._requested + self._outstanding == 0
-                    # Nothing running and nothing promised: back off
-                    # for the hub-suggested delay, then re-ask -- unless
-                    # the hub speaks first (``bye``: the sweep finished
-                    # while this worker had nothing to do).
-                    if idle and not select.select(
+                    # Back off for the hub-suggested delay, then re-ask
+                    # -- unless the hub speaks first (``bye``: the sweep
+                    # finished while this worker had nothing to do).
+                    if not select.select(
                             [self.channel.sock], [], [],
                             float(body.get("delay", 0.05)))[0]:
                         self._request()
@@ -317,8 +285,6 @@ class WorkerRuntime:
                     break
                 # Unknown frames are ignored (forward compatibility).
         finally:
-            self._stopping = True
-            pool.shutdown(wait=True)
             self._stop_heartbeat.set()
             self.channel.close()
         return 0
@@ -327,7 +293,6 @@ class WorkerRuntime:
 def serve(
     address: Address,
     name: str,
-    slots: int = 1,
     heartbeat_interval: float = HEARTBEAT_INTERVAL,
     connect_timeout: float = 20.0,
 ) -> int:
@@ -339,8 +304,7 @@ def serve(
         print(f"repro.exec.worker {name}: {exc}", file=sys.stderr)
         return 1
     runtime = WorkerRuntime(
-        FrameChannel(sock), name, slots=slots,
-        heartbeat_interval=heartbeat_interval,
+        FrameChannel(sock), name, heartbeat_interval=heartbeat_interval,
     )
     return runtime.run()
 
@@ -355,9 +319,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--hub", required=True,
                         help="hub address (unix:<path> or tcp:<host>:<port>)")
     parser.add_argument("--name", required=True, help="this worker's name")
-    parser.add_argument("--slots", type=int, default=1,
-                        help="advertised task capacity (default 1; run one "
-                             "worker per core for CPU-bound sweeps)")
     parser.add_argument("--heartbeat-interval", type=float,
                         default=HEARTBEAT_INTERVAL, metavar="SECONDS",
                         help=f"liveness beat period (default "
@@ -368,7 +329,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "(default 20)")
     args = parser.parse_args(argv)
     return serve(
-        parse_address(args.hub), args.name, slots=args.slots,
+        parse_address(args.hub), args.name,
         heartbeat_interval=args.heartbeat_interval,
         connect_timeout=args.connect_timeout,
     )

@@ -1,13 +1,11 @@
-"""Experiment X13: the scale matrix -- schedulers and cohorts at work.
+"""Experiment X13: per-client vs cohorted readers at scale.
 
-Drives one read-heavy Fig. 2 scenario across the simulation core's scale
-knobs (``scheduler="heap"|"calendar"``, per-client vs cohorted readers)
-at a configurable population, reporting clients-simulated/sec and
-events/sec per configuration plus the weighted-metrics sanity row: the
-cohorted run must account for exactly as many client reads as its
-population.  This is the in-tree, cached companion to
-``benchmarks/bench_sim.py`` (which adds subprocess RSS isolation and the
-raw queue microbenchmark and writes ``BENCH_sim.json``).
+Drives one read-heavy Fig. 2 scenario with per-client and with cohorted
+readers at a configurable population, reporting clients-simulated/sec
+and events per configuration plus the weighted-metrics sanity column:
+the cohorted run must account for exactly as many client reads as its
+population.  This is the in-tree companion to ``benchmarks/bench_sim.py``
+(which adds subprocess RSS isolation and writes ``BENCH_sim.json``).
 """
 
 from __future__ import annotations
@@ -37,53 +35,45 @@ def run_scale(
     cohort_size: int = 50,
     cache_dir: Optional[str] = None,
 ) -> ExperimentResult:
-    """X13: scheduler x cohort scale matrix (defaults: 400 clients)."""
+    """X13: per-client vs cohort at scale (defaults: 400 clients)."""
     del cache_dir  # timing experiment: caching wall-clock runs is wrong
     population = n_caches * readers_per_cache
     result = ExperimentResult(
-        name="X13: Simulation-core scale matrix -- "
-             f"{population} clients, scheduler x cohort",
+        name="X13: Simulation-core scale -- "
+             f"{population} clients, per-client vs cohort",
         headers=["configuration", "processes", "events", "seconds",
                  "clients/sec", "weighted reads"],
     )
     expected_reads = population * SCALE_PROFILE.reads_per_client
     rates = {}
-    for scheduler in ("heap", "calendar"):
-        for cohort in (1, cohort_size):
-            label = (
-                f"{scheduler}+"
-                f"{'cohort' if cohort > 1 else 'per-client'}"
-            )
-            started = time.perf_counter()
-            deployment = run_profile(
-                ReplicationPolicy.conference_example(),
-                SCALE_PROFILE,
-                n_caches=n_caches,
-                seed=seed,
-                n_readers_per_cache=readers_per_cache,
-                cohort_size=cohort,
-                scheduler=scheduler,
-            )
-            elapsed = time.perf_counter() - started
-            reads = staleness_summary(deployment.site.trace).reads
-            rates[label] = population / elapsed
-            result.add_row(
-                label,
-                1 + (len(deployment.cohorts) or population),
-                deployment.sim.events_fired,
-                round(elapsed, 3),
-                round(rates[label], 1),
-                f"{reads} ({'ok' if reads == expected_reads else 'MISSING'})",
-            )
+    for label, cohort in (("per-client", 1), ("cohort", cohort_size)):
+        started = time.perf_counter()
+        deployment = run_profile(
+            ReplicationPolicy.conference_example(),
+            SCALE_PROFILE,
+            n_caches=n_caches,
+            seed=seed,
+            n_readers_per_cache=readers_per_cache,
+            cohort_size=cohort,
+        )
+        elapsed = time.perf_counter() - started
+        reads = staleness_summary(deployment.site.trace).reads
+        rates[label] = population / elapsed
+        result.add_row(
+            label,
+            1 + (len(deployment.cohorts) or population),
+            deployment.sim.events_fired,
+            round(elapsed, 3),
+            round(rates[label], 1),
+            f"{reads} ({'ok' if reads == expected_reads else 'MISSING'})",
+        )
     result.data["population"] = population
-    result.data["speedup"] = round(
-        rates["calendar+cohort"] / rates["heap+per-client"], 2
-    )
+    result.data["speedup"] = round(rates["cohort"] / rates["per-client"], 2)
     result.note(
-        f"calendar+cohort vs heap+per-client: "
-        f"{result.data['speedup']}x clients/sec.  Every configuration "
-        f"accounts for the same {expected_reads} weighted client reads; "
+        f"cohort vs per-client: "
+        f"{result.data['speedup']}x clients/sec.  Both configurations "
+        f"account for the same {expected_reads} weighted client reads; "
         f"the committed BENCH_sim.json tracks the 10^4-client version of "
-        f"this matrix."
+        f"this pair."
     )
     return result

@@ -41,7 +41,7 @@ class _LiveEvent:
 
 
 class LiveLoop:
-    """Wall-clock scheduler compatible with the Simulator interface.
+    """Wall-clock event loop compatible with the Simulator interface.
 
     Only the subset the protocol stack uses is provided: ``now``,
     ``schedule`` and an ``rng``.  Start with :meth:`start`, stop with

@@ -12,8 +12,7 @@ uses).
 Frame kinds (the complete vocabulary; the store runtime and the sweep
 hub share the handshake/liveness frames):
 
-- ``hello`` / ``welcome`` -- node registration handshake (name + pid;
-  sweep workers additionally advertise their ``slots`` capacity);
+- ``hello`` / ``welcome`` -- node registration handshake (name + pid);
 - ``data`` -- one datagram (src, dst, payload, size, reliability class);
 - ``trace`` -- one coherence-trace event, streamed eagerly so a node's
   history survives a SIGKILL;

@@ -6,16 +6,15 @@ events deterministic (design decision D5 in DESIGN.md).
 
 :class:`Event` is a ``__slots__`` class, not a dataclass: one instance is
 created per scheduled callback, so construction cost and attribute-access
-cost are on the simulator's per-event hot path.  The event queues do not
-compare events directly -- they key their heaps by explicit ``(time, seq)``
-tuples (see :mod:`repro.sim.queues`), which compare in C instead of through
-a generated ``__lt__``.  The :meth:`__lt__` here exists only so external
-code that sorts events keeps working.
+cost are on the simulator's per-event hot path.  The kernel does not
+compare events directly -- it keys its heap by explicit ``(time, seq, event)``
+tuples (see :mod:`repro.sim.kernel`), which compare in C and, ``seq`` being
+unique, never reach the event.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Callable, Optional
 
 
 class Event:
@@ -49,14 +48,6 @@ class Event:
         self.daemon = daemon
         self._cancel_hook: Optional[Callable[[], None]] = None
 
-    def sort_key(self) -> Tuple[float, int]:
-        """The total-order key the queues schedule by."""
-        return (self.time, self.seq)
-
-    def __lt__(self, other: "Event") -> bool:
-        """Order by ``(time, seq)``, matching the queue order."""
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
             flag for flag, on in (("c", self.cancelled), ("d", self.daemon))
@@ -76,8 +67,3 @@ class Event:
             self.cancelled = True
             if self._cancel_hook is not None:
                 self._cancel_hook()
-
-    def fire(self) -> None:
-        """Run the callback unless the event was cancelled."""
-        if not self.cancelled:
-            self.fn(*self.args)

@@ -5,20 +5,17 @@ The kernel is a priority queue of :class:`repro.sim.events.Event` ordered by
 -- network links, replication objects, client processes -- share one kernel
 and therefore one virtual clock.
 
-The queue implementation is pluggable (``scheduler="heap"`` or
-``"calendar"``, see :mod:`repro.sim.queues`): the binary heap is the
-default and the faster of the two below ~10^5 pending events; the
-calendar queue's amortized O(1) operations only overtake it beyond
-that (see the hold-model numbers in ROADMAP.md).  Both fire events in
-the identical ``(time, seq)`` total order, so seeded runs are
-bit-identical across scheduler choices.
+The queue is one ``heapq`` list of ``(time, seq, event)`` tuples owned by
+the :class:`Simulator`: ``seq`` is unique, so entries compare in C and
+never reach the event, and the firing order is the ``(time, seq)`` total
+order every seeded result depends on.
 """
 
 from __future__ import annotations
 
 import gc
-import os
-from typing import Any, Callable, Optional
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import tracer as _obs
 from repro.sim.errors import (
@@ -26,7 +23,6 @@ from repro.sim.errors import (
     SimulationLimitExceeded,
 )
 from repro.sim.events import Event
-from repro.sim.queues import make_event_queue
 from repro.sim.rng import SeededRng
 
 
@@ -60,19 +56,10 @@ class Simulator:
         Seed for the simulation-wide random number generator.  Two
         simulations built with the same seed and the same scheduling calls
         execute identically (design decision D5).
-    scheduler:
-        Event-queue implementation: ``"heap"`` (default) or
-        ``"calendar"``; ``None`` defers to the ``REPRO_SCHEDULER``
-        environment variable, then to ``"heap"``.  The choice affects
-        throughput only -- event order, and therefore every seeded
-        result, is identical.
     """
 
-    def __init__(self, seed: int = 0, scheduler: Optional[str] = None) -> None:
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "") or "heap"
-        self._queue = make_event_queue(scheduler)
-        self.scheduler = self._queue.name
+    def __init__(self, seed: int = 0) -> None:
+        self._heap: List[Tuple[float, int, Event]] = []
         #: Current virtual time in seconds.  A plain attribute, not a
         #: property: every timed component reads it per event, and the
         #: descriptor indirection is measurable at that rate.  Only the
@@ -91,7 +78,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of events still in the queue, including cancelled ones."""
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def live_pending(self) -> int:
@@ -136,7 +123,7 @@ class Simulator:
         if not daemon:
             self._live += 1
             event._cancel_hook = self._on_live_cancel
-        self._queue.push(event)
+        heappush(self._heap, (time, event.seq, event))
         return event
 
     def _on_live_cancel(self) -> None:
@@ -149,14 +136,14 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` if the queue is empty."""
-        while True:
-            event = self._queue.pop()
-            if event is None:
-                return False
+        heap = self._heap
+        while heap:
+            event = heappop(heap)[2]
             if event.cancelled:
                 continue
             if not event.daemon:
                 self._live -= 1
+                event._cancel_hook = None  # a late cancel is a no-op
             self.now = event.time
             self._fired += 1
             if _obs.ACTIVE is not None:
@@ -166,6 +153,7 @@ class Simulator:
                 )
             event.fn(*event.args)
             return True
+        return False
 
     def run(
         self,
@@ -190,12 +178,12 @@ class Simulator:
         float
             The virtual time at which the run stopped.
         """
-        # Hot path: the queue and the tracer are bound to locals once per
+        # Hot path: the heap and the tracer are bound to locals once per
         # run, so the (usual) tracing-disabled case pays no per-event
         # module-attribute lookups inside the loop.  Automatic cyclic GC
         # is paused for the loop's duration (see GC_EVENT_INTERVAL) and
         # restored on exit, collecting explicitly on the event cadence.
-        queue = self._queue
+        heap = self._heap
         tracer = _obs.ACTIVE
         fired = 0
         next_gc = GC_EVENT_INTERVAL
@@ -203,12 +191,10 @@ class Simulator:
         if gc_was_enabled:
             gc.disable()
         try:
-            while True:
-                event = queue.peek()
-                if event is None:
-                    break
+            while heap:
+                event = heap[0][2]
                 if event.cancelled:
-                    queue.pop()
+                    heappop(heap)
                     continue
                 if (until is None and self._live == 0) or (
                     until is not None and event.time > until
@@ -218,9 +204,10 @@ class Simulator:
                     raise SimulationLimitExceeded(
                         f"run exceeded {max_events} events at t={self.now}"
                     )
-                queue.pop()
+                heappop(heap)
                 if not event.daemon:
                     self._live -= 1
+                    event._cancel_hook = None  # a late cancel is a no-op
                 self.now = event.time
                 self._fired += 1
                 fired += 1

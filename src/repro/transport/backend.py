@@ -95,11 +95,10 @@ class SimBackend(Backend):
         seed: int = 0,
         latency: Union[LatencyModel, float, None] = None,
         loss_rate: float = 0.0,
-        scheduler: Optional[str] = None,
     ) -> None:
         if isinstance(latency, (int, float)):
             latency = ConstantLatency(float(latency))
-        self.clock = Simulator(seed=seed, scheduler=scheduler)
+        self.clock = Simulator(seed=seed)
         self.transport = Network(self.clock, latency=latency,
                                  loss_rate=loss_rate)
 

@@ -109,7 +109,6 @@ def run_profile(
     request_retries: int = 0,
     n_readers_per_cache: int = 1,
     cohort_size: int = 1,
-    scheduler: Optional[str] = None,
     backend: Union[str, Backend] = "sim",
     time_scale: float = 1.0,
 ) -> Deployment:
@@ -129,9 +128,8 @@ def run_profile(
     are passed to every browser so client operations survive outages.
 
     The scale knobs: ``n_readers_per_cache`` multiplies the reader
-    population (historical default 1), ``cohort_size`` > 1 collapses
-    each cache's readers into weighted cohort processes, and
-    ``scheduler`` selects the simulator's event queue.  At the defaults
+    population (historical default 1) and ``cohort_size`` > 1 collapses
+    each cache's readers into weighted cohort processes.  At the defaults
     the build and its fork order are byte-identical to the historical
     code path, so cached sweep results keep their keys.
 
@@ -170,7 +168,6 @@ def run_profile(
         seed=seed,
         request_timeout=request_timeout,
         request_retries=request_retries,
-        scheduler=scheduler,
         cohort_size=cohort_size,
         backend=backend,
     )

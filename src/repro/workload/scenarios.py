@@ -146,14 +146,11 @@ def _resolve_backend(
     latency: Optional[LatencyModel],
     live_latency: float,
     loss_rate: float,
-    scheduler: Optional[str] = None,
 ) -> Backend:
     """Resolve the builder's backend argument into a Backend instance.
 
     A prebuilt :class:`Backend` is used as-is -- its own seed, latency
-    and loss settings apply; the builder's are ignored.  ``scheduler``
-    selects the simulator's event queue (``"heap"``/``"calendar"``) and
-    only applies to the sim backend.
+    and loss settings apply; the builder's are ignored.
     """
     if isinstance(backend, Backend):
         return backend
@@ -163,7 +160,6 @@ def _resolve_backend(
             seed=seed,
             latency=latency or ConstantLatency(0.05),
             loss_rate=loss_rate,
-            scheduler=scheduler,
         )
     if backend in (LiveBackend.name, SocketBackend.name):
         if latency is not None:
@@ -206,14 +202,14 @@ def build_tree(
     reading from the first cache; ``n_readers_per_cache`` reader clients
     per cache.
 
-    ``scheduler`` picks the simulator's event queue (``"heap"`` or
-    ``"calendar"``; sim backend only) -- a throughput knob with no
-    effect on seeded results.  ``cohort_size`` > 1 collapses the readers
-    of each cache into weighted cohorts of (up to) that many identical
-    clients: one ``cohort-<cache>-<j>`` browser per group, recorded in
-    :attr:`Deployment.cohorts`, whose reads carry the group's weight
-    (see :mod:`repro.workload.cohort`).  The default of 1 binds every
-    reader individually, exactly as before.
+    ``scheduler`` is a retired knob kept for callers that still name
+    the one event queue: ``None`` and ``"heap"`` are accepted, anything
+    else raises :class:`ValueError`.  ``cohort_size`` > 1 collapses the
+    readers of each cache into weighted cohorts of (up to) that many
+    identical clients: one ``cohort-<cache>-<j>`` browser per group,
+    recorded in :attr:`Deployment.cohorts`, whose reads carry the group's
+    weight (see :mod:`repro.workload.cohort`).  The default of 1 binds
+    every reader individually, exactly as before.
 
     ``backend`` selects the substrate: ``"sim"`` assembles the system on
     the deterministic simulator, ``"live"`` on the wall-clock runtime
@@ -231,8 +227,13 @@ def build_tree(
     """
     if cohort_size < 1:
         raise ValueError(f"cohort_size must be >= 1, got {cohort_size!r}")
+    if scheduler not in (None, "heap"):
+        raise ValueError(
+            f"unknown scheduler {scheduler!r}: the kernel has one event "
+            "queue, the binary heap"
+        )
     backend_obj = _resolve_backend(backend, seed, latency, live_latency,
-                                   loss_rate, scheduler=scheduler)
+                                   loss_rate)
     clock, transport = backend_obj.clock, backend_obj.transport
     # The socket backend owns the deployment's shared trace recorder
     # (node processes stream events into it) and builds stores through a

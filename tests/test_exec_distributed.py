@@ -238,7 +238,7 @@ class TestWorkerProtocol:
 
         ours, theirs = socket.socketpair()
         hub = FrameChannel(ours)
-        runtime = WorkerRuntime(FrameChannel(theirs), "wt", slots=1,
+        runtime = WorkerRuntime(FrameChannel(theirs), "wt",
                                 heartbeat_interval=60.0)
         thread = threading.Thread(target=runtime.run, daemon=True)
         thread.start()
@@ -259,7 +259,6 @@ class TestWorkerProtocol:
         kind, body = self._recv_skipping_heartbeats(hub_channel)
         assert kind == "hello"
         assert body["node"] == "wt"
-        assert body["slots"] == 1
         assert body["pid"] == os.getpid()
         hub_channel.send("welcome", node="wt", paths=[])
 

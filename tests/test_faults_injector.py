@@ -116,6 +116,26 @@ def test_cancel_stops_pending_events():
     assert len(injector.applied) == 1
 
 
+def test_cancel_after_some_events_fired_keeps_the_live_count_exact():
+    # cancel() walks every handle, fired ones included; only the events
+    # still pending may come off the clock's live count.
+    sim = Simulator()
+    net, _ = make_net(sim)
+    injector = FaultInjector(sim, net, PLAN)
+    injector.start()
+    done = []
+    sim.schedule_at(10.0, done.append, "work")
+    sim.run(until=2.5)
+    assert len(injector.applied) == 2
+    assert sim.live_pending == 3  # crash, restart, the work item
+    injector.cancel()
+    assert sim.live_pending == 1
+    sim.run_until_idle()
+    assert done == ["work"]
+    assert sim.now == 10.0
+    assert sim.live_pending == 0
+
+
 def test_partition_and_outage_windows():
     sim = Simulator()
     net, _ = make_net(sim)

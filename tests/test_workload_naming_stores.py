@@ -140,6 +140,14 @@ class TestScenarios:
         assert deployment.caches[0].engine.parent == "mirror-0"
         assert deployment.caches[1].engine.parent == "mirror-1"
 
+    def test_build_tree_names_only_the_heap_scheduler(self):
+        # Callers may still name the kernel's one queue; any other name
+        # is an error, never silently the heap.
+        deployment = build_tree(ReplicationPolicy(), seed=1, scheduler="heap")
+        assert len(deployment.caches) == 2
+        with pytest.raises(ValueError, match="ladder"):
+            build_tree(ReplicationPolicy(), seed=1, scheduler="ladder")
+
     def test_conference_deployment_matches_fig3(self):
         deployment = conference_deployment(seed=1)
         assert deployment.server.address == "server"
