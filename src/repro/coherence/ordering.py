@@ -14,7 +14,7 @@ object-based models weaker than causal (design decision D2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.coherence.models import CoherenceModel
 from repro.coherence.records import WriteRecord
@@ -80,30 +80,46 @@ class OrderingDiscipline:
 
     # -- checkpointing ---------------------------------------------------------
 
-    def state_dict(self) -> Dict[str, Any]:
+    def state_dict(self, full: bool = True) -> Dict[str, Any]:
         """Plain-data snapshot of the discipline (codec-encodable).
 
         Subclasses with extra state extend the dict; the pair with
         :meth:`load_state` lets a killed store node resume exactly where
         its last checkpoint left it, which is what keeps restart-time
         coherence signatures identical across backends.
+
+        ``full=False`` is the journal form: only the parts whose size
+        does not grow with the write history.  ``seen`` is left out (the
+        journalled log tail's wids imply its additions) and so is the
+        per-key state, which :meth:`key_state` reports for just the keys
+        a delta touched.
         """
-        return {
+        state = {
             "applied": self.applied.as_dict(),
-            "seen": sorted(str(wid) for wid in self.seen),
             "buffer": [self.buffer[wid].to_wire() for wid in sorted(self.buffer)],
             "dropped": self.dropped,
         }
+        if full:
+            state["seen"] = sorted(str(wid) for wid in self.seen)
+        return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`state_dict`."""
+        """Inverse of :meth:`state_dict`, in either form."""
         self.applied = VectorClock.from_dict(state["applied"])
-        self.seen = {WriteId.parse(text) for text in state["seen"]}
         self.buffer = {
             record.wid: record
             for record in (WriteRecord.from_wire(w) for w in state["buffer"])
         }
         self.dropped = state["dropped"]
+        if "seen" in state:
+            self.seen = {WriteId.parse(text) for text in state["seen"]}
+
+    def key_state(self, keys: Iterable[str]) -> Dict[str, Any]:
+        """Plain-data per-key state restricted to ``keys`` (none here)."""
+        return {}
+
+    def load_key_state(self, state: Dict[str, Any]) -> None:
+        """Merge a :meth:`key_state` dict into the discipline."""
 
     # -- hooks ----------------------------------------------------------------
 
@@ -217,8 +233,8 @@ class SequentialOrdering(OrderingDiscipline):
         if next_global is not None:
             self.next_global = next_global
 
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
+    def state_dict(self, full: bool = True) -> Dict[str, Any]:
+        state = super().state_dict(full)
         state["next_global"] = self.next_global
         return state
 
@@ -271,22 +287,31 @@ class EventualOrdering(OrderingDiscipline):
             if key not in self._key_latest or self._key_latest[key] < stamp:
                 self._key_latest[key] = stamp
 
-    def state_dict(self) -> Dict[str, Any]:
-        state = super().state_dict()
-        state["key_latest"] = {
-            key: [stamp[0], str(stamp[1])]
-            for key, stamp in self._key_latest.items()
-        }
+    def state_dict(self, full: bool = True) -> Dict[str, Any]:
+        state = super().state_dict(full)
+        if full:
+            state["key_latest"] = self.key_state(self._key_latest)
         state["floor"] = self._floor.as_dict()
         return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
         super().load_state(state)
-        self._key_latest = {
-            key: (timestamp, WriteId.parse(text))
-            for key, (timestamp, text) in state["key_latest"].items()
-        }
+        if "key_latest" in state:
+            self._key_latest = {}
+            self.load_key_state(state["key_latest"])
         self._floor = VectorClock.from_dict(state["floor"])
+
+    def key_state(self, keys: Iterable[str]) -> Dict[str, Any]:
+        latest = self._key_latest
+        return {
+            key: [latest[key][0], str(latest[key][1])]
+            for key in keys
+            if key in latest
+        }
+
+    def load_key_state(self, state: Dict[str, Any]) -> None:
+        for key, (timestamp, text) in state.items():
+            self._key_latest[key] = (timestamp, WriteId.parse(text))
 
 
 def make_ordering(model: CoherenceModel) -> OrderingDiscipline:

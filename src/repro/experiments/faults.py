@@ -81,7 +81,7 @@ def run_fault_soak(
     Runs the scripted partition/heal/crash/restart scenario on the
     deterministic simulator, on the wall-clock thread runtime, and on
     the multi-process socket runtime (where CrashNode SIGKILLs a real
-    node process and RestartNode re-spawns it from its checkpoint)
+    node process and RestartNode re-spawns it from its snapshot + journal)
     through the sweep runner, then compares the time-free coherence
     signatures.
     """

@@ -4,7 +4,7 @@
 layer -- partition a cache subtree, heal it, crash a cache, restart it --
 over a short scripted workload on any backend (``"sim"``, ``"live"``, or
 ``"live-socket"``, where CrashNode SIGKILLs the store's OS process and
-RestartNode re-spawns it from its checkpoint), through the same
+RestartNode re-spawns it from its snapshot + journal), through the same
 runner/cache as every other sweep.  The plan is applied with the
 injector's *stepped* mode at convergence barriers, so faults interleave
 with the workload identically in virtual and wall-clock time and the

@@ -118,6 +118,12 @@ class StoreReplicationObject(ReplicationObject):
         self.reads = ReadDemandPath(self)
         self.propagation = PropagationStrategy(self)
         self.emission = CoherenceEmitter(self)
+        # What :meth:`delta` starts from: the small fields and log length
+        # last persisted, and what state transfers rewrote since.
+        self._persisted: Dict[str, Any] = {}
+        self._persisted_len = 0
+        self._installed_keys: set = set()
+        self._reinstalled = False
 
     # ------------------------------------------------------------------ setup
 
@@ -342,11 +348,33 @@ class StoreReplicationObject(ReplicationObject):
         crash drops it on every backend, which is exactly the
         ``FaultableTransportMixin`` in-flight semantics.
         """
+        state = self._fields()
+        state["ordering"] = self.ordering.state_dict()
+        state["log"] = [record.to_wire() for record in self.log]
+        state["as_of"] = {key: vc.as_dict() for key, vc in self.as_of.items()}
+        return state
+
+    def restore(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`checkpoint`; call before :meth:`start`."""
+        self.log = [WriteRecord.from_wire(w) for w in state["log"]]
+        self.as_of = {
+            key: VectorClock.from_dict(vc)
+            for key, vc in state["as_of"].items()
+        }
+        self._load_fields(state)
+        self._mark(self._fields())
+
+    def _fields(self) -> Dict[str, Any]:
+        """The small durable fields as plain data, ordering in journal form.
+
+        Everything :meth:`checkpoint` holds except the three parts that
+        grow with the write history or the document (``log``, ``as_of``,
+        the ordering's ``seen`` and per-key state); :meth:`delta` compares
+        this dict with the last persisted one field by field.
+        """
         return {
-            "ordering": self.ordering.state_dict(),
-            "log": [record.to_wire() for record in self.log],
+            "ordering": self.ordering.state_dict(full=False),
             "log_base": self.log_base.as_dict(),
-            "as_of": {key: vc.as_dict() for key, vc in self.as_of.items()},
             "invalid_keys": sorted(self.invalid_keys),
             "known_remote": self.known_remote.as_dict(),
             "counters": dict(self.counters),
@@ -360,26 +388,118 @@ class StoreReplicationObject(ReplicationObject):
             ],
         }
 
-    def restore(self, state: Dict[str, Any]) -> None:
-        """Inverse of :meth:`checkpoint`; call before :meth:`start`."""
-        self.ordering.load_state(state["ordering"])
-        self.log = [WriteRecord.from_wire(w) for w in state["log"]]
-        self.log_base = VectorClock.from_dict(state["log_base"])
-        self.as_of = {
-            key: VectorClock.from_dict(vc)
-            for key, vc in state["as_of"].items()
+    def _load_fields(self, state: Dict[str, Any]) -> None:
+        """Load whichever of the :meth:`_fields` entries ``state`` holds."""
+        for name, value in state.items():
+            if name == "ordering":
+                self.ordering.load_state(value)
+            elif name == "log_base":
+                self.log_base = VectorClock.from_dict(value)
+            elif name == "invalid_keys":
+                self.invalid_keys = set(value)
+            elif name == "known_remote":
+                self.known_remote = VectorClock.from_dict(value)
+            elif name == "counters":
+                self.counters = collections.Counter(value)
+            elif name == "local_seqnos":
+                self.writes.local_seqnos = dict(value)
+            elif name == "write_next_global":
+                self.writes.next_global = value
+            elif name == "pending_lazy":
+                self.propagation.pending_lazy = [
+                    WriteRecord.from_wire(w) for w in value
+                ]
+            elif name == "children":
+                self.children = list(value)
+            elif name in ("has_full_state", "allowed_writer"):
+                setattr(self, name, value)
+
+    # -- incremental persistence -------------------------------------------------
+
+    def delta(self) -> Optional[Dict[str, Any]]:
+        """What durably changed since the last call (or :meth:`restore`).
+
+        ``None`` when nothing did.  Otherwise a codec-safe dict a journal
+        can append and :meth:`apply_delta` replays: the log tail, the
+        small fields whose value differs, and -- for the keys the tail's
+        records touched or a partial transfer installed -- their
+        freshness vector, page content and ordering state.  Its cost
+        follows what changed, never the length of the log.  A full-state
+        install replaces log, freshness and document wholesale; that is
+        reported as ``{"reinstalled": True}`` and only a fresh
+        :meth:`checkpoint` can persist it.
+        """
+        fields = self._fields()
+        reinstalled = self._reinstalled
+        tail = self.log[self._persisted_len:]
+        keys = set(self._installed_keys)
+        changed = {
+            name: value
+            for name, value in fields.items()
+            if self._persisted.get(name) != value
         }
-        self.invalid_keys = set(state["invalid_keys"])
-        self.known_remote = VectorClock.from_dict(state["known_remote"])
-        self.counters = collections.Counter(state["counters"])
-        self.has_full_state = state["has_full_state"]
-        self.children = list(state["children"])
-        self.allowed_writer = state["allowed_writer"]
-        self.writes.local_seqnos = dict(state["local_seqnos"])
-        self.writes.next_global = state["write_next_global"]
-        self.propagation.pending_lazy = [
-            WriteRecord.from_wire(w) for w in state["pending_lazy"]
-        ]
+        self._mark(fields)
+        if reinstalled:
+            return {"reinstalled": True}
+        if not (changed or tail or keys):
+            return None
+        delta: Dict[str, Any] = {"fields": changed}
+        if tail:
+            delta["log"] = [record.to_wire() for record in tail]
+            keys.update(*(record.touched for record in tail))
+        if keys:
+            ordered = sorted(keys)
+            as_of = self.as_of
+            delta["as_of"] = {
+                key: as_of[key].as_dict() if key in as_of else None
+                for key in ordered
+            }
+            delta["state"] = self.control.semantics_snapshot(ordered)
+            delta["key_state"] = self.ordering.key_state(ordered)
+        return delta
+
+    def apply_delta(self, delta: Dict[str, Any]) -> None:
+        """Replay one :meth:`delta` onto the state it was taken against."""
+        tail = [WriteRecord.from_wire(w) for w in delta.get("log", ())]
+        self.log.extend(tail)
+        self.ordering.seen.update(record.wid for record in tail)
+        self._load_fields(delta["fields"])
+        state = delta.get("state", {})
+        gone = []
+        for key, vc in delta.get("as_of", {}).items():
+            if vc is None:
+                self.as_of.pop(key, None)
+            else:
+                self.as_of[key] = VectorClock.from_dict(vc)
+            if key not in state:
+                gone.append(key)
+        if len(self.control.missing_keys(gone)) < len(gone):
+            # The semantics interface has no "forget": rebuild without.
+            kept = self.control.semantics_snapshot()
+            for key in gone:
+                kept.pop(key, None)
+            self.control.semantics_restore(kept, partial=False)
+        if state:
+            self.control.semantics_restore(state, partial=True)
+        self.ordering.load_key_state(delta.get("key_state", {}))
+        self._mark(self._fields())
+
+    def note_install(self, keys: Optional[Sequence[str]]) -> None:
+        """A state transfer rewrote ``keys`` (``None``: everything).
+
+        The one thing :meth:`delta` cannot derive from the log tail.
+        """
+        if keys is None:
+            self._reinstalled = True
+        else:
+            self._installed_keys.update(keys)
+
+    def _mark(self, fields: Dict[str, Any]) -> None:
+        """Record ``fields`` (current) as what the next delta starts from."""
+        self._persisted = fields
+        self._persisted_len = len(self.log)
+        self._installed_keys.clear()
+        self._reinstalled = False
 
     # -- introspection ---------------------------------------------------------
 

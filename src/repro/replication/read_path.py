@@ -375,6 +375,7 @@ class ReadDemandPath:
             engine.ordering.install(version)
         engine.log = []
         engine.log_base = version.copy()
+        engine.note_install(None)
         stamp = version.copy()
         engine.as_of = {
             key: stamp for key in engine.control.semantics_snapshot()
@@ -393,6 +394,7 @@ class ReadDemandPath:
         as_of = VectorClock.from_dict(body.get("as_of", {}))
         if state:
             engine.control.semantics_restore(state, partial=True)
+            engine.note_install(state)
             for key in state:
                 engine.as_of[key] = as_of.copy()
                 engine.invalid_keys.discard(key)

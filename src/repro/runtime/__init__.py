@@ -14,7 +14,7 @@ the :mod:`repro.exec.codec` binary codec over Unix/TCP sockets
 naming and liveness, and the hub (:mod:`repro.runtime.socket`) routes
 all traffic through one fault-controllable network.  This is the paper's
 Java-over-TCP prototype shape for real: CrashNode SIGKILLs a process,
-RestartNode re-spawns it from a checkpoint.
+RestartNode re-spawns it from its snapshot + journal.
 """
 
 from repro.runtime.live import LiveLoop, LiveNetwork

@@ -18,8 +18,10 @@ object -- and bridges its transport over one framed socket:
   event, written before any datagram the same callback sends), so the
   recorded history is complete even when the process is SIGKILLed the
   next instant;
-- after every handled frame the node atomically checkpoints its replica
-  state, which is what lets a re-spawned process resume as the same
+- after every handled frame the node appends what durably changed to its
+  :class:`~repro.runtime.journal.Journal` (nothing, for a frame that
+  changed nothing) and now and then folds the journal into a new
+  snapshot, which is what lets a re-spawned process resume as the same
   replica (``--restore``) with semantics matching the in-memory backends,
   where a crashed node's engine state survives in the hub process.
 
@@ -39,8 +41,9 @@ from typing import Any, Dict, List, Optional
 from repro.coherence.trace import TraceEvent, TraceRecorder
 from repro.core.interfaces import Role
 from repro.core.local_object import LocalObject
-from repro.exec.codec import decode_result, encode_result
+from repro.exec.codec import decode_result
 from repro.replication.engine import StoreReplicationObject
+from repro.runtime.journal import Journal, JournalError
 from repro.runtime.live import LiveLoop
 from repro.runtime.wire import (
     FrameChannel,
@@ -146,7 +149,7 @@ class NodeRuntime:
         name: str,
         channel: FrameChannel,
         spec: Dict[str, Any],
-        restore_path: Optional[str] = None,
+        restore: bool = False,
     ) -> None:
         self.name = name
         self.channel = channel
@@ -154,7 +157,6 @@ class NodeRuntime:
         self.loop = LiveLoop(seed=spec["seed"])
         self.transport = NodeTransport(channel)
         self.trace = ForwardingTraceRecorder(channel)
-        self.checkpoint_path = spec.get("checkpoint_path")
         document = WebDocument(clock=lambda: self.loop.now)
         if spec.get("semantics_state") is not None:
             document.restore(spec["semantics_state"])
@@ -174,28 +176,10 @@ class NodeRuntime:
             semantics=document,
             reliable_transport=spec.get("reliable_transport", True),
         )
-        if restore_path and os.path.exists(restore_path):
-            checkpoint = decode_result(open(restore_path, "rb").read())
-            self.engine.restore(checkpoint["engine"])
-            self.local.control.semantics_restore(
-                checkpoint["state"], partial=False
-            )
+        self.journal = Journal(spec["checkpoint_path"], fresh=not restore)
+        if restore:
+            self.journal.recover(self.engine)
         self._stop_heartbeat = threading.Event()
-
-    # -- persistence ---------------------------------------------------------
-
-    def _checkpoint(self) -> None:
-        """Atomically persist the replica state (dispatcher thread only)."""
-        if not self.checkpoint_path:
-            return
-        blob = encode_result({
-            "engine": self.engine.checkpoint(),
-            "state": self.engine.snapshot_state(),
-        })
-        tmp = self.checkpoint_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, self.checkpoint_path)
 
     # -- frame handlers (run on the dispatcher thread) -----------------------
 
@@ -203,7 +187,7 @@ class NodeRuntime:
         self.transport.deliver(
             body["dst"], body["src"], body["payload"], body["size"]
         )
-        self._checkpoint()
+        self.journal.persist(self.engine)
 
     def _handle_call(self, body: Dict[str, Any]) -> None:
         call_id = body["call_id"]
@@ -229,11 +213,11 @@ class NodeRuntime:
                 result = "pong"
             else:
                 raise ValueError(f"unknown node op {op!r}")
-        except BaseException as exc:
-            self._checkpoint()
+        except Exception as exc:
+            self.journal.persist(self.engine)
             self.channel.send("reply", call_id=call_id, error=repr(exc))
             return
-        self._checkpoint()
+        self.journal.persist(self.engine)
         self.channel.send("reply", call_id=call_id, result=result)
 
     # -- threads -------------------------------------------------------------
@@ -250,7 +234,7 @@ class NodeRuntime:
         """Start the store and serve frames until ``bye``/EOF."""
         self.loop.start()
         self.local.start()
-        self._checkpoint()
+        self.journal.snapshot(self.engine)
         self.channel.send("hello", node=self.name, pid=os.getpid())
         beat = threading.Thread(
             target=self._heartbeat_loop,
@@ -278,6 +262,7 @@ class NodeRuntime:
             except Exception:
                 pass
             self.loop.stop()
+            self.journal.close()
             self.channel.close()
         return 0
 
@@ -290,15 +275,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--node", required=True, help="this store's name")
     parser.add_argument("--spec", required=True,
                         help="path to the codec-encoded node spec")
-    parser.add_argument("--restore", default=None,
-                        help="checkpoint file to resume the replica from")
+    parser.add_argument("--restore", action="store_true",
+                        help="resume the replica from its snapshot + journal")
     args = parser.parse_args(argv)
-    spec = decode_result(open(args.spec, "rb").read())
+    with open(args.spec, "rb") as fh:
+        spec = decode_result(fh.read())
     sock = connect_with_backoff(parse_address(args.hub))
     channel = FrameChannel(sock)
-    runtime = NodeRuntime(
-        args.node, channel, spec, restore_path=args.restore
-    )
+    try:
+        runtime = NodeRuntime(args.node, channel, spec, restore=args.restore)
+    except JournalError as exc:
+        print(f"node {args.node}: cannot restore: {exc}", file=sys.stderr)
+        channel.close()
+        return 1
     return runtime.run()
 
 

@@ -20,7 +20,7 @@ Fault teeth: :meth:`SocketNetwork.crash_node` first applies the shared
 :class:`~repro.faults.transport.FaultableTransportMixin` semantics
 (queued/in-flight drops, counters), then SIGKILLs the node's real
 process; :meth:`SocketNetwork.restart_node` re-spawns it with
-``--restore`` so the replica resumes from its last checkpoint, then
+``--restore`` so the replica resumes from its snapshot + journal, then
 lifts the crash mark.  Liveness is tracked by a heartbeat
 :class:`~repro.runtime.registry.Registry`.
 """
@@ -110,12 +110,23 @@ class SocketHub:
         with self._lock:
             event = self._ready.setdefault(name, threading.Event())
             event.clear()
-        self.supervisor.spawn(name, restore=restore)
-        if not event.wait(self.node_boot_timeout):
-            raise SocketRuntimeError(
-                f"node {name!r} did not register within "
-                f"{self.node_boot_timeout}s (see {self.supervisor.log_path(name)})"
-            )
+        proc = self.supervisor.spawn(name, restore=restore)
+        deadline = time.monotonic() + self.node_boot_timeout
+        log = self.supervisor.log_path(name)
+        # Short waits so a child that died on start-up (an unreadable
+        # snapshot, a bad spec) is reported now, not at the deadline.
+        while not event.wait(0.05):
+            status = proc.poll()
+            if status is not None:
+                raise SocketRuntimeError(
+                    f"node {name!r} exited with status {status} before "
+                    f"registering (see {log})"
+                )
+            if time.monotonic() >= deadline:
+                raise SocketRuntimeError(
+                    f"node {name!r} did not register within "
+                    f"{self.node_boot_timeout}s (see {log})"
+                )
 
     def kill_node(self, name: str) -> int:
         """SIGKILL the node's process; returns the dead PID."""
@@ -128,7 +139,7 @@ class SocketHub:
         return pid
 
     def restart_node(self, name: str) -> None:
-        """Re-spawn a killed node from its checkpoint; blocks until up."""
+        """Re-spawn a killed node as the same replica; blocks until up."""
         self._launch(name, restore=True)
 
     def node_pid(self, name: str) -> int:
@@ -392,7 +403,7 @@ class SocketNetwork(LiveNetwork):
             self.hub.kill_node(node)
 
     def restart_node(self, node: str) -> None:
-        """Re-spawn from checkpoint (if remote), then lift the crash mark.
+        """Re-spawn as the same replica (if remote), then lift the crash mark.
 
         The process is brought up *before* the crash mark clears, so any
         straggling traffic keeps dropping as crashed until the replica

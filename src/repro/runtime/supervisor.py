@@ -64,8 +64,12 @@ class NodeSupervisor:
         return os.path.join(self.run_dir, f"{self._slug(name)}.spec")
 
     def checkpoint_path(self, name: str) -> str:
-        """Where ``name`` checkpoints its replica state."""
+        """Where ``name`` keeps its snapshot; its journal sits beside it."""
         return os.path.join(self.run_dir, f"{self._slug(name)}.ckpt")
+
+    def journal_path(self, name: str) -> str:
+        """Where ``name`` appends the deltas since that snapshot."""
+        return self.checkpoint_path(name) + ".journal"
 
     def log_path(self, name: str) -> str:
         """Where ``name``'s stdout/stderr is captured."""
@@ -99,14 +103,14 @@ class NodeSupervisor:
             self.spec_path(name),
         ]
         if restore:
-            argv += ["--restore", self.checkpoint_path(name)]
+            argv.append("--restore")
         return argv
 
     def spawn(self, name: str, restore: bool = False) -> subprocess.Popen:
         """Start the child process for ``name`` (spec must be written).
 
-        ``restore=True`` passes the node its checkpoint file so the
-        re-spawned process resumes as the same replica.
+        ``restore=True`` tells the node to load its snapshot and replay
+        its journal so the re-spawned process resumes as the same replica.
         """
         argv = self.build_argv(name, restore=restore)
         env = dict(os.environ)
