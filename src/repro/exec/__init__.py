@@ -7,7 +7,7 @@ function -- and :func:`run_sweep` executes it; how is one number:
 - ``parallel=1`` evaluates the pending points in the calling process
   (:func:`~repro.exec.backends.evaluate_in_process`); ``parallel=N``
   (``0`` = one per CPU) forks N local workers and serves them from a
-  pull hub over the codec-framed wire layer
+  pull hub over the framed wire layer
   (:class:`DistributedExecutor`), which also admits workers started on
   other hosts when ``REPRO_HUB_BIND`` names a reachable address;
 - the codec (:mod:`repro.exec.codec`) gives the large per-point

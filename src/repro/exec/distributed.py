@@ -1,8 +1,8 @@
 """The parallel sweep path: a pull hub serving forked local workers.
 
 ``run_sweep(spec, parallel=N)`` with more than one worker serves the
-pending points from a *pull-based work queue* over the codec-framed
-wire layer (:mod:`repro.runtime.wire`); workers request the next task
+pending points from a *pull-based work queue* over the framed wire
+layer (:mod:`repro.runtime.wire`); workers request the next task
 whenever they have a free slot.  Pull dispatch is natural work-stealing
 -- a slow point occupies exactly one worker while every other worker
 keeps draining the queue, so stragglers cannot stall the sweep.

@@ -4,7 +4,7 @@ One worker of the sweep hub
 (:class:`~repro.exec.distributed.DistributedExecutor`): the hub forks
 its local workers straight into :func:`serve`, and the command line
 runs the same function on any host that can reach the hub's address.
-The worker connects to its hub over the codec-framed wire layer
+The worker connects to its hub over the framed wire layer
 (:mod:`repro.runtime.wire`, retrying with backoff so start order never
 matters), announces itself with a ``hello`` frame, and then serves a
 *pull-based* loop:
@@ -42,7 +42,6 @@ import importlib
 import importlib.util
 import inspect
 import os
-import select
 import sys
 import threading
 import traceback
@@ -277,9 +276,8 @@ class WorkerRuntime:
                     # Back off for the hub-suggested delay, then re-ask
                     # -- unless the hub speaks first (``bye``: the sweep
                     # finished while this worker had nothing to do).
-                    if not select.select(
-                            [self.channel.sock], [], [],
-                            float(body.get("delay", 0.05)))[0]:
+                    if not (self.channel.buffered or self.channel.poll(
+                            float(body.get("delay", 0.05)))):
                         self._request()
                 elif kind == "bye":
                     break

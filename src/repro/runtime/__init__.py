@@ -8,13 +8,14 @@ wall-clock timer thread, and :class:`LiveNetwork` implements the
 queues with optional injected latency.
 
 The socket runtime takes the next step to real *processes*: every store
-node runs in its own OS process (:mod:`repro.runtime.node`), frames ride
-the :mod:`repro.exec.codec` binary codec over Unix/TCP sockets
-(:mod:`repro.runtime.wire`), a heartbeat :class:`Registry` provides
-naming and liveness, and the hub (:mod:`repro.runtime.socket`) routes
-all traffic through one fault-controllable network.  This is the paper's
-Java-over-TCP prototype shape for real: CrashNode SIGKILLs a process,
-RestartNode re-spawns it from its snapshot + journal.
+node runs in its own OS process (:mod:`repro.runtime.node`), frames are
+length-prefixed pickled envelopes over Unix/TCP sockets, read and written
+by one thread per process (:mod:`repro.runtime.wire`), a heartbeat
+:class:`Registry` provides naming and liveness, and the hub
+(:mod:`repro.runtime.socket`) routes all traffic through one
+fault-controllable network.  This is the paper's Java-over-TCP prototype
+shape for real: CrashNode SIGKILLs a process, RestartNode re-spawns it
+from its snapshot + journal.
 """
 
 from repro.runtime.live import LiveLoop, LiveNetwork

@@ -11,11 +11,12 @@ object -- and bridges its transport over one framed socket:
   its :class:`~repro.runtime.live.LiveNetwork` send path, so latency,
   loss, partitions and every stats counter are applied in exactly one
   place;
-- incoming ``data`` frames are submitted to the local dispatcher, which
-  is the node's single protocol thread (same threading discipline as the
-  live-thread backend);
+- the dispatcher reads the hub socket itself and handles each ``data``
+  and ``call`` frame as it reads it: it is the node's one protocol *and*
+  I/O thread, the only one that touches engine, journal and socket;
 - trace events are streamed to the hub *eagerly* (a ``trace`` frame per
-  event, written before any datagram the same callback sends), so the
+  event, ahead of any datagram the same handler sends; everything one
+  handled ``data`` frame produced leaves in a single write), so the
   recorded history is complete even when the process is SIGKILLed the
   next instant;
 - after every handled frame the node appends what durably changed to its
@@ -25,9 +26,9 @@ object -- and bridges its transport over one framed socket:
   replica (``--restore``) with semantics matching the in-memory backends,
   where a crashed node's engine state survives in the hub process.
 
-A heartbeat thread beats the hub's registry every ``heartbeat_interval``
-seconds; the main thread is the frame reader and exits on ``bye`` or hub
-EOF.
+A daemon timer on the same loop beats the hub's registry every
+``heartbeat_interval`` seconds; the main thread only waits for ``bye``
+or hub EOF and then tears the node down.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ from repro.runtime.journal import Journal, JournalError
 from repro.runtime.live import LiveLoop
 from repro.runtime.wire import (
     FrameChannel,
-    WireError,
     connect_with_backoff,
     parse_address,
 )
@@ -179,14 +179,30 @@ class NodeRuntime:
         self.journal = Journal(spec["checkpoint_path"], fresh=not restore)
         if restore:
             self.journal.recover(self.engine)
-        self._stop_heartbeat = threading.Event()
+        self._done = threading.Event()
 
     # -- frame handlers (run on the dispatcher thread) -----------------------
 
+    def _on_frame(self, _channel: FrameChannel, kind: str,
+                  body: Dict[str, Any]) -> None:
+        if kind == "data":
+            self._handle_data(body)
+        elif kind == "call":
+            self._handle_call(body)
+        elif kind == "bye":
+            self._done.set()
+        # "welcome" and unknown frames are ignored.
+
     def _handle_data(self, body: Dict[str, Any]) -> None:
-        self.transport.deliver(
-            body["dst"], body["src"], body["payload"], body["size"]
-        )
+        # Whatever the handler sends -- trace events first, as recorded --
+        # leaves as one write, and only then is the frame made durable.
+        self.channel.cork()
+        try:
+            self.transport.deliver(
+                body["dst"], body["src"], body["payload"], body["size"]
+            )
+        finally:
+            self.channel.uncork()
         self.journal.persist(self.engine)
 
     def _handle_call(self, body: Dict[str, Any]) -> None:
@@ -220,48 +236,30 @@ class NodeRuntime:
         self.journal.persist(self.engine)
         self.channel.send("reply", call_id=call_id, result=result)
 
-    # -- threads -------------------------------------------------------------
-
-    def _heartbeat_loop(self) -> None:
-        interval = self.spec.get("heartbeat_interval", 0.25)
-        while not self._stop_heartbeat.wait(interval):
-            try:
-                self.channel.send("heartbeat", node=self.name)
-            except WireError:
-                return
+    def _beat(self) -> None:
+        self.loop.schedule(self.spec.get("heartbeat_interval", 0.25),
+                           self._beat, daemon=True)
+        self.channel.send("heartbeat", node=self.name)
 
     def run(self) -> int:
         """Start the store and serve frames until ``bye``/EOF."""
-        self.loop.start()
         self.local.start()
         self.journal.snapshot(self.engine)
+        # ``hello`` goes out alone, before the dispatcher runs a single
+        # timer; from ``attach`` on the channel is the dispatcher's.
         self.channel.send("hello", node=self.name, pid=os.getpid())
-        beat = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"repro-node-beat-{self.name}",
-            daemon=True,
-        )
-        beat.start()
+        self.loop.start()
+        self.channel.attach(self.loop, self._on_frame,
+                            lambda _channel: self._done.set())
+        self.loop.submit(self._beat)
         try:
-            while True:
-                frame = self.channel.recv()
-                if frame is None:
-                    break
-                kind, body = frame
-                if kind == "data":
-                    self.loop.submit(self._handle_data, body)
-                elif kind == "call":
-                    self.loop.submit(self._handle_call, body)
-                elif kind == "bye":
-                    break
-                # "welcome" and unknown frames are ignored.
+            self._done.wait()
         finally:
-            self._stop_heartbeat.set()
+            self.loop.stop()
             try:
                 self.local.destroy()
             except Exception:
                 pass
-            self.loop.stop()
             self.journal.close()
             self.channel.close()
         return 0

@@ -10,8 +10,9 @@ here.
 Design rule: **every datagram crosses the hub's network send path
 exactly once.**  Client traffic originates on the hub dispatcher and
 enters :meth:`SocketNetwork.send` directly; node-originated traffic
-arrives as ``data`` frames and is re-submitted onto the dispatcher into
-the same method.  Latency, partitions, crash gating and every
+arrives as ``data`` frames, which the dispatcher -- the one thread that
+reads and writes every node socket -- hands to the same method as it
+reads them.  Latency, partitions, crash gating and every
 ``NetworkStats`` counter therefore behave identically to the
 in-process backends -- which is what makes the cross-backend coherence
 signatures comparable at all.
@@ -52,10 +53,11 @@ class SocketRuntimeError(RuntimeError):
 class SocketHub:
     """Accepts node connections; routes frames, calls, and lifecycle.
 
-    One hub per deployment.  Threads: one accept thread, one serve
-    thread per node connection, one liveness sweeper.  The serve thread
-    is the only reader of its channel; hub-to-node sends may come from
-    any thread (the channel's send lock serializes them).
+    One hub per deployment.  Threads, whatever the node count: the
+    deployment's :class:`LiveLoop` dispatcher, one accept thread, one
+    liveness sweeper, and a short-lived handshake thread per connecting
+    peer.  After ``hello`` a channel is attached to the dispatcher, which
+    alone reads and writes it (see :mod:`repro.runtime.wire`).
     """
 
     def __init__(
@@ -80,6 +82,8 @@ class SocketHub:
         #: right after construction (the two reference each other).
         self.network: Optional[SocketNetwork] = None
         self._channels: Dict[str, FrameChannel] = {}
+        #: Connections still inside their handshake, and their threads.
+        self._greeting: Dict[FrameChannel, threading.Thread] = {}
         self._ready: Dict[str, threading.Event] = {}
         self._calls: Dict[int, Dict[str, Any]] = {}
         self._call_ids = itertools.count(1)
@@ -156,33 +160,45 @@ class SocketHub:
              **kwargs: Any) -> Any:
         """Run ``op(**kwargs)`` on the node's dispatcher; block for it.
 
-        Safe from any hub thread including the dispatcher: the reply is
-        resolved by the node's serve thread, never by dispatcher work.
+        Safe from any hub thread.  Off the dispatcher the ``call`` frame
+        is submitted to it and the reply awaited on a latch; *on* the
+        dispatcher -- the thread that would read the reply -- the frame
+        is sent and that one channel pumped inline until the reply.
         """
         channel = self._channels.get(node)
         if channel is None:
             raise SocketRuntimeError(f"node {node!r} is not connected")
         call_id = next(self._call_ids)
-        slot: Dict[str, Any] = {"event": threading.Event()}
+        latch = threading.Lock()
+        latch.acquire()
+        slot: Dict[str, Any] = {"latch": latch, "error": "no reply"}
         with self._lock:
             self._calls[call_id] = slot
+        loop = self.network.loop
+        deadline = time.monotonic() + (timeout or self.call_timeout)
+        if not loop.on_dispatcher:
+            loop.submit(self._send_call, channel, call_id, op, kwargs)
+            latch.acquire(timeout=deadline - time.monotonic())
+        else:
+            self._send_call(channel, call_id, op, kwargs)
+            while (call_id in self._calls
+                   and self._channels.get(node) is channel
+                   and channel.poll(deadline - time.monotonic())):
+                channel.pump()
+        with self._lock:
+            self._calls.pop(call_id, None)
+        if slot["error"] is not None:
+            raise SocketRuntimeError(f"{node}.{op} failed: {slot['error']}")
+        return slot["result"]
+
+    def _send_call(self, channel: FrameChannel, call_id: int, op: str,
+                   kwargs: Dict[str, Any]) -> None:
         try:
             self._send(channel, "call", call_id=call_id, op=op, kwargs=kwargs)
         except WireError as exc:
-            with self._lock:
-                self._calls.pop(call_id, None)
-            raise SocketRuntimeError(f"node {node!r} went away: {exc}")
-        if not slot["event"].wait(timeout or self.call_timeout):
-            with self._lock:
-                self._calls.pop(call_id, None)
-            raise SocketRuntimeError(
-                f"call {op!r} to node {node!r} timed out"
-            )
-        if slot.get("error") is not None:
-            raise SocketRuntimeError(f"{node}.{op} failed: {slot['error']}")
-        return slot.get("result")
+            self._resolve_call({"call_id": call_id, "error": str(exc)})
 
-    # -- frame plumbing ------------------------------------------------------
+    # -- frame plumbing (attached channels: dispatcher only) -----------------
 
     def _send(self, channel: FrameChannel, kind: str, **body: Any) -> None:
         if self.network is not None:
@@ -209,62 +225,71 @@ class SocketHub:
             except OSError:
                 return
             channel = FrameChannel(sock)
-            threading.Thread(
-                target=self._serve_conn,
-                args=(channel,),
-                name="repro-hub-serve",
-                daemon=True,
-            ).start()
+            thread = threading.Thread(target=self._greet, args=(channel,),
+                                      name="repro-hub-hello", daemon=True)
+            with self._lock:
+                self._greeting[channel] = thread
+            thread.start()
 
-    def _serve_conn(self, channel: FrameChannel) -> None:
-        """Per-connection reader: registration, routing, replies, traces."""
-        name: Optional[str] = None
+    def _greet(self, channel: FrameChannel) -> None:
+        """Handshake one connection under a deadline -- off the dispatcher,
+        where ``restart_node`` waits for this very ``hello``.  A peer that
+        says anything else first, or nothing within ``node_boot_timeout``,
+        is closed and never reaches the reader set."""
         try:
-            while True:
-                frame = channel.recv()
-                if frame is None:
-                    break
-                if self.network is not None:
-                    self.network.stats.frames_received += 1
-                kind, body = frame
-                if kind == "hello":
-                    name = body["node"]
-                    self.registry.register(
-                        name, body["pid"], conn=channel, now=time.monotonic()
-                    )
-                    with self._lock:
-                        self._channels[name] = channel
-                        event = self._ready.setdefault(name, threading.Event())
-                    self._send(channel, "welcome", node=name)
-                    event.set()
-                elif kind == "heartbeat":
-                    self.registry.beat(body["node"], now=time.monotonic())
-                elif kind == "trace":
-                    self._record_trace(body["event"])
-                elif kind == "data":
-                    # Re-enter the one canonical send path, on the
-                    # dispatcher: stats, fault gates and latency are
-                    # applied here and nowhere else.
-                    network = self.network
-                    if network is not None:
-                        network.loop.submit(
-                            network.send, body["src"], body["dst"],
-                            body["payload"], body["size"], body["reliable"],
-                        )
-                elif kind == "reply":
-                    self._resolve_call(body)
-                elif kind == "bye":
-                    break
-        except WireError:
-            pass
-        finally:
-            if name is not None:
-                with self._lock:
-                    # A restarted node may already have replaced this
-                    # channel; only detach if we are still current.
-                    if self._channels.get(name) is channel:
-                        del self._channels[name]
-            channel.close()
+            frame = channel.recv(timeout=self.node_boot_timeout)
+            if frame is None or frame[0] != "hello":
+                raise WireError("no hello")
+            name = channel.peer = str(frame[1]["node"])
+            self.network.stats.frames_received += 1
+            self.registry.register(name, int(frame[1]["pid"]), conn=channel,
+                                   now=time.monotonic())
+            self._send(channel, "welcome", node=name)
+            channel.attach(self.network.loop, self._on_frame, self._lost,
+                           stall_timeout=self.call_timeout)
+        except (WireError, KeyError, TypeError, ValueError, OSError):
+            name = None
+        with self._lock:
+            del self._greeting[channel]
+            if name is not None and not self._closing.is_set():
+                self._channels[name] = channel
+                self._ready.setdefault(name, threading.Event()).set()
+                return
+        channel.close()
+
+    def _on_frame(self, channel: FrameChannel, kind: str,
+                  body: Dict[str, Any]) -> None:
+        """Route one frame of an attached channel (dispatcher).
+
+        ``data`` re-enters the one canonical send path -- stats, fault
+        gates and latency are applied there and nowhere else -- which
+        only *schedules* the arrival, so no handler runs re-entrantly.
+        A malformed body or a second ``hello`` ends the connection.
+        """
+        network = self.network
+        network.stats.frames_received += 1
+        try:
+            if kind == "data":
+                network.send(body["src"], body["dst"], body["payload"],
+                             body["size"], body["reliable"])
+            elif kind == "trace":
+                self._record_trace(body["event"])
+            elif kind == "reply":
+                self._resolve_call(body)
+            elif kind == "heartbeat":
+                self.registry.beat(channel.peer, now=time.monotonic())
+            else:
+                raise WireError(f"unexpected {kind!r} frame")
+        except (KeyError, TypeError) as exc:
+            raise WireError(f"malformed {kind!r} frame") from exc
+
+    def _lost(self, channel: FrameChannel) -> None:
+        """Forget a channel that closed itself (EOF, faulty or stalled)."""
+        with self._lock:
+            # A restarted node may already have replaced this channel;
+            # only detach if we are still current.
+            if self._channels.get(channel.peer) is channel:
+                del self._channels[channel.peer]
 
     def _record_trace(self, event: Any) -> None:
         """Append a node's trace event to the shared recorder.
@@ -287,7 +312,7 @@ class SocketHub:
             return
         slot["error"] = body.get("error")
         slot["result"] = body.get("result")
-        slot["event"].set()
+        slot["latch"].release()
 
     def _sweep_loop(self) -> None:
         """Expire registry entries whose heartbeats went silent."""
@@ -300,15 +325,16 @@ class SocketHub:
         """Stop every node, close every socket, remove the run dir."""
         self._closing.set()
         with self._lock:
-            channels = dict(self._channels)
+            channels = list(self._channels.values())
             self._channels.clear()
-        for channel in channels.values():
+            greeting = dict(self._greeting)
+        for channel in channels:
             try:
                 channel.send("bye")
             except WireError:
                 pass
         self.supervisor.shutdown()
-        for channel in channels.values():
+        for channel in [*channels, *greeting]:
             channel.close()
         try:
             # close() alone leaves a thread blocked in accept() asleep on
@@ -320,7 +346,8 @@ class SocketHub:
             self._listener.close()
         except OSError:
             pass
-        for thread in (self._accept_thread, self._sweeper):
+        for thread in (self._accept_thread, self._sweeper,
+                       *greeting.values()):
             thread.join(timeout=2.0)
         for name in self.registry.names():
             self.registry.deregister(name)

@@ -2,12 +2,14 @@
 
 Every byte between the hub and a store node travels as a length-prefixed
 *frame*: a 4-byte big-endian payload length followed by the payload,
-which is one :mod:`repro.exec.codec`-encoded dict ``{"kind": ..., "body":
-{...}}``.  Plain protocol fields ride the codec's native tags; rich
-objects (a :class:`~repro.comm.message.Message`, a trace event) ride its
-pickle-frame fallback, so the one deterministic codec from the sweep
-transport is also the wire format here (ROADMAP: one wire layer, two
-uses).
+``pickle.dumps((kind, body), 5)`` -- a ``str`` kind and a ``dict`` body,
+rich objects (a :class:`~repro.comm.message.Message`, a trace event)
+included, in one C call each way.  Frames are **trusted**: both ends run
+this code from one run directory, and unpickling runs whatever the bytes
+say, so a hub socket must never be reachable by an untrusted peer.  What
+the reader does guard against is a *faulty* peer: a length beyond
+:data:`MAX_FRAME_BYTES`, or a payload that does not unpickle to a
+``(str, dict)`` pair, is a :class:`WireError`, never a half-read frame.
 
 Frame kinds (the complete vocabulary; the store runtime and the sweep
 hub share the handshake/liveness frames):
@@ -26,27 +28,28 @@ hub share the handshake/liveness frames):
 - ``heartbeat`` -- node liveness beats for the registry;
 - ``bye`` -- orderly goodbye before close.
 
-:class:`FrameChannel` wraps a connected socket with a send lock (the
-node's dispatcher, heartbeat thread and reader may interleave sends) and
-partial-read-safe receive.  :func:`connect_with_backoff` retries a
-refused/absent listener with exponential backoff, which is how a node
-races its hub's bind without an external barrier.
+:class:`FrameChannel` wraps a connected socket in one of two modes.
+*Blocking* (the handshake, the sweep hub and its workers): ``send`` under
+a lock from any thread, ``recv`` from one reader thread.  *Attached*
+(hub and node after ``hello``): the socket is non-blocking and exactly
+one thread, a :class:`~repro.runtime.live.LiveLoop` dispatcher, reads
+and writes it -- and a write never blocks without draining reads, so two
+peers bursting at each other cannot deadlock.
+:func:`connect_with_backoff` retries a refused/absent listener with
+exponential backoff, which is how a node races its hub's bind without an
+external barrier.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import select
 import socket
 import struct
 import threading
 import time
-from typing import Any, Callable, Dict, Optional, Tuple, Union
-
-# NOTE: repro.exec.codec is imported inside send/recv, not here.  The
-# exec package's own init imports this module (via the sweep hub), so a
-# module-level import back into repro.exec would make the two packages'
-# initialization order matter; the function-level import is a
-# sys.modules hit after the first frame.
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 #: 4-byte big-endian frame length prefix.
 _HEADER = struct.Struct(">I")
@@ -144,81 +147,216 @@ def connect_with_backoff(
         delay = min(delay * 2, max_delay)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> Optional[bytes]:
-    """Read exactly ``count`` bytes; ``None`` on a clean mid-message EOF."""
-    chunks = bytearray()
-    while len(chunks) < count:
-        try:
-            chunk = sock.recv(count - len(chunks))
-        except OSError:
-            return None
-        if not chunk:
-            return None
-        chunks += chunk
-    return bytes(chunks)
+#: One decoded frame: its kind and its body.
+Frame = Tuple[str, Dict[str, Any]]
 
 
 class FrameChannel:
-    """One framed, thread-safe connection end.
+    """One framed connection end (modes: see the module docstring).
 
-    ``send`` may be called from any thread (a lock serializes writers, so
-    a heartbeat never interleaves bytes into a data frame); ``recv`` must
-    be called from a single reader thread, as on both ends of this
-    protocol.
+    Reads go through a buffer: one ``recv(65536)`` per wake-up, however
+    many frames it carries or however a frame is split across reads.
     """
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        #: Whatever the owner wants to remember about the other end.
+        self.peer: Any = None
         self._send_lock = threading.Lock()
         self._closed = False
+        self._buffer = bytearray()
+        self._loop: Any = None  # the owning loop, once attached
+        self._corked: Optional[List[bytes]] = None
         #: Framed bytes written/read on this channel (headers included).
         #: The sweep hub folds these into its ``wire_bytes`` transport
         #: accounting; counters survive close.
         self.sent_bytes = 0
         self.recv_bytes = 0
 
-    def send(self, kind: str, **body: Any) -> None:
-        """Encode and write one ``kind`` frame; raises on a dead peer."""
-        from repro.exec.codec import encode_result
+    @property
+    def buffered(self) -> int:
+        """Bytes read off the socket and not yet returned as frames."""
+        return len(self._buffer)
 
-        blob = encode_result({"kind": kind, "body": body})
+    def send(self, kind: str, **body: Any) -> None:
+        """Encode and write one ``kind`` frame; raises on a dead peer.
+
+        Blocking mode: any thread.  Attached: the dispatcher only, and
+        the frame waits for :meth:`uncork` while the channel is corked.
+        """
+        blob = pickle.dumps((kind, body), 5)
         if len(blob) > MAX_FRAME_BYTES:
             raise FrameTooLarge(
                 f"frame {kind!r} is {len(blob)} bytes; the limit is "
                 f"{MAX_FRAME_BYTES}"
             )
-        with self._send_lock:
-            if self._closed:
-                raise WireError("channel closed")
-            try:
-                self.sock.sendall(_HEADER.pack(len(blob)) + blob)
-            except OSError as exc:
-                raise WireError(f"peer gone while sending {kind!r}") from exc
-            self.sent_bytes += _HEADER.size + len(blob)
+        data = _HEADER.pack(len(blob)) + blob
+        if self._corked is not None:
+            self._corked.append(data)
+        elif self._loop is not None:
+            self._write(data)
+        else:
+            with self._send_lock:
+                if self._closed:
+                    raise WireError("channel closed")
+                try:
+                    self.sock.sendall(data)
+                except OSError as exc:
+                    raise WireError(
+                        f"peer gone while sending {kind!r}") from exc
+                self.sent_bytes += len(data)
 
-    def recv(self) -> Optional[Tuple[str, Dict[str, Any]]]:
-        """Read one frame; ``None`` on EOF (peer closed or was killed)."""
-        from repro.exec.codec import decode_result
+    def recv(self, timeout: Optional[float] = None) -> Optional[Frame]:
+        """Read one frame (blocking mode); ``None`` on EOF (peer closed or
+        was killed) or when no whole frame came within ``timeout`` seconds
+        (at most twice that, for a peer that trickles bytes)."""
+        if self.sock.gettimeout() != timeout:
+            self.sock.settimeout(timeout)
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            frame = self._next_frame()
+            if frame is not None:
+                return frame
+            if (deadline is not None and deadline <= time.monotonic()
+                    or not self._fill()):
+                return None
 
-        header = _recv_exact(self.sock, _HEADER.size)
-        if header is None:
+    # -- attached: non-blocking, one thread reads and writes -----------------
+
+    def attach(self, loop: Any, on_frame: Callable[..., None],
+               on_lost: Callable[..., None],
+               stall_timeout: Optional[float] = None) -> None:
+        """Hand the channel to ``loop``'s dispatcher, from now on the only
+        thread that reads it (``on_frame(channel, kind, body)`` per
+        frame) or may :meth:`send`.  ``on_lost(channel)`` reports a
+        channel that closed itself: EOF, a corrupt stream, an
+        ``on_frame`` that raised :class:`WireError`, a peer that is gone
+        or took none of a write for ``stall_timeout`` seconds.
+        """
+        self.sock.setblocking(False)
+        self._on_frame, self._on_lost = on_frame, on_lost
+        self._stall_timeout = stall_timeout
+        self._loop = loop
+        loop.add_reader(self.sock, self.pump)
+
+    def pump(self, fill: bool = True) -> None:
+        """Reader callback: one ``recv`` (unless ``fill`` is false), then
+        every whole buffered frame to ``on_frame``."""
+        try:
+            open_ = not fill or self._fill()
+            while True:
+                frame = self._next_frame()
+                if frame is None:
+                    break
+                self._on_frame(self, *frame)
+            if not open_:
+                raise WireError("peer closed the connection")
+        except WireError:
+            self._lose()
+
+    def cork(self) -> None:
+        """Hold every :meth:`send` from now on back for :meth:`uncork`."""
+        self._corked = []
+
+    def uncork(self) -> None:
+        """Write the frames sent since :meth:`cork` with one ``write``."""
+        data, self._corked = b"".join(self._corked), None
+        if data:
+            self._write(data)
+
+    def _write(self, data: bytes) -> None:
+        """Write without ever blocking on a full socket: while it takes
+        no more, what the peer has sent is drained into the read buffer
+        (so a peer stuck writing to us gets to read again) and pumped
+        before the loop next sleeps."""
+        view, drained, stalled_at = memoryview(data), False, None
+        try:
+            while True:
+                try:
+                    sent = self.sock.send(view)
+                except BlockingIOError:
+                    sent = 0
+                view = view[sent:]
+                if not view:
+                    break
+                now = time.monotonic()
+                if sent or stalled_at is None:
+                    stalled_at = now
+                left = (None if self._stall_timeout is None
+                        else stalled_at + self._stall_timeout - now)
+                if left is not None and left <= 0:
+                    raise TimeoutError("peer stopped reading")
+                if self.poll(left, write=True) & ~select.POLLOUT:
+                    drained = True
+                    if not self._fill():
+                        raise ConnectionResetError("peer closed")
+        except OSError as exc:
+            self._lose()
+            raise WireError(f"write failed: {exc}") from exc
+        finally:
+            if drained:
+                self._loop.submit(self.pump, False)
+        self.sent_bytes += len(data)
+
+    def _lose(self) -> None:
+        self.close()
+        self._on_lost(self)
+
+    def poll(self, timeout: Optional[float], write: bool = False) -> int:
+        """Wait for the socket to turn readable (or, with ``write``,
+        writable): the ``select.poll`` event mask, ``0`` on timeout."""
+        poller = select.poll()
+        try:
+            poller.register(
+                self.sock, select.POLLIN | (select.POLLOUT if write else 0))
+        except (OSError, ValueError):
+            return select.POLLHUP  # closed under us by another thread
+        ready = poller.poll(
+            None if timeout is None else max(0.0, timeout) * 1e3)
+        return ready[0][1] if ready else 0
+
+    # -- both modes ----------------------------------------------------------
+
+    def _fill(self) -> bool:
+        """One ``recv`` into the buffer; ``False`` at EOF or on an error."""
+        try:
+            chunk = self.sock.recv(65536)
+        except BlockingIOError:
+            return True
+        except OSError:
+            return False
+        self._buffer += chunk
+        return bool(chunk)
+
+    def _next_frame(self) -> Optional[Frame]:
+        """Take one whole frame off the buffer, if it holds one."""
+        buffer = self._buffer
+        if len(buffer) < _HEADER.size:
             return None
-        (length,) = _HEADER.unpack(header)
-        if length > MAX_FRAME_BYTES:
-            raise WireError(f"oversized frame ({length} bytes): corrupt peer")
-        blob = _recv_exact(self.sock, length)
-        if blob is None:
+        end = _HEADER.size + _HEADER.unpack_from(buffer)[0]
+        if end > _HEADER.size + MAX_FRAME_BYTES:
+            raise WireError(f"oversized frame ({end} bytes): corrupt peer")
+        if len(buffer) < end:
             return None
-        self.recv_bytes += _HEADER.size + length
-        frame = decode_result(blob)
-        return frame["kind"], frame["body"]
+        try:
+            frame = pickle.loads(buffer[_HEADER.size:end])
+        except Exception as exc:  # unpickling fails in arbitrary ways
+            raise WireError(f"undecodable frame: {exc!r}") from exc
+        if not (type(frame) is tuple and len(frame) == 2
+                and isinstance(frame[0], str) and isinstance(frame[1], dict)):
+            raise WireError("frame is not a (kind, body) pair")
+        del buffer[:end]
+        self.recv_bytes += end
+        return frame
 
     def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
+        """Leave the loop's reader set, then close the socket (idempotent)."""
         with self._send_lock:
             if self._closed:
                 return
             self._closed = True
+        if self._loop is not None:
+            self._loop.remove_reader(self.sock)
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
         except OSError:

@@ -188,7 +188,8 @@ class LiveBackend(Backend):
 
     def call(self, fn: Callable[..., Any], *args: Any) -> Any:
         """Run ``fn(*args)`` on the dispatcher; block for its result."""
-        done = threading.Event()
+        done = threading.Lock()  # a one-shot latch: released when run
+        done.acquire()
         box: dict = {}
 
         def run() -> None:
@@ -198,10 +199,10 @@ class LiveBackend(Backend):
             except BaseException as exc:  # relayed to the caller below
                 box["error"] = exc
             finally:
-                done.set()
+                done.release()
 
         self.clock.submit(run)
-        if not done.wait(self.call_timeout):
+        if not done.acquire(timeout=self.call_timeout):
             raise BackendError(
                 f"dispatcher did not run the call within {self.call_timeout}s"
             )
@@ -299,6 +300,9 @@ class SocketBackend(LiveBackend):
         )
         self.hub.network = self.transport
         self.call_timeout = call_timeout
+        # The dispatcher is the thread that reads node replies, so it
+        # runs from construction: ``build_tree`` already calls nodes.
+        self.clock.start()
 
     def store_factory(self, dso: Any, address: str, role: Any,
                       parent: Optional[str]) -> Any:

@@ -3,6 +3,8 @@
 Kept fast: every wait is bounded and the loops are stopped in teardown.
 """
 
+import os
+import socket
 import threading
 import time
 
@@ -16,7 +18,7 @@ from repro.core.local_object import LocalObject
 from repro.replication.client import ClientReplicationObject
 from repro.replication.engine import StoreReplicationObject
 from repro.replication.policy import ReplicationPolicy
-from repro.runtime.live import LiveLoop, LiveNetwork
+from repro.runtime.live import BATCH, LiveLoop, LiveNetwork
 from repro.web.document import WebDocument
 
 
@@ -89,13 +91,158 @@ class TestLiveLoop:
         assert entered.wait(5.0), "callback must be running before stop()"
         thread = busy_loop._thread
         threading.Timer(0.3, release.set).start()
-        # The idle budget is far shorter than the callback; stop() must
-        # nevertheless wait the callback out and join the thread.
-        busy_loop.stop(timeout=0.05)
+        # stop() must wait the callback out and join the thread.
+        busy_loop.stop()
         assert release.is_set()
         assert not thread.is_alive(), (
             "stop() returned while the dispatcher thread was still running"
         )
+
+
+class TestLiveLoopReaders:
+    """The dispatcher as the one I/O thread: readers beside timers."""
+
+    @pytest.fixture
+    def pair(self):
+        ours, theirs = socket.socketpair()
+        yield ours, theirs
+        ours.close()
+        theirs.close()
+
+    def test_events_run_in_when_then_seq_order(self):
+        order = []
+        ordered = LiveLoop(seed=1)
+        ordered.schedule(0.04, order.append, "late")
+        ordered.submit(order.append, "first")
+        ordered.schedule(0.0, order.append, "second")
+        ordered.schedule(0.02, order.append, "timer")
+        ordered.submit(order.append, "third")
+        ordered.start()
+        try:
+            assert wait_for(lambda: len(order) == 5)
+        finally:
+            ordered.stop()
+        assert order == ["first", "second", "third", "timer", "late"]
+
+    def test_work_queued_by_a_reader_callback_runs_after_it_in_order(
+            self, loop, pair):
+        ours, theirs = pair
+        order = []
+
+        def on_readable():
+            order.append(("read", ours.recv(16)))
+            loop.schedule(0.0, order.append, "scheduled")
+            loop.submit(order.append, "submitted")
+            order.append("returned")  # nothing ran re-entrantly
+
+        loop.submit(order.append, "before")
+        loop.add_reader(ours, on_readable)
+        theirs.send(b"x")
+        assert wait_for(lambda: len(order) == 5)
+        assert order[0] == "before" or order[0] == ("read", b"x")
+        assert order[-3:] == ["returned", "scheduled", "submitted"]
+        loop.remove_reader(ours)
+        theirs.send(b"y")
+        time.sleep(0.05)
+        assert len(order) == 5  # a removed reader is never called again
+
+    def test_idle_is_false_while_a_reader_callback_runs(self, loop, pair):
+        ours, theirs = pair
+        entered, release = threading.Event(), threading.Event()
+
+        def on_readable():
+            ours.recv(16)
+            entered.set()
+            release.wait(5.0)
+
+        loop.add_reader(ours, on_readable)
+        assert wait_for(lambda: loop.idle)
+        theirs.send(b"x")
+        assert entered.wait(5.0)
+        assert not loop.idle
+        release.set()
+        assert wait_for(lambda: loop.idle)
+
+    def test_a_timer_storm_does_not_starve_a_readable_socket(
+            self, loop, pair):
+        ours, theirs = pair
+        fired, fired_at_read = [], []
+        hold = threading.Event()
+
+        def on_readable():
+            ours.recv(16)
+            fired_at_read.append(len(fired))
+
+        loop.add_reader(ours, on_readable)
+        loop.submit(hold.wait, 5.0)  # park the dispatcher: all is due at once
+        for index in range(10_000):
+            loop.submit(fired.append, index)
+        theirs.send(b"x")
+        hold.set()
+        assert wait_for(lambda: len(fired) == 10_000)
+        assert fired == list(range(10_000))
+        assert fired_at_read and fired_at_read[0] <= 2 * BATCH
+
+    def test_a_chatty_socket_does_not_starve_timers(self, loop, pair):
+        ours, theirs = pair
+        reads, fired = [], []
+
+        def on_readable():
+            reads.append(ours.recv(1))
+            if len(reads) == 1:
+                loop.schedule(0.0, lambda: fired.append(len(reads)))
+            theirs.send(b"x")  # readable again, for ever
+
+        loop.add_reader(ours, on_readable)
+        theirs.send(b"x")
+        assert wait_for(lambda: fired)
+        assert fired[0] <= 3  # the event ran within a poll or two
+        loop.remove_reader(ours)
+
+    def test_schedule_from_a_foreign_thread_wakes_a_sleeping_loop(self, loop):
+        loop.schedule(30.0, lambda: None, daemon=True)  # a far-away timer
+        delays = []
+        for _ in range(5):
+            assert wait_for(lambda: loop.idle)
+            time.sleep(0.02)  # let the dispatcher go to sleep
+            stamp = []
+            started = time.monotonic()
+            loop.submit(lambda: stamp.append(time.monotonic()))
+            assert wait_for(lambda: stamp)
+            delays.append(stamp[0] - started)
+        assert min(delays) < 0.05, delays
+
+    def test_stop_releases_the_selector_and_the_wake_sockets(self, pair):
+        ours, theirs = pair
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(5):
+            cycled = LiveLoop(seed=1)
+            cycled.start()
+            cycled.add_reader(ours, ours.recv, 16)
+            cycled.stop()
+            cycled.remove_reader(ours)  # after stop: a no-op
+            cycled.add_reader(ours, ours.recv, 16)  # a stopped loop: ignored
+        assert len(os.listdir("/proc/self/fd")) == before
+        assert ours.fileno() >= 0  # the loop never closes what it reads
+
+    def test_a_closed_reader_does_not_kill_the_dispatcher(self, loop, pair):
+        ours, theirs = pair
+        loop.add_reader(ours, lambda: None)
+        ours.close()  # closed while registered: a caller's mistake
+        loop.remove_reader(ours)
+        survived = []
+        loop.submit(survived.append, 1)
+        assert wait_for(lambda: survived)
+        other, peer = socket.socketpair()
+        try:
+            got = []
+            loop.add_reader(other, lambda: got.append(other.recv(16)))
+            peer.send(b"z")
+            assert wait_for(lambda: got == [b"z"])
+            loop.remove_reader(other)
+        finally:
+            other.close()
+            peer.close()
 
 
 class TestLiveNetwork:
