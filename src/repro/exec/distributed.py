@@ -14,15 +14,15 @@ patterns the ROADMAP names:
   per-worker assignments, bounded retry-with-backoff on worker loss,
   duplicate-result suppression.  It never touches a socket, which is
   what makes the wire protocol unit-testable.
-- :class:`DistributedExecutor` is the I/O shell: it binds a listener (a
-  Unix socket in a throwaway run directory, or the ``unix:``/``tcp:``
-  address named by ``REPRO_HUB_BIND`` so daemons on other hosts can
-  join), starts the local workers from the ``multiprocessing`` context
-  -- each runs the same :func:`repro.exec.worker.serve` loop that
-  ``python -m repro.exec.worker`` runs -- keeps one reader thread per
-  worker connection, sweeps heartbeat liveness through the shared
-  :class:`~repro.runtime.registry.Registry`, and streams results back
-  to the runner as they arrive.
+- :class:`DistributedExecutor` is the I/O shell: the store hub's
+  :class:`~repro.runtime.server.FrameServer` on a ``LiveLoop`` of its
+  own (a Unix socket in a throwaway run directory, or the ``unix:``/
+  ``tcp:`` address named by ``REPRO_HUB_BIND`` so daemons on other hosts
+  can join) with handlers for ``next``/``result``/``bye``, and the local
+  workers, forked before that loop starts -- each runs the same
+  :func:`repro.exec.worker.serve` loop that ``python -m repro.exec.worker``
+  runs.  It starts no thread of its own: the caller blocks on the queue
+  the ``result`` handler fills and streams results to the runner.
 
 Determinism is inherited, not engineered: point functions are pure and
 seeds derive from configs, so any worker may compute any point -- even
@@ -63,12 +63,12 @@ from repro.exec.backends import (
 )
 from repro.exec.codec import CodecError, decode_result
 from repro.exec.worker import WORKER_ENV, function_reference, serve
-from repro.runtime.registry import Registry
+from repro.runtime.live import LiveLoop
+from repro.runtime.server import FrameServer
 from repro.runtime.wire import (
     Address,
     FrameChannel,
     WireError,
-    listen,
     parse_address,
 )
 
@@ -309,6 +309,7 @@ class DistributedExecutor:
         self.stats = ExecutorStats()
         # Per-run state (rebuilt by _serve).
         self._hub: Optional[SweepHub] = None
+        self._server: Optional[FrameServer] = None
         self._procs: Dict[str, Any] = {}
 
     # -- run -----------------------------------------------------------------
@@ -352,19 +353,11 @@ class DistributedExecutor:
                ) -> Iterator[TaskResult]:
         hub = SweepHub(tasks, max_retries=self.max_retries,
                        retry_base_delay=self.retry_base_delay)
-        registry = Registry(ttl=self.heartbeat_ttl)
-        results: "queue.Queue[TaskResult]" = queue.Queue()
-        stop = threading.Event()
-        channels: List[FrameChannel] = []
-        readers: List[threading.Thread] = []
-        channel_by_name: Dict[str, FrameChannel] = {}
-        lock = threading.Lock()
+        #: Finished points -- or the exception that ends the sweep.
+        results: "queue.Queue[Any]" = queue.Queue()
         run_dir = tempfile.mkdtemp(prefix="repro-sweep-hub-")
         bind = os.environ.get(HUB_BIND_ENV)
-        address: Address = (
-            parse_address(bind) if bind
-            else os.path.join(run_dir, "hub.sock")
-        )
+        loop = LiveLoop()
         state = {
             "last_progress": time.monotonic(),
             "respawns": spawn,  # replacement budget for dead local workers
@@ -373,171 +366,80 @@ class DistributedExecutor:
         procs = self._procs = {}
         self._hub = hub
 
+        def welcome(name: str) -> Dict[str, Any]:
+            hub.register(name)
+            state["last_progress"] = time.monotonic()
+            return {"paths": [p or os.getcwd() for p in sys.path]}
+
+        def lose_worker(name: str) -> None:
+            failures, requeued = hub.lose(name, time.monotonic())
+            self.stats.retries += requeued
+            for result in failures:
+                results.put(result)
+
+        def on_next(channel: FrameChannel, _body: Dict[str, Any]) -> None:
+            kind, body = hub.next_task(channel.peer, time.monotonic())
+            server.send(channel, kind, **body)
+
+        def on_result(channel: FrameChannel, body: Dict[str, Any]) -> None:
+            # A torn or malformed result raises: the server drops the
+            # worker like a dead one and its tasks are requeued.
+            server.registry.beat(channel.peer, time.monotonic())
+            result = hub.complete(channel.peer, body)
+            if result is None:
+                return
+            state["last_progress"] = time.monotonic()
+            if result.blob is not None:
+                self.stats.payload_bytes += len(result.blob)
+            results.put(result)
+
+        server = self._server = FrameServer(
+            parse_address(bind) if bind else os.path.join(run_dir, "hub.sock"),
+            loop,
+            {"next": on_next, "result": on_result,
+             "bye": lambda channel, _body: server.drop(channel.peer)},
+            welcome, lose_worker, heartbeat_ttl=self.heartbeat_ttl,
+        )
+
         def start_worker() -> None:
             name = f"w{len(procs)}"
             forked = context.get_start_method() == "fork"
             proc = context.Process(
                 target=_local_worker,
-                args=(_connect_address(address), name,
-                      listener if forked else None),
+                args=(_connect_address(server.address), name,
+                      server.listener if forked else None),
                 name=f"repro-sweep-{name}", daemon=True,
             )
             proc.start()
             procs[name] = proc
 
-        def lose_worker(name: str) -> None:
-            now = time.monotonic()
-            failures, requeued = hub.lose(name, now)
-            registry.deregister(name)
-            with lock:
-                channel_by_name.pop(name, None)
-                self.stats.retries += requeued
-            for result in failures:
-                results.put(result)
-
-        def reader(channel: FrameChannel) -> None:
-            name: Optional[str] = None
-            try:
-                while not stop.is_set():
-                    frame = channel.recv()
-                    if frame is None:
-                        break
-                    kind, body = frame
-                    if kind == "hello":
-                        name = str(body["node"])
-                        hub.register(name)
-                        registry.register(
-                            name, int(body.get("pid", 0)), conn=channel,
-                            now=time.monotonic(),
-                        )
-                        with lock:
-                            channel_by_name[name] = channel
-                            state["last_progress"] = time.monotonic()
-                        channel.send(
-                            "welcome", node=name,
-                            paths=[p or os.getcwd() for p in sys.path],
-                        )
-                    elif name is None:
-                        continue  # pre-hello chatter from a confused peer
-                    elif kind == "heartbeat":
-                        registry.beat(name, time.monotonic())
-                    elif kind == "next":
-                        kind_out, body_out = hub.next_task(
-                            name, time.monotonic()
-                        )
-                        channel.send(kind_out, **body_out)
-                    elif kind == "result":
-                        registry.beat(name, time.monotonic())
-                        result = hub.complete(name, body)
-                        if result is None:
-                            continue
-                        with lock:
-                            state["last_progress"] = time.monotonic()
-                            if result.blob is not None:
-                                self.stats.payload_bytes += len(result.blob)
-                        results.put(result)
-                    elif kind == "bye":
-                        break
-            except (WireError, CodecError, KeyError, TypeError, ValueError):
-                # A faulty or corrupt worker is handled like a dead one:
-                # drop the connection, requeue its tasks.
-                pass
-            finally:
-                if name is not None:
-                    lose_worker(name)
-                channel.close()
-
-        def accept_loop() -> None:
-            while True:
-                try:
-                    conn, _ = listener.accept()
-                except OSError:
-                    return  # listener shut down
-                channel = FrameChannel(conn)
-                thread = threading.Thread(
-                    target=reader, args=(channel,),
-                    name="repro-hub-reader", daemon=True,
-                )
-                with lock:
-                    channels.append(channel)
-                    readers.append(thread)
-                thread.start()
-
-        def tick() -> None:
-            """Idle-loop maintenance: expiry, respawn, hang detection."""
-            now = time.monotonic()
-            for name in registry.expire(now):
-                with lock:
-                    channel = channel_by_name.get(name)
-                if channel is not None:
-                    channel.close()  # unblocks its reader -> lose_worker
-                else:
-                    lose_worker(name)
+        def watchdog() -> None:
+            """Daemon timer: respawn, and give up on a sweep nobody serves."""
             if hub.done:
                 return
-            if not registry.names() and not any(
+            now = time.monotonic()
+            connected = server.registry.names()
+            if not connected and not any(
                     proc.is_alive() for proc in procs.values()):
                 if state["respawns"] <= 0:
-                    raise WireError(
-                        "parallel sweep: every local worker exited"
-                    )
+                    results.put(WireError(
+                        "parallel sweep: every local worker exited"))
+                    return
                 state["respawns"] -= 1
                 start_worker()
-                with lock:
-                    state["last_progress"] = time.monotonic()
-            with lock:
-                stalled = now - state["last_progress"]
-            if not registry.names() and stalled > self.worker_timeout:
-                raise WireError(
+                state["last_progress"] = now
+            if (not connected
+                    and now - state["last_progress"] > self.worker_timeout):
+                results.put(WireError(
                     f"parallel sweep: no workers connected for "
-                    f"{self.worker_timeout:.0f}s"
-                )
+                    f"{self.worker_timeout:.0f}s"))
+                return
+            loop.schedule(0.1, watchdog, daemon=True)
 
-        listener = listen(address)
-        if isinstance(address, tuple):
-            address = listener.getsockname()[:2]  # resolve port 0
-        acceptor = threading.Thread(
-            target=accept_loop, name="repro-hub-accept", daemon=True,
-        )
-        unavailable: Optional[OSError] = None
-        try:
-            # Workers start while this is still the only hub thread (no
-            # lock is mid-acquire in the forked copy); the listener is
-            # already bound, so their connects wait in its backlog.
-            try:
-                for _ in range(spawn):
-                    start_worker()
-            except OSError as exc:
-                unavailable = exc
-            else:
-                acceptor.start()
-                delivered = 0
-                while delivered < len(tasks):
-                    try:
-                        result = results.get(timeout=0.1)
-                    except queue.Empty:
-                        tick()
-                        continue
-                    delivered += 1
-                    yield result
-        finally:
-            stop.set()
+        def reap() -> None:
+            """Wait for the workers told ``bye``; kill the rest at once."""
             deadline = time.monotonic() + SHUTDOWN_GRACE
-            with lock:
-                open_channels = list(channels)
-            for channel in open_channels:
-                try:
-                    channel.send("bye")
-                except WireError:
-                    pass
-            told = set(registry.names())
-            try:
-                # shutdown() wakes the acceptor out of accept(); close()
-                # alone leaves it blocked on Linux.
-                listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            listener.close()
+            told = server.registry.names()
             for name, proc in procs.items():
                 if name in told:
                     proc.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -546,22 +448,36 @@ class DistributedExecutor:
                     # result is in, so nothing it holds is wanted.
                     proc.kill()
                 proc.join()
-            for channel in open_channels:
-                channel.close()
-            with lock:
-                threads = [acceptor] if acceptor.is_alive() else []
-                threads += readers
-            for thread in threads:
-                thread.join(timeout=max(0.0, deadline - time.monotonic()))
-            with lock:
-                self.stats.wire_bytes = sum(
-                    ch.sent_bytes + ch.recv_bytes for ch in channels
-                )
-            self._hub = None
+                proc.close()  # else its sentinel fd waits for a cyclic gc
+
+        unavailable: Optional[OSError] = None
+        try:
+            # Workers are forked while this is still the only hub thread
+            # (no lock is mid-acquire in the forked copy); the server is
+            # already bound, so their connects wait in its backlog.
+            try:
+                for _ in range(spawn):
+                    start_worker()
+            except OSError as exc:
+                unavailable = exc
+            else:
+                loop.start()
+                server.start()
+                loop.schedule(0.1, watchdog, daemon=True)
+                for _ in tasks:
+                    result = results.get()
+                    if isinstance(result, Exception):
+                        raise result
+                    yield result
+        finally:
+            loop.stop()
+            server.shutdown(reap)
+            self.stats.wire_bytes = server.wire_bytes
+            self._hub = self._server = None
             self._procs = {}
-            if bind and isinstance(address, str):
+            if bind and isinstance(server.address, str):
                 try:
-                    os.unlink(address)  # may live outside run_dir
+                    os.unlink(server.address)  # may live outside run_dir
                 except OSError:
                     pass
             shutil.rmtree(run_dir, ignore_errors=True)

@@ -1,12 +1,13 @@
-"""Naming and heartbeat-based liveness for socket store nodes.
+"""Naming and heartbeat-based liveness for a hub's peers.
 
-The hub embeds one :class:`Registry` (an in-process registry daemon in
-the service-discovery sense): nodes announce themselves once with a
-``hello`` frame (:meth:`Registry.register`), then keep themselves alive
-with periodic ``heartbeat`` frames (:meth:`Registry.beat`).  A node that
-misses beats for longer than the TTL is considered dead and is swept by
-:meth:`Registry.expire` — which is exactly how the hub notices a
-SIGKILL'd process without waiting on a socket timeout.
+Every :class:`~repro.runtime.server.FrameServer` embeds one
+:class:`Registry` (an in-process registry daemon in the
+service-discovery sense), its one name -> connection map: a peer
+announces itself once with a ``hello`` frame (:meth:`Registry.register`),
+then keeps itself alive with periodic ``heartbeat`` frames
+(:meth:`Registry.beat`).  One that misses beats for longer than the TTL
+reads dead (:meth:`Registry.alive`) and the server drops its connection
+-- how a hub notices a hung process that no socket EOF will report.
 
 Time is injected as plain ``float`` seconds on every mutating call so
 tests can drive expiry deterministically without sleeping.
@@ -15,7 +16,7 @@ tests can drive expiry deterministically without sleeping.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
 
@@ -26,17 +27,14 @@ class NodeEntry:
     name: str
     pid: int
     conn: Any = None
-    registered_at: float = 0.0
     last_beat: float = 0.0
-    meta: Dict[str, Any] = field(default_factory=dict)
 
 
 class Registry:
     """Thread-safe name -> :class:`NodeEntry` map with TTL liveness.
 
     ``ttl`` is the beat-silence budget: a node whose ``last_beat`` is
-    older than ``now - ttl`` reports dead via :meth:`alive` and is
-    removed by :meth:`expire`.
+    older than ``now - ttl`` reports dead via :meth:`alive`.
     """
 
     def __init__(self, ttl: float = 1.0) -> None:
@@ -50,16 +48,13 @@ class Registry:
         pid: int,
         conn: Any = None,
         now: float = 0.0,
-        **meta: Any,
     ) -> NodeEntry:
         """Insert (or replace, e.g. after a restart) the entry for ``name``."""
         entry = NodeEntry(
             name=name,
             pid=pid,
             conn=conn,
-            registered_at=now,
             last_beat=now,
-            meta=dict(meta),
         )
         with self._lock:
             self._entries[name] = entry
@@ -89,18 +84,6 @@ class Registry:
         with self._lock:
             entry = self._entries.get(name)
             return entry is not None and now - entry.last_beat <= self.ttl
-
-    def expire(self, now: float) -> List[str]:
-        """Sweep and return names whose beats have gone stale."""
-        with self._lock:
-            dead = [
-                name
-                for name, entry in self._entries.items()
-                if now - entry.last_beat > self.ttl
-            ]
-            for name in dead:
-                del self._entries[name]
-        return dead
 
     def names(self) -> List[str]:
         """Currently registered names, sorted for stable output."""

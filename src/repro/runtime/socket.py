@@ -1,11 +1,13 @@
-"""Hub side of the socket runtime: routing, registry, fault teeth.
+"""Hub side of the socket runtime: routing, node RPC, fault teeth.
 
 The ``live-socket`` backend keeps the *driving* half of a deployment --
 the dispatcher loop, every client address space, the shared trace
 recorder and the fault-control surface -- in the parent process (the
 "hub"), while every store runs in its own OS process
 (:mod:`repro.runtime.node`).  One frame socket connects each node back
-here.
+here, served by the :class:`~repro.runtime.server.FrameServer` the sweep
+hub runs too; :class:`SocketHub` adds the ``data``/``trace``/``reply``
+handlers, node lifecycle and hub-to-node RPC.
 
 Design rule: **every datagram crosses the hub's network send path
 exactly once.**  Client traffic originates on the hub dispatcher and
@@ -22,8 +24,9 @@ Fault teeth: :meth:`SocketNetwork.crash_node` first applies the shared
 (queued/in-flight drops, counters), then SIGKILLs the node's real
 process; :meth:`SocketNetwork.restart_node` re-spawns it with
 ``--restore`` so the replica resumes from its snapshot + journal, then
-lifts the crash mark.  Liveness is tracked by a heartbeat
-:class:`~repro.runtime.registry.Registry`.
+lifts the crash mark.  A node whose heartbeats go silent past the TTL
+loses its connection, so traffic toward it drops as unregistered at
+once instead of holding the dispatcher in a write nobody reads.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import dataclasses
 import itertools
 import os
 import shutil
-import socket
 import tempfile
 import threading
 import time
@@ -41,9 +43,9 @@ from typing import Any, Dict, List, Optional
 from repro.coherence.trace import TraceRecorder
 from repro.core.interfaces import Role
 from repro.runtime.live import LiveLoop, LiveNetwork
-from repro.runtime.registry import Registry
+from repro.runtime.server import FrameServer
 from repro.runtime.supervisor import NodeSupervisor
-from repro.runtime.wire import FrameChannel, WireError, listen
+from repro.runtime.wire import FrameChannel, WireError
 
 
 class SocketRuntimeError(RuntimeError):
@@ -51,17 +53,17 @@ class SocketRuntimeError(RuntimeError):
 
 
 class SocketHub:
-    """Accepts node connections; routes frames, calls, and lifecycle.
+    """The store hub: a :class:`FrameServer` plus node lifecycle and RPC.
 
-    One hub per deployment.  Threads, whatever the node count: the
-    deployment's :class:`LiveLoop` dispatcher, one accept thread, one
-    liveness sweeper, and a short-lived handshake thread per connecting
-    peer.  After ``hello`` a channel is attached to the dispatcher, which
-    alone reads and writes it (see :mod:`repro.runtime.wire`).
+    One hub per deployment, served on the deployment's :class:`LiveLoop`.
+    Threads, whatever the node count: that loop's dispatcher, which alone
+    reads and writes a channel after ``hello``, and the server's accept
+    thread (plus a short-lived handshake thread per connecting peer).
     """
 
     def __init__(
         self,
+        loop: LiveLoop,
         run_dir: Optional[str] = None,
         call_timeout: float = 10.0,
         heartbeat_ttl: float = 2.0,
@@ -69,35 +71,36 @@ class SocketHub:
         node_boot_timeout: float = 10.0,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
+        self.loop = loop
         self.run_dir = run_dir or tempfile.mkdtemp(prefix="repro-hub-")
         self._owns_run_dir = run_dir is None
         self.address = os.path.join(self.run_dir, "hub.sock")
         self.call_timeout = call_timeout
         self.heartbeat_interval = heartbeat_interval
-        self.node_boot_timeout = node_boot_timeout
         self.trace = trace
-        self.registry = Registry(ttl=heartbeat_ttl)
+        #: ``hello_timeout`` doubles as the deadline for a node's boot.
+        self.server = FrameServer(
+            self.address, loop,
+            {"data": self._on_data, "trace": self._on_trace,
+             "reply": lambda _channel, body: self._resolve_call(body)},
+            heartbeat_ttl=heartbeat_ttl, hello_timeout=node_boot_timeout,
+            stall_timeout=call_timeout,
+        )
+        #: The server's name -> connection map, under the hub's old names.
+        self.registry = self.server.registry
+        self.channel_for = self.server.channel_for
         self.supervisor = NodeSupervisor(self.run_dir, self.address)
         #: The deployment's :class:`SocketNetwork`; set by the backend
         #: right after construction (the two reference each other).
         self.network: Optional[SocketNetwork] = None
-        self._channels: Dict[str, FrameChannel] = {}
-        #: Connections still inside their handshake, and their threads.
-        self._greeting: Dict[FrameChannel, threading.Thread] = {}
-        self._ready: Dict[str, threading.Event] = {}
         self._calls: Dict[int, Dict[str, Any]] = {}
         self._call_ids = itertools.count(1)
         self._lock = threading.Lock()
-        self._closing = threading.Event()
-        self._listener = listen(self.address)
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="repro-hub-accept", daemon=True
-        )
-        self._accept_thread.start()
-        self._sweeper = threading.Thread(
-            target=self._sweep_loop, name="repro-hub-sweeper", daemon=True
-        )
-        self._sweeper.start()
+
+    def start(self) -> None:
+        """Start serving; the backend calls this once ``network`` is set."""
+        self.server.stats = self.network.stats
+        self.server.start()
 
     # -- node lifecycle ------------------------------------------------------
 
@@ -111,15 +114,13 @@ class SocketHub:
         self._launch(name, restore=False)
 
     def _launch(self, name: str, restore: bool) -> None:
-        with self._lock:
-            event = self._ready.setdefault(name, threading.Event())
-            event.clear()
         proc = self.supervisor.spawn(name, restore=restore)
-        deadline = time.monotonic() + self.node_boot_timeout
+        deadline = time.monotonic() + self.server.hello_timeout
         log = self.supervisor.log_path(name)
-        # Short waits so a child that died on start-up (an unreadable
+        # Polled, so a child that died on start-up (an unreadable
         # snapshot, a bad spec) is reported now, not at the deadline.
-        while not event.wait(0.05):
+        while self.channel_for(name) is None:
+            time.sleep(0.001)
             status = proc.poll()
             if status is not None:
                 raise SocketRuntimeError(
@@ -129,17 +130,16 @@ class SocketHub:
             if time.monotonic() >= deadline:
                 raise SocketRuntimeError(
                     f"node {name!r} did not register within "
-                    f"{self.node_boot_timeout}s (see {log})"
+                    f"{self.server.hello_timeout}s (see {log})"
                 )
 
     def kill_node(self, name: str) -> int:
         """SIGKILL the node's process; returns the dead PID."""
-        with self._lock:
-            channel = self._channels.pop(name, None)
+        # Forgotten first: a deliberate kill is never reported as a loss.
+        entry = self.registry.deregister(name)
         pid = self.supervisor.kill(name)
-        self.registry.deregister(name)
-        if channel is not None:
-            channel.close()
+        if entry is not None:
+            entry.conn.close()
         return pid
 
     def restart_node(self, name: str) -> None:
@@ -149,10 +149,6 @@ class SocketHub:
     def node_pid(self, name: str) -> int:
         """The node's current process id."""
         return self.supervisor.pid(name)
-
-    def channel_for(self, name: str) -> Optional[FrameChannel]:
-        """The node's frame channel, or ``None`` when detached."""
-        return self._channels.get(name)
 
     # -- node RPC ------------------------------------------------------------
 
@@ -165,7 +161,7 @@ class SocketHub:
         dispatcher -- the thread that would read the reply -- the frame
         is sent and that one channel pumped inline until the reply.
         """
-        channel = self._channels.get(node)
+        channel = self.channel_for(node)
         if channel is None:
             raise SocketRuntimeError(f"node {node!r} is not connected")
         call_id = next(self._call_ids)
@@ -174,15 +170,14 @@ class SocketHub:
         slot: Dict[str, Any] = {"latch": latch, "error": "no reply"}
         with self._lock:
             self._calls[call_id] = slot
-        loop = self.network.loop
         deadline = time.monotonic() + (timeout or self.call_timeout)
-        if not loop.on_dispatcher:
-            loop.submit(self._send_call, channel, call_id, op, kwargs)
+        if not self.loop.on_dispatcher:
+            self.loop.submit(self._send_call, channel, call_id, op, kwargs)
             latch.acquire(timeout=deadline - time.monotonic())
         else:
             self._send_call(channel, call_id, op, kwargs)
             while (call_id in self._calls
-                   and self._channels.get(node) is channel
+                   and self.channel_for(node) is channel
                    and channel.poll(deadline - time.monotonic())):
                 channel.pump()
         with self._lock:
@@ -194,111 +189,42 @@ class SocketHub:
     def _send_call(self, channel: FrameChannel, call_id: int, op: str,
                    kwargs: Dict[str, Any]) -> None:
         try:
-            self._send(channel, "call", call_id=call_id, op=op, kwargs=kwargs)
+            self.server.send(channel, "call", call_id=call_id, op=op,
+                             kwargs=kwargs)
         except WireError as exc:
             self._resolve_call({"call_id": call_id, "error": str(exc)})
 
     # -- frame plumbing (attached channels: dispatcher only) -----------------
 
-    def _send(self, channel: FrameChannel, kind: str, **body: Any) -> None:
-        if self.network is not None:
-            self.network.stats.frames_sent += 1
-        channel.send(kind, **body)
-
     def forward(self, dst: str, src: str, payload: object,
                 size_bytes: int) -> bool:
         """Frame one routed datagram out to node ``dst`` (dispatcher)."""
-        channel = self._channels.get(dst)
+        channel = self.channel_for(dst)
         if channel is None:
             return False
         try:
-            self._send(channel, "data", src=src, dst=dst, payload=payload,
-                       size=size_bytes, reliable=True)
+            self.server.send(channel, "data", src=src, dst=dst,
+                             payload=payload, size=size_bytes, reliable=True)
         except WireError:
             return False
         return True
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            channel = FrameChannel(sock)
-            thread = threading.Thread(target=self._greet, args=(channel,),
-                                      name="repro-hub-hello", daemon=True)
-            with self._lock:
-                self._greeting[channel] = thread
-            thread.start()
+    def _on_data(self, _channel: FrameChannel, body: Dict[str, Any]) -> None:
+        """A node-origin datagram re-enters the one canonical send path --
+        stats, fault gates and latency are applied there and nowhere
+        else -- which only *schedules* the arrival, so no handler runs
+        re-entrantly."""
+        self.network.send(body["src"], body["dst"], body["payload"],
+                          body["size"], body["reliable"])
 
-    def _greet(self, channel: FrameChannel) -> None:
-        """Handshake one connection under a deadline -- off the dispatcher,
-        where ``restart_node`` waits for this very ``hello``.  A peer that
-        says anything else first, or nothing within ``node_boot_timeout``,
-        is closed and never reaches the reader set."""
-        try:
-            frame = channel.recv(timeout=self.node_boot_timeout)
-            if frame is None or frame[0] != "hello":
-                raise WireError("no hello")
-            name = channel.peer = str(frame[1]["node"])
-            self.network.stats.frames_received += 1
-            self.registry.register(name, int(frame[1]["pid"]), conn=channel,
-                                   now=time.monotonic())
-            self._send(channel, "welcome", node=name)
-            channel.attach(self.network.loop, self._on_frame, self._lost,
-                           stall_timeout=self.call_timeout)
-        except (WireError, KeyError, TypeError, ValueError, OSError):
-            name = None
-        with self._lock:
-            del self._greeting[channel]
-            if name is not None and not self._closing.is_set():
-                self._channels[name] = channel
-                self._ready.setdefault(name, threading.Event()).set()
-                return
-        channel.close()
-
-    def _on_frame(self, channel: FrameChannel, kind: str,
-                  body: Dict[str, Any]) -> None:
-        """Route one frame of an attached channel (dispatcher).
-
-        ``data`` re-enters the one canonical send path -- stats, fault
-        gates and latency are applied there and nowhere else -- which
-        only *schedules* the arrival, so no handler runs re-entrantly.
-        A malformed body or a second ``hello`` ends the connection.
-        """
-        network = self.network
-        network.stats.frames_received += 1
-        try:
-            if kind == "data":
-                network.send(body["src"], body["dst"], body["payload"],
-                             body["size"], body["reliable"])
-            elif kind == "trace":
-                self._record_trace(body["event"])
-            elif kind == "reply":
-                self._resolve_call(body)
-            elif kind == "heartbeat":
-                self.registry.beat(channel.peer, now=time.monotonic())
-            else:
-                raise WireError(f"unexpected {kind!r} frame")
-        except (KeyError, TypeError) as exc:
-            raise WireError(f"malformed {kind!r} frame") from exc
-
-    def _lost(self, channel: FrameChannel) -> None:
-        """Forget a channel that closed itself (EOF, faulty or stalled)."""
-        with self._lock:
-            # A restarted node may already have replaced this channel;
-            # only detach if we are still current.
-            if self._channels.get(channel.peer) is channel:
-                del self._channels[channel.peer]
-
-    def _record_trace(self, event: Any) -> None:
+    def _on_trace(self, _channel: FrameChannel, body: Dict[str, Any]) -> None:
         """Append a node's trace event to the shared recorder.
 
         The event is re-indexed into the hub recorder's global order;
         per-lane order (all the signature cares about) is preserved
         because each node streams its own events in recording order.
         """
-        recorder = self.trace
+        event, recorder = body["event"], self.trace
         if recorder is None:
             return
         recorder.events.append(
@@ -314,43 +240,11 @@ class SocketHub:
         slot["result"] = body.get("result")
         slot["latch"].release()
 
-    def _sweep_loop(self) -> None:
-        """Expire registry entries whose heartbeats went silent."""
-        while not self._closing.wait(self.heartbeat_interval):
-            self.registry.expire(time.monotonic())
-
     # -- teardown ------------------------------------------------------------
 
     def shutdown(self) -> None:
         """Stop every node, close every socket, remove the run dir."""
-        self._closing.set()
-        with self._lock:
-            channels = list(self._channels.values())
-            self._channels.clear()
-            greeting = dict(self._greeting)
-        for channel in channels:
-            try:
-                channel.send("bye")
-            except WireError:
-                pass
-        self.supervisor.shutdown()
-        for channel in [*channels, *greeting]:
-            channel.close()
-        try:
-            # close() alone leaves a thread blocked in accept() asleep on
-            # Linux; shutting the listening socket down wakes it.
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        for thread in (self._accept_thread, self._sweeper,
-                       *greeting.values()):
-            thread.join(timeout=2.0)
-        for name in self.registry.names():
-            self.registry.deregister(name)
+        self.server.shutdown(self.supervisor.shutdown)
         if self._owns_run_dir:
             shutil.rmtree(self.run_dir, ignore_errors=True)
 

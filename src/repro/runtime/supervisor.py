@@ -26,29 +26,16 @@ from repro.runtime.wire import Address, format_address
 
 
 class NodeSupervisor:
-    """Spawn, kill, restart and reap ``repro.runtime.node`` processes.
-
-    The lifecycle machinery (per-child log files, SIGKILL-and-reap,
-    terminate-then-kill shutdown) is child-agnostic; a subclass that
-    supervises a different daemon overrides :attr:`log_env` and
-    :meth:`build_argv`.
-    """
-
-    #: Environment variable redirecting the per-child log directory;
-    #: the CI soak jobs use it to upload child logs on failure.
-    log_env = "REPRO_SOCKET_LOG_DIR"
+    """Spawn, kill, restart and reap ``repro.runtime.node`` processes."""
 
     def __init__(
         self,
         run_dir: str,
         hub_address: Address,
-        log_dir: str = "",
     ) -> None:
         self.run_dir = run_dir
         self.hub_address = hub_address
-        self.log_dir = (
-            log_dir or os.environ.get(self.log_env) or run_dir
-        )
+        self.log_dir = os.environ.get("REPRO_SOCKET_LOG_DIR") or run_dir
         os.makedirs(self.run_dir, exist_ok=True)
         os.makedirs(self.log_dir, exist_ok=True)
         self._procs: Dict[str, subprocess.Popen] = {}
@@ -78,7 +65,7 @@ class NodeSupervisor:
     def write_spec(self, name: str, spec: Dict[str, Any]) -> str:
         """Persist the node spec; returns its path."""
         # Imported here, not at module level: repro.exec's init imports
-        # repro.runtime (the sweep hub uses its wire layer and registry),
+        # repro.runtime (the sweep hub uses its frame server and loop),
         # whose init imports this module, so the back-edge stays lazy.
         from repro.exec.codec import encode_result
 

@@ -11,8 +11,8 @@ the reader does guard against is a *faulty* peer: a length beyond
 :data:`MAX_FRAME_BYTES`, or a payload that does not unpickle to a
 ``(str, dict)`` pair, is a :class:`WireError`, never a half-read frame.
 
-Frame kinds (the complete vocabulary; the store runtime and the sweep
-hub share the handshake/liveness frames):
+Frame kinds (the complete vocabulary; handshake, liveness and goodbye
+are :class:`~repro.runtime.server.FrameServer`'s own, on both hubs):
 
 - ``hello`` / ``welcome`` -- node registration handshake (name + pid);
 - ``data`` -- one datagram (src, dst, payload, size, reliability class);
@@ -25,16 +25,16 @@ hub share the handshake/liveness frames):
   delay (:mod:`repro.exec.distributed` / :mod:`repro.exec.worker`);
 - ``result`` -- one finished sweep point: codec-encoded payload bytes
   (digest-protected) plus worker-side telemetry;
-- ``heartbeat`` -- node liveness beats for the registry;
+- ``heartbeat`` -- liveness beats for the server's registry;
 - ``bye`` -- orderly goodbye before close.
 
 :class:`FrameChannel` wraps a connected socket in one of two modes.
-*Blocking* (the handshake, the sweep hub and its workers): ``send`` under
-a lock from any thread, ``recv`` from one reader thread.  *Attached*
-(hub and node after ``hello``): the socket is non-blocking and exactly
-one thread, a :class:`~repro.runtime.live.LiveLoop` dispatcher, reads
-and writes it -- and a write never blocks without draining reads, so two
-peers bursting at each other cannot deadlock.
+*Blocking* (the handshake; a sweep worker throughout): ``send`` under a
+lock from any thread, ``recv`` from one reader thread.  *Attached* (both
+hubs and every node after ``hello``): the socket is non-blocking and
+exactly one thread, a :class:`~repro.runtime.live.LiveLoop` dispatcher,
+reads and writes it -- and a write never blocks without draining reads,
+so two peers bursting at each other cannot deadlock.
 :func:`connect_with_backoff` retries a refused/absent listener with
 exponential backoff, which is how a node races its hub's bind without an
 external barrier.
@@ -163,7 +163,8 @@ class FrameChannel:
         #: Whatever the owner wants to remember about the other end.
         self.peer: Any = None
         self._send_lock = threading.Lock()
-        self._closed = False
+        #: Set by :meth:`close`; a frame server routes no frame read after.
+        self.closed = False
         self._buffer = bytearray()
         self._loop: Any = None  # the owning loop, once attached
         self._corked: Optional[List[bytes]] = None
@@ -197,7 +198,7 @@ class FrameChannel:
             self._write(data)
         else:
             with self._send_lock:
-                if self._closed:
+                if self.closed:
                     raise WireError("channel closed")
                 try:
                     self.sock.sendall(data)
@@ -352,9 +353,9 @@ class FrameChannel:
     def close(self) -> None:
         """Leave the loop's reader set, then close the socket (idempotent)."""
         with self._send_lock:
-            if self._closed:
+            if self.closed:
                 return
-            self._closed = True
+            self.closed = True
         if self._loop is not None:
             self._loop.remove_reader(self.sock)
         try:

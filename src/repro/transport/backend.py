@@ -291,7 +291,8 @@ class SocketBackend(LiveBackend):
         self.clock = LiveLoop(seed=seed)
         self.trace = TraceRecorder()
         self.hub = SocketHub(
-            run_dir=run_dir, call_timeout=call_timeout, trace=self.trace
+            self.clock, run_dir=run_dir, call_timeout=call_timeout,
+            trace=self.trace,
         )
         self.transport = SocketNetwork(
             self.clock,
@@ -303,6 +304,7 @@ class SocketBackend(LiveBackend):
         # The dispatcher is the thread that reads node replies, so it
         # runs from construction: ``build_tree`` already calls nodes.
         self.clock.start()
+        self.hub.start()
 
     def store_factory(self, dso: Any, address: str, role: Any,
                       parent: Optional[str]) -> Any:

@@ -11,7 +11,12 @@ Three layers, separately:
 - full sweeps run against the hub's forked workers, including the
   headline fault test: SIGKILL a worker mid-sweep and the sweep still
   completes with a cache tree byte-identical to the in-process path's,
-  the retry attributed in the run manifest.
+  the retry attributed in the run manifest;
+- the hub's ``FrameServer`` is met by faulty peers mid-sweep (the
+  store hub's ``FakePeer`` and damage list from
+  ``tests/test_runtime_wire.py``), a second connection saying a live
+  worker's name, and a worker that hangs without closing its socket:
+  each costs that connection only and the sweep's bytes nothing.
 
 Point functions live at module level because workers import them by
 reference.
@@ -20,10 +25,12 @@ reference.
 import json
 import os
 import signal
+import struct
 import subprocess
 import sys
 import threading
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -55,6 +62,8 @@ from repro.obs.manifest import (
     validate_manifest,
 )
 from repro.runtime.wire import FrameChannel
+from tests.test_runtime_reactor import repro_threads
+from tests.test_runtime_wire import DAMAGE, FakePeer, frame_bytes, inflict
 
 
 def grid_point(config, seed):
@@ -382,11 +391,16 @@ class TestDistributedSweeps:
                 == points
             elapsed = time.monotonic() - started
             assert elapsed < 2.0, f"{points}-point sweep took {elapsed:.2f}s"
-            assert not [
-                thread.name for thread in threading.enumerate()
-                if thread.name.startswith("repro-hub-")
-            ]
+            assert repro_threads() == []
             assert _children() <= children
+        # ...nor a file descriptor: a worker's Process object holds one
+        # (its sentinel) until it is closed or garbage-collected.
+        descriptors = len(os.listdir("/proc/self/fd"))
+        for _ in range(10):
+            assert len(run_sweep(_grid_spec(), parallel=3)) == 6
+        assert repro_threads() == []
+        assert _children() <= children
+        assert len(os.listdir("/proc/self/fd")) == descriptors
 
     def test_tcp_wildcard_bind_connects_via_loopback(self):
         assert _connect_address(("0.0.0.0", 4242)) == ("127.0.0.1", 4242)
@@ -512,6 +526,195 @@ class TestDistributedSweeps:
                    and r.get("label") == "n=0"]
         assert retried and retried[0]["retries"] >= 1
         assert retried[0]["worker"] != victim  # finished elsewhere
+
+
+def _wait_until(predicate, timeout=20.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+@contextmanager
+def gated_sweep(tmp_path, monkeypatch, executor=None, parallel=2, gated=1):
+    """A six-point sweep held open by its last ``gated`` points, served
+    where a ``FakePeer`` can connect.  Yields ``(executor, holder,
+    gate)`` once every other point is in and worker ``holder`` sits on
+    the first gated one, ``6 - gated``; on exit opens the gate and
+    requires the finished sweep to equal ``parallel=1``'s, results and
+    cache tree byte for byte."""
+    monkeypatch.setenv(HUB_BIND_ENV, f"unix:{tmp_path / 'hub.sock'}")
+    gate = tmp_path / "gate"
+    executor = executor or DistributedExecutor()
+    held = list(range(6 - gated, 6))
+    slow = tuple(f"n={index}" for index in held)
+    outcome = {}
+
+    def drive():
+        try:
+            outcome["results"] = run_sweep(
+                _grid_spec(gate=str(gate), slow_labels=slow),
+                parallel=parallel,
+                cache=ResultCache(tmp_path / "dist", fingerprint="pinned"),
+                executor=executor,
+            )
+        except BaseException as exc:  # surfaces in the main thread
+            outcome["error"] = exc
+
+    sweep = threading.Thread(target=drive)
+    sweep.start()
+    try:
+        assert _wait_until(
+            lambda: executor._hub is not None
+            and len(executor._hub.completed) == 6 - gated
+            and sorted(executor.inflight().values())
+            == [[index] for index in held]
+        ), "the sweep never settled on its gated points"
+        holder = next(name for name, indices in executor.inflight().items()
+                      if indices == held[:1])
+        yield executor, holder, gate
+    finally:
+        gate.touch()
+        sweep.join(timeout=60.0)
+    assert not sweep.is_alive()
+    assert "error" not in outcome, outcome.get("error")
+    serial = run_sweep(
+        _grid_spec(gate=str(gate), slow_labels=slow), parallel=1,
+        cache=ResultCache(tmp_path / "serial", fingerprint="pinned"),
+    )
+    assert outcome["results"] == serial
+    tree = _result_tree(tmp_path / "dist")
+    assert tree == _result_tree(tmp_path / "serial") and len(tree) == 6
+    records = load_manifest(tmp_path / "dist" / "manifest.jsonl")
+    assert validate_manifest(records) == []
+
+
+def _point_record(tmp_path, label):
+    return next(record
+                for record in load_manifest(tmp_path / "dist" / "manifest.jsonl")
+                if record.get("rec") == "point" and record["label"] == label)
+
+
+class TestSweepHubAgainstFaultyPeers:
+    """The sweep hub is the store hub's ``FrameServer``: what costs a
+    faulty peer its connection there costs it here -- and only it."""
+
+    @pytest.fixture()
+    def peer(self):
+        peers = []
+
+        def connect(server):
+            peers.append(FakePeer(server))
+            return peers[-1]
+
+        yield connect
+        for one in peers:
+            one.channel.close()
+
+    def test_damage_costs_that_connection_only(
+            self, tmp_path, monkeypatch, peer):
+        with gated_sweep(tmp_path, monkeypatch) as (executor, holder, _):
+            server = executor._server
+            for first in (frame_bytes(("next", {"node": "w0"})),
+                          frame_bytes(("heartbeat", {"node": holder})),
+                          struct.pack(">I", 5) + b"junk!"):
+                stranger = peer(server)
+                stranger.raw(first)  # anything but hello first
+                assert stranger.closed_by_hub()
+            torn = encode_result(grid_point({"n": 5}, 1))
+            for damage in DAMAGE + [
+                frame_bytes(("result", {"index": 5, "ok": True, "blob": torn,
+                                        "digest": "0" * 8})),
+                frame_bytes(("result", {"ok": False})),
+            ]:
+                ghost = peer(server)
+                ghost.hello("ghost")
+                inflict(ghost, damage)
+                assert ghost.closed_by_hub()
+                assert _wait_until(lambda: server.channel_for("ghost") is None)
+            # A result for an index never handed out is ignored, and the
+            # connection kept: the next request on it is still answered.
+            ghost = peer(server)
+            ghost.hello("ghost")
+            ghost.channel.send("result", index=99, ok=False, error="?")
+            ghost.channel.send("next", node="ghost")
+            assert ghost.channel.recv(timeout=5.0)[0] == "wait"
+            ghost.channel.send("bye")
+            assert ghost.closed_by_hub()
+            # None of it touched the real workers or their one held point.
+            assert executor.inflight() == {holder: [5]}
+            assert server.registry.names() == ["w0", "w1"]
+        assert executor.stats.retries == 0
+
+    def test_a_silent_peer_is_closed_at_the_hello_deadline(
+            self, tmp_path, monkeypatch, peer):
+        with gated_sweep(tmp_path, monkeypatch) as (executor, _, _):
+            executor._server.hello_timeout = 0.4
+            silent = peer(executor._server)
+            started = time.monotonic()
+            assert silent.closed_by_hub(timeout=5.0)
+            assert 0.3 < time.monotonic() - started < 3.0
+            # It parked no thread: caller + dispatcher + accept remain.
+            assert _wait_until(lambda: repro_threads() == [
+                "repro-hub-accept", "repro-live-loop"], timeout=5.0)
+
+    @pytest.mark.parametrize("parallel", [2, 4])
+    def test_a_running_sweep_has_two_hub_threads_whatever_the_workers(
+            self, tmp_path, monkeypatch, parallel):
+        with gated_sweep(tmp_path, monkeypatch, parallel=parallel) as (
+                executor, _, _):
+            assert _wait_until(lambda: len(
+                executor._server.registry.names()) == parallel)
+            assert _wait_until(lambda: repro_threads() == [
+                "repro-hub-accept", "repro-live-loop"], timeout=5.0)
+
+    def test_a_name_said_twice_goes_to_the_newest_connection(
+            self, tmp_path, monkeypatch, peer):
+        # Both real workers sit on a gated point, so nobody else can
+        # take the requeued one.
+        with gated_sweep(tmp_path, monkeypatch, gated=2) as (
+                executor, holder, gate):
+            other = next(name for name in executor.inflight()
+                         if name != holder)
+            usurper = peer(executor._server)
+            usurper.hello(holder)
+            # The older connection was dropped and its point requeued --
+            # once -- before the welcome; the newcomer is served it.
+            assert executor.stats.retries == 1
+            assert executor.inflight() == {other: [5]}
+            while True:
+                usurper.channel.send("next", node=holder)
+                kind, task = usurper.channel.recv(timeout=5.0)
+                if kind != "wait":  # the requeue's back-off
+                    break
+                time.sleep(task["delay"])
+            assert (kind, task["index"], task["attempt"]) == ("task", 4, 1)
+            assert executor.inflight() == {holder: [4], other: [5]}
+            gate.touch()  # the deposed worker may finish and leave
+            blob = encode_result(grid_point(task["config"], task["seed"]))
+            usurper.channel.send("result", index=4, ok=True, blob=blob,
+                                 digest=_payload_digest(blob))
+        assert executor.stats.retries == 1
+        record = _point_record(tmp_path, "n=4")
+        assert (record["worker"], record["retries"]) == (holder, 1)
+
+    def test_a_hung_worker_is_dropped_at_the_ttl_and_its_point_retried(
+            self, tmp_path, monkeypatch):
+        executor = DistributedExecutor(heartbeat_ttl=0.6)
+        with gated_sweep(tmp_path, monkeypatch, executor) as (_, holder, gate):
+            pid = executor.worker_pid(holder)
+            os.kill(pid, signal.SIGSTOP)  # connected, but no more beats
+            stopped = time.monotonic()
+            assert _wait_until(lambda: executor.stats.retries >= 1,
+                               timeout=10.0)
+            assert time.monotonic() - stopped < 5.0
+            assert executor._server.channel_for(holder) is None
+        record = _point_record(tmp_path, "n=5")
+        assert record["retries"] >= 1 and record["worker"] != holder
+        with pytest.raises(ProcessLookupError):  # killed and reaped
+            os.kill(pid, 0)
 
 
 class TestWorkerAttributionSurfaces:

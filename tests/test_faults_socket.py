@@ -256,7 +256,7 @@ class TestJournalDurability:
         started = time.monotonic()
         with pytest.raises(SocketRuntimeError, match="exited with status 1"):
             hub.restart_node(self.VICTIM)
-        assert time.monotonic() - started < hub.node_boot_timeout / 2
+        assert time.monotonic() - started < hub.server.hello_timeout / 2
         with open(hub.supervisor.log_path(self.VICTIM)) as fh:
             log = fh.read()
         assert "cannot restore: unreadable snapshot" in log

@@ -24,6 +24,7 @@ from repro.replication.policy import ReplicationPolicy
 from repro.transport.backend import SocketBackend
 from repro.workload.scenarios import build_tree
 from tests.test_faults_socket import SOAK_BUDGET, wall_clock_deadline
+from tests.test_runtime_wire import still_serving
 
 SEED = 7
 
@@ -89,7 +90,7 @@ class TestWriteBursts:
             == {f"{body}{count - 1}"}
         stats = deployment.network.stats
         assert stats.datagrams_dropped_unregistered == 0
-        assert sorted(deployment.backend.hub._channels) == [
+        assert deployment.backend.hub.registry.names() == [
             "cache-0", "cache-1", "server"]
 
 
@@ -177,7 +178,82 @@ class TestStalledNode:
                 deployment.call(reader.read_page, "index.html"), timeout=5.0)
             assert page["content"] == f"{body}199"
         assert hub.call("cache-0", "ping") == "pong"
-        assert sorted(hub._channels) == ["cache-0", "server"]
+        assert hub.registry.names() == ["cache-0", "server"]
+
+
+def all_serving(deployment):
+    """Every node is still attached, answers, and serves a read."""
+    return (deployment.backend.hub.registry.names()
+            == sorted(deployment.site.dso.stores)
+            and still_serving(deployment, "<h1>reactor</h1>"))
+
+
+class TestLiveness:
+    """Heartbeat expiry has teeth, and only a dispatcher that could have
+    read the beats may judge them missing."""
+
+    @pytest.mark.parametrize("deployment", [{"call_timeout": 4.0}],
+                             indirect=True)
+    def test_a_silent_node_is_dropped_at_the_ttl_and_stalls_nobody(
+            self, deployment):
+        hub = deployment.backend.hub
+        master = deployment.browsers["master"]
+        reader = deployment.browsers["reader-0-0"]
+        hub.registry.ttl = 1.0
+        os.kill(hub.node_pid("cache-1"), signal.SIGSTOP)
+        stopped = time.monotonic()
+        assert deployment.wait_until(
+            lambda: hub.channel_for("cache-1") is None, timeout=5.0)
+        assert time.monotonic() - stopped < 3.0
+        assert hub.registry.names() == ["cache-0", "server"]  # the one map
+        body = "b" * 16384
+
+        def burst():
+            return [master.write_page("index.html", f"{body}{index}")
+                    for index in range(200)]
+
+        # Pushes toward the silent node drop as unregistered at once;
+        # while its connection was kept they filled its socket and held
+        # the dispatcher -- and every unrelated read -- for call_timeout.
+        futures = deployment.call(burst)
+        slowest = 0.0
+        for _ in range(30):
+            started = time.monotonic()
+            deployment.wait(deployment.call(reader.read_page, "index.html"),
+                            timeout=15.0)
+            slowest = max(slowest, time.monotonic() - started)
+        for future in futures:
+            deployment.wait(future, timeout=30.0)
+        assert slowest < 1.0
+        assert deployment.network.stats.datagrams_dropped_unregistered > 0
+        assert hub.call("cache-0", "ping") == "pong"
+
+    def test_a_held_dispatcher_judges_nobody(self, deployment):
+        hub = deployment.backend.hub
+        hub.registry.ttl = 1.0
+        time.sleep(0.6)  # the timer has picked the short period up
+        # Four beats per node arrive while nobody reads them: the round
+        # that is due meanwhile runs late and must not call that silence.
+        deployment.call(time.sleep, 1.5)
+        time.sleep(0.6)  # two on-time rounds later
+        assert all_serving(deployment)
+
+    def test_a_boot_longer_than_the_ttl_costs_no_other_node(
+            self, deployment, monkeypatch):
+        hub = deployment.backend.hub
+        hub.registry.ttl = 1.0
+        spawn = hub.supervisor.spawn
+
+        def slow_spawn(name, restore=False):
+            time.sleep(1.5)  # longer than the TTL, whatever the machine
+            return spawn(name, restore=restore)
+
+        monkeypatch.setattr(hub.supervisor, "spawn", slow_spawn)
+        deployment.call(deployment.network.crash_node, "cache-1")
+        # restart_node blocks the dispatcher until the node says hello.
+        deployment.call(deployment.network.restart_node, "cache-1")
+        time.sleep(0.6)
+        assert all_serving(deployment)
 
 
 class TestThreadCensus:
@@ -189,11 +265,10 @@ class TestThreadCensus:
         master = deployment.browsers["master"]
         deployment.wait(deployment.call(
             master.write_page, "index.html", "<h1>census</h1>"), timeout=10.0)
-        # Hub: dispatcher + accept + sweeper, whatever the node count
-        # (handshake threads are gone once every node has said hello).
+        # Hub: dispatcher + accept, whatever the node count (handshake
+        # threads are gone once every node has said hello).
         assert deployment.wait_until(
             lambda: repro_threads() == ["repro-hub-accept",
-                                        "repro-hub-sweeper",
                                         "repro-live-loop"], timeout=5.0)
         # Node: the dispatcher -- the one thread that touches engine,
         # journal and socket -- and the main thread parked until ``bye``.

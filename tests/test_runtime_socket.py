@@ -36,10 +36,9 @@ class TestRegistry:
 
     def test_register_and_lookup(self):
         registry = Registry(ttl=1.0)
-        entry = registry.register("cache-0", pid=4242, now=10.0, role="cache")
+        entry = registry.register("cache-0", pid=4242, now=10.0)
         assert registry.lookup("cache-0") is entry
-        assert entry.pid == 4242
-        assert entry.meta == {"role": "cache"}
+        assert (entry.pid, entry.conn, entry.last_beat) == (4242, None, 10.0)
         assert registry.lookup("nope") is None
 
     def test_reregister_replaces_entry(self):
@@ -63,14 +62,16 @@ class TestRegistry:
         assert not registry.beat("unknown", now=0.0)
         assert not registry.alive("unknown", now=0.0)
 
-    def test_expire_sweeps_only_stale_entries(self):
+    def test_only_stale_entries_read_dead(self):
         registry = Registry(ttl=1.0)
         registry.register("server", pid=1, now=0.0)
         registry.register("cache-0", pid=2, now=0.0)
         registry.beat("server", now=2.0)
-        assert registry.expire(now=2.5) == ["cache-0"]
-        assert registry.names() == ["server"]
-        assert registry.lookup("cache-0") is None
+        assert [name for name in registry.names()
+                if not registry.alive(name, now=2.5)] == ["cache-0"]
+        # Reading dead removes nothing: the frame server's liveness
+        # timer is what drops (and deregisters) a silent peer.
+        assert registry.names() == ["cache-0", "server"]
 
     def test_deregister_returns_entry(self):
         registry = Registry(ttl=1.0)
@@ -353,8 +354,7 @@ class TestSocketDeploymentLifecycle:
 def _wait_no_hub_threads(timeout=2.0):
     """Names of ``repro-hub-*`` threads still alive after ``timeout``.
 
-    The accept and sweeper threads are joined by ``shutdown`` itself; a
-    serve thread exits as soon as it reads EOF on its closed channel.
+    The accept and handshake threads are joined by ``shutdown`` itself.
     """
     deadline = time.monotonic() + timeout
     while True:
@@ -393,7 +393,8 @@ class TestSocketHubWithoutNodes:
         try:
             net, hub = backend.transport, backend.hub
             net.register_remote("store")
-            hub._channels["store"] = channel
+            hub.registry.register("store", pid=1, conn=channel,
+                                  now=time.monotonic())
             channel.close()
             backend.start()
             with obs.trace_run() as tracer:

@@ -276,7 +276,8 @@ class TestChannelModes:
 
 
 class FakePeer:
-    """A hand-driven connection to a hub, closed with the test."""
+    """A hand-driven connection to a hub (anything with an ``address`` and
+    a ``channel_for``: both hubs' ``FrameServer``), closed with the test."""
 
     def __init__(self, hub):
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
@@ -286,7 +287,8 @@ class FakePeer:
 
     def hello(self, name):
         self.channel.send("hello", node=name, pid=os.getpid())
-        assert self.channel.recv(timeout=5.0) == ("welcome", {"node": name})
+        kind, body = self.channel.recv(timeout=5.0)
+        assert (kind, body["node"]) == ("welcome", name)
         deadline = time.monotonic() + 5.0
         while self.hub.channel_for(name) is None:  # attached a moment later
             assert time.monotonic() < deadline
@@ -338,15 +340,15 @@ def peer(deployment):
         one.channel.close()
 
 
-def still_serving(deployment):
+def still_serving(deployment, content="<h1>wire</h1>"):
     """The real nodes answer: an RPC to each and a read through the cache."""
     hub = deployment.backend.hub
     reader = deployment.browsers["reader-0-0"]
     page = deployment.wait(deployment.call(reader.read_page, "index.html"),
                            timeout=10.0)
-    return (page["content"] == "<h1>wire</h1>"
+    return (page["content"] == content
             and all(hub.call(name, "ping") == "pong"
-                    for name in ("server", "cache-0")))
+                    for name in deployment.site.dso.stores))
 
 
 def frame_bytes(value):
@@ -354,32 +356,41 @@ def frame_bytes(value):
     return struct.pack(">I", len(payload)) + payload
 
 
+#: What a peer may say after ``hello`` that costs it its connection, on
+#: either hub (``tests/test_exec_distributed.py`` replays the list).
+DAMAGE = [
+    struct.pack(">I", 9) + b"\x00" * 9,             # not a pickle
+    struct.pack(">I", 0xFFFFFFF0) + b"x" * 16,      # oversized prefix
+    BLOBS[0][:40],                                  # cut mid-frame
+    frame_bytes(["data", {}]),                      # wrong shape
+    frame_bytes((7, {})),
+    frame_bytes(("data", [])),
+    frame_bytes(("data", {"src": "ghost"})),        # malformed body
+    frame_bytes(("reply", {})),
+    frame_bytes(("trace", {})),
+    frame_bytes(("hello", {"node": "ghost", "pid": 1})),  # second hello
+    frame_bytes(("task", {"index": 1})),            # not the hub's
+]
+
+
+def inflict(ghost, damage):
+    ghost.raw(damage)
+    if damage == BLOBS[0][:40]:
+        ghost.channel.sock.shutdown(socket.SHUT_WR)  # a truncated stream
+
+
 class TestHubAgainstFaultyPeers:
-    @pytest.mark.parametrize("damage", [
-        struct.pack(">I", 9) + b"\x00" * 9,             # not a pickle
-        struct.pack(">I", 0xFFFFFFF0) + b"x" * 16,      # oversized prefix
-        BLOBS[0][:40],                                  # cut mid-frame
-        frame_bytes(["data", {}]),                      # wrong shape
-        frame_bytes((7, {})),
-        frame_bytes(("data", [])),
-        frame_bytes(("data", {"src": "ghost"})),        # malformed body
-        frame_bytes(("reply", {})),
-        frame_bytes(("trace", {})),
-        frame_bytes(("hello", {"node": "ghost", "pid": 1})),  # second hello
-        frame_bytes(("task", {"index": 1})),            # not the hub's
-    ])
+    @pytest.mark.parametrize("damage", DAMAGE)
     def test_damage_after_hello_drops_that_connection_only(
             self, deployment, peer, damage):
         hub = deployment.backend.hub
         ghost = peer()
         ghost.hello("ghost")
-        ghost.raw(damage)
-        if damage == BLOBS[0][:40]:
-            ghost.channel.sock.shutdown(socket.SHUT_WR)  # a truncated stream
+        inflict(ghost, damage)
         assert ghost.closed_by_hub()
         assert deployment.wait_until(
             lambda: hub.channel_for("ghost") is None, timeout=5.0)
-        hub.registry.deregister("ghost")
+        assert hub.registry.names() == ["cache-0", "server"]
         assert still_serving(deployment)
 
     @pytest.mark.parametrize("first", [
@@ -394,12 +405,12 @@ class TestHubAgainstFaultyPeers:
             self, deployment, peer, first):
         hub = deployment.backend.hub
         before = (deployment.network.stats.datagrams_sent,
-                  hub.registry.names(), sorted(hub._channels))
+                  hub.registry.names())
         stranger = peer()
         stranger.raw(first)
         assert stranger.closed_by_hub()
         assert before == (deployment.network.stats.datagrams_sent,
-                          hub.registry.names(), sorted(hub._channels))
+                          hub.registry.names())
         assert still_serving(deployment)
 
     def test_a_heartbeat_beats_only_the_name_said_at_hello(
@@ -424,7 +435,7 @@ class TestHubAgainstFaultyPeers:
     def test_a_silent_peer_is_closed_at_the_deadline_without_a_trace(
             self, deployment, peer, monkeypatch):
         hub = deployment.backend.hub
-        monkeypatch.setattr(hub, "node_boot_timeout", 0.4)
+        monkeypatch.setattr(hub.server, "hello_timeout", 0.4)
         silent = peer()
         started = time.monotonic()
         assert silent.closed_by_hub(timeout=5.0)
@@ -436,13 +447,13 @@ class TestHubAgainstFaultyPeers:
         assert deployment.wait_until(
             lambda: len(hub.network.loop._selector.get_map()) == 3,
             timeout=5.0)
-        assert sorted(hub._channels) == ["cache-0", "server"]
+        assert hub.registry.names() == ["cache-0", "server"]
         assert still_serving(deployment)
 
     def test_a_trickling_peer_cannot_stretch_the_deadline(
             self, deployment, peer, monkeypatch):
         hub = deployment.backend.hub
-        monkeypatch.setattr(hub, "node_boot_timeout", 0.5)
+        monkeypatch.setattr(hub.server, "hello_timeout", 0.5)
         trickler = peer()
         hello = frame_bytes(("hello", {"node": "slow", "pid": 1}))
         started = time.monotonic()
@@ -476,7 +487,7 @@ def test_silent_peers_neither_delay_real_nodes_nor_outlive_shutdown():
             try:
                 # Both nodes said hello long before any silent peer's
                 # deadline, each of which still holds a handshake thread.
-                assert time.monotonic() - started < hub.node_boot_timeout / 2
+                assert time.monotonic() - started < hub.server.hello_timeout / 2
                 assert sum(thread.name == "repro-hub-hello"
                            for thread in set(threading.enumerate()) - others
                            ) == 3
