@@ -31,14 +31,8 @@ from repro.core.dso import BoundClient, DistributedSharedObject, Store
 from repro.core.ids import WriteId
 from repro.core.interfaces import Role, SemanticsObject
 from repro.naming.service import NameService
-from repro.net.latency import (
-    ConstantLatency,
-    GraphLatency,
-    RegionalLatency,
-    UniformLatency,
-)
+from repro.net.latency import ConstantLatency, UniformLatency
 from repro.net.network import Network
-from repro.net.topology import Topology
 from repro.replication.client import ReplicaError
 from repro.replication.policy import (
     AccessTransfer,
@@ -68,7 +62,6 @@ __all__ = [
     "ConstantLatency",
     "Delay",
     "DistributedSharedObject",
-    "GraphLatency",
     "NameService",
     "Network",
     "OutdateReaction",
@@ -76,7 +69,6 @@ __all__ = [
     "PageNotFound",
     "Process",
     "Propagation",
-    "RegionalLatency",
     "ReplicaError",
     "ReplicationPolicy",
     "Role",
@@ -86,7 +78,6 @@ __all__ = [
     "Simulator",
     "Store",
     "StoreScope",
-    "Topology",
     "TraceRecorder",
     "TransferInitiative",
     "TransferInstant",

@@ -193,13 +193,6 @@ class TraceRecorder:
         """All events of one type, in global order."""
         return [e for e in self.events if isinstance(e, event_type)]
 
-    def apply_sequence(self, store: str) -> List[ApplyEvent]:
-        """Apply events of one store, in application order."""
-        return [
-            e for e in self.events
-            if isinstance(e, ApplyEvent) and e.store == store
-        ]
-
     def stores(self) -> List[str]:
         """All stores that applied or installed anything, in first-seen order."""
         seen: List[str] = []
@@ -218,13 +211,6 @@ class TraceRecorder:
             if client is not None and client not in seen:
                 seen.append(client)
         return seen
-
-    def writes_by(self, client_id: str) -> List[WriteIssueEvent]:
-        """Writes issued by one client, in issue order."""
-        return [
-            e for e in self.events
-            if isinstance(e, WriteIssueEvent) and e.client_id == client_id
-        ]
 
     def reads_by(self, client_id: str) -> List[ReadEvent]:
         """Reads served to one client, in serve order."""

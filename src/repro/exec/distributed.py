@@ -81,6 +81,12 @@ HUB_BIND_ENV = "REPRO_HUB_BIND"
 #: the hub's own threads) before it stops waiting politely.
 SHUTDOWN_GRACE = 2.0
 
+#: Ceiling of the exponential backoff before a lost point is re-served.
+RETRY_MAX_DELAY = 1.0
+
+#: How long a sweep with no connected worker waits before it gives up.
+WORKER_TIMEOUT = 60.0
+
 
 def _connect_address(address: Address) -> Address:
     """The address local workers should *connect* to.
@@ -115,12 +121,10 @@ class SweepHub:
         tasks: List[PointTask],
         max_retries: int = 3,
         retry_base_delay: float = 0.05,
-        retry_max_delay: float = 1.0,
     ) -> None:
         self.tasks: Dict[int, PointTask] = {t.index: t for t in tasks}
         self.max_retries = max(0, int(max_retries))
         self.retry_base_delay = retry_base_delay
-        self.retry_max_delay = retry_max_delay
         self.queue: deque = deque(sorted(self.tasks))
         self.not_before: Dict[int, float] = {}
         self.attempts: Dict[int, int] = {i: 0 for i in self.tasks}
@@ -269,7 +273,7 @@ class SweepHub:
                     delay = min(
                         self.retry_base_delay
                         * (2 ** (self.attempts[index] - 1)),
-                        self.retry_max_delay,
+                        RETRY_MAX_DELAY,
                     )
                     self.not_before[index] = now + delay
                     self.queue.append(index)
@@ -300,12 +304,10 @@ class DistributedExecutor:
         max_retries: int = 3,
         retry_base_delay: float = 0.05,
         heartbeat_ttl: float = 2.0,
-        worker_timeout: float = 60.0,
     ) -> None:
         self.max_retries = max_retries
         self.retry_base_delay = retry_base_delay
         self.heartbeat_ttl = heartbeat_ttl
-        self.worker_timeout = worker_timeout
         self.stats = ExecutorStats()
         # Per-run state (rebuilt by _serve).
         self._hub: Optional[SweepHub] = None
@@ -429,10 +431,10 @@ class DistributedExecutor:
                 start_worker()
                 state["last_progress"] = now
             if (not connected
-                    and now - state["last_progress"] > self.worker_timeout):
+                    and now - state["last_progress"] > WORKER_TIMEOUT):
                 results.put(WireError(
                     f"parallel sweep: no workers connected for "
-                    f"{self.worker_timeout:.0f}s"))
+                    f"{WORKER_TIMEOUT:.0f}s"))
                 return
             loop.schedule(0.1, watchdog, daemon=True)
 

@@ -132,13 +132,6 @@ class FaultableTransportMixin:
                 return True
         return False
 
-    @property
-    def active_partitions(
-        self,
-    ) -> Tuple[Tuple[FrozenSet[str], FrozenSet[str]], ...]:
-        """The currently installed partitions, in installation order."""
-        return tuple(self._partitions)
-
     # -- loss ------------------------------------------------------------------
 
     def set_loss_rate(self, rate: float) -> None:
@@ -178,11 +171,6 @@ class FaultableTransportMixin:
     def is_crashed(self, node: str) -> bool:
         """Whether ``node`` is currently crashed."""
         return node in self._crashed
-
-    @property
-    def crashed_nodes(self) -> FrozenSet[str]:
-        """The currently crashed node names."""
-        return frozenset(self._crashed)
 
     # -- the datagram-path gates ------------------------------------------------
 

@@ -1,16 +1,12 @@
 """Object handle -> contact address resolution.
 
 In Globe, binding to a distributed shared object starts by resolving its
-handle to contact points.  This in-process service keeps the mapping and
-implements nearest-contact selection against a latency model, which is how
-clients end up bound to a nearby mirror rather than the distant origin.
+handle to contact points.  This in-process service keeps the mapping.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
-
-from repro.net.latency import LatencyModel
+from typing import Dict, List
 
 
 class UnknownObject(KeyError):
@@ -40,21 +36,3 @@ class NameService:
         if object_id not in self._contacts or not self._contacts[object_id]:
             raise UnknownObject(object_id)
         return list(self._contacts[object_id])
-
-    def nearest(
-        self,
-        object_id: str,
-        from_address: str,
-        latency: Optional[LatencyModel] = None,
-    ) -> str:
-        """Contact address with the lowest one-way delay from a node.
-
-        Without a latency model the first registered contact wins, which
-        keeps unit tests deterministic.
-        """
-        contacts = self.resolve(object_id)
-        if latency is None:
-            return contacts[0]
-        return min(
-            contacts, key=lambda addr: latency.delay(from_address, addr, 0)
-        )

@@ -9,28 +9,16 @@ on top in :mod:`repro.comm`.
 Public API
 ----------
 - :class:`Network` -- datagram delivery between registered nodes.
-- :class:`LatencyModel` and implementations -- per-pair delay computation.
-- :class:`Topology` -- region/graph based node placement and latencies.
+- :class:`LatencyModel` and implementations -- one-way delay computation.
 """
 
-from repro.net.latency import (
-    ConstantLatency,
-    GraphLatency,
-    LatencyModel,
-    RegionalLatency,
-    UniformLatency,
-)
+from repro.net.latency import ConstantLatency, LatencyModel, UniformLatency
 from repro.net.network import Network, NetworkStats
-from repro.net.topology import Region, Topology
 
 __all__ = [
     "ConstantLatency",
-    "GraphLatency",
     "LatencyModel",
     "Network",
     "NetworkStats",
-    "Region",
-    "RegionalLatency",
-    "Topology",
     "UniformLatency",
 ]

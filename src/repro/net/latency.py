@@ -1,66 +1,51 @@
 """Latency models for the simulated network.
 
 A latency model maps ``(source, destination, size_bytes)`` to a one-way
-delay in seconds.  Models may be deterministic or draw jitter from the
-simulation RNG passed at construction.
+delay in seconds.  :class:`ConstantLatency` is what every deployment
+builds; :class:`UniformLatency` draws jitter from the simulation RNG
+passed at construction, and tests subclass :class:`LatencyModel` to
+inject reordering.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 from repro.sim.rng import SeededRng
 
 
 class LatencyModel:
-    """Base class: fixed-zero latency; subclasses override :meth:`delay`."""
+    """Base class; subclasses override :meth:`delay`."""
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
         """One-way delay in seconds for a datagram of ``size_bytes``."""
         raise NotImplementedError
 
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """The fixed delay for a pair, if the model can promise one.
+    def fixed_delay(self) -> Optional[float]:
+        """The one delay every datagram takes, if the model has one.
 
-        A model answers with the exact value :meth:`delay` would return
-        for this ``(src, dst)`` pair -- any payload size, every call --
-        or ``None`` when it cannot promise that (randomized jitter, or a
-        size-dependent transmission time).  The simulated network uses
-        the answer to memoize delays per pair on its send fast path; a
-        ``None`` disables the memo.  The default is conservative:
-        subclasses that do not opt in are never memoized.
+        The network asks once, when the model is assigned, and adds the
+        answer to ``now`` for every datagram without calling
+        :meth:`delay`; ``None`` (the default) means :meth:`delay` is
+        called per datagram.
         """
         return None
 
-    @staticmethod
-    def transmission_time(size_bytes: int, bandwidth_bps: Optional[float]) -> float:
-        """Serialization delay for a payload on a link of given bandwidth."""
-        if not bandwidth_bps:
-            return 0.0
-        return (size_bytes * 8.0) / bandwidth_bps
-
 
 class ConstantLatency(LatencyModel):
-    """Every datagram takes the same base delay plus transmission time."""
+    """Every datagram takes the same base delay."""
 
-    def __init__(
-        self,
-        base: float = 0.05,
-        bandwidth_bps: Optional[float] = None,
-    ) -> None:
+    def __init__(self, base: float = 0.05) -> None:
         if base < 0:
             raise ValueError(f"base latency must be non-negative, got {base!r}")
         self.base = base
-        self.bandwidth_bps = bandwidth_bps
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """Constant base delay plus transmission time."""
-        return self.base + self.transmission_time(size_bytes, self.bandwidth_bps)
+        """The constant base delay."""
+        return self.base
 
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """The base delay -- memoizable unless bandwidth makes size matter."""
-        if self.bandwidth_bps:
-            return None
+    def fixed_delay(self) -> Optional[float]:
+        """The base delay."""
         return self.base
 
 
@@ -72,140 +57,13 @@ class UniformLatency(LatencyModel):
     ordering instead of WiD ordering (design decision D1).
     """
 
-    def __init__(
-        self,
-        low: float,
-        high: float,
-        rng: SeededRng,
-        bandwidth_bps: Optional[float] = None,
-    ) -> None:
+    def __init__(self, low: float, high: float, rng: SeededRng) -> None:
         if low < 0 or high < low:
             raise ValueError(f"need 0 <= low <= high, got {low!r}, {high!r}")
         self.low = low
         self.high = high
         self.rng = rng
-        self.bandwidth_bps = bandwidth_bps
 
     def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """Uniformly jittered delay plus transmission time."""
-        base = self.rng.uniform(self.low, self.high)
-        return base + self.transmission_time(size_bytes, self.bandwidth_bps)
-
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """Never memoizable: every datagram draws fresh jitter."""
-        return None
-
-
-class RegionalLatency(LatencyModel):
-    """Region-pair latency matrix with per-datagram jitter.
-
-    Nodes are mapped to regions (continents, ISPs); intra-region traffic is
-    cheap, inter-region traffic pays the configured RTT/2.  This reproduces
-    the paper's setting of clients, proxies and servers spread over the
-    wide-area Internet.
-    """
-
-    def __init__(
-        self,
-        node_region: Dict[str, str],
-        region_latency: Dict[Tuple[str, str], float],
-        intra_region: float = 0.005,
-        jitter_fraction: float = 0.1,
-        rng: Optional[SeededRng] = None,
-        bandwidth_bps: Optional[float] = None,
-        default: float = 0.15,
-    ) -> None:
-        self.node_region = dict(node_region)
-        self.region_latency = dict(region_latency)
-        self.intra_region = intra_region
-        self.jitter_fraction = jitter_fraction
-        self.rng = rng
-        self.bandwidth_bps = bandwidth_bps
-        self.default = default
-
-    def assign(self, node: str, region: str) -> None:
-        """Place (or move) a node into a region."""
-        self.node_region[node] = region
-
-    def base_delay(self, src: str, dst: str) -> float:
-        """Deterministic region-to-region delay, before jitter."""
-        src_region = self.node_region.get(src)
-        dst_region = self.node_region.get(dst)
-        if src_region is None or dst_region is None:
-            return self.default
-        if src_region == dst_region:
-            return self.intra_region
-        pair = (src_region, dst_region)
-        reverse = (dst_region, src_region)
-        if pair in self.region_latency:
-            return self.region_latency[pair]
-        if reverse in self.region_latency:
-            return self.region_latency[reverse]
-        return self.default
-
-    def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """Region-pair delay with jitter, plus transmission time."""
-        base = self.base_delay(src, dst)
-        if self.rng is not None and self.jitter_fraction > 0:
-            jitter = base * self.jitter_fraction
-            base += self.rng.uniform(0.0, jitter)
-        return base + self.transmission_time(size_bytes, self.bandwidth_bps)
-
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """Never memoizable: :meth:`assign` may move a node between
-        regions at any time, so a pair's delay is not fixed even when
-        jitter and bandwidth are off."""
-        return None
-
-
-class GraphLatency(LatencyModel):
-    """Shortest-path latency over an arbitrary weighted graph.
-
-    Backed by :mod:`networkx`; useful for modelling concrete backbone
-    topologies.  Pairwise delays are computed lazily and cached.
-    """
-
-    def __init__(
-        self,
-        graph,
-        weight: str = "latency",
-        bandwidth_bps: Optional[float] = None,
-        default: float = 0.3,
-    ) -> None:
-        self.graph = graph
-        self.weight = weight
-        self.bandwidth_bps = bandwidth_bps
-        self.default = default
-        self._cache: Dict[Tuple[str, str], float] = {}
-
-    def delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """Shortest-path delay plus transmission time."""
-        base = self._shortest(src, dst)
-        return base + self.transmission_time(size_bytes, self.bandwidth_bps)
-
-    def pair_delay(self, src: str, dst: str) -> Optional[float]:
-        """The cached shortest-path delay, memoizable without bandwidth.
-
-        The internal path cache already assumes a frozen graph, so
-        letting the network memoize the same value adds no new staleness
-        hazard.
-        """
-        if self.bandwidth_bps:
-            return None
-        return self._shortest(src, dst)
-
-    def _shortest(self, src: str, dst: str) -> float:
-        if src == dst:
-            return 0.0
-        key = (src, dst)
-        if key not in self._cache:
-            import networkx as nx
-
-            try:
-                length = nx.shortest_path_length(
-                    self.graph, src, dst, weight=self.weight
-                )
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
-                length = self.default
-            self._cache[key] = float(length)
-        return self._cache[key]
+        """Uniformly jittered delay."""
+        return self.rng.uniform(self.low, self.high)

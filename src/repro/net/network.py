@@ -22,8 +22,8 @@ hand over a datagram; the wall-clock
 what genuinely differs per substrate:
 
 - the clock (``Network.sim``: a ``Simulator`` or a ``LiveLoop``);
-- :meth:`Network._schedule_arrival` -- virtual time, the per-pair delay
-  memo and the reliable FIFO clamp here, ``LiveLoop.schedule`` there;
+- :meth:`Network._schedule_arrival` -- virtual time, the model's fixed
+  delay and the reliable FIFO clamp here, ``LiveLoop.schedule`` there;
 - :meth:`Network._handler_for` -- how a destination resolves to a
   receive handler (plain dict, locked dict, or a node channel);
 - :attr:`Network.MEMBERSHIP_AT_SEND` -- whether ``send`` rejects an
@@ -34,10 +34,10 @@ lane: ``send`` reads ``_faults_active`` (kept by
 :class:`~repro.faults.transport.FaultableTransportMixin`, which owns the
 partition / heal / crash state) and ``repro.obs.tracer.ACTIVE``, and a
 healthy, untraced network pays exactly those two reads per datagram.
-Latency lookups are memoized per ``(src, dst)`` pair for models that
-declare themselves size-independent and deterministic via
-:meth:`~repro.net.latency.LatencyModel.pair_delay`; assigning a new model
-to :attr:`Network.latency` resets the memo.
+The latency model is asked once, when it is assigned to
+:attr:`Network.latency`, whether it has a single delay for every datagram
+(:meth:`~repro.net.latency.LatencyModel.fixed_delay`); only a model
+without one is called per datagram.
 """
 
 from __future__ import annotations
@@ -130,12 +130,6 @@ class NetworkStats:
         """The counters as a plain ``{field: value}`` dict."""
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
 
-    def reset(self) -> None:
-        """Zero all counters in place (and the mirror, if bound)."""
-        for name in self.COUNTER_FIELDS:
-            setattr(self, name, 0)
-        self.sync()
-
 
 class NodeNotRegistered(KeyError):
     """Raised when sending from a node that never registered a handler."""
@@ -164,10 +158,7 @@ class Network(FaultableTransportMixin):
         loss_rate: float = 0.0,
     ) -> None:
         self.sim = sim
-        self._latency = latency or ConstantLatency()
-        # Per-(src, dst) delay memo; ``None`` once the model declines
-        # (size-dependent or randomized), re-armed on model assignment.
-        self._delay_cache: Optional[Dict[Tuple[str, str], float]] = {}
+        self.latency = latency or ConstantLatency()
         self.metrics = MetricsRegistry()
         self.stats = NetworkStats().bind(self.metrics)
         self._handlers: Dict[str, ReceiveHandler] = {}
@@ -183,9 +174,9 @@ class Network(FaultableTransportMixin):
 
     @latency.setter
     def latency(self, model: LatencyModel) -> None:
-        """Swap the latency model; resets the per-pair delay memo."""
+        """Swap the latency model and ask it for its fixed delay."""
         self._latency = model
-        self._delay_cache = {}
+        self._fixed_delay = model.fixed_delay()
 
     # -- membership -----------------------------------------------------------
 
@@ -266,34 +257,15 @@ class Network(FaultableTransportMixin):
             if dst != src:
                 send(src, dst, payload, size_bytes, reliable)
 
-    def _pair_delay(self, src: str, dst: str, size_bytes: int) -> float:
-        """One datagram's delay, memoized per pair when the model allows.
-
-        Models that are deterministic and size-independent (they answer
-        :meth:`~repro.net.latency.LatencyModel.pair_delay`) are asked
-        once per ``(src, dst)`` pair; the first ``None`` answer disables
-        the memo for the network, so randomized or size-dependent models
-        pay only one extra probe ever.
-        """
-        cache = self._delay_cache
-        if cache is None:
-            return self._latency.delay(src, dst, size_bytes)
-        key = (src, dst)
-        delay = cache.get(key)
-        if delay is None:
-            delay = self._latency.pair_delay(src, dst)
-            if delay is None:
-                self._delay_cache = None
-                return self._latency.delay(src, dst, size_bytes)
-            cache[key] = delay
-        return delay
-
     def _schedule_arrival(
         self, src: str, dst: str, payload: object, size_bytes: int,
         reliable: bool,
     ) -> None:
         """Schedule :meth:`_arrive` after this datagram's network delay."""
-        arrival = self.sim.now + self._pair_delay(src, dst, size_bytes)
+        delay = self._fixed_delay
+        if delay is None:
+            delay = self._latency.delay(src, dst, size_bytes)
+        arrival = self.sim.now + delay
         if reliable:
             # FIFO clamp: a reliable stream never reorders within a
             # (src, dst) pair, exactly like a TCP connection.

@@ -42,12 +42,9 @@ from repro.replication import messages as mk
 from repro.replication.emission import CoherenceEmitter
 from repro.replication.policy import OutdateReaction, ReplicationPolicy
 from repro.replication.propagation import PropagationStrategy
-from repro.replication.read_path import ReadDemandPath, WaitingRead
+from repro.replication.read_path import ReadDemandPath
 from repro.replication.write_path import WritePath
 from repro.sim.future import Future
-
-#: Backward-compatible alias for the once-module-private entry class.
-_WaitingRead = WaitingRead
 
 #: Interned ``rx:<kind>`` counter labels; the kind vocabulary is a small
 #: closed set, so each label is formatted exactly once per process.
@@ -64,8 +61,7 @@ class StoreReplicationObject(ReplicationObject):
     ``children`` are the initially subscribed downstream stores (more may
     subscribe at runtime).  ``trace`` is the shared recorder for coherence
     checking; ``allowed_writer`` locks a ``single`` write set to one client
-    (``None`` locks to the first writer seen).  The ``demand_*`` parameters
-    set the retry backoff and at-least-once envelope of catch-up demands.
+    (``None`` locks to the first writer seen).
     """
 
     def __init__(
@@ -76,9 +72,6 @@ class StoreReplicationObject(ReplicationObject):
         children: Optional[Sequence[str]] = None,
         trace: Optional[TraceRecorder] = None,
         allowed_writer: Optional[str] = None,
-        demand_retry_interval: float = 0.25,
-        demand_timeout: float = 2.0,
-        demand_retries: int = 20,
     ) -> None:
         policy.validate()
         self.policy = policy
@@ -87,9 +80,6 @@ class StoreReplicationObject(ReplicationObject):
         self.children: List[str] = list(children or [])
         self.trace = trace
         self.allowed_writer = allowed_writer
-        self.demand_retry_interval = demand_retry_interval
-        self.demand_timeout = demand_timeout
-        self.demand_retries = demand_retries
         self.enforced = policy.enforces_at(role)
         self.ordering: OrderingDiscipline = (
             make_ordering(policy.model)
@@ -328,11 +318,6 @@ class StoreReplicationObject(ReplicationObject):
         if self.policy.object_outdate_reaction is OutdateReaction.DEMAND:
             if self.parent is not None:
                 self.reads.demand()
-
-    # -- compatibility delegator (pre-decomposition private surface) -----------
-
-    def _install_snapshot(self, body: Dict[str, Any]) -> None:
-        self.reads.install_snapshot(body)
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -13,7 +13,7 @@ import dataclasses
 import enum
 from typing import FrozenSet, List, Tuple
 
-from repro.coherence.models import CoherenceModel, SessionGuarantee
+from repro.coherence.models import CoherenceModel
 from repro.core.interfaces import Role
 
 
@@ -231,8 +231,3 @@ TABLE1_ROWS: List[Tuple[str, List[str], str]] = [
         "update, only a message that a change occurred.",
     ),
 ]
-
-
-def all_guarantees() -> FrozenSet[SessionGuarantee]:
-    """Convenience: the full Bayou session-guarantee set."""
-    return frozenset(SessionGuarantee)

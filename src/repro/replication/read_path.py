@@ -30,6 +30,13 @@ from repro.replication.policy import (
 )
 from repro.sim.future import Future
 
+#: The at-least-once envelope of one catch-up demand, and the pause
+#: before re-demanding for reads a failed or insufficient round left
+#: blocked (seconds).
+DEMAND_TIMEOUT = 2.0
+DEMAND_RETRIES = 20
+DEMAND_RETRY_INTERVAL = 0.25
+
 
 @dataclasses.dataclass(slots=True)
 class WaitingRead:
@@ -287,8 +294,8 @@ class ReadDemandPath:
         future = engine.control.request(
             engine.parent,
             Message(mk.DEMAND, body),
-            timeout=engine.demand_timeout,
-            retries=engine.demand_retries,
+            timeout=DEMAND_TIMEOUT,
+            retries=DEMAND_RETRIES,
         )
         future.add_callback(self._on_demand_reply)
 
@@ -351,7 +358,7 @@ class ReadDemandPath:
                     self.react_to_blocked_read(entry)
                     return
 
-        engine.control.schedule(engine.demand_retry_interval, retry)
+        engine.control.schedule(DEMAND_RETRY_INTERVAL, retry)
 
     # -- state-transfer installation ------------------------------------------
 

@@ -68,7 +68,6 @@ class SocketHub:
         call_timeout: float = 10.0,
         heartbeat_ttl: float = 2.0,
         heartbeat_interval: float = 0.25,
-        node_boot_timeout: float = 10.0,
         trace: Optional[TraceRecorder] = None,
     ) -> None:
         self.loop = loop
@@ -78,13 +77,12 @@ class SocketHub:
         self.call_timeout = call_timeout
         self.heartbeat_interval = heartbeat_interval
         self.trace = trace
-        #: ``hello_timeout`` doubles as the deadline for a node's boot.
+        #: Its ``hello_timeout`` doubles as the deadline for a node's boot.
         self.server = FrameServer(
             self.address, loop,
             {"data": self._on_data, "trace": self._on_trace,
              "reply": lambda _channel, body: self._resolve_call(body)},
-            heartbeat_ttl=heartbeat_ttl, hello_timeout=node_boot_timeout,
-            stall_timeout=call_timeout,
+            heartbeat_ttl=heartbeat_ttl, stall_timeout=call_timeout,
         )
         #: The server's name -> connection map, under the hub's old names.
         self.registry = self.server.registry
@@ -271,11 +269,6 @@ class SocketNetwork(LiveNetwork):
         """Mark an address as living in a node process."""
         with self._lock:
             self._remote.add(node)
-
-    def unregister_remote(self, node: str) -> None:
-        """Forget a remote address."""
-        with self._lock:
-            self._remote.discard(node)
 
     def is_registered(self, node: str) -> bool:
         """Whether the address is attached, locally or remotely."""

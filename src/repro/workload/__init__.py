@@ -7,7 +7,7 @@ assemble whole deployments (server + mirrors + caches + browsers) in one
 call.
 """
 
-from repro.workload.cohort import CohortReaderWorkload, cohort_sizes
+from repro.workload.cohort import cohort_sizes
 from repro.workload.generator import (
     ReaderWorkload,
     WriterWorkload,
@@ -23,7 +23,6 @@ from repro.workload.profiles import (
 from repro.workload.scenarios import Deployment, build_tree, conference_deployment
 
 __all__ = [
-    "CohortReaderWorkload",
     "Deployment",
     "PROFILES",
     "ReaderWorkload",

@@ -4,10 +4,12 @@ At web scale most readers are *statistically identical*: same cache, same
 session guarantees, same think-time and page-popularity distributions.
 Simulating each one as its own process (address space, session, event
 stream) is what caps populations in the tens.  A
-:class:`CohortReaderWorkload` collapses ``weight`` such clients into one
-process that issues **batched reads** -- a single protocol request
-stamped with the cohort weight, which the store's read path, the trace
-recorder and every metric then count as ``weight`` client reads (see
+:class:`~repro.workload.generator.ReaderWorkload` with ``weight=k``
+collapses ``k`` such clients into one process that issues **batched
+reads** -- a single protocol request stamped with the cohort weight,
+which the store's read path, the trace recorder and every metric then
+count as ``weight`` client reads (a plain reader is the same class at
+weight 1; see
 ``weight=`` on :meth:`repro.web.webobject.Browser.read_page` and
 ``ReadEvent.weight``).
 
@@ -29,114 +31,7 @@ benchmarks.
 
 from __future__ import annotations
 
-from typing import Callable, Generator, List, Optional, Sequence
-
-from repro.replication.client import ReplicaError
-from repro.sim.process import Delay, WaitFor
-from repro.sim.rng import SeededRng
-from repro.web.webobject import Browser
-from repro.workload.generator import EPOCH, WorkloadStats, ZipfPagePicker
-
-
-class CohortReaderWorkload:
-    """``weight`` identical browsing clients driven as one process.
-
-    Parameters
-    ----------
-    browser:
-        The cohort's shared browser; its reads carry ``weight``.
-    pages / skew:
-        Page population and Zipf skew, as for
-        :class:`~repro.workload.generator.ReaderWorkload`.
-    rng:
-        This cohort's random stream (think times; page picks use a
-        ``"pages"`` fork, mirroring the per-client reader).
-    weight:
-        How many leaf clients this process stands in for.
-    mean_think / operations:
-        Think time and rounds *per member*; each round issues one batched
-        read representing one read by every member.
-    expand:
-        Zero-argument callable returning the per-member browsers, bound
-        lazily when a policy decision diverges.  ``None`` disables
-        expansion.
-    """
-
-    def __init__(
-        self,
-        browser: Browser,
-        pages: Sequence[str],
-        rng: SeededRng,
-        weight: int,
-        mean_think: float = 1.0,
-        operations: int = 50,
-        skew: float = 1.0,
-        expand: Optional[Callable[[], List[Browser]]] = None,
-    ) -> None:
-        if weight < 1:
-            raise ValueError(f"cohort weight must be >= 1, got {weight!r}")
-        self.browser = browser
-        self.picker = ZipfPagePicker(pages, rng.fork("pages"), skew)
-        self.rng = rng
-        self.weight = weight
-        self.mean_think = mean_think
-        self.operations = operations
-        self.expand = expand
-        #: Individually bound member browsers once expanded, else ``None``.
-        self.members: Optional[List[Browser]] = None
-        self.stats = WorkloadStats()
-
-    @property
-    def expanded(self) -> bool:
-        """Whether a diverging decision has split this cohort."""
-        return self.members is not None
-
-    def _expand(self) -> None:
-        if self.members is not None or self.expand is None:
-            return
-        self.members = list(self.expand())
-
-    def run(self) -> Generator:
-        """Generator body for :class:`~repro.sim.process.Process`.
-
-        Randomness is pre-drawn in epochs exactly like the per-client
-        reader; each round is one batched (or, after expansion,
-        per-member) read.
-        """
-        remaining = self.operations
-        while remaining > 0:
-            block = min(remaining, EPOCH)
-            remaining -= block
-            thinks = self.rng.exponential_block(self.mean_think, block)
-            pages = self.picker.pick_block(block)
-            for think, page in zip(thinks, pages):
-                yield Delay(think)
-                if self.members is None:
-                    try:
-                        yield WaitFor(
-                            self.browser.read_page(page, weight=self.weight)
-                        )
-                    except ReplicaError:
-                        self.stats.not_found += self.weight
-                    except Exception:
-                        # A fault hit the shared request: every member saw
-                        # it (one wire request, one failure instant), so
-                        # the round is charged at full weight -- then the
-                        # cohort expands, because retries/timeouts from
-                        # here on would diverge per client.
-                        self.stats.errors += self.weight
-                        self._expand()
-                    self.stats.operations += self.weight
-                    continue
-                for member in self.members:
-                    try:
-                        yield WaitFor(member.read_page(page))
-                    except ReplicaError:
-                        self.stats.not_found += 1
-                    except Exception:
-                        self.stats.errors += 1
-                    self.stats.operations += 1
-        return self.stats
+from typing import List
 
 
 def cohort_sizes(population: int, cohort_size: int) -> List[int]:

@@ -21,7 +21,7 @@ import dataclasses
 import threading
 import time
 from bisect import bisect_right
-from typing import Any, Generator, List, Optional, Sequence
+from typing import Any, Callable, Generator, List, Optional, Sequence
 
 from repro.replication.client import ReplicaError
 from repro.sim.future import Future
@@ -33,6 +33,9 @@ from repro.sim.rng import SeededRng, zipf_cumulative
 #: per-process buffer (a few hundred floats) while amortizing the
 #: block-draw call overhead across an epoch of requests.
 EPOCH = 256
+
+#: Wall-clock bound on each ``WaitFor`` of a live-driven workload.
+LIVE_OP_TIMEOUT = 30.0
 
 
 class ZipfPagePicker:
@@ -93,7 +96,31 @@ class WorkloadStats:
 
 
 class ReaderWorkload:
-    """A browsing client: Zipf page reads with exponential think time."""
+    """Browsing clients: Zipf page reads with exponential think time.
+
+    One process stands in for ``weight`` identical leaf clients (1 by
+    default: a reader is a cohort of one); see
+    :mod:`repro.workload.cohort` for when that collapse is exact.
+
+    Parameters
+    ----------
+    browser:
+        The browser reads go through; its reads carry ``weight``.
+    pages / skew:
+        Page population and Zipf skew.
+    rng:
+        This process's random stream (think times; page picks use a
+        ``"pages"`` fork).
+    mean_think / operations:
+        Think time and rounds *per member*; each round issues one read
+        representing one read by every member.
+    weight:
+        How many leaf clients this process stands in for.
+    expand:
+        Zero-argument callable returning the per-member browsers, bound
+        lazily when a policy decision diverges.  ``None`` disables
+        expansion.
+    """
 
     def __init__(
         self,
@@ -103,12 +130,20 @@ class ReaderWorkload:
         mean_think: float = 1.0,
         operations: int = 50,
         skew: float = 1.0,
+        weight: int = 1,
+        expand: Optional[Callable[[], List[Browser]]] = None,
     ) -> None:
+        if weight < 1:
+            raise ValueError(f"cohort weight must be >= 1, got {weight!r}")
         self.browser = browser
         self.picker = ZipfPagePicker(pages, rng.fork("pages"), skew)
         self.rng = rng
         self.mean_think = mean_think
         self.operations = operations
+        self.weight = weight
+        self.expand = expand
+        #: Individually bound member browsers once expanded, else ``None``.
+        self.members: Optional[List[Browser]] = None
         self.stats = WorkloadStats()
 
     def run(self) -> Generator:
@@ -117,8 +152,11 @@ class ReaderWorkload:
         Randomness is pre-drawn one epoch at a time.  Think times come
         from this workload's own stream and page picks from the picker's
         forked stream, so blocking each independently consumes both
-        streams in the historical per-request order.
+        streams in the historical per-request order.  Each round is one
+        read of ``weight`` (or, after expansion, one read per member).
         """
+        weight = self.weight
+        stats = self.stats
         remaining = self.operations
         while remaining > 0:
             block = min(remaining, EPOCH)
@@ -127,14 +165,33 @@ class ReaderWorkload:
             pages = self.picker.pick_block(block)
             for think, page in zip(thinks, pages):
                 yield Delay(think)
-                try:
-                    yield WaitFor(self.browser.read_page(page))
-                except ReplicaError:
-                    self.stats.not_found += 1
-                except Exception:
-                    self.stats.errors += 1
-                self.stats.operations += 1
-        return self.stats
+                if self.members is None:
+                    try:
+                        yield WaitFor(
+                            self.browser.read_page(page, weight=weight)
+                        )
+                    except ReplicaError:
+                        stats.not_found += weight
+                    except Exception:
+                        # A fault hit the shared request: every member saw
+                        # it (one wire request, one failure instant), so
+                        # the round is charged at full weight -- then the
+                        # cohort expands, because retries/timeouts from
+                        # here on would diverge per client.
+                        stats.errors += weight
+                        if self.expand is not None:
+                            self.members = list(self.expand())
+                    stats.operations += weight
+                    continue
+                for member in self.members:
+                    try:
+                        yield WaitFor(member.read_page(page))
+                    except ReplicaError:
+                        stats.not_found += 1
+                    except Exception:
+                        stats.errors += 1
+                    stats.operations += 1
+        return stats
 
 
 class WriterWorkload:
@@ -142,8 +199,6 @@ class WriterWorkload:
 
     ``incremental=True`` appends (the paper's conference master, needing
     PRAM); ``False`` overwrites whole pages (the FIFO-friendly pattern).
-    ``read_back`` makes the writer read after each write, which is what
-    exercises read-your-writes.
     """
 
     def __init__(
@@ -154,7 +209,6 @@ class WriterWorkload:
         interval: float = 2.0,
         operations: int = 20,
         incremental: bool = True,
-        read_back: bool = False,
         payload_bytes: int = 256,
     ) -> None:
         self.browser = browser
@@ -163,7 +217,6 @@ class WriterWorkload:
         self.interval = interval
         self.operations = operations
         self.incremental = incremental
-        self.read_back = read_back
         self.payload_bytes = payload_bytes
         self.stats = WorkloadStats()
 
@@ -204,8 +257,6 @@ class WriterWorkload:
                     yield WaitFor(self.browser.append_to_page(page, content))
                 else:
                     yield WaitFor(self.browser.write_page(page, content))
-                if self.read_back:
-                    yield WaitFor(self.browser.read_page(page))
             except Exception:
                 self.stats.errors += 1
             self.stats.operations += 1
@@ -217,7 +268,6 @@ def _drive_one_live(
     deployment: Any,
     generator: Generator,
     time_scale: float,
-    op_timeout: float,
 ) -> Any:
     """Run one workload generator to completion on a live backend.
 
@@ -245,7 +295,8 @@ def _drive_one_live(
             time.sleep(max(0.0, yielded.seconds * time_scale))
         elif isinstance(yielded, WaitFor):
             try:
-                value = deployment.wait(yielded.future, timeout=op_timeout)
+                value = deployment.wait(yielded.future,
+                                        timeout=LIVE_OP_TIMEOUT)
             except Exception as exc:  # thrown into the generator, as in sim
                 error = exc
         else:
@@ -259,7 +310,6 @@ def drive_live(
     deployment: Any,
     workloads: Sequence[object],
     time_scale: float = 1.0,
-    op_timeout: float = 30.0,
 ) -> List[Any]:
     """Drive workload generators to completion on a wall-clock backend.
 
@@ -268,7 +318,7 @@ def drive_live(
     (see :func:`_drive_one_live`).  ``time_scale`` multiplies every
     ``Delay`` so a profile calibrated in virtual seconds can run in a
     fraction of the wall-clock time without changing its operation
-    sequence; ``op_timeout`` bounds each individual ``WaitFor``.
+    sequence; :data:`LIVE_OP_TIMEOUT` bounds each individual ``WaitFor``.
 
     Returns the workloads' generator return values (their stats) in
     input order.  The first driver failure, if any, is re-raised after
@@ -281,7 +331,7 @@ def drive_live(
         """Thread body: drive one workload, box the result or error."""
         try:
             results[index] = _drive_one_live(
-                deployment, workload.run(), time_scale, op_timeout
+                deployment, workload.run(), time_scale
             )
         except BaseException as exc:  # re-raised by the joiner below
             errors[index] = exc

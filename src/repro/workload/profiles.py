@@ -17,12 +17,12 @@ parameters stays in exactly one place.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Dict, List, Optional, Union
 
 from repro.replication.policy import ReplicationPolicy, TransferInstant
 from repro.sim.process import Process
 from repro.transport.backend import Backend, BackendError
-from repro.workload.cohort import CohortReaderWorkload
 from repro.workload.generator import ReaderWorkload, WriterWorkload, drive_live
 from repro.workload.scenarios import Deployment, build_tree
 
@@ -186,22 +186,6 @@ def run_profile(
     for name, browser in list(deployment.browsers.items()):
         if name == "master":
             continue
-        if name in deployment.cohorts:
-            workloads.append(
-                CohortReaderWorkload(
-                    browser,
-                    pages=list(pages),
-                    rng=rng.fork(name),
-                    weight=deployment.cohorts[name],
-                    mean_think=profile.read_think,
-                    operations=profile.reads_per_client,
-                    expand=(
-                        lambda client_id=name:
-                        deployment.expand_cohort(client_id)
-                    ),
-                )
-            )
-            continue
         workloads.append(
             ReaderWorkload(
                 browser,
@@ -209,6 +193,11 @@ def run_profile(
                 rng=rng.fork(name),
                 mean_think=profile.read_think,
                 operations=profile.reads_per_client,
+                weight=deployment.cohorts.get(name, 1),
+                expand=(
+                    functools.partial(deployment.expand_cohort, name)
+                    if name in deployment.cohorts else None
+                ),
             )
         )
     if backend_name != "sim":

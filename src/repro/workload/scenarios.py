@@ -31,6 +31,10 @@ from repro.transport import (
 from repro.web.webobject import Browser, WebObject
 from repro.workload.cohort import cohort_sizes
 
+#: In-process delivery delay (seconds) of a wall-clock backend that
+#: :func:`build_tree` constructs by name.
+LIVE_LATENCY = 0.005
+
 
 @dataclasses.dataclass
 class Deployment:
@@ -108,7 +112,7 @@ class Deployment:
     def expand_cohort(self, client_id: str) -> List[Browser]:
         """Bind one browser per member of cohort ``client_id``.
 
-        Called (via :class:`~repro.workload.cohort.CohortReaderWorkload`'s
+        Called (via :class:`~repro.workload.generator.ReaderWorkload`'s
         ``expand`` hook) when a policy decision diverges within the
         cohort.  Members are named ``<client_id>.<k>``, bound to the same
         store with the same guarantees, and registered in
@@ -144,7 +148,6 @@ def _resolve_backend(
     backend: Union[str, Backend],
     seed: int,
     latency: Optional[LatencyModel],
-    live_latency: float,
     loss_rate: float,
 ) -> Backend:
     """Resolve the builder's backend argument into a Backend instance.
@@ -164,10 +167,11 @@ def _resolve_backend(
     if backend in (LiveBackend.name, SocketBackend.name):
         if latency is not None:
             raise BackendError(
-                f"the {backend} backend takes live_latency (a constant "
-                "delay in seconds), not a simulator LatencyModel"
+                f"the {backend} backend takes no simulator LatencyModel; "
+                "for another delivery delay pass a constructed backend, "
+                "e.g. backend=SocketBackend(latency=0.0)"
             )
-        return make_backend(backend, seed=seed, latency=live_latency,
+        return make_backend(backend, seed=seed, latency=LIVE_LATENCY,
                             loss_rate=loss_rate)
     return make_backend(backend)  # raises the canonical unknown-name error
 
@@ -186,7 +190,6 @@ def build_tree(
     master_guarantees=(SessionGuarantee.READ_YOUR_WRITES,),
     reader_guarantees=(),
     backend: Union[str, Backend] = "sim",
-    live_latency: float = 0.005,
     start_backend: bool = True,
     request_timeout: Optional[float] = None,
     request_retries: int = 0,
@@ -213,7 +216,7 @@ def build_tree(
 
     ``backend`` selects the substrate: ``"sim"`` assembles the system on
     the deterministic simulator, ``"live"`` on the wall-clock runtime
-    (with ``live_latency`` seconds of in-process delivery delay); an
+    (with :data:`LIVE_LATENCY` seconds of in-process delivery delay); an
     already constructed :class:`~repro.transport.Backend` is used as-is
     (its own seed/latency/loss settings apply, not the builder's).  The
     live dispatcher is started before this function returns unless
@@ -232,8 +235,7 @@ def build_tree(
             f"unknown scheduler {scheduler!r}: the kernel has one event "
             "queue, the binary heap"
         )
-    backend_obj = _resolve_backend(backend, seed, latency, live_latency,
-                                   loss_rate)
+    backend_obj = _resolve_backend(backend, seed, latency, loss_rate)
     clock, transport = backend_obj.clock, backend_obj.transport
     # The socket backend owns the deployment's shared trace recorder
     # (node processes stream events into it) and builds stores through a
@@ -272,22 +274,13 @@ def build_tree(
     )
     cohorts: Dict[str, int] = {}
     cohort_spec: Dict[str, Dict[str, Any]] = {}
+    # A reader is a cohort of weight 1; only real cohorts are recorded,
+    # so per-client builds keep their ids and an empty ``cohorts``.
+    prefix = "reader" if cohort_size == 1 else "cohort"
+    groups = cohort_sizes(n_readers_per_cache, cohort_size)
     for index, cache in enumerate(caches):
-        if cohort_size <= 1:
-            for reader in range(n_readers_per_cache):
-                client_id = f"reader-{index}-{reader}"
-                browsers[client_id] = site.bind_browser(
-                    f"space-{client_id}",
-                    client_id,
-                    read_store=cache.address,
-                    guarantees=reader_guarantees,
-                    request_timeout=request_timeout,
-                    request_retries=request_retries,
-                )
-            continue
-        groups = cohort_sizes(n_readers_per_cache, cohort_size)
         for group, weight in enumerate(groups):
-            client_id = f"cohort-{index}-{group}"
+            client_id = f"{prefix}-{index}-{group}"
             browsers[client_id] = site.bind_browser(
                 f"space-{client_id}",
                 client_id,
@@ -296,6 +289,8 @@ def build_tree(
                 request_timeout=request_timeout,
                 request_retries=request_retries,
             )
+            if cohort_size == 1:
+                continue
             cohorts[client_id] = weight
             cohort_spec[client_id] = {
                 "read_store": cache.address,

@@ -74,7 +74,7 @@ def test_snapshot_install_never_regresses():
                         "last_modified": 0.0, "content_type": "text/html"}},
         "version": {"master": 1},
     }
-    cache.engine._install_snapshot(stale_body)
+    cache.engine.reads.install_snapshot(stale_body)
     assert cache.state()["p"]["content"] == "v2"
     assert cache.version() == {"master": 2}
 

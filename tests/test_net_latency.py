@@ -1,15 +1,8 @@
-"""Unit tests for latency models and topologies."""
+"""Unit tests for latency models."""
 
-import networkx as nx
 import pytest
 
-from repro.net.latency import (
-    ConstantLatency,
-    GraphLatency,
-    RegionalLatency,
-    UniformLatency,
-)
-from repro.net.topology import Topology
+from repro.net.latency import ConstantLatency, UniformLatency
 from repro.sim.rng import SeededRng
 
 
@@ -17,11 +10,6 @@ class TestConstantLatency:
     def test_fixed_delay(self):
         model = ConstantLatency(0.1)
         assert model.delay("a", "b", 0) == 0.1
-
-    def test_bandwidth_adds_transmission_time(self):
-        model = ConstantLatency(0.1, bandwidth_bps=8000)
-        # 1000 bytes at 8 kbit/s = 1 second.
-        assert model.delay("a", "b", 1000) == pytest.approx(1.1)
 
     def test_negative_base_rejected(self):
         with pytest.raises(ValueError):
@@ -37,85 +25,3 @@ class TestUniformLatency:
     def test_invalid_bounds_rejected(self):
         with pytest.raises(ValueError):
             UniformLatency(0.5, 0.1, SeededRng(1))
-
-
-class TestRegionalLatency:
-    def build(self):
-        return RegionalLatency(
-            node_region={"s": "europe", "c": "us-east"},
-            region_latency={("europe", "us-east"): 0.06},
-            intra_region=0.005,
-            jitter_fraction=0.0,
-        )
-
-    def test_inter_region(self):
-        assert self.build().base_delay("s", "c") == 0.06
-
-    def test_symmetric_lookup(self):
-        assert self.build().base_delay("c", "s") == 0.06
-
-    def test_intra_region(self):
-        model = self.build()
-        model.assign("s2", "europe")
-        assert model.base_delay("s", "s2") == 0.005
-
-    def test_unknown_node_uses_default(self):
-        assert self.build().base_delay("s", "mystery") == 0.15
-
-    def test_jitter_bounded(self):
-        model = RegionalLatency(
-            node_region={"a": "x", "b": "y"},
-            region_latency={("x", "y"): 0.1},
-            jitter_fraction=0.2,
-            rng=SeededRng(2),
-        )
-        for _ in range(50):
-            delay = model.delay("a", "b", 0)
-            assert 0.1 <= delay <= 0.12 + 1e-9
-
-
-class TestGraphLatency:
-    def test_shortest_path(self):
-        graph = nx.Graph()
-        graph.add_edge("a", "b", latency=0.02)
-        graph.add_edge("b", "c", latency=0.03)
-        graph.add_edge("a", "c", latency=0.1)
-        model = GraphLatency(graph)
-        assert model.delay("a", "c", 0) == pytest.approx(0.05)
-
-    def test_same_node_zero(self):
-        model = GraphLatency(nx.Graph())
-        assert model.delay("a", "a", 0) == 0.0
-
-    def test_disconnected_uses_default(self):
-        graph = nx.Graph()
-        graph.add_node("a")
-        graph.add_node("b")
-        model = GraphLatency(graph, default=0.9)
-        assert model.delay("a", "b", 0) == 0.9
-
-
-class TestTopology:
-    def test_place_and_query(self):
-        topo = Topology.continental()
-        topo.place("server", "europe")
-        topo.place("client", "us-east")
-        assert topo.nodes_in("europe") == ["server"]
-        model = topo.latency_model(jitter_fraction=0.0)
-        assert model.base_delay("server", "client") == 0.06
-
-    def test_place_unknown_region_rejected(self):
-        topo = Topology.single_lan()
-        with pytest.raises(KeyError):
-            topo.place("x", "mars")
-
-    def test_connect_requires_existing_regions(self):
-        topo = Topology()
-        topo.add_region("a")
-        with pytest.raises(KeyError):
-            topo.connect("a", "b", 0.1)
-
-    def test_client_server_wan_builder(self):
-        topo = Topology.client_server_wan(3)
-        assert topo.node_region["server"] == "europe"
-        assert len(topo.nodes_in("us-east")) == 3

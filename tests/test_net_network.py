@@ -358,29 +358,76 @@ def test_multicast_to_only_self_is_a_noop():
     assert net.stats.bytes_sent == 0
 
 
-# -- FIFO clamp under the per-pair latency memo -------------------------------
+# -- the model's one delay is asked at assignment, not per datagram ------------
+
+
+def _counting(model_cls, *args):
+    """A ``model_cls`` instance that records every :meth:`delay` call."""
+    class Counting(model_cls):
+        calls = 0
+
+        def delay(self, src, dst, size_bytes):
+            self.calls += 1
+            return super().delay(src, dst, size_bytes)
+
+    return Counting(*args)
+
+
+def _send_ten(sim, net):
+    """Ten reliable a -> b sends at one instant; returns ``(payload, time)``."""
+    arrivals = []
+    net.register("a", collector([]))
+    net.register("b", lambda src, payload, size:
+                 arrivals.append((payload, sim.now)))
+    for index in range(10):
+        net.send("a", "b", index, reliable=True)
+    sim.run_until_idle()
+    return arrivals
 
 
 def test_fifo_clamp_with_memoized_latency():
-    # ConstantLatency is memoized per pair; back-to-back reliable sends
-    # at the same instant must still be clamped into FIFO order (each
-    # arrival lands no earlier than its predecessor's).
+    # A constant model's delay is asked once, at assignment: back-to-back
+    # reliable sends at the same instant never call delay(), all land at
+    # now + base, and the clamp keeps them FIFO.
     sim = Simulator()
-    net = make_net(sim, latency=ConstantLatency(0.05))
-    received = []
-    net.register("a", collector([]))
-    net.register("b", collector(received))
-    for index in range(10):
-        net.send("a", "b", index, reliable=True)
-    assert net._delay_cache  # the memo actually engaged
-    sim.run_until_idle()
-    assert [payload for _, payload, _ in received] == list(range(10))
+    model = _counting(ConstantLatency, 0.05)
+    net = make_net(sim, latency=model)
+    arrivals = _send_ten(sim, net)
+    assert model.calls == 0
+    assert arrivals == [(index, 0.05) for index in range(10)]
+
+
+def test_model_without_fixed_delay_is_asked_per_datagram():
+    sim = Simulator()
+    model = _counting(UniformLatency, 0.01, 0.5, sim.rng.fork("lat"))
+    net = make_net(sim, latency=model)
+    arrivals = _send_ten(sim, net)
+    assert model.calls == 10
+    # Jittered delays, yet the reliable stream is clamped into FIFO.
+    assert [payload for payload, _ in arrivals] == list(range(10))
+    times = [when for _, when in arrivals]
+    assert times == sorted(times) and 0.01 <= times[0] <= times[-1] <= 0.5
+
+
+def test_latency_setter_reasks_the_fixed_delay():
+    sim = Simulator()
+    constant = _counting(ConstantLatency, 0.05)
+    net = make_net(sim, latency=constant)
+    _send_ten(sim, net)
+    jittered = _counting(UniformLatency, 0.01, 0.5, sim.rng.fork("lat"))
+    net.latency = jittered
+    for index in range(4):
+        net.send("a", "b", index)
+    assert (constant.calls, jittered.calls) == (0, 4)
+    net.latency = constant
+    net.send("a", "b", "again")
+    assert (constant.calls, jittered.calls) == (0, 4)
 
 
 def test_fifo_clamp_survives_heal_flush_with_memoized_latency():
     # Datagrams queued behind a partition flush on heal; the flushed
     # stream and everything sent after it must stay FIFO per pair even
-    # though every delay now comes from the per-pair memo.
+    # though every delay is the model's one fixed delay.
     sim = Simulator()
     net = make_net(sim, latency=ConstantLatency(0.05))
     received = []

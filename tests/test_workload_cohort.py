@@ -1,15 +1,19 @@
 """Cohort workloads: weighted accounting, expansion, and block draws."""
 
+import functools
+
 import pytest
 
 from repro.coherence.trace import ReadEvent, coherence_signature
 from repro.metrics.faults import unavailable_read_fraction
 from repro.metrics.staleness import staleness_summary
 from repro.replication.policy import ReplicationPolicy
+from repro.sim.process import Process
 from repro.sim.rng import SeededRng, zipf_cumulative
-from repro.workload.cohort import CohortReaderWorkload, cohort_sizes
+from repro.workload.cohort import cohort_sizes
 from repro.workload.generator import ReaderWorkload, ZipfPagePicker
 from repro.workload.profiles import WorkloadProfile, run_profile
+from repro.workload.scenarios import build_tree
 
 PROFILE = WorkloadProfile(
     name="cohort-test",
@@ -92,30 +96,74 @@ class TestWeightedAccounting:
         assert reads and all(event.weight == 1 for event in reads)
 
 
+def crashed_cohort_run(expand):
+    """One cohort of six reading at a cache that is down from 1.0 to 2.5 s."""
+    deployment = build_tree(
+        ReplicationPolicy.conference_example(),
+        n_caches=1,
+        n_readers_per_cache=6,
+        cohort_size=6,
+        request_timeout=0.5,
+        seed=3,
+    )
+    sim = deployment.sim
+    reader = ReaderWorkload(
+        deployment.browsers["cohort-0-0"],
+        pages=["index.html"],
+        rng=sim.rng.fork("reader"),
+        weight=6,
+        operations=20,
+        mean_think=0.2,
+        expand=(
+            functools.partial(deployment.expand_cohort, "cohort-0-0")
+            if expand else None
+        ),
+    )
+    sim.schedule_at(1.0, deployment.network.crash_node, "cache-0")
+    sim.schedule_at(2.5, deployment.network.restart_node, "cache-0")
+    Process(sim, reader.run(), name="cohort")
+    sim.run_until_idle()
+    return deployment, reader
+
+
 class TestExpansion:
     def test_cohort_expands_on_fault_divergence(self):
-        # Request timeouts under a crash plan make batched reads fail,
-        # which is exactly the divergence that must split a cohort.
-        deployment = cohort_run(
-            cohort_size=6,
-            fault_plan="crash-restart",
-            request_timeout=0.5,
-            horizon=60.0,
-        )
-        expanded = [
-            name for name in deployment.browsers
-            if "." in name and name.startswith("cohort-")
+        # The crash makes one batched read time out, which is exactly
+        # the divergence that must split a cohort: that round is charged
+        # to all six members, every later round is six weight-1 reads.
+        deployment, reader = crashed_cohort_run(expand=True)
+        member_ids = [f"cohort-0-0.{k}" for k in range(6)]
+        assert [m.client_id for m in reader.members] == member_ids
+        assert all(name in deployment.browsers for name in member_ids)
+        weights = [
+            event.weight for event in deployment.site.trace.of_type(ReadEvent)
         ]
-        if expanded:  # the crash actually hit a batched read
-            # Members are bound to the cohort's own store and visible to
-            # metric collection like any client.
-            sample = expanded[0]
-            parent = sample.rsplit(".", 1)[0]
-            assert parent in deployment.cohorts
-        clients = [
-            b.bound.replication for b in deployment.browsers.values()
+        batched, single = weights.count(6), weights.count(1)
+        assert batched and single
+        assert weights == [6] * batched + [1] * single
+        issued = {
+            name: browser.bound.replication.reads_issued
+            for name, browser in deployment.browsers.items()
+        }
+        # Exactly one shared round failed, and it was the cohort's last.
+        assert issued["cohort-0-0"] == 6 * (batched + 1)
+        assert sum(issued.values()) == 120
+        assert reader.stats.operations == 120
+        member_failures = sum(issued[name] for name in member_ids) - single
+        assert reader.stats.errors == 6 + member_failures
+        assert reader.stats.not_found == 0
+
+    def test_cohort_without_expand_keeps_batching(self):
+        deployment, reader = crashed_cohort_run(expand=False)
+        assert reader.members is None
+        assert sorted(deployment.browsers) == ["cohort-0-0", "master"]
+        weights = [
+            event.weight for event in deployment.site.trace.of_type(ReadEvent)
         ]
-        assert unavailable_read_fraction(clients) >= 0.0
+        # Every failure is charged at full weight.
+        assert weights and set(weights) == {6}
+        assert reader.stats.operations == 120
+        assert reader.stats.errors == 120 - 6 * len(weights) > 6
 
     def test_expand_cohort_binds_members(self):
         deployment = cohort_run(cohort_size=4)
@@ -127,7 +175,7 @@ class TestExpansion:
 
     def test_workload_rejects_zero_weight(self):
         with pytest.raises(ValueError):
-            CohortReaderWorkload(
+            ReaderWorkload(
                 browser=None, pages=["p"], rng=SeededRng(0), weight=0
             )
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.naming.service import NameService, UnknownObject
-from repro.net.latency import RegionalLatency
 from repro.replication.policy import ReplicationPolicy
 from repro.sim.rng import SeededRng
 from repro.stores.hierarchy import describe_hierarchy
@@ -39,23 +38,6 @@ class TestNameService:
         ns.unregister("obj", "a")
         with pytest.raises(UnknownObject):
             ns.resolve("obj")
-
-    def test_nearest_uses_latency_model(self):
-        ns = NameService()
-        ns.register("obj", "far")
-        ns.register("obj", "near")
-        latency = RegionalLatency(
-            node_region={"client": "us", "far": "eu", "near": "us"},
-            region_latency={("us", "eu"): 0.1},
-            intra_region=0.001, jitter_fraction=0.0,
-        )
-        assert ns.nearest("obj", "client", latency) == "near"
-
-    def test_nearest_without_model_is_first(self):
-        ns = NameService()
-        ns.register("obj", "first")
-        ns.register("obj", "second")
-        assert ns.nearest("obj", "anywhere") == "first"
 
 
 class TestZipfPicker:
