@@ -48,6 +48,15 @@ class OrderingDiscipline:
             return []
         if self._is_duplicate(record):
             return []
+        if (
+            not self.buffer
+            and self._deps_satisfied(record)
+            and self._ready(record)
+        ):
+            # In order and nothing held back: what ``_drain`` would do
+            # with a one-record buffer, without the insert, sort and scans.
+            self._mark_applied(record)
+            return [record]
         self.buffer[record.wid] = record
         return self._drain()
 

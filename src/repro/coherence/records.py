@@ -19,9 +19,16 @@ from repro.core.ids import WriteId
 from repro.coherence.vector_clock import VectorClock
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class WriteRecord:
     """One write, as shipped between replication objects.
+
+    Frozen: on the in-process backends every replica reached by one
+    multicast logs the *same* record objects (the update is decoded once
+    per message, not once per receiver), so a record must not change
+    after it is built; the accepting store stamps a copy
+    (``WritePath.stamp``).  Frozen construction is slower per object,
+    which decoding once per message pays for many times over.
 
     Attributes
     ----------

@@ -106,7 +106,12 @@ class TraceRecorder:
         global_seq: Optional[int] = None,
         deps: Optional[Dict[str, int]] = None,
     ) -> None:
-        """A store applied ``wid``; ``applied_vc`` is the VC *after* apply."""
+        """A store applied ``wid``; ``applied_vc`` is the VC *after* apply.
+
+        The event keeps ``applied_vc`` itself: the caller hands over a
+        dict it will not touch again (the engine passes a fresh
+        ``as_dict()`` per apply), so it is not copied a second time here.
+        """
         self.events.append(
             ApplyEvent(
                 index=self._next_index(),
@@ -115,7 +120,7 @@ class TraceRecorder:
                 wid=wid,
                 global_seq=global_seq,
                 deps=deps,
-                applied_vc=dict(applied_vc),
+                applied_vc=applied_vc,
             )
         )
 

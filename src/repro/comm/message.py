@@ -6,8 +6,9 @@ message name (``"update"``, ``"demand_update"``, ``"invalidate"`` ...); the
 that traffic statistics reflect partial-vs-full transfer choices without a
 real serializer.
 
-Sizing is on the per-datagram hot path (every send crosses it), so it is
-organized around three caches:
+Sizing is on the per-datagram hot path (every send crosses it), and a
+multicast hands one message object to every receiver, so work that is a
+function of the message alone is done once and kept.  Four caches:
 
 - :func:`estimate_size` dispatches on the *exact* type first (one dict
   lookup for the scalar types) and inlines string/number sizing inside
@@ -16,10 +17,21 @@ organized around three caches:
 - each :class:`Message` computes its size once, on first use, and serves
   :meth:`Message.payload_size` from the cached value afterwards (bodies
   are treated as frozen once built -- nothing in the stack mutates a
-  message after handing it to the transport);
+  message after handing it to the transport).  Set by ``payload_size``
+  itself, or pre-seeded by a *sender* that assembled the size
+  arithmetically;
 - the fixed envelope cost of a message *kind* (``ENVELOPE_OVERHEAD`` plus
   the encoded kind string) is cached per kind, since the protocol uses a
-  small closed set of kind names.
+  small closed set of kind names;
+- ``Message._memo`` is the *receivers'* slot: whatever the first
+  receiver decoded from the (frozen) body, parked for the other
+  receivers of the same multicast.  Only the handler of the message's
+  kind sets it, only with a value that is a function of the body alone
+  and that nobody mutates afterwards, and this module never looks inside
+  (it must not learn what a write record is).  Senders leave it ``None``.
+  On the in-process backends the receivers of one fan-out therefore
+  share one decoded value; across a socket every process unpickles its
+  own message and fills its own slot.
 """
 
 from __future__ import annotations
@@ -189,7 +201,7 @@ class Message:
         The ``msg_id`` of the request this message answers, if any.
     """
 
-    __slots__ = ("kind", "body", "msg_id", "reply_to", "_size")
+    __slots__ = ("kind", "body", "msg_id", "reply_to", "_size", "_memo")
 
     def __init__(
         self,
@@ -203,6 +215,8 @@ class Message:
         self.msg_id = next(_msg_counter) if msg_id is None else msg_id
         self.reply_to = reply_to
         self._size: Optional[int] = None
+        #: Receiver-side decode memo (see the module docstring).
+        self._memo: Any = None
 
     def payload_size(self) -> int:
         """Estimated wire size including envelope overhead.

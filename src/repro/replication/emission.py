@@ -5,7 +5,8 @@ One of the four protocol components behind the
 set of targets and the records to cover, this component shapes the actual
 wire traffic from the policy's propagation and coherence-transfer-type
 parameters: a bare change notification, an invalidation (full or keyed),
-a full-state snapshot, or per-record update batches.
+a full-state snapshot, or per-record update batches -- in every case one
+message, built once and multicast to all targets.
 """
 
 from __future__ import annotations
@@ -60,10 +61,16 @@ class CoherenceEmitter:
             self._trace_emit("update_full", targets)
             engine.control.multicast(targets, message)
             return
-        for target in targets:
-            self.send_update(target, records)
+        message = Message(
+            mk.UPDATE, {"records": [r.to_wire() for r in records]}
+        )
+        engine.counters["tx:update"] += len(targets)
+        self._trace_emit("update", targets, records=len(records))
+        engine.control.multicast(targets, message)
 
-    def _trace_emit(self, message: str, targets: Sequence[str]) -> None:
+    def _trace_emit(
+        self, message: str, targets: Sequence[str], **detail: Any
+    ) -> None:
         """Emit one ``repl.emit`` trace event (no-op when tracing is off)."""
         if _obs.ACTIVE is None:
             return
@@ -72,25 +79,19 @@ class CoherenceEmitter:
             engine.control.now(), "repl.emit",
             node=engine.control.address,
             message=message, targets=len(targets),
-            strategy=engine.strategy_label,
+            strategy=engine.strategy_label, **detail,
         )
 
     def send_update(
         self, target: str, records: Sequence[WriteRecord]
     ) -> None:
-        """Ship a batch of write records to one peer."""
+        """Gossip a batch of write records up to one peer (the parent)."""
         engine = self.engine
         message = Message(
             mk.UPDATE, {"records": [r.to_wire() for r in records]}
         )
         engine.counters["tx:update"] += 1
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.event(
-                engine.control.now(), "repl.emit",
-                node=engine.control.address,
-                message="update", records=len(records), target=target,
-                strategy=engine.strategy_label,
-            )
+        self._trace_emit("update", (target,), records=len(records))
         engine.control.send(target, message)
 
     def snapshot_body(self) -> Dict[str, Any]:

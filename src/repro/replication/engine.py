@@ -234,7 +234,13 @@ class StoreReplicationObject(ReplicationObject):
                 self.children.remove(address)
 
     def _on_update(self, src: str, message: Message) -> None:
-        records = [WriteRecord.from_wire(w) for w in message.body["records"]]
+        # Decoded by the first receiver of the message, shared by the rest
+        # (``Message._memo``): records are frozen and the batch is a tuple.
+        records = message._memo
+        if records is None:
+            records = message._memo = tuple(
+                WriteRecord.from_wire(w) for w in message.body["records"]
+            )
         self.ingest_records(records, skip=src)
 
     def _on_invalidate(self, src: str, message: Message) -> None:
@@ -260,14 +266,18 @@ class StoreReplicationObject(ReplicationObject):
         """Apply ordering-released records, then propagate and serve reads."""
         if not records:
             return
+        control = self.control
+        trace = self.trace
+        primary = self.parent is None
+        applied = self.ordering.applied
+        # The ordering advanced ``applied`` for the whole batch before
+        # releasing it, so one stamp serves every record in it.
+        stamp = applied.copy()
         for record in records:
-            applicable = self.is_primary or self.control.can_apply(
-                record.invocation
-            )
+            applicable = primary or control.can_apply(record.invocation)
             self.log.append(record)
-            stamp = self.ordering.applied.copy()
             if applicable:
-                self.control.apply_local(record.invocation)
+                control.apply_local(record.invocation)
                 for key in record.touched:
                     self.as_of[key] = stamp
                     self.invalid_keys.discard(key)
@@ -277,17 +287,15 @@ class StoreReplicationObject(ReplicationObject):
                 for key in record.touched:
                     self.as_of.pop(key, None)
                     self.invalid_keys.add(key)
-            if self.trace is not None:
-                self.trace.record_apply(
-                    time=self.control.now(),
-                    store=self.control.address,
+            if trace is not None:
+                deps = record.deps
+                trace.record_apply(
+                    time=control.now(),
+                    store=control.address,
                     wid=record.wid,
-                    applied_vc=self.ordering.applied.as_dict(),
+                    applied_vc=applied.as_dict(),
                     global_seq=record.global_seq,
-                    deps=(
-                        record.deps.as_dict()
-                        if record.deps is not None else None
-                    ),
+                    deps=deps.as_dict() if deps is not None else None,
                 )
             self.writes.settle_ack(record.wid)
         self.propagation.propagate(records, skip=skip)

@@ -64,17 +64,15 @@ class PropagationStrategy:
     ) -> None:
         """Ship newly applied records to peers per the policy."""
         engine = self.engine
-        locally_accepted = [
-            r for r in records if r.origin == engine.control.address
-        ]
         # Gossip up: writes accepted at a non-primary store (eventual
         # multi-writer) flow to the parent immediately for convergence.
-        if (
-            engine.parent is not None
-            and locally_accepted
-            and skip != engine.parent
-        ):
-            engine.emission.send_update(engine.parent, locally_accepted)
+        # Nothing to scan for at the root or when the parent sent the batch.
+        if engine.parent is not None and skip != engine.parent:
+            locally_accepted = [
+                r for r in records if r.origin == engine.control.address
+            ]
+            if locally_accepted:
+                engine.emission.send_update(engine.parent, locally_accepted)
         if _obs.ACTIVE is not None:
             if engine.policy.transfer_initiative is TransferInitiative.PULL:
                 decision = "pull-hold"

@@ -12,6 +12,7 @@ pairs accepted writes with the client requests awaiting them.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Any, Dict, Optional
 
 from repro.coherence.models import CoherenceModel
@@ -107,7 +108,7 @@ class WritePath:
         if error is not None:
             self.fail(reply_src, request, future, error)
             return
-        self.stamp(record)
+        record = self.stamp(record)
         self.pending_acks[record.wid] = (reply_src, request, future)
         before_dropped = engine.ordering.dropped
         ready = engine.ordering.offer(record)
@@ -170,19 +171,24 @@ class WritePath:
             )
         return None
 
-    def stamp(self, record: WriteRecord) -> None:
-        """Stamp an accepted record with local metadata."""
+    def stamp(self, record: WriteRecord) -> WriteRecord:
+        """The accepted record with this store's metadata stamped on."""
         engine = self.engine
-        record.touched = tuple(engine.control.touched_keys(record.invocation))
-        record.timestamp = engine.control.now()
-        record.origin = engine.control.address
+        global_seq = record.global_seq
         if (
             engine.policy.model is CoherenceModel.SEQUENTIAL
             and engine.is_primary
-            and record.global_seq is None
+            and global_seq is None
         ):
-            record.global_seq = self.next_global
+            global_seq = self.next_global
             self.next_global += 1
+        return dataclasses.replace(
+            record,
+            touched=tuple(engine.control.touched_keys(record.invocation)),
+            timestamp=engine.control.now(),
+            origin=engine.control.address,
+            global_seq=global_seq,
+        )
 
     # -- acknowledgement ------------------------------------------------------
 

@@ -215,3 +215,50 @@ def test_cascade_through_mirror_to_cache():
     assert cache.state()["p"]["content"] == "v1"
     # The cache heard it from the mirror, not the server.
     assert mirror.engine.counters["tx:update"] >= 1
+
+
+def test_push_update_fanout_is_one_message_with_unchanged_accounting(
+        monkeypatch):
+    """A write pushed to N caches is one ``Message`` and one ``multicast``;
+    every count the network and the replicas keep is what the per-target
+    loop produced (the literals were recorded at the commit that still
+    had it: seed 1, one 2-byte write to ``p.html``, four caches)."""
+    from repro.comm.endpoint import CommunicationObject
+
+    fanouts = []
+    multicast = CommunicationObject.multicast
+
+    def spy(comm, dsts, message):
+        fanouts.append((comm.address, list(dsts), message))
+        multicast(comm, dsts, message)
+
+    monkeypatch.setattr(CommunicationObject, "multicast", spy)
+    sim = Simulator(seed=1)
+    net = Network(sim, latency=ConstantLatency(0.02))
+    site = WebObject(
+        sim, net,
+        policy=ReplicationPolicy(coherence_transfer=CoherenceTransfer.PARTIAL),
+        pages={"p.html": "seed"}, designated_writer="master")
+    server = site.create_server("server")
+    caches = [site.create_cache(f"cache-{index}") for index in range(4)]
+    master = site.bind_browser("m", "master", read_store="server",
+                               write_store="server")
+    comm = server.engine.control.comm
+    resolve(sim, master.write_page("p.html", "v1"))
+    sim.run_until_idle()
+
+    [(address, targets, message)] = fanouts
+    assert address == "server"
+    assert targets == [cache.address for cache in caches]
+    assert message.payload_size() == 255
+    assert server.engine.counters["tx:update"] == 4
+    # The acknowledgement (124 bytes) is the server's only other send.
+    assert (comm.messages_sent, comm.bytes_sent) == (5, 4 * 255 + 124)
+    for cache in caches:
+        assert cache.version() == {"master": 1}
+        assert cache.state()["p.html"]["content"] == "v1"
+        assert dict(cache.engine.counters) == {"rx:update": 1}
+    # Write + ack + four updates, nothing dropped.
+    stats = net.stats
+    assert (stats.datagrams_sent, stats.datagrams_delivered) == (6, 6)
+    assert (stats.bytes_sent, stats.bytes_delivered) == (1470, 1470)

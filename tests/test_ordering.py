@@ -216,3 +216,69 @@ def test_eventual_lww_never_regresses(entries):
             if best is not None:
                 assert stamp > best
             best = stamp
+
+
+def reference_offer(ordering, record):
+    """``OrderingDiscipline.offer`` without its in-order fast path.
+
+    Always inserts into the buffer, then drains: the model the fast path
+    (release directly when nothing is buffered and the record is ready)
+    must be indistinguishable from.
+    """
+    if record.wid in ordering.buffer:
+        return []
+    if ordering._superseded(record):
+        ordering.dropped += 1
+        return []
+    if ordering._is_duplicate(record):
+        return []
+    ordering.buffer[record.wid] = record
+    return ordering._drain()
+
+
+@st.composite
+def arrival_sequences(draw):
+    """Distinct writes of three clients, then any arrival order of them.
+
+    Every write gets a dependency vector (possibly unsatisfiable), a
+    unique ``global_seq``, a key set and a timestamp, so each discipline
+    finds the metadata it orders by; arrivals repeat and skip freely.
+    """
+    wids_ = draw(st.lists(
+        st.tuples(st.sampled_from("abc"), st.integers(1, 5)),
+        min_size=1, max_size=10, unique=True,
+    ))
+    global_seqs = draw(st.permutations(range(1, len(wids_) + 1)))
+    pool = [
+        rec(
+            client, seqno,
+            deps=draw(st.none() | st.dictionaries(
+                st.sampled_from("abc"), st.integers(0, 3), max_size=2)),
+            global_seq=global_seq,
+            touched=draw(st.lists(st.sampled_from("pqr"), max_size=2,
+                                  unique=True)),
+            ts=draw(st.integers(0, 4)),
+        )
+        for (client, seqno), global_seq in zip(wids_, global_seqs)
+    ]
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
+
+
+@pytest.mark.parametrize("factory", [
+    PramOrdering, FifoOrdering, CausalOrdering, SequentialOrdering,
+    EventualOrdering, lambda: EventualOrdering(lww=False),
+], ids=["pram", "fifo", "causal", "sequential", "eventual-lww", "eventual"])
+@given(arrivals=arrival_sequences())
+def test_offer_matches_insert_then_drain_model(factory, arrivals):
+    """Property: the fast path changes nothing an observer can see."""
+    ordering, model = factory(), factory()
+    for record in arrivals:
+        released = ordering.offer(record)
+        expected = reference_offer(model, record)
+        assert [id(r) for r in released] == [id(r) for r in expected]
+        assert ordering.applied == model.applied
+        assert ordering.seen == model.seen
+        assert ordering.buffer == model.buffer
+        assert ordering.dropped == model.dropped
+        # next_global, LWW stamps and the install floor, where they exist.
+        assert ordering.state_dict() == model.state_dict()

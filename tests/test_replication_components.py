@@ -6,6 +6,8 @@ propagation strategy and coherence emitter -- against a real composition
 on the simulator.
 """
 
+import pytest
+
 from repro.coherence.models import CoherenceModel
 from repro.coherence.records import WriteRecord
 from repro.comm.invocation import MarshalledInvocation
@@ -81,20 +83,24 @@ class TestWritePath:
         sim, _, site = build()
         engine = site.create_server("server").engine
         record = write_record()
-        engine.writes.stamp(record)
-        assert record.touched == ("index.html",)
-        assert record.origin == "server"
-        assert record.timestamp == sim.now
-        assert record.global_seq is None  # PRAM: no sequencer
+        stamped = engine.writes.stamp(record)
+        assert stamped.touched == ("index.html",)
+        assert stamped.origin == "server"
+        assert stamped.timestamp == sim.now
+        assert stamped.global_seq is None  # PRAM: no sequencer
+        # The submitted record is a value: stamping returned a copy.
+        assert stamped.wid == record.wid and record.touched == ()
 
     def test_stamp_sequences_at_sequential_primary(self):
         policy = ReplicationPolicy(model=CoherenceModel.SEQUENTIAL)
         _, _, site = build(policy=policy)
         engine = site.create_server("server").engine
-        first, second = write_record(seqno=1), write_record(seqno=2)
-        engine.writes.stamp(first)
-        engine.writes.stamp(second)
+        first = engine.writes.stamp(write_record(seqno=1))
+        second = engine.writes.stamp(write_record(seqno=2))
         assert (first.global_seq, second.global_seq) == (1, 2)
+        assert engine.writes.next_global == 3
+        # A record the sequencer already numbered keeps its number.
+        assert engine.writes.stamp(first).global_seq == 1
         assert engine.writes.next_global == 3
 
     def test_fresh_record_mints_per_client_seqnos(self):
@@ -164,19 +170,17 @@ class TestPropagationStrategy:
         policy = ReplicationPolicy(model=CoherenceModel.FIFO)
         _, _, site = build(policy=policy)
         engine = site.create_server("server").engine
-        records = [write_record(seqno=1), write_record(seqno=2),
-                   write_record(seqno=3, page="other.html")]
-        for record in records:
-            engine.writes.stamp(record)
+        records = [engine.writes.stamp(record) for record in (
+            write_record(seqno=1), write_record(seqno=2),
+            write_record(seqno=3, page="other.html"))]
         aggregated = engine.propagation.aggregate(records)
         assert [r.wid.seqno for r in aggregated] == [2, 3]
 
     def test_aggregate_preserves_order_sensitive_models(self):
         _, _, site = build()  # PRAM: every write matters
         engine = site.create_server("server").engine
-        records = [write_record(seqno=1), write_record(seqno=2)]
-        for record in records:
-            engine.writes.stamp(record)
+        records = [engine.writes.stamp(write_record(seqno=1)),
+                   engine.writes.stamp(write_record(seqno=2))]
         assert engine.propagation.aggregate(records) == records
 
     def test_lazy_instant_buffers_until_flush(self):
@@ -244,10 +248,74 @@ class TestCoherenceEmitter:
         assert set(body) == {"state", "version"}
         assert "index.html" in body["state"]
 
-    def test_partial_update_ships_record_batches(self):
+    def test_partial_update_ships_record_batches(self, monkeypatch):
+        from repro.comm.endpoint import CommunicationObject
+
+        calls = []
+        multicast = CommunicationObject.multicast
+
+        def spy(comm, dsts, message):
+            before = (comm.messages_sent, comm.bytes_sent)
+            multicast(comm, dsts, message)
+            calls.append((comm.address, list(dsts), message,
+                          comm.messages_sent - before[0],
+                          comm.bytes_sent - before[1]))
+
+        monkeypatch.setattr(CommunicationObject, "multicast", spy)
+        monkeypatch.setattr(
+            CoherenceEmitter, "send_update",
+            lambda *args: pytest.fail("fan-out went through send_update"),
+        )
         engine = self.emit(ReplicationPolicy(
-            coherence_transfer=CoherenceTransfer.PARTIAL))
-        assert engine.counters["tx:update"] == 2
+            coherence_transfer=CoherenceTransfer.PARTIAL), n_children=3)
+        assert engine.counters["tx:update"] == 3
+        # One message, encoded and sized once, handed to one multicast.
+        [(address, targets, message, messages, size)] = calls
+        assert address == "server"
+        assert targets == ["cache-0", "cache-1", "cache-2"]
+        assert message.kind == "update"
+        assert [w["wid"] for w in message.body["records"]] == ["m:1"]
+        assert messages == 3
+        assert size == 3 * message.payload_size() == 3 * 258
+
+    def test_every_shape_traces_one_emit_event_per_transmission(self):
+        from repro.obs import trace_run
+
+        for transfer, name, detail in (
+            (CoherenceTransfer.NOTIFICATION, "notify", {}),
+            (CoherenceTransfer.FULL, "update_full", {}),
+            (CoherenceTransfer.PARTIAL, "update", {"records": 1}),
+        ):
+            with trace_run() as tracer:
+                self.emit(ReplicationPolicy(coherence_transfer=transfer),
+                          n_children=3)
+            [event] = [e for e in tracer.events if e["kind"] == "repl.emit"]
+            assert event["message"] == name and event["targets"] == 3
+            assert {k: v for k, v in event.items() if k not in (
+                "t", "kind", "node", "obj", "message", "targets", "strategy",
+            )} == detail
+
+    def test_fanout_replicas_share_frozen_records(self):
+        # Decoded once per message on the in-process backends: the three
+        # replicas log the same record objects, which is safe because a
+        # record cannot be changed once built.
+        import dataclasses
+
+        sim, _, site = build(policy=ReplicationPolicy(
+            coherence_transfer=CoherenceTransfer.PARTIAL), writer="m")
+        site.create_server("server")
+        caches = [site.create_cache(f"cache-{i}") for i in range(3)]
+        client = site.bind_browser("c-space", "m", read_store="server")
+        from tests.conftest import resolve
+
+        resolve(sim, client.write_page("index.html", "v1"))
+        sim.run_until_idle()
+        logged = [cache.engine.log[0] for cache in caches]
+        assert all(record is logged[0] for record in logged)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            logged[0].timestamp = 99.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            logged[0].touched = ()
 
     def test_sequential_snapshot_carries_sequencer_state(self):
         engine = self.emit(ReplicationPolicy(
