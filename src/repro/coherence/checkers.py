@@ -90,11 +90,11 @@ def check_causal(
         running = VectorClock()
         for event in _store_scan(trace, store):
             if isinstance(event, InstallEvent):
-                running.merge(VectorClock.from_dict(event.version))
+                running.merge(VectorClock(event.version))
                 continue
             assert isinstance(event, ApplyEvent)
             if event.deps is not None:
-                deps = VectorClock.from_dict(event.deps)
+                deps = VectorClock(event.deps)
                 if not running.dominates(deps):
                     violations.append(
                         f"causal violation at {store}: applied {event.wid} "
@@ -163,7 +163,7 @@ def check_eventual_delivery(
         applied: Set[WriteId] = set()
         for event in _store_scan(trace, store):
             if isinstance(event, InstallEvent):
-                final.merge(VectorClock.from_dict(event.version))
+                final.merge(VectorClock(event.version))
             else:
                 assert isinstance(event, ApplyEvent)
                 applied.add(event.wid)
@@ -207,7 +207,7 @@ def check_read_your_writes(
             own = acked.get(event.client_id)
             if own is None:
                 continue
-            served = VectorClock.from_dict(event.served_vc)
+            served = VectorClock(event.served_vc)
             if not served.dominates(own):
                 violations.append(
                     f"RYW violation: read by {event.client_id} at "
@@ -225,7 +225,7 @@ def check_monotonic_reads(
     for client_id in clients if clients is not None else trace.clients():
         floor = VectorClock()
         for event in trace.reads_by(client_id):
-            served = VectorClock.from_dict(event.served_vc)
+            served = VectorClock(event.served_vc)
             if not served.dominates(floor):
                 violations.append(
                     f"MR violation: read by {client_id} at {event.store} "
@@ -273,12 +273,12 @@ def check_writes_follow_reads(
         if clients is not None and event.client_id not in clients:
             continue
         if event.deps is not None:
-            deps_of[event.wid] = VectorClock.from_dict(event.deps)
+            deps_of[event.wid] = VectorClock(event.deps)
     for store in trace.stores():
         running = VectorClock()
         for event in _store_scan(trace, store):
             if isinstance(event, InstallEvent):
-                running.merge(VectorClock.from_dict(event.version))
+                running.merge(VectorClock(event.version))
                 continue
             assert isinstance(event, ApplyEvent)
             deps = deps_of.get(event.wid)

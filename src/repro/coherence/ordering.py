@@ -114,7 +114,7 @@ class OrderingDiscipline:
 
     def load_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`state_dict`, in either form."""
-        self.applied = VectorClock.from_dict(state["applied"])
+        self.applied = VectorClock(state["applied"])
         self.buffer = {
             record.wid: record
             for record in (WriteRecord.from_wire(w) for w in state["buffer"])
@@ -308,7 +308,7 @@ class EventualOrdering(OrderingDiscipline):
         if "key_latest" in state:
             self._key_latest = {}
             self.load_key_state(state["key_latest"])
-        self._floor = VectorClock.from_dict(state["floor"])
+        self._floor = VectorClock(state["floor"])
 
     def key_state(self, keys: Iterable[str]) -> Dict[str, Any]:
         latest = self._key_latest

@@ -14,7 +14,6 @@ import dataclasses
 from typing import Any, Dict, Optional, Tuple
 
 from repro.comm.invocation import MarshalledInvocation, decode_invocation, encode_invocation
-from repro.comm.message import estimate_size
 from repro.core.ids import WriteId
 from repro.coherence.vector_clock import VectorClock
 
@@ -58,14 +57,6 @@ class WriteRecord:
     timestamp: float = 0.0
     origin: str = ""
 
-    def payload_size(self) -> int:
-        """Estimated wire size of the record."""
-        size = 24 + self.invocation.payload_size()
-        size += sum(len(key) for key in self.touched)
-        if self.deps is not None:
-            size += estimate_size(self.deps.as_dict())
-        return size
-
     def to_wire(self) -> Dict[str, Any]:
         """Encode for embedding in a message body."""
         return {
@@ -91,7 +82,7 @@ class WriteRecord:
             wid=WriteId.parse(wire["wid"]),
             invocation=decode_invocation(wire["invocation"]),
             touched=tuple(wire.get("touched", ())),
-            deps=VectorClock.from_dict(deps) if deps is not None else None,
+            deps=VectorClock(deps) if deps is not None else None,
             global_seq=wire.get("global_seq"),
             timestamp=float(wire.get("timestamp", 0.0)),
             origin=wire.get("origin", ""),

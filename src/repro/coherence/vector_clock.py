@@ -19,7 +19,11 @@ from repro.core.ids import WriteId
 
 
 class VectorClock:
-    """A mapping from client id to last-seen sequence number."""
+    """A mapping from client id to last-seen sequence number.
+
+    Built from a message-embedded dict, which it copies (``None`` or
+    ``{}`` gives the empty clock).
+    """
 
     __slots__ = ("_entries",)
 
@@ -109,8 +113,3 @@ class VectorClock:
     def __repr__(self) -> str:
         inner = ",".join(f"{k}:{v}" for k, v in sorted(self._entries.items()))
         return f"VC<{inner}>"
-
-    @classmethod
-    def from_dict(cls, entries: Optional[Dict[str, int]]) -> "VectorClock":
-        """Build from a message-embedded dict (``None`` -> empty clock)."""
-        return cls(entries)

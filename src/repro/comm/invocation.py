@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, Tuple
 
-from repro.comm.message import estimate_size
-
 
 class InvocationCodecError(ValueError):
     """Raised when an invocation message cannot be decoded."""
@@ -67,19 +65,6 @@ class MarshalledInvocation:
     def kwargs_dict(self) -> Dict[str, Any]:
         """The keyword arguments as a plain dict."""
         return dict(self.kwargs)
-
-    def payload_size(self) -> int:
-        """Estimated encoded size in bytes.
-
-        Value-identical to sizing ``list(self.args)`` and
-        ``dict(self.kwargs)`` (lists and tuples cost the same per item,
-        and the kwargs pairs are unique by construction), without
-        building those temporaries on the hot path.
-        """
-        total = estimate_size(self.method) + estimate_size(self.args) + 4
-        for key, value in self.kwargs:
-            total += estimate_size(key) + estimate_size(value) + 2
-        return total
 
 
 def encode_invocation(

@@ -2,9 +2,13 @@
 
 Messages are small typed envelopes.  The ``kind`` string is the protocol
 message name (``"update"``, ``"demand_update"``, ``"invalidate"`` ...); the
-``body`` dict carries protocol fields.  Size is estimated structurally so
-that traffic statistics reflect partial-vs-full transfer choices without a
-real serializer.
+``body`` dict carries protocol fields as plain data -- dicts, lists,
+tuples, strings, bytes, numbers, booleans and ``None``.  A message is a
+store's only input: clients marshal method calls into such bodies, and
+stores exchange nothing else among themselves.  Size is estimated
+structurally so that traffic statistics reflect partial-vs-full transfer
+choices without a real serializer; a body that is not plain data fails
+at sizing.
 
 Sizing is on the per-datagram hot path (every send crosses it), and a
 multicast hands one message object to every receiver, so work that is a
@@ -36,7 +40,6 @@ function of the message alone is done once and kept.  Four caches:
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from typing import Any, Dict, Optional
 
@@ -53,17 +56,16 @@ _SCALAR_SIZES = {type(None): 1, bool: 1, int: 8, float: 8}
 _KIND_COSTS: Dict[str, int] = {}
 
 
-def _str_size(value: str) -> int:
-    """UTF-8 byte length of a string (pure-ASCII strings skip encoding)."""
-    return len(value) if value.isascii() else len(value.encode("utf-8"))
-
-
 def estimate_size(value: Any) -> int:
-    """Structural size estimate of a payload, in bytes.
+    """Structural size estimate of a plain-data payload, in bytes.
 
-    Strings and bytes count their length; numbers count 8; containers sum
-    their elements plus small per-item overhead.  Good enough for relative
-    traffic comparisons between full and partial transfers.
+    A ``str`` counts its UTF-8 bytes and ``bytes`` its length; ``None``
+    and ``bool`` count 1, ``int`` and ``float`` 8; a dict item costs 2
+    plus its key and its value, a list or tuple element 2 plus the
+    element.  Types are matched exactly, and any other value (a nested
+    :class:`Message`, a set, a dataclass, ...) raises ``TypeError``.
+    Good enough for relative traffic comparisons between full and
+    partial transfers.
     """
     kind = type(value)
     if kind is str:
@@ -105,77 +107,22 @@ def estimate_size(value: Any) -> int:
         return total
     if kind is bytes:
         return len(value)
-    return _estimate_other(value)
-
-
-def _estimate_other(value: Any) -> int:
-    """Slow-path sizing for subclasses, dataclasses and sized objects.
-
-    Reproduces the historical ``isinstance`` chain for values whose exact
-    type is not one of the fast-path builtins, preserving its check order
-    (``bool`` before ``int``, dataclass before ``payload_size``).
-    """
-    if value is None:
-        return 1
-    if isinstance(value, bool):
-        return 1
-    if isinstance(value, (int, float)):
-        return 8
-    if isinstance(value, str):
-        return _str_size(value)
-    if isinstance(value, bytes):
-        return len(value)
-    if isinstance(value, dict):
-        return sum(
-            estimate_size(k) + estimate_size(v) + 2 for k, v in value.items()
-        )
-    if isinstance(value, (list, tuple, set, frozenset)):
-        return sum(estimate_size(item) + 2 for item in value)
-    if isinstance(value, Message):
-        # A message nested inside another body sizes exactly as it did
-        # when Message was a dataclass walked field by field: each field
-        # counts its name, its sized value and the 2-byte item overhead.
-        return (
-            (4 + _str_size(value.kind) + 2)          # "kind"
-            + (4 + estimate_size(value.body) + 2)    # "body"
-            + (6 + 8 + 2)                            # "msg_id" (int)
-            + (8 + estimate_size(value.reply_to) + 2)  # "reply_to"
-        )
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        # Walk fields directly: value-identical to sizing
-        # ``dataclasses.asdict(value)`` (each field counts its name, its
-        # recursively sized value and the 2-byte item overhead) without
-        # asdict's deep copy of every nested container.
-        total = 0
-        for field in dataclasses.fields(value):
-            total += (
-                _str_size(field.name)
-                + estimate_size(getattr(value, field.name))
-                + 2
-            )
-        return total
-    if hasattr(value, "payload_size"):
-        return int(value.payload_size())
-    return 16
-
-
-def _kind_cost(kind: str) -> int:
-    """Envelope cost of one message kind, cached per kind string."""
-    cost = _KIND_COSTS.get(kind)
-    if cost is None:
-        cost = _KIND_COSTS[kind] = ENVELOPE_OVERHEAD + estimate_size(kind)
-    return cost
+    raise TypeError(f"message bodies are plain data, not {kind.__name__}")
 
 
 def envelope_cost(kind: str) -> int:
     """The fixed envelope cost of one message kind, in bytes.
 
-    Public face of the per-kind cache, for senders that assemble a
-    message's total size arithmetically (caching each part) instead of
-    walking the finished body.  ``Message.payload_size`` always equals
-    ``envelope_cost(kind) + estimate_size(body)``.
+    ``ENVELOPE_OVERHEAD`` plus the encoded kind string, cached per kind.
+    Senders that assemble a message's total size arithmetically (caching
+    each part) use it instead of walking the finished body;
+    ``Message.payload_size`` always equals ``envelope_cost(kind) +
+    estimate_size(body)``.
     """
-    return _kind_cost(kind)
+    cost = _KIND_COSTS.get(kind)
+    if cost is None:
+        cost = _KIND_COSTS[kind] = ENVELOPE_OVERHEAD + estimate_size(kind)
+    return cost
 
 
 class Message:
@@ -228,7 +175,8 @@ class Message:
         """
         size = self._size
         if size is None:
-            size = self._size = _kind_cost(self.kind) + estimate_size(self.body)
+            size = envelope_cost(self.kind) + estimate_size(self.body)
+            self._size = size
         return size
 
     def reply(self, kind: str, body: Optional[Dict[str, Any]] = None) -> "Message":

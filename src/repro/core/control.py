@@ -39,7 +39,6 @@ class ControlObject(ControlInterface):
         self.replication = replication
         self.semantics = semantics
         self._role = role
-        self.invocations_served = 0
         comm.set_handler(self._on_message)
         replication.attach(self)
 
@@ -120,19 +119,14 @@ class ControlObject(ControlInterface):
     # -- inbound paths --------------------------------------------------------
 
     def invoke(
-        self,
-        invocation: MarshalledInvocation,
-        session: Optional[Dict[str, Any]] = None,
-        weight: int = 1,
+        self, invocation: MarshalledInvocation, weight: int = 1
     ) -> Future:
         """Entry point for method calls issued in this address space.
 
         ``weight`` counts the identical cohort clients this call stands in
         for (1 for an ordinary client; see :mod:`repro.workload.cohort`).
         """
-        self.invocations_served += 1
-        return self.replication.handle_invocation(invocation, session,
-                                                  weight=weight)
+        return self.replication.handle_invocation(invocation, weight=weight)
 
     def _on_message(self, src: str, message: Message) -> None:
         self.replication.handle_message(src, message)

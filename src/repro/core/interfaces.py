@@ -177,7 +177,8 @@ class ReplicationObject:
     object calls :meth:`handle_invocation` for client method calls arriving
     in this address space and :meth:`handle_message` for protocol traffic
     from peers; the replication object drives everything else through its
-    :class:`ControlInterface`.
+    :class:`ControlInterface`.  Only a client's replication object takes
+    method calls: a store's one input is a protocol message.
     """
 
     def attach(self, control: ControlInterface) -> None:
@@ -191,20 +192,18 @@ class ReplicationObject:
         """Cancel timers; called when the local object is destroyed."""
 
     def handle_invocation(
-        self,
-        invocation: MarshalledInvocation,
-        session: Optional[Dict[str, Any]] = None,
-        weight: int = 1,
+        self, invocation: MarshalledInvocation, weight: int = 1
     ) -> Future:
         """Serve a client method call issued in this address space.
 
-        ``session`` carries the client-based coherence context (Section
-        3.2.2): the client's own write position and read dependencies.
         ``weight`` counts the identical cohort clients the call stands in
         for (weighted trace/metric accounting; 1 for an ordinary client).
         Resolves with the invocation result.
         """
-        raise NotImplementedError
+        raise NotImplementedError(
+            f"{type(self).__name__} takes protocol messages only: bind a "
+            "client (DistributedSharedObject.bind) and invoke through its stub"
+        )
 
     def handle_message(self, src: str, message: Message) -> None:
         """Process protocol traffic from a peer replication object."""

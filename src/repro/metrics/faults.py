@@ -121,11 +121,11 @@ def recovery_lag_after_heal(
     for event in events:
         if isinstance(event, ApplyEvent):
             timelines.setdefault(event.store, []).append(
-                (event.time, VectorClock.from_dict(event.applied_vc))
+                (event.time, VectorClock(event.applied_vc))
             )
         elif isinstance(event, InstallEvent):
             timelines.setdefault(event.store, []).append(
-                (event.time, VectorClock.from_dict(event.version))
+                (event.time, VectorClock(event.version))
             )
         elif isinstance(event, WriteAckEvent):
             acks.append((event.time, event.wid))

@@ -59,7 +59,7 @@ def read_staleness(
                 continue
             if clients is not None and event.client_id not in clients:
                 continue
-            served = VectorClock.from_dict(event.served_vc)
+            served = VectorClock(event.served_vc)
             missing = [
                 (wid, ack_time)
                 for wid, ack_time in acked.items()

@@ -89,10 +89,7 @@ class ClientReplicationObject(ReplicationObject):
     # -- ReplicationObject -----------------------------------------------------
 
     def handle_invocation(
-        self,
-        invocation: MarshalledInvocation,
-        session: Optional[Dict[str, Any]] = None,
-        weight: int = 1,
+        self, invocation: MarshalledInvocation, weight: int = 1
     ) -> Future:
         if invocation.read_only:
             return self._do_read(invocation, weight=weight)
@@ -160,7 +157,7 @@ class ClientReplicationObject(ReplicationObject):
                     ReplicaError(reply.body.get("error", "read failed"))
                 )
                 return
-            version = VectorClock.from_dict(reply.body.get("version", {}))
+            version = VectorClock(reply.body.get("version", {}))
             self.session.observe_read(version)
             # One latency entry per represented client, so latency and
             # availability metrics weight cohort reads without needing a

@@ -22,6 +22,12 @@ The stack reaches the substrate only through its
 :class:`~repro.core.interfaces.ControlInterface`, implemented over the
 unified :mod:`repro.transport` protocols -- so the identical protocol code
 runs in virtual time and wall-clock time.
+
+A store's one input is a protocol message (:meth:`handle_message`) whose
+body is plain data.  Clients "only translate method calls to messages",
+so a caller in the store's own address space binds a client local object
+too and reaches the store through ``READ`` / ``WRITE`` requests; a store
+has no method-call entry point.
 """
 
 from __future__ import annotations
@@ -34,9 +40,7 @@ from repro.coherence.ordering import OrderingDiscipline, make_ordering
 from repro.coherence.records import WriteRecord
 from repro.coherence.trace import TraceRecorder
 from repro.coherence.vector_clock import VectorClock
-from repro.comm.invocation import MarshalledInvocation
 from repro.comm.message import Message
-from repro.core.ids import WriteId
 from repro.core.interfaces import ReplicationObject, Role
 from repro.replication import messages as mk
 from repro.replication.emission import CoherenceEmitter
@@ -44,7 +48,6 @@ from repro.replication.policy import OutdateReaction, ReplicationPolicy
 from repro.replication.propagation import PropagationStrategy
 from repro.replication.read_path import ReadDemandPath
 from repro.replication.write_path import WritePath
-from repro.sim.future import Future
 
 #: Interned ``rx:<kind>`` counter labels; the kind vocabulary is a small
 #: closed set, so each label is formatted exactly once per process.
@@ -150,54 +153,6 @@ class StoreReplicationObject(ReplicationObject):
         if address not in self.children:
             self.children.append(address)
 
-    # -------------------------------------------------------- client-facing API
-
-    def handle_invocation(
-        self,
-        invocation: MarshalledInvocation,
-        session: Optional[Dict[str, Any]] = None,
-        weight: int = 1,
-    ) -> Future:
-        """Serve an invocation issued *in this store's own address space*.
-
-        Used by co-located clients (e.g. an origin server's admin tooling);
-        remote clients arrive through :meth:`handle_message` instead.
-        """
-        inner = Future()
-        outer = Future()
-        session = session or {}
-        if invocation.read_only:
-            entry = self.reads.make_waiting(
-                src=self.control.address,
-                request=Message(mk.READ),
-                invocation=invocation,
-                session=session,
-                weight=weight,
-            )
-            entry.request_future = inner
-            self.reads.admit(entry)
-            unwrap_key = "result"
-        else:
-            record = self.writes.fresh_record(invocation, session)
-            self.writes.accept_or_forward(record, session,
-                                          reply_src=None, request=None,
-                                          future=inner)
-            unwrap_key = "wid"
-
-        def unwrap(resolved: Future) -> None:
-            try:
-                body = resolved.result()
-            except BaseException as exc:
-                outer.set_error(exc)
-                return
-            if unwrap_key == "wid":
-                outer.set_result(WriteId.parse(body["wid"]))
-            else:
-                outer.set_result(body.get("result"))
-
-        inner.add_callback(unwrap)
-        return outer
-
     # ------------------------------------------------------------- message paths
 
     def handle_message(self, src: str, message: Message) -> None:
@@ -245,7 +200,7 @@ class StoreReplicationObject(ReplicationObject):
 
     def _on_invalidate(self, src: str, message: Message) -> None:
         keys = message.body.get("keys")
-        self.known_remote.merge(VectorClock.from_dict(message.body["version"]))
+        self.known_remote.merge(VectorClock(message.body["version"]))
         if keys is None:
             self.invalid_keys.update(self.control.semantics_snapshot().keys())
         else:
@@ -254,7 +209,7 @@ class StoreReplicationObject(ReplicationObject):
             self.reads.demand(keys=sorted(self.invalid_keys) or None)
 
     def _on_notify(self, src: str, message: Message) -> None:
-        self.known_remote.merge(VectorClock.from_dict(message.body["version"]))
+        self.known_remote.merge(VectorClock(message.body["version"]))
         if self.policy.object_outdate_reaction is OutdateReaction.DEMAND:
             self.reads.demand()
 
@@ -351,7 +306,7 @@ class StoreReplicationObject(ReplicationObject):
         """Inverse of :meth:`checkpoint`; call before :meth:`start`."""
         self.log = [WriteRecord.from_wire(w) for w in state["log"]]
         self.as_of = {
-            key: VectorClock.from_dict(vc)
+            key: VectorClock(vc)
             for key, vc in state["as_of"].items()
         }
         self._load_fields(state)
@@ -374,7 +329,6 @@ class StoreReplicationObject(ReplicationObject):
             "has_full_state": self.has_full_state,
             "children": list(self.children),
             "allowed_writer": self.allowed_writer,
-            "local_seqnos": dict(self.writes.local_seqnos),
             "write_next_global": self.writes.next_global,
             "pending_lazy": [
                 record.to_wire() for record in self.propagation.pending_lazy
@@ -387,15 +341,13 @@ class StoreReplicationObject(ReplicationObject):
             if name == "ordering":
                 self.ordering.load_state(value)
             elif name == "log_base":
-                self.log_base = VectorClock.from_dict(value)
+                self.log_base = VectorClock(value)
             elif name == "invalid_keys":
                 self.invalid_keys = set(value)
             elif name == "known_remote":
-                self.known_remote = VectorClock.from_dict(value)
+                self.known_remote = VectorClock(value)
             elif name == "counters":
                 self.counters = collections.Counter(value)
-            elif name == "local_seqnos":
-                self.writes.local_seqnos = dict(value)
             elif name == "write_next_global":
                 self.writes.next_global = value
             elif name == "pending_lazy":
@@ -463,7 +415,7 @@ class StoreReplicationObject(ReplicationObject):
             if vc is None:
                 self.as_of.pop(key, None)
             else:
-                self.as_of[key] = VectorClock.from_dict(vc)
+                self.as_of[key] = VectorClock(vc)
             if key not in state:
                 gone.append(key)
         if len(self.control.missing_keys(gone)) < len(gone):

@@ -57,9 +57,6 @@ class WaitingRead:
     #: Identical cohort clients this one request stands in for (weighted
     #: trace/metric accounting; 1 for an ordinary client read).
     weight: int = 1
-    #: Local-invocation reads (a co-located client) resolve this future
-    #: instead of sending a reply message back over the network.
-    request_future: Optional[Future] = None
 
 
 class ReadDemandPath:
@@ -98,7 +95,7 @@ class ReadDemandPath:
             request=request,
             invocation=invocation,
             client_id=session.get("client_id", "anonymous"),
-            requirement=VectorClock.from_dict(session.get("requirement", {})),
+            requirement=VectorClock(session.get("requirement", {})),
             involved=tuple(engine.control.touched_keys(invocation)),
             enqueued_at=engine.control.now(),
             weight=weight,
@@ -225,29 +222,19 @@ class ReadDemandPath:
             )
         body = {"result": result, "version": served.as_dict(),
                 "store": engine.control.address}
-        future = entry.request_future
-        if future is not None:
-            future.set_result(body)
-        else:
-            engine.counters["tx:read_reply"] += 1
-            engine.control.reply(
-                entry.src, entry.request.reply(mk.READ_REPLY, body)
-            )
+        engine.counters["tx:read_reply"] += 1
+        engine.control.reply(
+            entry.src, entry.request.reply(mk.READ_REPLY, body)
+        )
         return True
 
     def reply_read_error(self, entry: WaitingRead, error: str) -> None:
         """Fail one read back to its issuer."""
-        from repro.replication.client import ReplicaError
-
         engine = self.engine
-        future = entry.request_future
-        if future is not None:
-            future.set_error(ReplicaError(error))
-        else:
-            engine.counters["tx:error"] += 1
-            engine.control.reply(
-                entry.src, entry.request.reply(mk.ERROR, {"error": error})
-            )
+        engine.counters["tx:error"] += 1
+        engine.control.reply(
+            entry.src, entry.request.reply(mk.ERROR, {"error": error})
+        )
 
     def serve_waiting(self) -> None:
         """Retry every parked read against the (possibly fresher) replica."""
@@ -365,7 +352,7 @@ class ReadDemandPath:
     def install_snapshot(self, body: Dict[str, Any]) -> None:
         """Install a full-state transfer, unless it would regress us."""
         engine = self.engine
-        version = VectorClock.from_dict(body["version"])
+        version = VectorClock(body["version"])
         if engine.ordering.applied.dominates(version) and (
             engine.ordering.applied != version
         ):
@@ -398,7 +385,7 @@ class ReadDemandPath:
         """Install a partial (per-key) state transfer."""
         engine = self.engine
         state = body.get("state", {})
-        as_of = VectorClock.from_dict(body.get("as_of", {}))
+        as_of = VectorClock(body.get("as_of", {}))
         if state:
             engine.control.semantics_restore(state, partial=True)
             engine.note_install(state)
@@ -416,7 +403,7 @@ class ReadDemandPath:
     def serve_demand(self, src: str, message: Message) -> None:
         """Serve a downstream catch-up request."""
         engine = self.engine
-        have = VectorClock.from_dict(message.body.get("have", {}))
+        have = VectorClock(message.body.get("have", {}))
         want_full = bool(message.body.get("want_full"))
         keys = message.body.get("keys")
         engine.counters["tx:demand_reply"] += 1

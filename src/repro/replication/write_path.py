@@ -13,12 +13,10 @@ pairs accepted writes with the client requests awaiting them.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 from repro.coherence.models import CoherenceModel
 from repro.coherence.records import WriteRecord
-from repro.coherence.vector_clock import VectorClock
-from repro.comm.invocation import MarshalledInvocation
 from repro.comm.message import Message
 from repro.core.ids import WriteId
 from repro.obs import tracer as _obs
@@ -32,10 +30,8 @@ class WritePath:
 
     def __init__(self, engine) -> None:
         self.engine = engine
-        #: Accepted-but-unacknowledged writes: wid -> (src, request, future).
-        self.pending_acks: Dict[WriteId, tuple] = {}
-        #: Per-co-located-client write sequence numbers.
-        self.local_seqnos: Dict[str, int] = {}
+        #: Accepted-but-unacknowledged writes: wid -> (src, request).
+        self.pending_acks: Dict[WriteId, Tuple[str, Message]] = {}
         #: Next global sequence number (primary under sequential coherence).
         self.next_global = 1
 
@@ -53,27 +49,7 @@ class WritePath:
         ):
             self.ack(src, message, record.wid)
             return
-        self.accept_or_forward(record, session, reply_src=src,
-                               request=message, future=None)
-
-    def fresh_record(
-        self, invocation: MarshalledInvocation, session: Dict[str, Any]
-    ) -> WriteRecord:
-        """Build a record for a write issued by a co-located client."""
-        client_id = session.get("client_id", "local")
-        if "wid" in session:
-            wid = WriteId.parse(session["wid"])
-        else:
-            self.local_seqnos[client_id] = (
-                self.local_seqnos.get(client_id, 0) + 1
-            )
-            wid = WriteId(client_id, self.local_seqnos[client_id])
-        deps = session.get("deps")
-        return WriteRecord(
-            wid=wid,
-            invocation=invocation,
-            deps=VectorClock.from_dict(deps) if deps else None,
-        )
+        self.accept_or_forward(record, session, src, message)
 
     # -- accept or forward ----------------------------------------------------
 
@@ -81,9 +57,8 @@ class WritePath:
         self,
         record: WriteRecord,
         session: Dict[str, Any],
-        reply_src: Optional[str],
-        request: Optional[Message],
-        future: Optional[Future],
+        src: str,
+        request: Message,
     ) -> None:
         """Route one write: accept it here or relay it to the parent."""
         engine = self.engine
@@ -102,14 +77,14 @@ class WritePath:
                 strategy=engine.strategy_label,
             )
         if not accepts_here:
-            self._forward(record, session, reply_src, request, future)
+            self._forward(record, session, src, request)
             return
         error = self.writer_check(record.wid.client_id)
         if error is not None:
-            self.fail(reply_src, request, future, error)
+            self.fail(src, request, error)
             return
         record = self.stamp(record)
-        self.pending_acks[record.wid] = (reply_src, request, future)
+        self.pending_acks[record.wid] = (src, request)
         before_dropped = engine.ordering.dropped
         ready = engine.ordering.offer(record)
         if engine.ordering.dropped > before_dropped:
@@ -126,9 +101,8 @@ class WritePath:
         self,
         record: WriteRecord,
         session: Dict[str, Any],
-        reply_src: Optional[str],
-        request: Optional[Message],
-        future: Optional[Future],
+        src: str,
+        request: Message,
     ) -> None:
         engine = self.engine
         body = {"record": record.to_wire(), "session": session}
@@ -140,20 +114,16 @@ class WritePath:
             try:
                 reply = resolved.result()
             except BaseException as exc:
-                self.fail(reply_src, request, future, str(exc))
+                self.fail(src, request, str(exc))
                 return
             if reply.kind == mk.ERROR:
-                self.fail(reply_src, request, future,
+                self.fail(src, request,
                           reply.body.get("error", "write failed"))
                 return
-            if future is not None:
-                future.set_result(reply.body)
-            elif reply_src is not None and request is not None:
-                engine.control.reply(
-                    reply_src,
-                    Message(reply.kind, dict(reply.body),
-                            reply_to=request.msg_id),
-                )
+            engine.control.reply(
+                src,
+                Message(reply.kind, dict(reply.body), reply_to=request.msg_id),
+            )
 
         upstream.add_callback(relay)
 
@@ -192,8 +162,7 @@ class WritePath:
 
     # -- acknowledgement ------------------------------------------------------
 
-    def ack(self, src: Optional[str], request: Optional[Message],
-            wid: WriteId, future: Optional[Future] = None) -> None:
+    def ack(self, src: str, request: Message, wid: WriteId) -> None:
         """Acknowledge one write to its submitter."""
         engine = self.engine
         body = {
@@ -201,33 +170,19 @@ class WritePath:
             "version": engine.ordering.applied.as_dict(),
             "store": engine.control.address,
         }
-        if future is not None:
-            future.set_result(body)
-        elif src is not None and request is not None:
-            engine.counters["tx:write_ack"] += 1
-            engine.control.reply(src, request.reply(mk.WRITE_ACK, body))
+        engine.counters["tx:write_ack"] += 1
+        engine.control.reply(src, request.reply(mk.WRITE_ACK, body))
 
     def settle_ack(self, wid: WriteId) -> None:
         """Acknowledge a write whose fate is now decided (applied/dropped)."""
         pending = self.pending_acks.pop(wid, None)
         if pending is None:
             return
-        src, request, future = pending
-        self.ack(src, request, wid, future=future)
+        src, request = pending
+        self.ack(src, request, wid)
 
-    def fail(
-        self,
-        src: Optional[str],
-        request: Optional[Message],
-        future: Optional[Future],
-        error: str,
-    ) -> None:
+    def fail(self, src: str, request: Message, error: str) -> None:
         """Report one write's failure to its submitter."""
-        from repro.replication.client import ReplicaError
-
         engine = self.engine
-        if future is not None:
-            future.set_error(ReplicaError(error))
-        elif src is not None and request is not None:
-            engine.counters["tx:error"] += 1
-            engine.control.reply(src, request.reply(mk.ERROR, {"error": error}))
+        engine.counters["tx:error"] += 1
+        engine.control.reply(src, request.reply(mk.ERROR, {"error": error}))

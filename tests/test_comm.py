@@ -1,5 +1,7 @@
 """Unit tests for messages, invocation marshalling and comm objects."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +22,65 @@ from repro.net.network import Network
 from repro.sim.kernel import Simulator
 
 
+def reference_size(value):
+    """``estimate_size``'s documented rule, written out as a plain walk."""
+    kind = type(value)
+    if value is None or kind is bool:
+        return 1
+    if kind is int or kind is float:
+        return 8
+    if kind is str:
+        return len(value.encode("utf-8"))
+    if kind is bytes:
+        return len(value)
+    if kind is dict:
+        return sum(2 + reference_size(k) + reference_size(v)
+                   for k, v in value.items())
+    if kind is list or kind is tuple:
+        return sum(2 + reference_size(item) for item in value)
+    raise AssertionError(f"not plain data: {kind.__name__}")
+
+
+@dataclasses.dataclass
+class _Record:
+    page: str = "index.html"
+
+
+plain_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(),
+    st.text(), st.binary(),
+)
+plain_keys = st.one_of(st.text(), st.integers(), st.booleans(), st.none(),
+                       st.floats(allow_nan=False), st.binary())
+plain_data = st.recursive(
+    plain_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(plain_keys, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+non_plain_leaves = st.sampled_from(
+    [Message("probe", {"a": 1}), {"a", "b"}, frozenset(), _Record(),
+     object()]
+)
+buried_non_plain = st.recursive(
+    non_plain_leaves,
+    lambda children: st.one_of(
+        st.tuples(st.lists(plain_data, max_size=2), children,
+                  st.lists(plain_data, max_size=2))
+        .map(lambda t: [*t[0], t[1], *t[2]]),
+        st.tuples(children, st.lists(plain_data, max_size=2))
+        .map(lambda t: (*t[1], t[0])),
+        st.tuples(st.text(), children,
+                  st.dictionaries(plain_keys, plain_data, max_size=2))
+        .map(lambda t: {**t[2], t[0]: t[1]}),
+    ),
+    max_leaves=6,
+)
+
+
 class TestEstimateSize:
     def test_primitives(self):
         assert estimate_size(None) == 1
@@ -36,29 +97,14 @@ class TestEstimateSize:
     def test_unicode_counts_bytes(self):
         assert estimate_size("é") == 2
 
-    def test_nested_message_sizes_like_its_field_dict(self):
-        # A Message inside a body must cost exactly what the historical
-        # dataclass walk charged: the size of its field dict.  Pins the
-        # explicit Message branch in ``_estimate_other`` against the
-        # generic dict walker.
-        for body in ({}, {"page": "index.html", "n": 3},
-                     {"nested": {"deep": [1, 2.5, None, "x"]}}):
-            inner = Message("probe", body, msg_id=17, reply_to=4)
-            as_dict = {
-                "kind": inner.kind,
-                "body": inner.body,
-                "msg_id": inner.msg_id,
-                "reply_to": inner.reply_to,
-            }
-            assert estimate_size(inner) == estimate_size(as_dict)
-            assert estimate_size([inner]) == estimate_size([as_dict])
+    @given(plain_data)
+    def test_plain_data_sizes_by_the_documented_rule(self, value):
+        assert estimate_size(value) == reference_size(value)
 
-    def test_nested_message_default_reply_to(self):
-        inner = Message("probe", {"a": 1})
-        assert inner.reply_to is None
-        as_dict = {"kind": "probe", "body": {"a": 1},
-                   "msg_id": inner.msg_id, "reply_to": None}
-        assert estimate_size(inner) == estimate_size(as_dict)
+    @given(buried_non_plain)
+    def test_non_plain_leaf_at_any_depth_is_a_type_error(self, value):
+        with pytest.raises(TypeError, match="plain data"):
+            estimate_size(value)
 
 
 class TestEnvelopeCost:

@@ -15,6 +15,8 @@ from repro.replication.engine import StoreReplicationObject
 from repro.replication.policy import ReplicationPolicy
 from repro.sim.kernel import Simulator
 from repro.web.document import WebDocument
+from repro.web.webobject import WebObject
+from tests.conftest import resolve
 
 
 class TestRoles:
@@ -66,29 +68,44 @@ class TestLocalObject:
         local.destroy()
         assert not net.is_registered("server")
 
-    def test_local_invocation_served_in_place(self):
+    def test_store_takes_no_method_calls(self):
+        # A store's one input is a message: a caller in its address space
+        # is told to bind a client, and nothing reaches the replica.
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
         engine = StoreReplicationObject(ReplicationPolicy(), Role.PERMANENT)
         local = LocalObject(sim, net, "server", Role.PERMANENT, engine,
                             semantics=WebDocument(pages={"p": "x"}))
-        future = local.control.invoke(
-            MarshalledInvocation("read_page", ("p",)))
+        for invocation in (
+            MarshalledInvocation("read_page", ("p",)),
+            MarshalledInvocation("write_page", ("p", "y"), read_only=False),
+        ):
+            with pytest.raises(NotImplementedError,
+                               match=r"DistributedSharedObject\.bind"):
+                local.control.invoke(invocation)
         sim.run_until_idle()
-        assert future.result()["content"] == "x"
+        assert engine.version() == {}
+        assert engine.snapshot_state()["p"]["content"] == "x"
+        assert not engine.counters
 
-    def test_local_write_applies_and_versions(self):
+    def test_durable_state_carries_no_local_write_counters(self):
+        # Write ids are minted by clients only, so a store persists no
+        # per-client sequence counters of its own.
         sim = Simulator()
         net = Network(sim, latency=ConstantLatency(0.01))
-        engine = StoreReplicationObject(ReplicationPolicy(), Role.PERMANENT)
-        local = LocalObject(sim, net, "server", Role.PERMANENT, engine,
-                            semantics=WebDocument())
-        future = local.control.invoke(
-            MarshalledInvocation("write_page", ("p", "body"),
-                                 read_only=False),
-            session={"client_id": "admin"},
-        )
-        sim.run_until_idle()
+        site = WebObject(sim, net, pages={"p": "x"})
+        engine = site.create_server("server").engine
+        browser = site.bind_browser("admin-space", "admin",
+                                    read_store="server")
+        resolve(sim, browser.write_page("p", "y"))
+        durable = {"ordering", "log", "log_base", "as_of", "invalid_keys",
+                   "known_remote", "counters", "has_full_state", "children",
+                   "allowed_writer", "write_next_global", "pending_lazy"}
+        state = engine.checkpoint()
+        assert set(state) == durable
+        assert set(engine.delta()["fields"]) <= durable
+        # A field an older snapshot still carries is ignored on restore.
+        engine.restore({**state, "retired": {"admin": 1}})
         assert engine.version() == {"admin": 1}
 
 

@@ -103,16 +103,6 @@ class TestWritePath:
         assert engine.writes.stamp(first).global_seq == 1
         assert engine.writes.next_global == 3
 
-    def test_fresh_record_mints_per_client_seqnos(self):
-        _, _, site = build()
-        engine = site.create_server("server").engine
-        invocation = MarshalledInvocation("write_page", ("p", "v"),
-                                          read_only=False)
-        first = engine.writes.fresh_record(invocation, {"client_id": "a"})
-        second = engine.writes.fresh_record(invocation, {"client_id": "a"})
-        other = engine.writes.fresh_record(invocation, {"client_id": "b"})
-        assert (first.wid.seqno, second.wid.seqno, other.wid.seqno) == (1, 2, 1)
-
 
 class TestReadDemandPath:
     def test_primary_never_needs_fetch(self):

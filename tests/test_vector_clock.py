@@ -69,8 +69,9 @@ class TestVectorClock:
     def test_equality_ignores_zero_entries(self):
         assert VectorClock({"a": 1, "b": 0}) == VectorClock({"a": 1})
 
-    def test_from_dict_none(self):
-        assert VectorClock.from_dict(None) == VectorClock()
+    def test_constructor_none_and_empty_give_empty_clock(self):
+        assert VectorClock(None) == VectorClock({}) == VectorClock()
+        assert VectorClock(None).as_dict() == {}
 
     @given(clock_dicts, clock_dicts)
     def test_merged_dominates_both(self, left, right):
@@ -103,7 +104,13 @@ class TestVectorClock:
     @given(clock_dicts)
     def test_as_dict_roundtrip(self, entries):
         vc = VectorClock(entries)
-        assert VectorClock.from_dict(vc.as_dict()) == vc
+        assert VectorClock(vc.as_dict()) == vc
+
+    def test_constructor_copies_its_dict(self):
+        entries = {"a": 1}
+        vc = VectorClock(entries)
+        entries["a"] = 5
+        assert vc.get("a") == 1
 
     @given(clock_dicts)
     def test_copy_is_independent(self, entries):
