@@ -48,8 +48,8 @@ def lazy_window_point(config, seed):
         transfer_instant=TransferInstant.LAZY,
         coherence_transfer=CoherenceTransfer.PARTIAL,
         access_transfer=AccessTransfer.PARTIAL,
+        lazy_interval=config["window"],
     )
-    policy.lazy_interval = config["window"]
     deployment = build_tree(
         policy=policy, n_caches=config["n_caches"],
         n_readers_per_cache=1, pages=dict(PAGES), seed=seed,

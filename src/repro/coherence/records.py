@@ -87,7 +87,3 @@ class WriteRecord:
             timestamp=float(wire.get("timestamp", 0.0)),
             origin=wire.get("origin", ""),
         )
-
-    def newer_than(self, other: "WriteRecord") -> bool:
-        """Last-writer-wins comparison (timestamp, then WiD tiebreak)."""
-        return (self.timestamp, self.wid) > (other.timestamp, other.wid)

@@ -18,7 +18,7 @@ stores here *enforce* them via the outdate-reaction parameter.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Tuple
 
 from repro.coherence.models import SessionGuarantee
 from repro.coherence.vector_clock import VectorClock
@@ -48,14 +48,6 @@ class SessionState:
         # plus estimated size) is derived state, rebuilt lazily whenever
         # an observation actually changes what :meth:`to_wire` reports.
         self._wire_cache: Optional[Tuple[Dict[str, Any], int]] = None
-
-    def with_guarantees(
-        self, guarantees: Iterable[SessionGuarantee]
-    ) -> "SessionState":
-        """Return self with the guarantee set replaced (builder style)."""
-        self.guarantees = frozenset(guarantees)
-        self._wire_cache = None
-        return self
 
     # -- write path ------------------------------------------------------------
 

@@ -199,6 +199,22 @@ class DistributedSharedObject:
             )
         return self.primary
 
+    def set_policy(self, policy: ReplicationPolicy) -> None:
+        """Swap the object's policy for ``policy`` at every replica here.
+
+        Every store in this address space adopts it through
+        :meth:`StoreReplicationObject.set_policy`, which refuses a change
+        of coherence model or store scope (then nothing is swapped), and
+        every bound client holds it.  A store in another process keeps
+        the policy it was spawned with.
+        """
+        for store in self.stores.values():
+            if isinstance(store.engine, StoreReplicationObject):
+                store.engine.set_policy(policy)
+        for client in self.clients:
+            client.replication.policy = policy
+        self.policy = policy
+
     # -- binding ---------------------------------------------------------------
 
     def bind(

@@ -60,7 +60,7 @@ def _run(seed: int, adaptive: bool, edits: int, reads: int,
     events = None
     if adaptive:
         controller = AdaptivePolicyController(
-            policy=policy,
+            dso=deployment.site.dso,
             primary=deployment.server.engine,
             schedule=lambda delay, fn, daemon=False: sim.schedule(
                 delay, fn, daemon=daemon),

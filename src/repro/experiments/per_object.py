@@ -101,9 +101,7 @@ def per_object_policy(spec: DocumentSpec) -> ReplicationPolicy:
     if spec.name == "event":
         # Hot and incrementally updated: the conference policy -- pushed,
         # aggregated partial updates.
-        policy = ReplicationPolicy.conference_example()
-        policy.lazy_interval = 2.0
-        return policy
+        return ReplicationPolicy.conference_example(lazy_interval=2.0)
     # biblio: multi-writer incremental updates need PRAM ordering with
     # immediate pushes.
     return ReplicationPolicy(

@@ -48,8 +48,7 @@ def _run(
     enforce: bool,
     updates: int,
 ) -> Tuple[Deployment, Dict[str, int]]:
-    policy = ReplicationPolicy.conference_example()
-    policy.lazy_interval = 4.0
+    policy = ReplicationPolicy.conference_example(lazy_interval=4.0)
     deployment = build_tree(
         policy=policy,
         n_caches=2,

@@ -71,16 +71,14 @@ def _run_deployment(
 def run_x1_point(config: Dict[str, Any], seed: int) -> RunMetrics:
     """One X1 point: one transfer-instant setting, measured."""
     interval = config["interval"]
+    lazy = {} if interval is None else dict(
+        transfer_instant=TransferInstant.LAZY, lazy_interval=interval,
+    )
     policy = ReplicationPolicy(
-        transfer_instant=(
-            TransferInstant.IMMEDIATE if interval is None
-            else TransferInstant.LAZY
-        ),
         coherence_transfer=CoherenceTransfer.PARTIAL,
         access_transfer=AccessTransfer.PARTIAL,
+        **lazy,
     )
-    if interval is not None:
-        policy.lazy_interval = interval
     deployment = _run_deployment(
         policy, seed=seed, n_caches=config["n_caches"],
         writes=config["writes"], reads_per_client=10, incremental=False,

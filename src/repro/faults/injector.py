@@ -21,9 +21,7 @@ Either way the injector records what it applied and when
 partition-aware metrics (:mod:`repro.metrics.faults`):
 :meth:`cut_windows` (per-partition intervals with their sides, driving
 staleness-under-partition) and :meth:`recovery_marks` (heal/restart
-times, driving recovery lag).  :meth:`partition_windows` and
-:meth:`outage_windows` are the coarser any-fault-active summaries for
-diagnostics and tests.
+times, driving recovery lag).
 """
 
 from __future__ import annotations
@@ -170,43 +168,6 @@ class FaultInjector:
         windows.extend(
             (start, max(start, until), sides) for start, sides in open_cuts
         )
-        return sorted(windows)
-
-    def partition_windows(self, until: float) -> List[Tuple[float, float]]:
-        """Intervals during which at least one partition was active.
-
-        Derived from the *applied* log, so both timed and stepped runs
-        report real clock times.  A partition still open at ``until`` is
-        clipped there.
-        """
-        open_cuts = 0
-        start: Optional[float] = None
-        windows: List[Tuple[float, float]] = []
-        for time, event in self.applied:
-            if isinstance(event, Partition):
-                if open_cuts == 0:
-                    start = time
-                open_cuts += 1
-            elif isinstance(event, Heal) and open_cuts > 0:
-                open_cuts = 0 if not event.partial else open_cuts - 1
-                if open_cuts == 0 and start is not None:
-                    windows.append((start, time))
-                    start = None
-        if start is not None:
-            windows.append((start, max(start, until)))
-        return windows
-
-    def outage_windows(self, until: float) -> List[Tuple[float, float]]:
-        """Per-crash intervals ``(crash time, restart time)``, clipped."""
-        down: dict = {}
-        windows: List[Tuple[float, float]] = []
-        for time, event in self.applied:
-            if isinstance(event, CrashNode):
-                down[event.node] = time
-            elif isinstance(event, RestartNode) and event.node in down:
-                windows.append((down.pop(event.node), time))
-        for start in down.values():
-            windows.append((start, max(start, until)))
         return sorted(windows)
 
     def recovery_marks(self) -> List[float]:

@@ -14,23 +14,24 @@ read/write mix over sliding windows and adjusts two Table-1 parameters:
   aggregation; quiet objects return to *immediate* so single updates are
   not needlessly delayed.
 
-Because the replication engine consults its ``policy`` object on every
-decision, flipping the shared policy's fields re-parameterizes every store
-of the object at once -- the dynamic-strategy-update capability the paper
-attributes to its standardized interfaces.
+A policy is a frozen value, so the controller never edits one: it builds
+the next with ``dataclasses.replace`` and swaps it in through
+:meth:`~repro.core.dso.DistributedSharedObject.set_policy`, which
+re-parameterizes every store of the object at once -- the
+dynamic-strategy-update capability the paper attributes to its
+standardized interfaces.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, List, Optional
+from typing import TYPE_CHECKING, Callable, List, Optional
 
 from repro.replication.engine import StoreReplicationObject
-from repro.replication.policy import (
-    Propagation,
-    ReplicationPolicy,
-    TransferInstant,
-)
+from repro.replication.policy import Propagation, TransferInstant
+
+if TYPE_CHECKING:  # repro.core.dso imports this package
+    from repro.core.dso import DistributedSharedObject
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,8 +67,10 @@ class AdaptivePolicyController:
 
     Parameters
     ----------
-    policy:
-        The object's (shared, mutable) replication policy.
+    dso:
+        The object whose policy is retuned.  Each change is a new policy,
+        ``dataclasses.replace(dso.policy, ...)``, swapped in with
+        ``dso.set_policy``.
     primary:
         The primary store's replication engine; its counters are the
         controller's signal.
@@ -80,14 +83,14 @@ class AdaptivePolicyController:
 
     def __init__(
         self,
-        policy: ReplicationPolicy,
+        dso: DistributedSharedObject,
         primary: StoreReplicationObject,
         schedule: Callable,
         now: Callable[[], float],
         config: Optional[AdaptiveConfig] = None,
         observers: Optional[List[StoreReplicationObject]] = None,
     ) -> None:
-        self.policy = policy
+        self.dso = dso
         self.primary = primary
         self.schedule = schedule
         self.now = now
@@ -147,49 +150,44 @@ class AdaptivePolicyController:
 
     # -- rules ----------------------------------------------------------------
 
-    def _record(self, parameter: str, old: str, new: str,
-                reads: int, writes: int) -> None:
-        self.events.append(
-            AdaptationEvent(
-                time=self.now(), parameter=parameter, old=old, new=new,
-                reads=reads, writes=writes,
-            )
-        )
+    def _swap(self, parameter: str, new, reads: int, writes: int) -> None:
+        """Swap in a policy with ``parameter`` set to ``new``; record it."""
+        policy = self.dso.policy
+        old = getattr(policy, parameter)
+        self.dso.set_policy(dataclasses.replace(policy, **{parameter: new}))
+        self.events.append(AdaptationEvent(
+            time=self.now(), parameter=parameter, old=old.value,
+            new=new.value, reads=reads, writes=writes,
+        ))
 
     def _adapt_propagation(self, reads: int, writes: int) -> None:
         if reads == 0 and writes == 0:
             return  # idle window: no signal
         # A window with reads and no writes is maximally read-dominated.
         ratio = reads / writes if writes else float("inf")
-        current = self.policy.propagation
+        current = self.dso.policy.propagation
         if (
             ratio < self.config.invalidate_below
             and current is Propagation.UPDATE
         ):
-            self.policy.propagation = Propagation.INVALIDATE
-            self._record("propagation", current.value,
-                         Propagation.INVALIDATE.value, reads, writes)
+            self._swap("propagation", Propagation.INVALIDATE, reads, writes)
         elif (
             ratio > self.config.update_above
             and current is Propagation.INVALIDATE
         ):
-            self.policy.propagation = Propagation.UPDATE
-            self._record("propagation", current.value,
-                         Propagation.UPDATE.value, reads, writes)
+            self._swap("propagation", Propagation.UPDATE, reads, writes)
 
     def _adapt_instant(self, reads: int, writes: int) -> None:
-        current = self.policy.transfer_instant
+        current = self.dso.policy.transfer_instant
         if (
             writes >= self.config.lazy_at_writes
             and current is TransferInstant.IMMEDIATE
         ):
-            self.policy.transfer_instant = TransferInstant.LAZY
-            self._record("transfer_instant", current.value,
-                         TransferInstant.LAZY.value, reads, writes)
+            self._swap("transfer_instant", TransferInstant.LAZY,
+                       reads, writes)
         elif (
             writes <= self.config.immediate_at_writes
             and current is TransferInstant.LAZY
         ):
-            self.policy.transfer_instant = TransferInstant.IMMEDIATE
-            self._record("transfer_instant", current.value,
-                         TransferInstant.IMMEDIATE.value, reads, writes)
+            self._swap("transfer_instant", TransferInstant.IMMEDIATE,
+                       reads, writes)

@@ -44,7 +44,13 @@ from repro.comm.message import Message
 from repro.core.interfaces import ReplicationObject, Role
 from repro.replication import messages as mk
 from repro.replication.emission import CoherenceEmitter
-from repro.replication.policy import OutdateReaction, ReplicationPolicy
+from repro.replication.policy import (
+    OutdateReaction,
+    PolicyError,
+    ReplicationPolicy,
+    TransferInitiative,
+    TransferInstant,
+)
 from repro.replication.propagation import PropagationStrategy
 from repro.replication.read_path import ReadDemandPath
 from repro.replication.write_path import WritePath
@@ -76,10 +82,10 @@ class StoreReplicationObject(ReplicationObject):
         trace: Optional[TraceRecorder] = None,
         allowed_writer: Optional[str] = None,
     ) -> None:
-        policy.validate()
-        self.policy = policy
+        self.policy = policy  # what set_policy checks the next one against
         self.role = role
         self.parent = parent
+        self.set_policy(policy)
         self.children: List[str] = list(children or [])
         self.trace = trace
         self.allowed_writer = allowed_writer
@@ -125,19 +131,27 @@ class StoreReplicationObject(ReplicationObject):
         """Whether this store is the root of the hierarchy."""
         return self.parent is None
 
-    @property
-    def strategy_label(self) -> str:
-        """The Table-1 strategy as a compact slash-joined label.
+    def set_policy(self, policy: ReplicationPolicy) -> None:
+        """Adopt ``policy`` and take, once, the decisions it alone fixes.
 
-        ``propagation/initiative/instant/coherence-transfer``, e.g.
-        ``update/push/immediate/full`` -- the name trace events carry so
-        per-strategy traffic is filterable in one pass.
+        Refuses a change of ``model`` or ``store_scope``: the ordering
+        discipline is built from them.
         """
-        policy = self.policy
-        return (
-            f"{policy.propagation.value}/{policy.transfer_initiative.value}"
-            f"/{policy.transfer_instant.value}"
-            f"/{policy.coherence_transfer.value}"
+        policy.validate()
+        if (policy.model, policy.store_scope) != (
+            self.policy.model, self.policy.store_scope
+        ):
+            raise PolicyError(
+                "a store cannot change its coherence model or store scope"
+            )
+        self.policy = policy
+        #: The name trace events carry (see the policy's).
+        self.strategy_label = policy.strategy_label
+        #: Pull+immediate: every read first pulls from the parent.
+        self.pull_on_access = (
+            policy.transfer_initiative is TransferInitiative.PULL
+            and policy.transfer_instant is TransferInstant.IMMEDIATE
+            and self.parent is not None
         )
 
     def start(self) -> None:

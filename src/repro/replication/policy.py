@@ -2,15 +2,19 @@
 
 A :class:`ReplicationPolicy` is what a Web-object developer sets "at
 initialization once the object-based coherence model has been chosen"
-(Section 3.3).  The enums are the table's value columns verbatim; the
-module-level :data:`TABLE1_ROWS` reproduces the table itself and is what
-the T1 benchmark renders.
+(Section 3.3).  It is a frozen value: a different strategy is a new
+policy (``dataclasses.replace(policy, field=value)``), which every store
+of the object adopts through
+:meth:`~repro.core.dso.DistributedSharedObject.set_policy`.  The enums are
+the table's value columns verbatim; the module-level :data:`TABLE1_ROWS`
+reproduces the table itself and is what the T1 benchmark renders.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import FrozenSet, List, Tuple
 
 from repro.coherence.models import CoherenceModel
@@ -94,12 +98,14 @@ class PolicyError(ValueError):
     """Raised by :meth:`ReplicationPolicy.validate` for nonsense combos."""
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class ReplicationPolicy:
-    """The full per-object replication strategy.
+    """The full per-object replication strategy, as a frozen value.
 
     Defaults correspond to a strongly-kept single-writer object: PRAM at
-    all layers, immediate full push, demand reactions.
+    all layers, immediate full push, demand reactions.  Pass every
+    parameter to the constructor; to change one later, build the new
+    policy with ``dataclasses.replace`` and hand it to ``set_policy``.
     """
 
     model: CoherenceModel = CoherenceModel.PRAM
@@ -140,6 +146,15 @@ class ReplicationPolicy:
             )
         return self
 
+    @functools.cached_property
+    def strategy_label(self) -> str:
+        """``propagation/initiative/instant/coherence-transfer``, e.g.
+        ``update/push/immediate/full``: the name trace events carry.
+        Formatted once per policy, however many stores share it."""
+        return "/".join(value.value for value in (
+            self.propagation, self.transfer_initiative,
+            self.transfer_instant, self.coherence_transfer))
+
     def enforces_at(self, role: Role) -> bool:
         """Whether the object-based model is enforced at a store role."""
         return role in self.store_scope.enforced_roles()
@@ -147,12 +162,14 @@ class ReplicationPolicy:
     # -- canned policies -------------------------------------------------------
 
     @classmethod
-    def conference_example(cls) -> "ReplicationPolicy":
+    def conference_example(
+        cls, lazy_interval: float = 5.0
+    ) -> "ReplicationPolicy":
         """The exact Table 2 strategy of the paper's Section 4 example.
 
-        PRAM at all layers, single writer, push, lazy (periodic), full
-        access transfer, partial coherence transfer, object reaction wait,
-        client reaction demand.
+        PRAM at all layers, single writer, push, lazy (periodic, every
+        ``lazy_interval`` seconds), full access transfer, partial
+        coherence transfer, object reaction wait, client reaction demand.
         """
         return cls(
             model=CoherenceModel.PRAM,
@@ -161,7 +178,7 @@ class ReplicationPolicy:
             write_set=WriteSet.SINGLE,
             transfer_initiative=TransferInitiative.PUSH,
             transfer_instant=TransferInstant.LAZY,
-            lazy_interval=5.0,
+            lazy_interval=lazy_interval,
             access_transfer=AccessTransfer.FULL,
             coherence_transfer=CoherenceTransfer.PARTIAL,
             object_outdate_reaction=OutdateReaction.WAIT,

@@ -12,7 +12,7 @@ downstream side of the same exchange.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Collection, Dict, List, Optional, Sequence, Set
 
 from repro.coherence.ordering import SequentialOrdering
 from repro.coherence.records import WriteRecord
@@ -25,8 +25,6 @@ from repro.replication.policy import (
     AccessTransfer,
     CoherenceTransfer,
     OutdateReaction,
-    TransferInitiative,
-    TransferInstant,
 )
 from repro.sim.future import Future
 
@@ -48,15 +46,12 @@ class WaitingRead:
     client_id: str
     requirement: VectorClock
     involved: Sequence[str]
-    enqueued_at: float
-    #: Keys upstream reported absent; treated as present-and-missing so the
-    #: semantics object produces the authoritative not-found error.
-    absent: Set[str] = dataclasses.field(default_factory=set)
-    #: Pull-on-access (pull+immediate) completed for this read.
-    pulled: bool = False
     #: Identical cohort clients this one request stands in for (weighted
     #: trace/metric accounting; 1 for an ordinary client read).
     weight: int = 1
+    #: Keys upstream reported absent; treated as present-and-missing so the
+    #: semantics object produces the authoritative not-found error.
+    absent: Set[str] = dataclasses.field(default_factory=set)
 
 
 class ReadDemandPath:
@@ -71,77 +66,53 @@ class ReadDemandPath:
     # -- read admission -------------------------------------------------------
 
     def on_read(self, src: str, message: Message) -> None:
-        """A remote client asked for a read."""
-        invocation = decode_invocation(message.body["invocation"])
-        session = message.body.get("session", {})
-        entry = self.make_waiting(
-            src, message, invocation, session,
-            weight=int(message.body.get("weight", 1)),
-        )
-        self.admit(entry)
+        """A client asked for a read: serve it now, or park it.
 
-    def make_waiting(
-        self,
-        src: str,
-        request: Message,
-        invocation: MarshalledInvocation,
-        session: Dict[str, Any],
-        weight: int = 1,
-    ) -> WaitingRead:
-        """Wrap one read request with its admission context."""
+        Under pull+immediate every read parks until a pull returns;
+        otherwise a read the replica can serve is answered at once, and
+        only one it cannot serve becomes a :class:`WaitingRead`.
+        """
         engine = self.engine
-        return WaitingRead(
-            src=src,
-            request=request,
-            invocation=invocation,
-            client_id=session.get("client_id", "anonymous"),
-            requirement=VectorClock(session.get("requirement", {})),
-            involved=tuple(engine.control.touched_keys(invocation)),
-            enqueued_at=engine.control.now(),
-            weight=weight,
-        )
-
-    def admit(self, entry: WaitingRead) -> None:
-        """Serve the read now, or park it and react to the block."""
-        engine = self.engine
-        pull_on_access = (
-            engine.policy.transfer_initiative is TransferInitiative.PULL
-            and engine.policy.transfer_instant is TransferInstant.IMMEDIATE
-            and engine.parent is not None
-        )
+        body = message.body
+        invocation = decode_invocation(body["invocation"])
+        session = body.get("session", {})
+        client_id = session.get("client_id", "anonymous")
+        requirement = VectorClock(session.get("requirement", {}))
+        involved = tuple(engine.control.touched_keys(invocation))
+        weight = int(body.get("weight", 1))
+        pull = engine.pull_on_access
+        served = None if pull else self.admissible(involved, requirement)
         if _obs.ACTIVE is not None:
-            # Mirrors the control flow below: servable() is pure, so the
-            # extra call cannot disturb the admission outcome.
-            if pull_on_access and not entry.pulled:
-                decision = "pull-first"
-            elif self.servable(entry):
-                decision = "serve"
-            else:
-                decision = "park"
             detail = dict(
                 node=engine.control.address,
-                obj=entry.involved[0] if entry.involved else None,
-                decision=decision, client=entry.client_id,
-                strategy=engine.strategy_label,
+                obj=involved[0] if involved else None,
+                decision=(
+                    "pull-first" if pull
+                    else "park" if served is None else "serve"
+                ),
+                client=client_id, strategy=engine.strategy_label,
             )
-            if entry.weight != 1:
+            if weight != 1:
                 # Stamped only for cohort reads so per-client traffic keeps
                 # its historical (golden-pinned) trace shape.
-                detail["weight"] = entry.weight
+                detail["weight"] = weight
             _obs.ACTIVE.event(engine.control.now(), "repl.read", **detail)
-        if pull_on_access and not entry.pulled:
-            self.waiting.append(entry)
-            self.demand()
+        if served is not None:
+            self.serve(src, message, invocation, client_id, requirement,
+                       weight, served)
             return
-        if self.try_serve(entry):
-            return
+        entry = WaitingRead(src, message, invocation, client_id,
+                            requirement, involved, weight)
         self.waiting.append(entry)
-        self.react_to_blocked_read(entry)
+        if pull:
+            self.demand()
+        else:
+            self.react_to_blocked_read(entry)
 
     def react_to_blocked_read(self, entry: WaitingRead) -> None:
         """Fetch missing content, or apply the client-outdate reaction."""
         engine = self.engine
-        fetch_keys = self.keys_needing_fetch(entry)
+        fetch_keys = self.keys_needing_fetch(entry.involved, entry.absent)
         if fetch_keys:
             if engine.parent is not None:
                 want_full = (
@@ -157,19 +128,20 @@ class ReadDemandPath:
         ):
             self.demand()
 
-    def keys_needing_fetch(self, entry: WaitingRead) -> List[str]:
-        """Involved keys whose content must be fetched before serving."""
+    def keys_needing_fetch(
+        self, involved: Sequence[str], absent: Collection[str] = ()
+    ) -> List[str]:
+        """Keys of ``involved`` whose content must be fetched to serve.
+
+        Keys in ``absent`` are excluded: upstream said they do not exist.
+        """
         engine = self.engine
         if engine.parent is None:
             # The primary is authoritative: a key it lacks does not exist,
             # so the read proceeds and fails with the semantics error.
             return []
-        if entry.absent:
-            involved: Sequence[str] = [
-                k for k in entry.involved if k not in entry.absent
-            ]
-        else:
-            involved = entry.involved
+        if absent:
+            involved = [k for k in involved if k not in absent]
         missing = engine.control.missing_keys(involved)
         invalid = engine.invalid_keys
         if not missing and not invalid:
@@ -187,61 +159,61 @@ class ReadDemandPath:
                 version.merge(engine.as_of[key])
         return version
 
-    def servable(self, entry: WaitingRead) -> bool:
-        """Whether the replica can serve ``entry`` right now."""
-        if self.keys_needing_fetch(entry):
-            return False
-        return self.served_version(entry.involved).dominates(entry.requirement)
+    def admissible(
+        self, involved: Sequence[str], requirement: VectorClock,
+        absent: Collection[str] = (),
+    ) -> Optional[VectorClock]:
+        """The version a read over ``involved`` is served at now, or ``None``.
 
-    def try_serve(self, entry: WaitingRead) -> bool:
-        """Serve ``entry`` if admissible; returns whether it was settled.
-
-        Inlines the :meth:`servable` checks so the served version is
-        computed once per admission instead of once to decide and once
-        to serve.
+        ``None`` when content must be fetched first, or when the replica
+        is behind the read's session ``requirement``.
         """
+        if self.keys_needing_fetch(involved, absent):
+            return None
+        served = self.served_version(involved)
+        return served if served.dominates(requirement) else None
+
+    def serve(
+        self, src: str, request: Message, invocation: MarshalledInvocation,
+        client_id: str, requirement: VectorClock, weight: int,
+        served: VectorClock,
+    ) -> None:
+        """Answer an admitted read at version ``served``."""
         engine = self.engine
-        if self.keys_needing_fetch(entry):
-            return False
-        served = self.served_version(entry.involved)
-        if not served.dominates(entry.requirement):
-            return False
         try:
-            result = engine.control.apply_local(entry.invocation)
+            result = engine.control.apply_local(invocation)
         except Exception as exc:
-            self.reply_read_error(entry, str(exc))
-            return True
+            engine.counters["tx:error"] += 1
+            engine.control.reply(
+                src, request.reply(mk.ERROR, {"error": str(exc)})
+            )
+            return
         if engine.trace is not None:
             engine.trace.record_read(
                 time=engine.control.now(),
                 store=engine.control.address,
-                client_id=entry.client_id,
+                client_id=client_id,
                 served_vc=served.as_dict(),
-                requirement=entry.requirement.as_dict(),
-                weight=entry.weight,
+                requirement=requirement.as_dict(),
+                weight=weight,
             )
         body = {"result": result, "version": served.as_dict(),
                 "store": engine.control.address}
         engine.counters["tx:read_reply"] += 1
-        engine.control.reply(
-            entry.src, entry.request.reply(mk.READ_REPLY, body)
-        )
-        return True
-
-    def reply_read_error(self, entry: WaitingRead, error: str) -> None:
-        """Fail one read back to its issuer."""
-        engine = self.engine
-        engine.counters["tx:error"] += 1
-        engine.control.reply(
-            entry.src, entry.request.reply(mk.ERROR, {"error": error})
-        )
+        engine.control.reply(src, request.reply(mk.READ_REPLY, body))
 
     def serve_waiting(self) -> None:
-        """Retry every parked read against the (possibly fresher) replica."""
+        """Serve every parked read the (possibly fresher) replica can."""
         still_waiting: List[WaitingRead] = []
         for entry in self.waiting:
-            if not self.try_serve(entry):
+            served = self.admissible(entry.involved, entry.requirement,
+                                     entry.absent)
+            if served is None:
                 still_waiting.append(entry)
+            else:
+                self.serve(entry.src, entry.request, entry.invocation,
+                           entry.client_id, entry.requirement, entry.weight,
+                           served)
         self.waiting = still_waiting
 
     # -- demand / catch-up ----------------------------------------------------
@@ -310,8 +282,6 @@ class ReadDemandPath:
                 WriteRecord.from_wire(w) for w in body.get("records", ())
             ]
             engine.ingest_records(records, skip=engine.parent)
-        for entry in self.waiting:
-            entry.pulled = True
         self.serve_waiting()
         if self._demand_again:
             self._demand_again = False
@@ -328,11 +298,13 @@ class ReadDemandPath:
         push arrives.
         """
         engine = self.engine
-        if engine.parent is None or self.servable(entry):
+        if engine.parent is None or self.admissible(
+            entry.involved, entry.requirement, entry.absent
+        ) is not None:
             return False
-        if self.keys_needing_fetch(entry):
-            return True
-        return engine.policy.client_outdate_reaction is OutdateReaction.DEMAND
+        return bool(self.keys_needing_fetch(entry.involved, entry.absent)) or (
+            engine.policy.client_outdate_reaction is OutdateReaction.DEMAND
+        )
 
     def _schedule_redemand(self) -> None:
         engine = self.engine
@@ -417,10 +389,7 @@ class ReadDemandPath:
                 k for k in keys if not engine.control.missing_keys([k])
             ]
             absent = [k for k in keys if k not in present]
-            served = engine.ordering.applied.copy()
-            for key in present:
-                if key in engine.as_of:
-                    served.merge(engine.as_of[key])
+            served = self.served_version(present)
             body = {
                 "partial": True,
                 "state": (

@@ -13,7 +13,7 @@ import dataclasses
 from typing import Dict, List, Optional
 
 from repro.core.dso import DistributedSharedObject
-from repro.core.interfaces import Role, STORE_LAYERS
+from repro.core.interfaces import Role
 
 
 @dataclasses.dataclass(frozen=True)
@@ -39,37 +39,6 @@ class HierarchyView:
     def layer(self, role: Role) -> List[StoreInfo]:
         """Stores at one Fig. 2 layer."""
         return self.layers.get(role, [])
-
-    def depth_of(self, address: str) -> int:
-        """Distance from the primary permanent store (primary = 0)."""
-        parents = {
-            info.address: info.parent
-            for infos in self.layers.values()
-            for info in infos
-        }
-        depth = 0
-        node: Optional[str] = address
-        while node is not None and parents.get(node) is not None:
-            node = parents[node]
-            depth += 1
-            if depth > len(parents):
-                raise ValueError(f"cycle in store hierarchy at {address!r}")
-        return depth
-
-    def rows(self) -> List[List[str]]:
-        """Table rows (layer, store, parent, model) for rendering."""
-        out: List[List[str]] = []
-        for role in STORE_LAYERS:
-            for info in self.layer(role):
-                out.append(
-                    [
-                        role.value,
-                        info.address,
-                        info.parent or "-",
-                        info.model if info.enforced else "eventual (weakened)",
-                    ]
-                )
-        return out
 
 
 def describe_hierarchy(dso: DistributedSharedObject) -> HierarchyView:

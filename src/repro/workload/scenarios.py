@@ -328,8 +328,7 @@ def conference_deployment(
     server with RYW, client U reading from its cache with no client-based
     model, Table 2 policy values.  Runs on either backend.
     """
-    policy = ReplicationPolicy.conference_example()
-    policy.lazy_interval = lazy_interval
+    policy = ReplicationPolicy.conference_example(lazy_interval=lazy_interval)
     pages = {
         "index.html": "<h1>ICDCS'98</h1>",
         "program.html": "<h2>Technical Program</h2>",

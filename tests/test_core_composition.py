@@ -138,14 +138,6 @@ class TestWriteRecordWire:
         )
         assert WriteRecord.from_wire(record.to_wire()).deps is None
 
-    def test_newer_than_lww_order(self):
-        older = WriteRecord(wid=WriteId("a", 1), timestamp=1.0,
-                            invocation=MarshalledInvocation("m"))
-        newer = WriteRecord(wid=WriteId("b", 1), timestamp=2.0,
-                            invocation=MarshalledInvocation("m"))
-        assert newer.newer_than(older)
-        assert not older.newer_than(newer)
-
     @given(st.text(min_size=1, max_size=10), st.integers(1, 1000),
            st.floats(0, 1e6),
            st.dictionaries(st.text(min_size=1, max_size=5),

@@ -156,7 +156,6 @@ def test_waiting_reads_counter_visible():
     policy = ReplicationPolicy(
         coherence_transfer=CoherenceTransfer.PARTIAL,
     )
-    policy.transfer_instant = policy.transfer_instant  # unchanged
     sim, net, site = build(policy=policy)
     site.create_server("server")
     cache = site.create_cache("cache")

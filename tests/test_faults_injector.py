@@ -142,8 +142,6 @@ def test_partition_and_outage_windows():
     injector = FaultInjector(sim, net, PLAN)
     injector.start()
     sim.run_until_idle()
-    assert injector.partition_windows(until=10.0) == [(1.0, 2.0)]
-    assert injector.outage_windows(until=10.0) == [(3.0, 4.0)]
     assert injector.recovery_marks() == [2.0, 4.0]
     assert injector.cut_windows(until=10.0) == [
         (1.0, 2.0, (frozenset({"a"}), frozenset({"b"}))),
@@ -178,8 +176,9 @@ def test_open_windows_clip_at_until():
     )))
     injector.start()
     sim.run_until_idle()
-    assert injector.partition_windows(until=5.0) == [(1.0, 5.0)]
-    assert injector.outage_windows(until=5.0) == [(2.0, 5.0)]
+    assert injector.cut_windows(until=5.0) == [
+        (1.0, 5.0, (frozenset({"a"}), frozenset({"b"}))),
+    ]
     assert injector.recovery_marks() == []
 
 

@@ -120,9 +120,6 @@ def test_fault_run_metrics_sees_partition_effects():
         request_retries=1,
     )
     assert deployment.faults is not None
-    assert deployment.faults.partition_windows(
-        until=deployment.sim.now
-    ) == [(2.0, 4.0)]
     cuts = deployment.faults.cut_windows(until=deployment.sim.now)
     assert [(start, end) for start, end, _ in cuts] == [(2.0, 4.0)]
     metrics = fault_run_metrics(deployment)

@@ -108,24 +108,16 @@ class TestReadDemandPath:
     def test_primary_never_needs_fetch(self):
         _, _, site = build()
         engine = site.create_server("server").engine
-        entry = engine.reads.make_waiting(
-            "space", None,
-            MarshalledInvocation("read_page", ("ghost.html",)), {},
-        )
-        assert engine.reads.keys_needing_fetch(entry) == []
+        assert engine.reads.keys_needing_fetch(("ghost.html",)) == []
 
     def test_cache_reports_missing_and_invalid_keys(self):
         sim, _, site = build()
         site.create_server("server")
         cache_engine = site.create_cache("cache").engine
-        entry = cache_engine.reads.make_waiting(
-            "space", None,
-            MarshalledInvocation("read_page", ("index.html",)), {},
-        )
-        assert cache_engine.reads.keys_needing_fetch(entry) == ["index.html"]
+        reads = cache_engine.reads
+        assert reads.keys_needing_fetch(("index.html",)) == ["index.html"]
         # Absent-marked keys are excluded: the semantics error is final.
-        entry.absent.add("index.html")
-        assert cache_engine.reads.keys_needing_fetch(entry) == []
+        assert reads.keys_needing_fetch(("index.html",), {"index.html"}) == []
 
     def test_served_version_merges_per_key_freshness(self):
         sim, _, site = build()

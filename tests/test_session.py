@@ -133,13 +133,6 @@ class TestWireCache:
         assert fresh is not cached
         assert fresh["requirement"] != cached["requirement"]
 
-    def test_with_guarantees_invalidates(self):
-        session = SessionState("c")
-        before = session.to_wire()
-        widened = session.with_guarantees({MR})
-        assert widened.to_wire() is not before
-        assert widened.to_wire()["guarantees"] == ["monotonic-reads"]
-
     def test_wire_sized_matches_fresh_walk(self):
         from repro.comm.message import estimate_size
 

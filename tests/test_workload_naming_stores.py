@@ -141,19 +141,9 @@ class TestScenarios:
 
 
 class TestHierarchyView:
-    def test_describe_and_depth(self):
+    def test_describe_groups_stores_by_layer(self):
         deployment = build_tree(ReplicationPolicy(), n_mirrors=1, n_caches=1,
                                 seed=2)
         view = describe_hierarchy(deployment.site.dso)
         from repro.core.interfaces import Role
         assert [i.address for i in view.layer(Role.PERMANENT)] == ["server"]
-        assert view.depth_of("server") == 0
-        assert view.depth_of("mirror-0") == 1
-        assert view.depth_of("cache-0") == 2
-
-    def test_rows_render(self):
-        deployment = build_tree(ReplicationPolicy(), n_caches=1, seed=2)
-        view = describe_hierarchy(deployment.site.dso)
-        rows = view.rows()
-        assert any("permanent" in row[0] for row in rows)
-        assert any("client-initiated" in row[0] for row in rows)
