@@ -92,8 +92,8 @@ class SessionState:
             requirement.merge(self.read_vc)
         return requirement
 
-    def observe_read(self, store_version: VectorClock) -> None:
-        """Record the version vector the serving store reported."""
+    def observe_read(self, store_version: VectorClock | Dict[str, int]) -> None:
+        """Record the version vector (or reply dict) the store reported."""
         if self.read_vc.merge(store_version):
             self._wire_cache = None
 

@@ -181,13 +181,14 @@ class TraceRecorder:
         """A store served a read; ``served_vc`` is its VC at serve time.
 
         ``weight`` counts the cohort clients the read represents (1 for
-        an ordinary per-client read).
+        an ordinary per-client read).  Callers pass frozen message dicts
+        (a reply's version, a request's requirement), kept uncopied.
         """
         self.events.append(
             ReadEvent(
                 index=self._next_index(), time=time, store=store,
-                client_id=client_id, served_vc=dict(served_vc),
-                requirement=dict(requirement or {}), result_meta=result_meta,
+                client_id=client_id, served_vc=served_vc,
+                requirement=requirement or {}, result_meta=result_meta,
                 weight=weight,
             )
         )

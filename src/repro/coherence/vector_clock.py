@@ -61,16 +61,17 @@ class VectorClock:
         """Advance by a write identifier."""
         self.advance(wid.client_id, wid.seqno)
 
-    def merge(self, other: "VectorClock") -> bool:
+    def merge(self, other: VectorClock | Dict[str, int]) -> bool:
         """Pointwise maximum, in place.
 
-        Returns whether any entry actually advanced, so callers keeping a
-        derived cache (the session wire form) can skip invalidation when
-        a merge was a no-op.
+        ``other`` may be a message's plain version dict, read in place.
+        Returns whether any entry advanced, so callers keeping a derived
+        cache (the session wire form) can skip a no-op's invalidation.
         """
         entries = self._entries
         changed = False
-        for client_id, seqno in other._entries.items():
+        other_entries = other if type(other) is dict else other._entries
+        for client_id, seqno in other_entries.items():
             if seqno > entries.get(client_id, 0):
                 entries[client_id] = seqno
                 changed = True

@@ -170,8 +170,8 @@ class Message:
 
         Computed once per message (first use) and cached; a retry that
         re-sends the same message re-reads the cached size.  Senders that
-        can derive the size arithmetically (the client read path) may
-        pre-seed the cache instead.
+        can derive the size arithmetically (the client read path, a
+        store's reply table) may pre-seed the cache instead.
         """
         size = self._size
         if size is None:

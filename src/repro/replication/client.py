@@ -28,6 +28,10 @@ from repro.replication import messages as mk
 from repro.replication.policy import ReplicationPolicy
 from repro.sim.future import Future
 
+#: A ``READ`` request's fixed size: envelope + 2 + len("invocation") + 2 +
+#: len("session").  Tests pin request sizes to a fresh ``estimate_size``.
+_READ_REQUEST_COST = envelope_cost(mk.READ) + 21
+
 
 class ReplicaError(Exception):
     """A store rejected or failed an invocation."""
@@ -125,12 +129,7 @@ class ClientReplicationObject(ReplicationObject):
         encoded, encoded_size = cached
         wire, wire_size = self.session.wire_sized()
         body = {"invocation": encoded, "session": wire}
-        # The request size, assembled from the cached parts: the fixed
-        # dict-walk overhead of the two body items is
-        # 2 + len("invocation") and 2 + len("session"), i.e. 21 bytes.
-        # Pinned equal to a fresh ``estimate_size`` walk by the test
-        # suite, so the arithmetic cannot drift from the walker.
-        size = envelope_cost(mk.READ) + 21 + encoded_size + wire_size
+        size = _READ_REQUEST_COST + encoded_size + wire_size
         if weight != 1:
             # Cohort read: one request standing in for ``weight`` clients.
             # Only stamped when non-trivial so ordinary traffic (and its
@@ -157,13 +156,12 @@ class ClientReplicationObject(ReplicationObject):
                     ReplicaError(reply.body.get("error", "read failed"))
                 )
                 return
-            version = VectorClock(reply.body.get("version", {}))
-            self.session.observe_read(version)
+            self.session.observe_read(reply.body.get("version", {}))
             # One latency entry per represented client, so latency and
             # availability metrics weight cohort reads without needing a
             # schema change in ``op_latencies``.
             elapsed = self.control.now() - started
-            self.op_latencies.extend(("read", elapsed) for _ in range(weight))
+            self.op_latencies += [("read", elapsed)] * weight
             result.set_result(reply.body.get("result"))
 
         request.add_callback(on_reply)

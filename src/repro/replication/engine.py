@@ -215,6 +215,7 @@ class StoreReplicationObject(ReplicationObject):
     def _on_invalidate(self, src: str, message: Message) -> None:
         keys = message.body.get("keys")
         self.known_remote.merge(VectorClock(message.body["version"]))
+        self.reads.replies = {}
         if keys is None:
             self.invalid_keys.update(self.control.semantics_snapshot().keys())
         else:
@@ -235,6 +236,7 @@ class StoreReplicationObject(ReplicationObject):
         """Apply ordering-released records, then propagate and serve reads."""
         if not records:
             return
+        self.reads.replies = {}
         control = self.control
         trace = self.trace
         primary = self.parent is None
@@ -318,6 +320,7 @@ class StoreReplicationObject(ReplicationObject):
 
     def restore(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`checkpoint`; call before :meth:`start`."""
+        self.reads.replies = {}
         self.log = [WriteRecord.from_wire(w) for w in state["log"]]
         self.as_of = {
             key: VectorClock(vc)
@@ -419,6 +422,7 @@ class StoreReplicationObject(ReplicationObject):
 
     def apply_delta(self, delta: Dict[str, Any]) -> None:
         """Replay one :meth:`delta` onto the state it was taken against."""
+        self.reads.replies = {}
         tail = [WriteRecord.from_wire(w) for w in delta.get("log", ())]
         self.log.extend(tail)
         self.ordering.seen.update(record.wid for record in tail)

@@ -7,6 +7,12 @@ parking them otherwise), reacts to blocked reads per the client-outdate
 reaction, issues *demands* (catch-up requests) to the parent, installs the
 full/partial/log-suffix state transfers that come back, and serves the
 downstream side of the same exchange.
+
+Served reads share the **reply table** ``replies``: per invocation, the
+reply (involved keys, served version, frozen body, size) the first serve
+built at the current replica state.  Errors, reads past upstream-absent
+keys and pull+immediate stores never enter it; ``apply_records``,
+``_on_invalidate``, ``restore``, ``apply_delta`` and both installs drop it.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from repro.coherence.ordering import SequentialOrdering
 from repro.coherence.records import WriteRecord
 from repro.coherence.vector_clock import VectorClock
 from repro.comm.invocation import MarshalledInvocation, decode_invocation
-from repro.comm.message import Message
+from repro.comm.message import Message, envelope_cost, estimate_size
 from repro.obs import tracer as _obs
 from repro.replication import messages as mk
 from repro.replication.policy import (
@@ -49,6 +55,9 @@ class WaitingRead:
     #: Identical cohort clients this one request stands in for (weighted
     #: trace/metric accounting; 1 for an ordinary client read).
     weight: int = 1
+    #: Reply-table key (the invocation's fields, a tuple that hashes and
+    #: compares in C); ``None``: the table never answers this read.
+    key: Optional[tuple] = None
     #: Keys upstream reported absent; treated as present-and-missing so the
     #: semantics object produces the authoritative not-found error.
     absent: Set[str] = dataclasses.field(default_factory=set)
@@ -60,6 +69,7 @@ class ReadDemandPath:
     def __init__(self, engine) -> None:
         self.engine = engine
         self.waiting: List[WaitingRead] = []
+        self.replies: Dict[tuple, tuple] = {}  # the reply table
         self._demand_inflight = False
         self._demand_again = False
 
@@ -77,11 +87,23 @@ class ReadDemandPath:
         invocation = decode_invocation(body["invocation"])
         session = body.get("session", {})
         client_id = session.get("client_id", "anonymous")
-        requirement = VectorClock(session.get("requirement", {}))
-        involved = tuple(engine.control.touched_keys(invocation))
+        requirement = session.get("requirement") or {}
         weight = int(body.get("weight", 1))
         pull = engine.pull_on_access
-        served = None if pull else self.admissible(involved, requirement)
+        key = None if pull else (invocation.method, invocation.args,
+                                 invocation.kwargs, invocation.read_only)
+        try:
+            reply = self.replies.get(key)
+        except TypeError:  # unhashable argument values are never tabled
+            key = reply = None
+        if reply is None or requirement and not reply[1].dominates(
+                VectorClock(requirement)):
+            reply = None
+            involved = tuple(engine.control.touched_keys(invocation))
+            served = None if pull else self.admissible(
+                involved, VectorClock(requirement))
+        else:
+            involved, served = reply[0], reply[1]
         if _obs.ACTIVE is not None:
             detail = dict(
                 node=engine.control.address,
@@ -99,10 +121,10 @@ class ReadDemandPath:
             _obs.ACTIVE.event(engine.control.now(), "repl.read", **detail)
         if served is not None:
             self.serve(src, message, invocation, client_id, requirement,
-                       weight, served)
+                       weight, served, involved, key, reply)
             return
         entry = WaitingRead(src, message, invocation, client_id,
-                            requirement, involved, weight)
+                            VectorClock(requirement), involved, weight, key)
         self.waiting.append(entry)
         if pull:
             self.demand()
@@ -175,32 +197,41 @@ class ReadDemandPath:
 
     def serve(
         self, src: str, request: Message, invocation: MarshalledInvocation,
-        client_id: str, requirement: VectorClock, weight: int,
-        served: VectorClock,
+        client_id: str, requirement: Dict[str, int], weight: int,
+        served: VectorClock, involved: Sequence[str], key: Optional[tuple],
+        reply: Optional[tuple] = None,
     ) -> None:
-        """Answer an admitted read at version ``served``."""
+        """Answer an admitted read from its table ``reply`` (built if None)."""
         engine = self.engine
-        try:
-            result = engine.control.apply_local(invocation)
-        except Exception as exc:
-            engine.counters["tx:error"] += 1
-            engine.control.reply(
-                src, request.reply(mk.ERROR, {"error": str(exc)})
-            )
-            return
+        if reply is None:
+            try:
+                result = engine.control.apply_local(invocation)
+            except Exception as exc:
+                engine.counters["tx:error"] += 1
+                engine.control.reply(
+                    src, request.reply(mk.ERROR, {"error": str(exc)})
+                )
+                return
+            body = {"result": result, "version": served.as_dict(),
+                    "store": engine.control.address}
+            reply = (involved, served, body,
+                     envelope_cost(mk.READ_REPLY) + estimate_size(body))
+            if key is not None:
+                self.replies[key] = reply
+        body = reply[2]
         if engine.trace is not None:
             engine.trace.record_read(
                 time=engine.control.now(),
                 store=engine.control.address,
                 client_id=client_id,
-                served_vc=served.as_dict(),
-                requirement=requirement.as_dict(),
+                served_vc=body["version"],
+                requirement=requirement,
                 weight=weight,
             )
-        body = {"result": result, "version": served.as_dict(),
-                "store": engine.control.address}
         engine.counters["tx:read_reply"] += 1
-        engine.control.reply(src, request.reply(mk.READ_REPLY, body))
+        message = Message(mk.READ_REPLY, body, reply_to=request.msg_id)
+        message._size = reply[3]
+        engine.control.reply(src, message)
 
     def serve_waiting(self) -> None:
         """Serve every parked read the (possibly fresher) replica can."""
@@ -210,10 +241,12 @@ class ReadDemandPath:
                                      entry.absent)
             if served is None:
                 still_waiting.append(entry)
-            else:
+            else:  # past absent keys, a reply is not the state's alone
                 self.serve(entry.src, entry.request, entry.invocation,
-                           entry.client_id, entry.requirement, entry.weight,
-                           served)
+                           entry.client_id, entry.requirement.as_dict(),
+                           entry.weight, served, entry.involved,
+                           None if entry.absent else entry.key,
+                           self.replies.get(entry.key))
         self.waiting = still_waiting
 
     # -- demand / catch-up ----------------------------------------------------
@@ -331,6 +364,7 @@ class ReadDemandPath:
             return  # strictly newer locally: never regress
         if version == engine.ordering.applied and engine.has_full_state:
             return  # no-op refresh
+        self.replies = {}
         engine.control.semantics_restore(body["state"], partial=False)
         engine.has_full_state = True
         if isinstance(engine.ordering, SequentialOrdering):
@@ -359,6 +393,7 @@ class ReadDemandPath:
         state = body.get("state", {})
         as_of = VectorClock(body.get("as_of", {}))
         if state:
+            self.replies = {}
             engine.control.semantics_restore(state, partial=True)
             engine.note_install(state)
             for key in state:

@@ -5,15 +5,25 @@ A store admits each client read one of three ways -- ``pull-first``
 cannot serve yet) or ``serve`` -- and an installed ``repro.obs`` tracer
 sees that decision as the ``repl.read`` event.  These tests pin the
 decision sequence for all three, and that a read served on arrival
-allocates no parked-read record.
+allocates no parked-read record.  A warm read is answered from the
+store's reply table: it neither applies the invocation nor sizes a
+message, a write still reaches the next read, and neither an error nor
+a pull+immediate store ever enters the table.
 """
+
+import collections
 
 import pytest
 
+from repro.coherence import session
+from repro.comm import message
+from repro.comm.message import estimate_size
+from repro.core.control import ControlObject
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.obs import trace_run
-from repro.replication import read_path
+from repro.replication import client, read_path
+from repro.replication.client import ReplicaError
 from repro.replication.policy import (
     AccessTransfer,
     CoherenceTransfer,
@@ -31,7 +41,8 @@ PARTIAL = dict(coherence_transfer=CoherenceTransfer.PARTIAL,
                access_transfer=AccessTransfer.PARTIAL)
 
 
-def build(policy):
+def build_site(policy):
+    """A server, a cache and a reader on the cache."""
     sim = Simulator(seed=5)
     net = Network(sim, latency=ConstantLatency(0.02))
     site = WebObject(sim, net, policy=policy, pages={"p": "seed"},
@@ -39,7 +50,17 @@ def build(policy):
     site.create_server("server")
     site.create_cache("cache")
     reader = site.bind_browser("u", "user", read_store="cache")
+    return sim, site, reader
+
+
+def build(policy):
+    sim, _, reader = build_site(policy)
     return sim, reader
+
+
+def cache_table(site):
+    """The cache's reply table."""
+    return site.dso.stores["cache"].engine.reads.replies
 
 
 def decisions(policy, warm=False):
@@ -73,6 +94,66 @@ class TestTracedDecision:
         policy = ReplicationPolicy(**PARTIAL)
         assert decisions(policy, warm=True) == [("cache", "serve"),
                                                 ("cache", "serve")]
+
+
+class TestWarmRead:
+    """A warm read is answered from the store's reply table."""
+
+    def test_repeat_read_neither_applies_nor_sizes(self, monkeypatch):
+        sim, reader = build(ReplicationPolicy(**PARTIAL))
+        for _ in range(2):  # fills the table and the client's caches
+            resolve(sim, reader.read_page("p"))
+        calls = collections.Counter()
+        apply_local = ControlObject.apply_local
+
+        def counted_apply(self, invocation):
+            calls["apply_local"] += 1
+            return apply_local(self, invocation)
+
+        def counted_size(value):
+            calls["estimate_size"] += 1
+            return estimate_size(value)
+
+        monkeypatch.setattr(ControlObject, "apply_local", counted_apply)
+        for module in (message, read_path, client, session):
+            monkeypatch.setattr(module, "estimate_size", counted_size,
+                                raising=False)
+        assert resolve(sim, reader.read_page("p"))["content"] == "seed"
+        assert calls == {}
+
+    @pytest.mark.parametrize("name", ["push-update", "push-invalidate"])
+    def test_read_after_a_write_returns_the_new_content(self, name):
+        sim, site, reader = build_site(STRATEGIES[name].build_policy())
+        master = site.bind_browser("m", "master", read_store="server")
+        for _ in range(2):
+            assert resolve(sim, reader.read_page("p"))["content"] == "seed"
+        resolve(sim, master.write_page("p", "fresh"))
+        assert resolve(sim, reader.read_page("p"))["content"] == "fresh"
+
+    def test_missing_page_errors_every_time_and_is_never_tabled(self):
+        sim, site, reader = build_site(ReplicationPolicy(**PARTIAL))
+        resolve(sim, reader.read_page("p"))
+        for _ in range(3):
+            with pytest.raises(ReplicaError, match="nope"):
+                resolve(sim, reader.read_page("nope"))
+        assert [key[1] for key in cache_table(site)] == [("p",)]
+
+    def test_unhashable_argument_is_answered_with_an_error(self):
+        sim, site, reader = build_site(ReplicationPolicy(**PARTIAL))
+        with pytest.raises(ReplicaError):
+            resolve(sim, reader.read_page(["p"]))
+        assert cache_table(site) == {}
+
+    def test_pull_immediate_traces_pull_first_and_never_tables(self):
+        policy = ReplicationPolicy(
+            transfer_initiative=TransferInitiative.PULL,
+            transfer_instant=TransferInstant.IMMEDIATE, **PARTIAL)
+        assert decisions(policy, warm=True) == [("cache", "pull-first"),
+                                                ("cache", "pull-first")]
+        sim, site, reader = build_site(policy)
+        for _ in range(3):
+            resolve(sim, reader.read_page("p"))
+        assert cache_table(site) == {}
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
