@@ -61,12 +61,7 @@ class WriteRecord:
         """Encode for embedding in a message body."""
         return {
             "wid": str(self.wid),
-            "invocation": encode_invocation(
-                self.invocation.method,
-                *self.invocation.args,
-                read_only=self.invocation.read_only,
-                **self.invocation.kwargs_dict(),
-            ),
+            "invocation": encode_invocation(self.invocation),
             "touched": list(self.touched),
             "deps": self.deps.as_dict() if self.deps is not None else None,
             "global_seq": self.global_seq,

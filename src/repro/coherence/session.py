@@ -93,8 +93,14 @@ class SessionState:
         return requirement
 
     def observe_read(self, store_version: VectorClock | Dict[str, int]) -> None:
-        """Record the version vector (or reply dict) the store reported."""
-        if self.read_vc.merge(store_version):
+        """Record the version vector (or reply dict) the store reported.
+
+        The wire form shows ``read_vc`` only through the monotonic-reads
+        part of :meth:`read_requirement`, so only an MR session rebuilds
+        it when the merge advances ``read_vc``.
+        """
+        if (self.read_vc.merge(store_version)
+                and SessionGuarantee.MONOTONIC_READS in self.guarantees):
             self._wire_cache = None
 
     # -- wire form ------------------------------------------------------------

@@ -4,81 +4,49 @@ A defining property of the Globe composition is that replication and
 communication objects never see semantics-object state or methods: they
 operate only on *invocation messages* in which the method identifier and
 parameters have been encoded.  This module is that encoding.
+
+An invocation is a :class:`MarshalledInvocation`, a named tuple, so
+every layer keys on the value itself: hashing and equality run over its
+four fields in C.  :func:`encode_invocation` turns one into the wire
+dict and :func:`decode_invocation` turns that dict back into the same
+value.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any, Dict, NamedTuple, Tuple
 
 
 class InvocationCodecError(ValueError):
     """Raised when an invocation message cannot be decoded."""
 
 
-class MarshalledInvocation:
+class MarshalledInvocation(NamedTuple):
     """A method call reduced to data: name, positional and keyword args.
 
-    ``read_only`` tags whether the invocation modifies semantics state;
-    the control object uses it to route reads locally and writes through
-    the replication object.
-
-    Semantically a frozen value object (equality and hashing over all
-    four fields); implemented as a plain ``__slots__`` class because one
-    is created per invocation on the hot path, where the generated
-    frozen-dataclass ``__init__`` (one ``object.__setattr__`` per field)
-    measurably dominates.
+    ``kwargs`` holds the keyword arguments as ``(name, value)`` pairs
+    sorted by name.  ``read_only`` tags whether the invocation modifies
+    semantics state; the control object uses it to route reads locally
+    and writes through the replication object.
     """
 
-    __slots__ = ("method", "args", "kwargs", "read_only")
-
-    def __init__(
-        self,
-        method: str,
-        args: Tuple[Any, ...] = (),
-        kwargs: Tuple[Tuple[str, Any], ...] = (),
-        read_only: bool = True,
-    ) -> None:
-        self.method = method
-        self.args = args
-        self.kwargs = kwargs
-        self.read_only = read_only
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarshalledInvocation):
-            return NotImplemented
-        return (
-            self.method == other.method
-            and self.args == other.args
-            and self.kwargs == other.kwargs
-            and self.read_only == other.read_only
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.method, self.args, self.kwargs, self.read_only))
-
-    def __repr__(self) -> str:
-        return (
-            f"MarshalledInvocation(method={self.method!r}, args={self.args!r},"
-            f" kwargs={self.kwargs!r}, read_only={self.read_only!r})"
-        )
+    method: str
+    args: Tuple[Any, ...] = ()
+    kwargs: Tuple[Tuple[str, Any], ...] = ()
+    read_only: bool = True
 
     def kwargs_dict(self) -> Dict[str, Any]:
         """The keyword arguments as a plain dict."""
         return dict(self.kwargs)
 
 
-def encode_invocation(
-    method: str,
-    *args: Any,
-    read_only: bool = True,
-    **kwargs: Any,
-) -> Dict[str, Any]:
-    """Encode a method call into a wire-friendly dict."""
+def encode_invocation(invocation: MarshalledInvocation) -> Dict[str, Any]:
+    """Encode an invocation into a wire-friendly dict."""
     return {
-        "method": method,
-        "args": list(args),
-        "kwargs": dict(kwargs),
-        "read_only": read_only,
+        "method": invocation.method,
+        "args": list(invocation.args),
+        "kwargs": dict(invocation.kwargs),
+        "read_only": invocation.read_only,
     }
 
 
@@ -86,22 +54,20 @@ def decode_invocation(encoded: Dict[str, Any]) -> MarshalledInvocation:
     """Decode a dict produced by :func:`encode_invocation`."""
     try:
         method = encoded["method"]
-        args = tuple(encoded.get("args", ()))
-        raw_kwargs = encoded.get("kwargs")
-        if isinstance(raw_kwargs, dict):
-            # ``sorted`` reads the mapping without mutating it, so the
-            # defensive ``dict()`` copy is skipped; the empty case (every
-            # positional-only protocol call) allocates nothing.
-            kwargs = tuple(sorted(raw_kwargs.items())) if raw_kwargs else ()
-        elif raw_kwargs is None:
-            kwargs = ()
-        else:
-            kwargs = tuple(sorted(dict(raw_kwargs).items()))
-        read_only = bool(encoded.get("read_only", True))
+        args = encoded.get("args", ())
+        kwargs = encoded.get("kwargs")
+        # Exact types, as the body-sizing walk matches them.
+        if type(args) not in (list, tuple) or not (
+                kwargs is None or type(kwargs) is dict):
+            raise TypeError("args must be a list, kwargs a dict or None")
+        # The empty case (every positional-only protocol call) sorts and
+        # allocates nothing.
+        invocation = MarshalledInvocation(
+            method, tuple(args),
+            tuple(sorted(kwargs.items())) if kwargs else (),
+            bool(encoded.get("read_only", True)))
     except (TypeError, KeyError) as exc:
         raise InvocationCodecError(f"malformed invocation {encoded!r}") from exc
     if not isinstance(method, str) or not method:
         raise InvocationCodecError(f"invalid method name {method!r}")
-    return MarshalledInvocation(
-        method=method, args=args, kwargs=kwargs, read_only=read_only
-    )
+    return invocation

@@ -11,7 +11,7 @@ object behind the control object.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Tuple
+from typing import Any
 
 from repro.comm.invocation import MarshalledInvocation
 from repro.core.control import ControlObject
@@ -24,13 +24,6 @@ class Stub:
     def __init__(self, control: ControlObject, client_id: str) -> None:
         self._control = control
         self.client_id = client_id
-        #: Marshalled-invocation cache for keyword-free calls.  A client
-        #: keeps invoking the same few methods on the same few pages;
-        #: the invocation is an immutable value object, so repeats share
-        #: one instance instead of re-marshalling per call.
-        self._invocations: Dict[
-            Tuple[str, Tuple[Any, ...], bool], MarshalledInvocation
-        ] = {}
 
     def invoke(
         self,
@@ -49,28 +42,9 @@ class Stub:
         accounting in traces and metrics), so it travels beside the
         marshalled invocation rather than inside it.
         """
-        if kwargs:
-            invocation = MarshalledInvocation(
-                method=method,
-                args=args,
-                kwargs=tuple(sorted(kwargs.items())),
-                read_only=read_only,
-            )
-        else:
-            key = (method, args, read_only)
-            try:
-                invocation = self._invocations.get(key)
-            except TypeError:  # unhashable argument: marshal uncached
-                invocation = MarshalledInvocation(
-                    method=method, args=args, read_only=read_only
-                )
-            else:
-                if invocation is None:
-                    invocation = self._invocations[key] = (
-                        MarshalledInvocation(
-                            method=method, args=args, read_only=read_only
-                        )
-                    )
+        invocation = MarshalledInvocation(
+            method, args, tuple(sorted(kwargs.items())) if kwargs else (),
+            read_only)
         return self._control.invoke(invocation, weight=weight)
 
     def read(

@@ -85,7 +85,8 @@ class ClientReplicationObject(ReplicationObject):
         #: Encoded read-invocation cache: invocation -> (wire dict, size).
         #: Clients re-read the same small page set, so the encode +
         #: size walk is paid once per distinct invocation; the encoded
-        #: dict is shared by reference (request bodies are frozen).
+        #: dict is shared by reference (request bodies are frozen).  The
+        #: invocation is a tuple, so the lookup hashes and compares in C.
         self._read_encodings: Dict[
             MarshalledInvocation, Tuple[Dict[str, Any], int]
         ] = {}
@@ -95,6 +96,7 @@ class ClientReplicationObject(ReplicationObject):
     def handle_invocation(
         self, invocation: MarshalledInvocation, weight: int = 1
     ) -> Future:
+        """Send a read to the read store or a write to the write store."""
         if invocation.read_only:
             return self._do_read(invocation, weight=weight)
         return self._do_write(invocation)
@@ -117,12 +119,7 @@ class ClientReplicationObject(ReplicationObject):
             cached = None
             cacheable = False
         if cached is None:
-            encoded = encode_invocation(
-                invocation.method,
-                *invocation.args,
-                read_only=True,
-                **invocation.kwargs_dict(),
-            )
+            encoded = encode_invocation(invocation)
             cached = (encoded, estimate_size(encoded))
             if cacheable:
                 self._read_encodings[invocation] = cached

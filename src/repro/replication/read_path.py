@@ -55,9 +55,9 @@ class WaitingRead:
     #: Identical cohort clients this one request stands in for (weighted
     #: trace/metric accounting; 1 for an ordinary client read).
     weight: int = 1
-    #: Reply-table key (the invocation's fields, a tuple that hashes and
-    #: compares in C); ``None``: the table never answers this read.
-    key: Optional[tuple] = None
+    #: Reply-table key (the invocation itself); ``None``: the table never
+    #: answers this read.
+    key: Optional[MarshalledInvocation] = None
     #: Keys upstream reported absent; treated as present-and-missing so the
     #: semantics object produces the authoritative not-found error.
     absent: Set[str] = dataclasses.field(default_factory=set)
@@ -69,7 +69,7 @@ class ReadDemandPath:
     def __init__(self, engine) -> None:
         self.engine = engine
         self.waiting: List[WaitingRead] = []
-        self.replies: Dict[tuple, tuple] = {}  # the reply table
+        self.replies: Dict[MarshalledInvocation, tuple] = {}  # reply table
         self._demand_inflight = False
         self._demand_again = False
 
@@ -90,8 +90,7 @@ class ReadDemandPath:
         requirement = session.get("requirement") or {}
         weight = int(body.get("weight", 1))
         pull = engine.pull_on_access
-        key = None if pull else (invocation.method, invocation.args,
-                                 invocation.kwargs, invocation.read_only)
+        key = None if pull else invocation
         try:
             reply = self.replies.get(key)
         except TypeError:  # unhashable argument values are never tabled
@@ -198,7 +197,8 @@ class ReadDemandPath:
     def serve(
         self, src: str, request: Message, invocation: MarshalledInvocation,
         client_id: str, requirement: Dict[str, int], weight: int,
-        served: VectorClock, involved: Sequence[str], key: Optional[tuple],
+        served: VectorClock, involved: Sequence[str],
+        key: Optional[MarshalledInvocation],
         reply: Optional[tuple] = None,
     ) -> None:
         """Answer an admitted read from its table ``reply`` (built if None)."""
@@ -362,8 +362,9 @@ class ReadDemandPath:
             engine.ordering.applied != version
         ):
             return  # strictly newer locally: never regress
-        if version == engine.ordering.applied and engine.has_full_state:
-            return  # no-op refresh
+        if (version == engine.ordering.applied and engine.has_full_state
+                and not engine.invalid_keys):
+            return  # no-op refresh; an invalid page still needs the body
         self.replies = {}
         engine.control.semantics_restore(body["state"], partial=False)
         engine.has_full_state = True

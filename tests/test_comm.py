@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from repro.comm.endpoint import CommunicationObject, RequestTimeout
 from repro.comm.invocation import (
     InvocationCodecError,
+    MarshalledInvocation,
     decode_invocation,
     encode_invocation,
 )
@@ -141,15 +142,44 @@ class TestMessage:
         assert message.payload_size() > ENVELOPE_OVERHEAD
 
 
+invocations = st.builds(
+    MarshalledInvocation,
+    st.text(min_size=1, max_size=20).filter(str.strip),
+    st.lists(st.one_of(st.integers(), st.text(max_size=10)),
+             max_size=4).map(tuple),
+    st.dictionaries(st.text(max_size=8),
+                    st.one_of(st.integers(), st.text(max_size=10)),
+                    max_size=3).map(lambda kw: tuple(sorted(kw.items()))),
+    st.booleans(),
+)
+
+
 class TestInvocationCodec:
     def test_roundtrip(self):
-        encoded = encode_invocation("write_page", "index", "content",
-                                    read_only=False, content_type="text/html")
+        invocation = MarshalledInvocation(
+            "write_page", ("index", "content"),
+            (("content_type", "text/html"),), read_only=False)
+        encoded = encode_invocation(invocation)
+        assert encoded == {"method": "write_page",
+                           "args": ["index", "content"],
+                           "kwargs": {"content_type": "text/html"},
+                           "read_only": False}
         decoded = decode_invocation(encoded)
-        assert decoded.method == "write_page"
-        assert decoded.args == ("index", "content")
+        assert decoded == invocation
         assert decoded.kwargs_dict() == {"content_type": "text/html"}
         assert decoded.read_only is False
+
+    def test_is_a_tuple_value(self):
+        invocation = MarshalledInvocation("read_page", ("p",))
+        assert invocation == ("read_page", ("p",), (), True)
+        assert hash(invocation) == hash(("read_page", ("p",), (), True))
+        assert repr(invocation) == ("MarshalledInvocation(method='read_page',"
+                                    " args=('p',), kwargs=(), read_only=True)")
+
+    def test_kwargs_decode_sorted(self):
+        decoded = decode_invocation(
+            {"method": "m", "args": [], "kwargs": {"b": 2, "a": 1}})
+        assert decoded.kwargs == (("a", 1), ("b", 2))
 
     def test_defaults(self):
         decoded = decode_invocation({"method": "read_page"})
@@ -164,17 +194,34 @@ class TestInvocationCodec:
         with pytest.raises(InvocationCodecError):
             decode_invocation({"method": ""})
 
-    @given(
-        st.text(min_size=1, max_size=20).filter(str.strip),
-        st.lists(st.one_of(st.integers(), st.text(max_size=10)), max_size=4),
-        st.booleans(),
-    )
-    def test_roundtrip_property(self, method, args, read_only):
-        encoded = encode_invocation(method, *args, read_only=read_only)
+    @pytest.mark.parametrize("field, value", [
+        ("args", "index.html"),  # a string would split into characters
+        ("args", {"a": 1}),      # a dict would decode to its keys
+        ("args", None),
+        ("args", 3),
+        ("kwargs", [("a", 1)]),  # no encoder writes pairs
+        ("kwargs", "a"),
+        ("kwargs", []),
+        ("kwargs", {1: "x", "a": "y"}),  # keys that cannot be sorted
+    ])
+    def test_malformed_arguments_rejected(self, field, value):
+        encoded = {"method": "read_page", "args": ["p"], "kwargs": {}}
+        encoded[field] = value
+        with pytest.raises(InvocationCodecError):
+            decode_invocation(encoded)
+
+    def test_non_dict_message_rejected(self):
+        with pytest.raises(InvocationCodecError):
+            decode_invocation(["read_page"])
+
+    @given(invocations)
+    def test_roundtrip_property(self, invocation):
+        encoded = encode_invocation(invocation)
+        assert list(encoded) == ["method", "args", "kwargs", "read_only"]
         decoded = decode_invocation(encoded)
-        assert decoded.method == method
-        assert list(decoded.args) == args
-        assert decoded.read_only == read_only
+        assert type(decoded) is MarshalledInvocation
+        assert decoded == invocation
+        assert hash(decoded) == hash(invocation)
 
 
 class TestCommunicationObject:

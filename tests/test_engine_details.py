@@ -17,7 +17,7 @@ from repro.replication.policy import (
 from repro.sim.kernel import Simulator
 from repro.web.webobject import WebObject
 
-from tests.conftest import resolve
+from tests.conftest import resolve, settle
 
 
 def build(policy=None, seed=3):
@@ -77,6 +77,33 @@ def test_snapshot_install_never_regresses():
     cache.engine.reads.install_snapshot(stale_body)
     assert cache.state()["p"]["content"] == "v2"
     assert cache.version() == {"master": 2}
+
+
+def test_same_version_snapshot_still_installs_invalid_pages():
+    # A cache holding the full state applies the delete, then cannot
+    # apply the append (no base page) and marks the page invalid at the
+    # server's version.  The full snapshot a read demands is at that same
+    # version; skipping it as a no-op refresh left the read re-demanding
+    # for ever.
+    sim, net, site = build(ReplicationPolicy(
+        model=CoherenceModel.EVENTUAL, write_set=WriteSet.MULTIPLE,
+        coherence_transfer=CoherenceTransfer.PARTIAL))
+    server = site.create_server("server")
+    cache = site.create_cache("cache")
+    cache.engine.reads.demand(want_full=True)
+    sim.run_until_idle()
+    assert cache.engine.has_full_state
+    master = site.bind_browser("m", "master", read_store="server")
+    reader = site.bind_browser("r", "reader", read_store="cache")
+    for write in (master.delete_page("p"), master.append_to_page("p", "x")):
+        settle(sim, write)
+    for _ in range(100):
+        sim.step()
+    assert cache.engine.invalid_keys == {"p"}
+    assert cache.version() == server.version()
+    page = settle(sim, reader.read_page("p"), max_events=1_000)
+    assert page["content"] == server.state()["p"]["content"]
+    assert not cache.engine.invalid_keys
 
 
 def test_demand_reply_falls_back_to_full_when_log_insufficient():

@@ -17,6 +17,7 @@ import pytest
 
 from repro.coherence import session
 from repro.comm import message
+from repro.comm.invocation import MarshalledInvocation
 from repro.comm.message import estimate_size
 from repro.core.control import ControlObject
 from repro.net.latency import ConstantLatency
@@ -136,7 +137,20 @@ class TestWarmRead:
         for _ in range(3):
             with pytest.raises(ReplicaError, match="nope"):
                 resolve(sim, reader.read_page("nope"))
-        assert [key[1] for key in cache_table(site)] == [("p",)]
+        assert [key.args for key in cache_table(site)] == [("p",)]
+
+    def test_table_is_keyed_by_the_invocation_itself(self):
+        sim, site, reader = build_site(ReplicationPolicy(**PARTIAL))
+        pages = {"p": "seed", "q": "other"}
+        resolve(sim, site.bind_browser("m", "master", read_store="server")
+                .write_page("q", "other"))
+        for page in pages:
+            for _ in range(2):
+                assert resolve(sim, reader.read_page(page))["content"] == \
+                    pages[page]
+        table = cache_table(site)
+        assert {type(key) for key in table} == {MarshalledInvocation}
+        assert sorted(key.args for key in table) == [("p",), ("q",)]
 
     def test_unhashable_argument_is_answered_with_an_error(self):
         sim, site, reader = build_site(ReplicationPolicy(**PARTIAL))

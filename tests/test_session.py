@@ -132,6 +132,13 @@ class TestWireCache:
         fresh = session.to_wire()
         assert fresh is not cached
         assert fresh["requirement"] != cached["requirement"]
+        # Without monotonic reads the wire form never shows read_vc, so
+        # an advancing read keeps it.
+        session = SessionState("c", guarantees=frozenset({RYW}))
+        cached = session.to_wire()
+        session.observe_read(VectorClock({"x": 5}))
+        assert session.read_vc.as_dict() == {"x": 5}
+        assert session.to_wire() is cached
 
     def test_wire_sized_matches_fresh_walk(self):
         from repro.comm.message import estimate_size
