@@ -1,13 +1,15 @@
 """A store node's two durability files: a snapshot and a delta journal.
 
-``<path>`` holds the last *snapshot*, one :mod:`repro.exec.codec` dict
-``{"epoch", "engine", "state"}``, only ever replaced whole (``tmp`` +
+``<path>`` holds the last *snapshot*, one dict ``{"epoch", "engine",
+"state"}`` pickled with protocol 5, only ever replaced whole (``tmp`` +
 ``os.replace``).  ``<path>.journal`` holds the *deltas* since: each record
 is an 8-byte header (payload length, ``zlib.crc32`` of the payload)
-and a codec-encoded ``[epoch, delta]``.  Recovery replays, in order, the
+and a pickled ``(epoch, delta)``.  Recovery replays, in order, the
 records of the snapshot's epoch and cuts the file at the first record
-that is short, fails its crc or does not decode -- a torn tail is
-dropped, never half-applied.  The contract, the epoch rule and the
+that is short, fails its crc or does not unpickle -- a torn tail is
+dropped, never half-applied.  Each file is read back only by the node
+that wrote it, in its hub's run directory: the trust boundary is the
+wire's (frames are pickles too).  The contract, the epoch rule and the
 compaction trigger are spelled out in ``ARCHITECTURE.md`` ("Node
 durability").  Nothing is ``fsync``\\ ed: the pair survives SIGKILL of the
 process, not power loss of the host.
@@ -16,11 +18,10 @@ process, not power loss of the host.
 from __future__ import annotations
 
 import os
+import pickle
 import struct
 import zlib
 from typing import Any, Dict, List, Tuple
-
-from repro.exec.codec import decode_result, encode_result
 
 #: Record header: payload length, crc32 of the payload.
 _HEADER = struct.Struct(">II")
@@ -80,11 +81,11 @@ class Journal:
         epoch and are skipped.
         """
         engine.delta()  # covered by this snapshot: later deltas start here
-        blob = encode_result({
+        blob = pickle.dumps({
             "epoch": self.epoch + 1,
             "engine": engine.checkpoint(),
             "state": engine.snapshot_state(),
-        })
+        }, 5)
         with open(self.path + ".tmp", "wb") as fh:
             fh.write(blob)
         os.replace(self.path + ".tmp", self.path)
@@ -95,7 +96,7 @@ class Journal:
 
     def append(self, delta: Any) -> None:
         """Append one delta as a length+crc framed record."""
-        payload = encode_result([self.epoch, delta])
+        payload = pickle.dumps((self.epoch, delta), 5)
         record = _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
         view = memoryview(record)
         while view:
@@ -107,9 +108,9 @@ class Journal:
         try:
             with open(self.path, "rb") as fh:
                 blob = fh.read()
-            snapshot = decode_result(blob)
+            snapshot = pickle.loads(blob)
             self.epoch = int(snapshot["epoch"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except Exception as exc:  # missing, not a pickle, no "epoch", ...
             raise JournalError(
                 f"unreadable snapshot {self.path}: {exc!r}"
             ) from exc
@@ -124,8 +125,8 @@ class Journal:
             if len(payload) < length or zlib.crc32(payload) != crc:
                 break
             try:
-                epoch, delta = decode_result(payload)
-            except (ValueError, TypeError):
+                epoch, delta = pickle.loads(payload)
+            except Exception:  # any unpickling failure: the cut is here
                 break
             if epoch == self.epoch:
                 deltas.append(delta)

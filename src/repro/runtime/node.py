@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import pickle
 import sys
 import threading
 from typing import Any, Dict, List, Optional
@@ -42,7 +43,6 @@ from typing import Any, Dict, List, Optional
 from repro.coherence.trace import TraceEvent, TraceRecorder
 from repro.core.interfaces import Role
 from repro.core.local_object import LocalObject
-from repro.exec.codec import decode_result
 from repro.replication.engine import StoreReplicationObject
 from repro.runtime.journal import Journal, JournalError
 from repro.runtime.live import LiveLoop
@@ -164,6 +164,7 @@ class NodeRuntime:
             policy=spec["policy"],
             role=Role(spec["role"]),
             parent=spec.get("parent"),
+            children=spec.get("children"),
             trace=self.trace,
             allowed_writer=spec.get("allowed_writer"),
         )
@@ -220,7 +221,7 @@ class NodeRuntime:
             elif op == "demand":
                 self.engine.reads.demand(
                     keys=kwargs.get("keys"),
-                    want_full=kwargs.get("want_full", False),
+                    want_full=kwargs.get("want_full"),
                 )
                 result = None
             elif op == "counters":
@@ -272,12 +273,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="hub address (unix:<path> or tcp:<host>:<port>)")
     parser.add_argument("--node", required=True, help="this store's name")
     parser.add_argument("--spec", required=True,
-                        help="path to the codec-encoded node spec")
+                        help="path to the pickled node spec")
     parser.add_argument("--restore", action="store_true",
                         help="resume the replica from its snapshot + journal")
     args = parser.parse_args(argv)
     with open(args.spec, "rb") as fh:
-        spec = decode_result(fh.read())
+        spec = pickle.loads(fh.read())
     sock = connect_with_backoff(parse_address(args.hub))
     channel = FrameChannel(sock)
     try:

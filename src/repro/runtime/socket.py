@@ -19,6 +19,13 @@ reads them.  Latency, partitions, crash gating and every
 in-process backends -- which is what makes the cross-backend coherence
 signatures comparable at all.
 
+Boot: :meth:`SocketHub.spawn_node` only records a node's spec, and
+:meth:`SocketHub.boot` -- run by ``SocketBackend.start()``, or by the
+first call, datagram or ``node_pid`` that needs a recorded node --
+spawns every recorded node at once and then waits for their ``hello``\\ s.
+A store subscribing to a parent not yet booted joins the parent's spec
+(``children``) instead of costing an RPC, so a tree boots in one stage.
+
 Fault teeth: :meth:`SocketNetwork.crash_node` first applies the shared
 :class:`~repro.faults.transport.FaultableTransportMixin` semantics
 (queued/in-flight drops, counters), then SIGKILLs the node's real
@@ -94,6 +101,11 @@ class SocketHub:
         self._calls: Dict[int, Dict[str, Any]] = {}
         self._call_ids = itertools.count(1)
         self._lock = threading.Lock()
+        #: Specs of the nodes the next :meth:`boot` spawns, by name.
+        self._pending: Dict[str, Dict[str, Any]] = {}
+        #: Held for the whole of a boot, so a caller that needs a node
+        #: waits until the boot that brings it up has finished.
+        self._boot_lock = threading.Lock()
 
     def start(self) -> None:
         """Start serving; the backend calls this once ``network`` is set."""
@@ -103,17 +115,59 @@ class SocketHub:
     # -- node lifecycle ------------------------------------------------------
 
     def spawn_node(self, name: str, spec: Dict[str, Any]) -> None:
-        """Write ``spec`` and launch the node; blocks until it registers."""
+        """Record ``spec``; the node comes up with the next :meth:`boot`."""
         spec = dict(spec)
         spec.setdefault("checkpoint_path",
                         self.supervisor.checkpoint_path(name))
         spec.setdefault("heartbeat_interval", self.heartbeat_interval)
-        self.supervisor.write_spec(name, spec)
-        self._launch(name, restore=False)
+        with self._lock:
+            self._pending[name] = spec
+
+    def adopt_child(self, name: str, child: str) -> bool:
+        """Add ``child`` to the initial children of pending node ``name``;
+        ``False`` if ``name`` is not pending (subscribe over RPC then)."""
+        with self._lock:
+            spec = self._pending.get(name)
+            if spec is None:
+                return False
+            spec.setdefault("children", []).append(child)
+            return True
+
+    def boot(self) -> None:
+        """Spawn every pending node at once, then wait for each ``hello``.
+
+        No cap on how many start together: the largest ``live-socket``
+        tree anywhere in the repo has 5 stores.  If one node fails to
+        register, every node of this boot is killed before the error is
+        raised, so a failed build leaves no child process behind.
+        """
+        with self._boot_lock:
+            with self._lock:
+                pending, self._pending = self._pending, {}
+            started = []
+            for name, spec in pending.items():
+                self.supervisor.write_spec(name, spec)
+                started.append((name, self.supervisor.spawn(name),
+                                time.monotonic() + self.server.hello_timeout))
+            try:
+                for name, proc, deadline in started:
+                    self._await_hello(name, proc, deadline)
+            except SocketRuntimeError:
+                for name, _proc, _deadline in started:
+                    self.kill_node(name)
+                raise
+
+    def _booted(self) -> None:
+        """Return once no node is pending or booting (cheap when none is)."""
+        if self._pending or self._boot_lock.locked():
+            self.boot()
 
     def _launch(self, name: str, restore: bool) -> None:
         proc = self.supervisor.spawn(name, restore=restore)
-        deadline = time.monotonic() + self.server.hello_timeout
+        self._await_hello(name, proc,
+                          time.monotonic() + self.server.hello_timeout)
+
+    def _await_hello(self, name: str, proc: Any, deadline: float) -> None:
         log = self.supervisor.log_path(name)
         # Polled, so a child that died on start-up (an unreadable
         # snapshot, a bad spec) is reported now, not at the deadline.
@@ -146,6 +200,7 @@ class SocketHub:
 
     def node_pid(self, name: str) -> int:
         """The node's current process id."""
+        self._booted()
         return self.supervisor.pid(name)
 
     # -- node RPC ------------------------------------------------------------
@@ -159,6 +214,7 @@ class SocketHub:
         dispatcher -- the thread that would read the reply -- the frame
         is sent and that one channel pumped inline until the reply.
         """
+        self._booted()
         channel = self.channel_for(node)
         if channel is None:
             raise SocketRuntimeError(f"node {node!r} is not connected")
@@ -197,6 +253,7 @@ class SocketHub:
     def forward(self, dst: str, src: str, payload: object,
                 size_bytes: int) -> bool:
         """Frame one routed datagram out to node ``dst`` (dispatcher)."""
+        self._booted()
         channel = self.channel_for(dst)
         if channel is None:
             return False
@@ -356,8 +413,9 @@ class _RemoteReads:
         self._proxy = proxy
 
     def demand(self, keys: Optional[List[str]] = None,
-               want_full: bool = False) -> None:
-        """Ask the node to issue a catch-up demand to its parent."""
+               want_full: Optional[bool] = None) -> None:
+        """Ask the node to issue a catch-up demand to its parent
+        (``want_full=None``: the node's policy chooses, as in-process)."""
         self._proxy.call(
             "demand",
             keys=list(keys) if keys is not None else None,
@@ -370,7 +428,9 @@ class RemoteEngineProxy:
 
     ``version()`` / ``snapshot_state()`` / ``subscribe_child()`` /
     ``reads.demand()`` mirror :class:`~repro.replication.engine.
-    StoreReplicationObject`; each is one synchronous hub->node call.
+    StoreReplicationObject`; each is one synchronous hub->node call,
+    except a subscription to a node not yet booted, which rides in its
+    spec.
     """
 
     def __init__(self, hub: SocketHub, address: str,
@@ -393,8 +453,10 @@ class RemoteEngineProxy:
         return self.call("snapshot_state")
 
     def subscribe_child(self, address: str) -> None:
-        """Add a downstream store to the remote propagation set."""
-        self.call("subscribe_child", address=address)
+        """Add a downstream store to the remote propagation set: into
+        the spec of a node not yet booted, else over RPC."""
+        if not self.hub.adopt_child(self.address, address):
+            self.call("subscribe_child", address=address)
 
     def counters(self) -> Dict[str, int]:
         """The remote engine's message counters (diagnostics)."""

@@ -1,7 +1,7 @@
 """Process supervision for socket store nodes.
 
 The hub delegates process lifecycle to a :class:`NodeSupervisor`: it
-writes each node's codec-encoded spec file, spawns ``python -m
+writes each node's spec file (a protocol-5 pickle), spawns ``python -m
 repro.runtime.node`` children, SIGKILLs them on :class:`CrashNode`
 (and *reaps* them, so no zombies linger for the CI process-leak check),
 re-spawns them with ``--restore`` on :class:`RestartNode`, and tears
@@ -17,6 +17,7 @@ uses to upload node logs on failure.
 from __future__ import annotations
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -47,7 +48,7 @@ class NodeSupervisor:
         return name.replace("/", "_")
 
     def spec_path(self, name: str) -> str:
-        """Where ``name``'s codec-encoded node spec lives."""
+        """Where ``name``'s pickled node spec lives."""
         return os.path.join(self.run_dir, f"{self._slug(name)}.spec")
 
     def checkpoint_path(self, name: str) -> str:
@@ -64,14 +65,9 @@ class NodeSupervisor:
 
     def write_spec(self, name: str, spec: Dict[str, Any]) -> str:
         """Persist the node spec; returns its path."""
-        # Imported here, not at module level: repro.exec's init imports
-        # repro.runtime (the sweep hub uses its frame server and loop),
-        # whose init imports this module, so the back-edge stays lazy.
-        from repro.exec.codec import encode_result
-
         path = self.spec_path(name)
         with open(path, "wb") as fh:
-            fh.write(encode_result(spec))
+            fh.write(pickle.dumps(spec, 5))
         return path
 
     # -- lifecycle -----------------------------------------------------------

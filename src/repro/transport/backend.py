@@ -253,8 +253,9 @@ class SocketBackend(LiveBackend):
     transport is a :class:`~repro.runtime.socket.SocketNetwork` that
     forwards store-bound datagrams over per-node frame sockets.  Store
     construction goes through :meth:`store_factory` (consumed by
-    :class:`~repro.core.dso.DistributedSharedObject`), which spawns one
-    ``repro.runtime.node`` process per store and returns an RPC proxy.
+    :class:`~repro.core.dso.DistributedSharedObject`), which records one
+    ``repro.runtime.node`` process per store and returns an RPC proxy;
+    :meth:`start` spawns all the recorded processes at once.
 
     The shared trace recorder lives on :attr:`trace`; node processes
     stream their events back into it, so ``coherence_signature`` works
@@ -302,17 +303,25 @@ class SocketBackend(LiveBackend):
         self.hub.network = self.transport
         self.call_timeout = call_timeout
         # The dispatcher is the thread that reads node replies, so it
-        # runs from construction: ``build_tree`` already calls nodes.
+        # runs from construction: a tree with mirrors calls nodes while
+        # it is built.
         self.clock.start()
         self.hub.start()
 
+    def start(self) -> None:
+        """Boot every store recorded so far, all at once (the dispatcher
+        already runs); blocks until each node has registered."""
+        super().start()
+        self.hub.boot()
+
     def store_factory(self, dso: Any, address: str, role: Any,
                       parent: Optional[str]) -> Any:
-        """Spawn the store as a node process; return its Store proxy.
+        """Record the store as a node process; return its Store proxy.
 
-        The first permanent store is the primary and ships the
-        prototype's full page snapshot in its spec; every other store
-        starts from an empty document, exactly like
+        The process is spawned by :meth:`start`, or by the first RPC or
+        datagram that needs it.  The first permanent store is the primary
+        and ships the prototype's full page snapshot in its spec; every
+        other store starts from an empty document, exactly like
         ``SemanticsObject.fresh()`` in-process.
         """
         from repro.core.dso import Store

@@ -18,6 +18,7 @@ restart fails the test instead of stalling the suite.
 
 import json
 import os
+import pickle
 import signal
 import time
 from contextlib import contextmanager
@@ -25,7 +26,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.exec.codec import decode_result
 from repro.faults.scenario import fault_smoke_point
 from repro.replication.policy import ReplicationPolicy
 from repro.runtime.socket import SocketRuntimeError
@@ -283,7 +283,7 @@ class TestJournalDurability:
                 supervisor = deployment.backend.hub.supervisor
                 for name in ("server", "cache-0"):
                     with open(supervisor.checkpoint_path(name), "rb") as fh:
-                        assert decode_result(fh.read())["epoch"] == 1
+                        assert pickle.loads(fh.read())["epoch"] == 1
                     with open(supervisor.journal_path(name), "rb") as fh:
                         assert b"left behind" not in fh.read()
             finally:

@@ -1,6 +1,6 @@
 """Node durability: the delta journal beside the compacted snapshot.
 
-Everything here is in-process and seeded -- no subprocess, no socket.
+Everything here is in-process and seeded -- no node process, no socket.
 Three layers are covered:
 
 - the *engine pair* ``delta()`` / ``apply_delta()``: a hypothesis
@@ -10,26 +10,34 @@ Three layers are covered:
   event, and at every step recovers a fresh engine from the two files
   and demands ``checkpoint()`` and ``snapshot_state()`` equality;
 - the *file layer*: torn tails (every byte offset of the last record,
-  every flipped byte), the epoch rule, the fresh-start truncation and
-  an unreadable snapshot;
+  every flipped byte, a record whose crc holds but whose pickle does
+  not load), the epoch rule, the fresh-start truncation and an
+  unreadable snapshot;
 - the *cost contract*: one write's record is the same size at log length
   0 and 800, and read-only ``call`` frames of a
   :class:`~repro.runtime.node.NodeRuntime` touch neither file.
+
+The last check runs one bare interpreter: the files are pickles, so the
+node entry point imports nothing from the sweep layer (``repro.exec``).
 
 The SIGKILL cases against real node processes live in
 ``tests/test_faults_socket.py``.
 """
 
 import os
+import pickle
 import shutil
+import struct
+import subprocess
+import sys
 import tempfile
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.coherence.models import CoherenceModel
-from repro.exec.codec import decode_result, encode_result
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.replication.policy import (
@@ -231,6 +239,33 @@ def test_flipped_byte_drops_that_record_and_everything_after(three_records):
         assert reload(path) == ([0], ends[0]), position
 
 
+#: Bytes that do not unpickle, by how ``pickle.loads`` fails on them.
+NOT_PICKLES = {
+    "garbage": b"not a pickle",  # UnpicklingError
+    "empty": b"",  # EOFError
+    "truncated": pickle.dumps({"epoch": 1, "engine": {}}, 5)[:-3],
+    "unknown-name": b"cos\nno_such_name\n.",  # AttributeError
+}
+
+
+def framed(payload):
+    """One journal record around ``payload``: length, crc32, payload."""
+    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+
+
+@pytest.mark.parametrize("payload", [
+    *NOT_PICKLES.values(),
+    pickle.dumps(5, 5),  # unpickles, but is no (epoch, delta) pair
+], ids=[*NOT_PICKLES, "not-a-pair"])
+def test_record_with_good_crc_that_does_not_unpickle_is_cut(three_records,
+                                                            payload):
+    path, ends = three_records
+    after = framed(pickle.dumps((1, {"n": 9}), 5))  # never replayed
+    with open(path + ".journal", "ab") as fh:
+        fh.write(framed(payload) + after)
+    assert reload(path) == ([0, 1, 2], ends[2])
+
+
 def test_records_of_an_older_epoch_are_skipped(three_records):
     path, _ = three_records
     stale = Path(path + ".journal").read_bytes()
@@ -278,13 +313,19 @@ def test_a_new_snapshot_is_due_once_the_journal_matches_it(tmp_path):
     assert 2 <= len(epochs) <= 12
 
 
-@pytest.mark.parametrize("damage", ["missing", "garbage", "no-epoch"])
+#: Snapshot files that cannot be read back, by what is wrong with them.
+DAMAGED_SNAPSHOTS = {
+    **NOT_PICKLES,
+    "non-dict": pickle.dumps([1, {}, {}], 5),
+    "no-epoch": pickle.dumps({"engine": {}, "state": {}}, 5),
+}
+
+
+@pytest.mark.parametrize("damage", ["missing", *DAMAGED_SNAPSHOTS])
 def test_unreadable_snapshot_is_one_clear_error(tmp_path, damage):
     path = str(tmp_path / "node.ckpt")
-    if damage == "garbage":
-        Path(path).write_bytes(b"not a codec blob")
-    elif damage == "no-epoch":
-        Path(path).write_bytes(encode_result({"engine": {}, "state": {}}))
+    if damage != "missing":
+        Path(path).write_bytes(DAMAGED_SNAPSHOTS[damage])
     journal = Journal(path, fresh=False)
     try:
         with pytest.raises(JournalError, match="unreadable snapshot"):
@@ -307,7 +348,7 @@ def test_one_writes_record_does_not_grow_with_the_log():
         sim.run_until_idle()
         delta = engine.delta()
         assert len(delta["log"]) == 1 and list(delta["state"]) == ["a"]
-        return len(encode_result(delta))
+        return len(pickle.dumps((0, delta), 5))
 
     at_log_0 = record_for_one_write()
     for _ in range(799):
@@ -317,7 +358,7 @@ def test_one_writes_record_does_not_grow_with_the_log():
     assert len(engine.log) == 800
     at_log_800 = record_for_one_write()
     assert at_log_800 <= 2 * at_log_0
-    assert at_log_800 < len(encode_result(engine.checkpoint())) / 20
+    assert at_log_800 < len(pickle.dumps(engine.checkpoint(), 5)) / 20
     # Reading introspection state changes nothing, so there is no delta.
     engine.version(), engine.snapshot_state(), engine.checkpoint()
     assert engine.delta() is None
@@ -407,7 +448,7 @@ def test_fresh_runtime_in_a_reused_directory_ignores_the_old_run(tmp_path):
         assert fresh.engine.children == []
         fresh.journal.snapshot(fresh.engine)
         blob = Path(fresh.journal.path).read_bytes()
-        assert decode_result(blob)["engine"]["children"] == []
+        assert pickle.loads(blob)["engine"]["children"] == []
     finally:
         fresh.journal.close()
 
@@ -443,3 +484,18 @@ def test_torn_tail_is_never_half_applied_to_an_engine(tmp_path):
         assert (clone.checkpoint(), clone.snapshot_state()) == expected
         assert os.path.getsize(
             os.path.join(scratch, "server.journal")) == kept
+
+
+def test_a_node_process_loads_no_sweep_module():
+    """The node's spec, snapshot and records are pickles: importing the
+    node entry point must not pull in the sweep layer (``repro.exec``)."""
+    code = ("import sys, repro.runtime.node; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'repro.exec' or m.startswith('repro.exec.')))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["repro"].__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        check=True, env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"

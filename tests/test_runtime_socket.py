@@ -3,7 +3,7 @@
 The cross-backend behaviour (signatures, fault parity) is pinned by
 ``test_parity_sim_live.py`` and ``test_faults_socket.py``; this module
 covers the runtime substrate itself: the registry's heartbeat liveness,
-codec frames over a real socketpair, connect retry/backoff against a
+pickle frames over a real socketpair, connect retry/backoff against a
 late listener, checkpoint round-trips, and -- critically -- that a full
 deployment teardown leaves no orphan or zombie node processes (checked
 with plain ``os.kill(pid, 0)`` / ``os.waitpid``, no psutil).
@@ -11,6 +11,7 @@ with plain ``os.kill(pid, 0)`` / ``os.waitpid``, no psutil).
 
 import json
 import os
+import pickle
 import socket
 import struct
 import threading
@@ -226,10 +227,9 @@ class TestCheckpointRoundTrip:
         engine = deployment.server.engine
         checkpoint = engine.checkpoint()
 
-        # The node encodes checkpoints with the wire codec; the round
-        # trip through bytes must be lossless.
-        from repro.exec.codec import decode_result, encode_result
-        checkpoint = decode_result(encode_result(checkpoint))
+        # The node pickles checkpoints (protocol 5) into its snapshot
+        # file; the round trip through bytes must be lossless.
+        checkpoint = pickle.loads(pickle.dumps(checkpoint, 5))
 
         clone = StoreReplicationObject(
             policy=deployment.site.policy,
