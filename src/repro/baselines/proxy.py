@@ -154,12 +154,3 @@ class HttpProxy:
             )
 
         upstream_reply.add_callback(on_reply)
-
-    # -- introspection -------------------------------------------------------------
-
-    def hit_ratio(self) -> float:
-        """Fraction of GETs served without contacting the origin."""
-        hits = self.counters["hit"]
-        total = hits + self.counters["miss"] + self.counters["expired"] + \
-            self.counters["validate"]
-        return hits / total if total else 0.0

@@ -253,20 +253,17 @@ class SequentialOrdering(OrderingDiscipline):
 
 
 class EventualOrdering(OrderingDiscipline):
-    """Eventual: apply whatever arrives; optional per-key last-writer-wins.
+    """Eventual: apply whatever arrives, with per-key last-writer-wins.
 
-    With ``lww=True`` (the default) a record is discarded when every state
-    key it touches already carries a newer applied write, which makes
-    replicas converge for overwrite workloads.  With ``lww=False`` records
-    are applied in arrival order, the literal "no ordering constraints" of
-    the paper.
+    A record is discarded when every state key it touches already carries
+    a newer applied write, which makes replicas converge for overwrite
+    workloads.
     """
 
     model = CoherenceModel.EVENTUAL
 
-    def __init__(self, lww: bool = True) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.lww = lww
         self._key_latest: Dict[str, Tuple[float, WriteId]] = {}
         #: Writes incorporated via snapshot installs; the applied vector
         #: cannot be used for dedupe here because gap-skipping makes it
@@ -281,7 +278,7 @@ class EventualOrdering(OrderingDiscipline):
         return record.wid in self.seen or self._floor.includes(record.wid)
 
     def _superseded(self, record: WriteRecord) -> bool:
-        if not self.lww or not record.touched:
+        if not record.touched:
             return False
         stamp = (record.timestamp, record.wid)
         return all(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Any, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.ids import WriteId
 
@@ -79,7 +79,6 @@ class ReadEvent(TraceEvent):
     client_id: str
     served_vc: Dict[str, int]
     requirement: Dict[str, int]
-    result_meta: Optional[Dict[str, Any]] = None
     #: Identical cohort clients this one served request stood in for;
     #: metrics multiply by this so cohort runs weight correctly.
     weight: int = 1
@@ -175,7 +174,6 @@ class TraceRecorder:
         client_id: str,
         served_vc: Dict[str, int],
         requirement: Optional[Dict[str, int]] = None,
-        result_meta: Optional[Dict[str, Any]] = None,
         weight: int = 1,
     ) -> None:
         """A store served a read; ``served_vc`` is its VC at serve time.
@@ -188,8 +186,7 @@ class TraceRecorder:
             ReadEvent(
                 index=self._next_index(), time=time, store=store,
                 client_id=client_id, served_vc=served_vc,
-                requirement=requirement or {}, result_meta=result_meta,
-                weight=weight,
+                requirement=requirement or {}, weight=weight,
             )
         )
 
@@ -225,20 +222,14 @@ class TraceRecorder:
             if isinstance(e, ReadEvent) and e.client_id == client_id
         ]
 
-    def clear(self) -> None:
-        """Forget all recorded events (counters keep advancing)."""
-        self.events.clear()
 
-
-def coherence_signature(
-    trace: TraceRecorder, include_reads: bool = True
-) -> Dict[str, List[tuple]]:
+def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
     """A time-free, per-participant normalization of a coherence history.
 
     Returns, for every store (``"store:<addr>"``) and client
     (``"client:<id>"``), its event sequence reduced to order-and-content
     tuples: apply/install/drop with their WiDs and version vectors, write
-    issues/acks, and (optionally) reads with their served vectors.  Global
+    issues/acks, and reads with their served vectors.  Global
     interleaving across participants and all timestamps are dropped --
     they are substrate artifacts -- so two runs of the same scripted
     workload on different backends (virtual vs wall-clock time) produce
@@ -273,7 +264,7 @@ def coherence_signature(
             lane("client", event.client_id).append(
                 ("ack", str(event.wid), event.store)
             )
-        elif isinstance(event, ReadEvent) and include_reads:
+        elif isinstance(event, ReadEvent):
             entry = ("read", event.store, vc(event.served_vc),
                      vc(event.requirement))
             if event.weight != 1:

@@ -97,10 +97,6 @@ class VectorClock:
         """Whether the write identified by ``wid`` is covered."""
         return self._entries.get(wid.client_id, 0) >= wid.seqno
 
-    def concurrent_with(self, other: "VectorClock") -> bool:
-        """Neither clock dominates the other."""
-        return not self.dominates(other) and not other.dominates(self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, VectorClock):
             return NotImplemented

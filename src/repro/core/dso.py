@@ -111,7 +111,6 @@ class DistributedSharedObject:
         policy: Optional[ReplicationPolicy] = None,
         object_id: Optional[ObjectId] = None,
         trace: Optional[TraceRecorder] = None,
-        name_service: Optional[NameService] = None,
         designated_writer: Optional[str] = None,
         reliable_transport: bool = True,
         store_factory: Optional[Callable] = None,
@@ -122,7 +121,7 @@ class DistributedSharedObject:
         self.policy = (policy or ReplicationPolicy()).validate()
         self.object_id = object_id or fresh_object_id()
         self.trace = trace if trace is not None else TraceRecorder()
-        self.names = name_service if name_service is not None else NameService()
+        self.names = NameService()
         self.designated_writer = designated_writer
         self.reliable_transport = reliable_transport
         self.store_factory = store_factory

@@ -129,11 +129,6 @@ class Simulator:
     def _on_live_cancel(self) -> None:
         self._live -= 1
 
-    def call_now(self, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at the current time (after pending events
-        already scheduled for this instant)."""
-        return self.schedule(0.0, fn, *args)
-
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` if the queue is empty."""
         heap = self._heap

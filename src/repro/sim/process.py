@@ -1,10 +1,11 @@
-"""Generator-based simulated processes.
+"""Generator-based processes, on any clock.
 
 Protocol state machines are naturally callback-driven, but client workloads
 read better as straight-line code.  A :class:`Process` wraps a generator that
 may yield:
 
-- :class:`Delay` -- suspend for a stretch of virtual time;
+- :class:`Delay` -- suspend for a stretch of clock time (virtual on the
+  simulator, wall-clock on a :class:`~repro.runtime.live.LiveLoop`);
 - :class:`WaitFor` -- suspend until a :class:`repro.sim.future.Future`
   resolves (its value is sent back into the generator; its error is raised
   inside the generator);
@@ -19,11 +20,13 @@ Example
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import TYPE_CHECKING, Any, Generator, Optional
 
 from repro.sim.errors import SimulationError
 from repro.sim.future import Future
-from repro.sim.kernel import Simulator
+
+if TYPE_CHECKING:
+    from repro.transport.interface import Clock
 
 
 class ProcessKilled(SimulationError):
@@ -31,7 +34,7 @@ class ProcessKilled(SimulationError):
 
 
 class Delay:
-    """Yielded by a process to sleep for ``seconds`` of virtual time.
+    """Yielded by a process to sleep for ``seconds`` of clock time.
 
     A bare ``__slots__`` class (one is created per workload step, so
     construction cost matters); treat instances as immutable.
@@ -62,24 +65,28 @@ class WaitFor:
 
 
 class Process:
-    """Drives a generator through the simulator.
+    """Drives a generator through a :class:`~repro.transport.interface.Clock`.
 
-    The process starts on the next kernel step after construction, so all
-    processes created at t=0 begin in creation order.
+    Every step runs as a callback of ``clock``: on the simulator that is
+    the event loop, on a ``LiveLoop`` the dispatcher thread, so the
+    generator always issues its operations from the protocol thread
+    (call :meth:`kill` there too: on a ``LiveLoop``, via ``submit``).
+    The first step is scheduled at zero delay, so all processes created
+    at one instant begin in creation order.
     """
 
     def __init__(
         self,
-        sim: Simulator,
+        clock: Clock,
         generator: Generator[Any, Any, Any],
         name: str = "process",
     ) -> None:
-        self.sim = sim
+        self.clock = clock
         self.name = name
         self.done = Future()
         self._generator = generator
         self._alive = True
-        sim.call_now(self._advance, None, None)
+        clock.schedule(0.0, self._advance, None, None)
 
     @property
     def alive(self) -> bool:
@@ -131,7 +138,7 @@ class Process:
 
     def _dispatch(self, yielded: Any) -> None:
         if isinstance(yielded, Delay):
-            self.sim.schedule(yielded.seconds, self._advance, None, None)
+            self.clock.schedule(yielded.seconds, self._advance, None, None)
         elif isinstance(yielded, WaitFor):
             self._wait(yielded.future)
         elif isinstance(yielded, Future):

@@ -135,29 +135,11 @@ class SeededRng:
         expovariate = (self._random or self._materialize()).expovariate
         return [expovariate(rate) for _ in range(count)]
 
-    def pareto(self, alpha: float, minimum: float = 1.0) -> float:
-        """Pareto-distributed value, the classic heavy tail for web object
-        sizes and think times."""
-        if alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {alpha!r}")
-        return minimum * (self._random or self._materialize()).paretovariate(alpha)
-
     def bernoulli(self, p: float) -> bool:
         """True with probability ``p``."""
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {p!r}")
         return (self._random or self._materialize()).random() < p
-
-    def zipf(self, n: int, s: float = 1.0) -> int:
-        """Zipf-distributed rank in [0, n), rank 0 most popular.
-
-        Web page popularity is famously Zipf-like; this drives the workload
-        generators in :mod:`repro.workload`.
-        """
-        if n <= 0:
-            raise ValueError(f"population size must be positive, got {n!r}")
-        weights = self.zipf_weights(n, s)
-        return self.weighted_index(weights)
 
     @staticmethod
     def zipf_weights(n: int, s: float = 1.0) -> List[float]:

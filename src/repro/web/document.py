@@ -102,14 +102,6 @@ class WebDocument(SemanticsObject):
         """Names of all pages, sorted."""
         return sorted(self.pages)
 
-    def page_count(self) -> int:
-        """Number of pages."""
-        return len(self.pages)
-
-    def total_size(self) -> int:
-        """Total content bytes across all pages."""
-        return sum(page.size_bytes() for page in self.pages.values())
-
     # -- SemanticsObject interface ----------------------------------------------
 
     def apply(self, invocation: MarshalledInvocation) -> Any:

@@ -15,7 +15,6 @@ from repro.coherence.models import SessionGuarantee
 from repro.coherence.trace import TraceRecorder
 from repro.core.dso import BoundClient, DistributedSharedObject, Store
 from repro.core.stub import Stub
-from repro.naming.service import NameService
 from repro.replication.policy import ReplicationPolicy
 from repro.sim.future import Future
 from repro.transport.interface import Clock, Transport
@@ -83,7 +82,6 @@ class WebObject:
         pages: Optional[Dict[str, str]] = None,
         object_id: Optional[str] = None,
         trace: Optional[TraceRecorder] = None,
-        name_service: Optional[NameService] = None,
         designated_writer: Optional[str] = None,
         reliable_transport: bool = True,
         store_factory: Optional[Callable] = None,
@@ -97,7 +95,6 @@ class WebObject:
             policy=policy,
             object_id=object_id,
             trace=trace,
-            name_service=name_service,
             designated_writer=designated_writer,
             reliable_transport=reliable_transport,
             store_factory=store_factory,

@@ -12,7 +12,6 @@ from repro.workload.generator import (
     ReaderWorkload,
     WriterWorkload,
     ZipfPagePicker,
-    drive,
 )
 from repro.workload.profiles import (
     PROFILES,
@@ -32,7 +31,6 @@ __all__ = [
     "build_tree",
     "cohort_sizes",
     "conference_deployment",
-    "drive",
     "get_profile",
     "run_profile",
 ]

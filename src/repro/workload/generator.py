@@ -3,8 +3,9 @@
 Workloads are :class:`~repro.sim.process.Process` generators driving
 :class:`~repro.web.webobject.Browser` stubs: each operation is issued, its
 future awaited, and the next operation follows after an exponential think
-time.  All randomness comes from forked simulation RNGs (deterministic per
-seed).
+time.  The same :class:`~repro.sim.process.Process` drives them on every
+clock, virtual or wall-clock.  All randomness comes from forked RNGs
+(deterministic per seed).
 
 Per-request randomness is drawn in vectorized per-epoch blocks
 (:data:`EPOCH` operations at a time): think times via
@@ -18,24 +19,17 @@ are unchanged; only the per-request Python overhead is gone.
 from __future__ import annotations
 
 import dataclasses
-import threading
-import time
 from bisect import bisect_right
-from typing import Any, Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, List, Optional, Sequence
 
 from repro.replication.client import ReplicaError
-from repro.sim.future import Future
-from repro.sim.kernel import Simulator
-from repro.sim.process import Delay, Process, WaitFor
+from repro.sim.process import Delay, WaitFor
 from repro.sim.rng import SeededRng, zipf_cumulative
 
 #: Operations whose randomness is pre-drawn in one block.  Bounds the
 #: per-process buffer (a few hundred floats) while amortizing the
 #: block-draw call overhead across an epoch of requests.
 EPOCH = 256
-
-#: Wall-clock bound on each ``WaitFor`` of a live-driven workload.
-LIVE_OP_TIMEOUT = 30.0
 
 
 class ZipfPagePicker:
@@ -262,112 +256,3 @@ class WriterWorkload:
             self.stats.operations += 1
             index += 1
         return self.stats
-
-
-def _drive_one_live(
-    deployment: Any,
-    generator: Generator,
-    time_scale: float,
-) -> Any:
-    """Run one workload generator to completion on a live backend.
-
-    The generator is resumed *on the dispatcher thread* (via
-    ``deployment.call``) so every browser operation it issues originates
-    from the protocol thread, exactly like scripted smoke traffic; this
-    driver thread only sleeps out :class:`Delay` yields (scaled by
-    ``time_scale``) and blocks on :class:`WaitFor` futures.
-    """
-    value: Any = None
-    error: Optional[BaseException] = None
-    while True:
-        try:
-            if error is not None:
-                pending, error = error, None
-                yielded = deployment.call(generator.throw, pending)
-            else:
-                yielded = deployment.call(generator.send, value)
-        except StopIteration as stop:
-            return stop.value
-        value = None
-        if isinstance(yielded, Future):
-            yielded = WaitFor(yielded)
-        if isinstance(yielded, Delay):
-            time.sleep(max(0.0, yielded.seconds * time_scale))
-        elif isinstance(yielded, WaitFor):
-            try:
-                value = deployment.wait(yielded.future,
-                                        timeout=LIVE_OP_TIMEOUT)
-            except Exception as exc:  # thrown into the generator, as in sim
-                error = exc
-        else:
-            raise TypeError(
-                f"workload generator yielded {yielded!r}; expected "
-                f"Delay, WaitFor, or Future"
-            )
-
-
-def drive_live(
-    deployment: Any,
-    workloads: Sequence[object],
-    time_scale: float = 1.0,
-) -> List[Any]:
-    """Drive workload generators to completion on a wall-clock backend.
-
-    The live counterpart of :func:`drive`: one driver thread per
-    workload, each resuming its generator on the backend's dispatcher
-    (see :func:`_drive_one_live`).  ``time_scale`` multiplies every
-    ``Delay`` so a profile calibrated in virtual seconds can run in a
-    fraction of the wall-clock time without changing its operation
-    sequence; :data:`LIVE_OP_TIMEOUT` bounds each individual ``WaitFor``.
-
-    Returns the workloads' generator return values (their stats) in
-    input order.  The first driver failure, if any, is re-raised after
-    every thread has been joined.
-    """
-    results: List[Any] = [None] * len(workloads)
-    errors: List[Optional[BaseException]] = [None] * len(workloads)
-
-    def runner(index: int, workload: Any) -> None:
-        """Thread body: drive one workload, box the result or error."""
-        try:
-            results[index] = _drive_one_live(
-                deployment, workload.run(), time_scale
-            )
-        except BaseException as exc:  # re-raised by the joiner below
-            errors[index] = exc
-
-    threads = [
-        threading.Thread(
-            target=runner, args=(index, workload),
-            name=f"wl-driver-{index}", daemon=True,
-        )
-        for index, workload in enumerate(workloads)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-def drive(
-    sim: Simulator,
-    workloads: Sequence[object],
-    until: Optional[float] = None,
-    max_events: int = 10_000_000,
-) -> List[Process]:
-    """Spawn workload processes and run the simulation.
-
-    Each workload must expose ``run()`` returning a generator.  With no
-    deadline the simulation runs until all processes finish and the system
-    quiesces.
-    """
-    processes = [
-        Process(sim, workload.run(), name=f"workload-{index}")
-        for index, workload in enumerate(workloads)
-    ]
-    sim.run(until=until, max_events=max_events)
-    return processes

@@ -23,8 +23,13 @@ from typing import Dict, List, Optional, Union
 from repro.replication.policy import ReplicationPolicy, TransferInstant
 from repro.sim.process import Process
 from repro.transport.backend import Backend, BackendError
-from repro.workload.generator import ReaderWorkload, WriterWorkload, drive_live
+from repro.workload.generator import ReaderWorkload, WriterWorkload
 from repro.workload.scenarios import Deployment, build_tree
+
+#: Wall-clock bound (seconds) on a whole :func:`run_profile` workload on
+#: a live backend; single operations are bounded by ``request_timeout``.
+LIVE_RUN_TIMEOUT = 120.0
+
 
 def default_pages() -> Dict[str, str]:
     """A fresh copy of the standard profile document.
@@ -110,7 +115,6 @@ def run_profile(
     n_readers_per_cache: int = 1,
     cohort_size: int = 1,
     backend: Union[str, Backend] = "sim",
-    time_scale: float = 1.0,
 ) -> Deployment:
     """Drive ``profile`` over a fresh Fig. 2 tree under ``policy``.
 
@@ -135,15 +139,17 @@ def run_profile(
 
     ``backend`` selects the substrate.  On ``"sim"`` (the default)
     everything above holds.  On a wall-clock backend (``"live"`` /
-    ``"live-socket"``) the *same* workload generators -- same forked RNG
-    streams, same operation sequences -- are driven by real threads via
-    :func:`~repro.workload.generator.drive_live`, with every think time
-    multiplied by ``time_scale`` so a profile calibrated in virtual
-    seconds finishes quickly; ``horizon`` and ``fault_plan`` are
-    virtual-time features and raise :class:`~repro.transport.backend.
-    BackendError` there (fault plans on live backends run through the
-    scenario scripts in :mod:`repro.faults.scenario`).  The caller owns
-    live teardown via ``deployment.shutdown()``.
+    ``"live-socket"``) the *same* :class:`~repro.sim.process.Process`
+    list -- same forked RNG streams, same operation sequences -- runs on
+    the backend's dispatcher in real time, and this call waits for all
+    of it under one :data:`LIVE_RUN_TIMEOUT` deadline (each operation is
+    bounded by ``request_timeout`` as on ``sim``).  ``horizon`` and
+    ``fault_plan`` are virtual-time features and raise
+    :class:`~repro.transport.backend.BackendError` there (fault plans on
+    live backends run through the scenario scripts in
+    :mod:`repro.faults.scenario`).  The caller owns live teardown via
+    ``deployment.shutdown()``, unless this call raises: a failed live
+    run is shut down before the error propagates.
     """
     pages = pages if pages is not None else default_pages()
     backend_name = backend.name if isinstance(backend, Backend) else backend
@@ -200,15 +206,6 @@ def run_profile(
                 ),
             )
         )
-    if backend_name != "sim":
-        drive_live(deployment, workloads, time_scale=time_scale)
-        deployment.settle()
-        if policy.transfer_instant is TransferInstant.LAZY:
-            # Drain the final lazy window in real time, as the sim path
-            # drains it in virtual time below.
-            deployment.advance(2 * policy.lazy_interval)
-            deployment.settle()
-        return deployment
     if fault_plan is not None:
         # Forked *after* the workload RNG so fault-free sweeps keep their
         # historical fork order (and therefore their cached results).
@@ -222,11 +219,35 @@ def run_profile(
         injector = FaultInjector(sim, deployment.network, plan)
         injector.start()
         deployment.faults = injector
-    for index, workload in enumerate(workloads):
+    processes = [
         Process(sim, workload.run(), name=f"wl-{index}")
+        for index, workload in enumerate(workloads)
+    ]
+    if backend_name != "sim":
+        try:
+            if not deployment.wait_until(
+                lambda: all(process.done.done for process in processes),
+                timeout=LIVE_RUN_TIMEOUT,
+            ):
+                raise BackendError(
+                    f"workload unfinished after {LIVE_RUN_TIMEOUT}s"
+                )
+            for process in processes:
+                process.done.result()  # the first workload error, if any
+            deployment.settle()
+            if policy.transfer_instant is TransferInstant.LAZY:
+                # Drain the final lazy window in real time, as the sim
+                # path drains it in virtual time.
+                deployment.run_for(2 * policy.lazy_interval)
+                deployment.settle()
+        except BaseException:
+            deployment.shutdown()
+            raise
+        return deployment
     sim.run(until=horizon, max_events=10_000_000)
     if horizon is None:
         sim.run_until_idle()
         # Drain the final lazy window, if any.
         sim.run(until=sim.now + 2 * policy.lazy_interval)
     return deployment
+

@@ -55,7 +55,7 @@ class Deployment:
     #: that many identical leaf clients (see :mod:`repro.workload.cohort`).
     cohorts: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Binding parameters per cohort, kept so :meth:`expand_cohort` can
-    #: bind individual members with the identical store and guarantees.
+    #: bind individual members with the identical store and request bounds.
     cohort_spec: Dict[str, Dict[str, Any]] = dataclasses.field(
         default_factory=dict
     )
@@ -115,7 +115,7 @@ class Deployment:
         Called (via :class:`~repro.workload.generator.ReaderWorkload`'s
         ``expand`` hook) when a policy decision diverges within the
         cohort.  Members are named ``<client_id>.<k>``, bound to the same
-        store with the same guarantees, and registered in
+        store with the same request bounds, and registered in
         :attr:`browsers` so metric collection sees them like any other
         client.
         """
@@ -127,7 +127,6 @@ class Deployment:
                 f"space-{member_id}",
                 member_id,
                 read_store=spec["read_store"],
-                guarantees=spec["guarantees"],
                 request_timeout=spec["request_timeout"],
                 request_retries=spec["request_retries"],
             )
@@ -188,7 +187,6 @@ def build_tree(
     reliable_transport: bool = True,
     designated_writer: Optional[str] = "master",
     master_guarantees=(SessionGuarantee.READ_YOUR_WRITES,),
-    reader_guarantees=(),
     backend: Union[str, Backend] = "sim",
     start_backend: bool = True,
     request_timeout: Optional[float] = None,
@@ -285,7 +283,6 @@ def build_tree(
                 f"space-{client_id}",
                 client_id,
                 read_store=cache.address,
-                guarantees=reader_guarantees,
                 request_timeout=request_timeout,
                 request_retries=request_retries,
             )
@@ -294,7 +291,6 @@ def build_tree(
             cohorts[client_id] = weight
             cohort_spec[client_id] = {
                 "read_store": cache.address,
-                "guarantees": reader_guarantees,
                 "request_timeout": request_timeout,
                 "request_retries": request_retries,
             }

@@ -71,7 +71,7 @@ def test_none_mode_always_goes_upstream():
     resolve(sim, browser.get("p.html"))
     resolve(sim, browser.get("p.html"))
     assert origin.counters["get"] == 2
-    assert proxy.hit_ratio() == 0.0
+    assert proxy.counters["hit"] == 0
 
 
 def test_missing_page_404():

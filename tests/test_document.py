@@ -60,10 +60,6 @@ class TestPageOperations:
         doc.write_page("a", "x")
         assert doc.read_page("a")["last_modified"] == 5.0
 
-    def test_total_size_counts_bytes(self):
-        doc = WebDocument(pages={"a": "12345", "b": "678"})
-        assert doc.total_size() == 8
-
 
 class TestInvocationInterface:
     def test_apply_dispatches(self):
@@ -134,7 +130,7 @@ class TestStateTransfer:
     def test_fresh_is_empty_with_same_clock(self):
         doc = WebDocument(pages={"a": "1"}, clock=lambda: 3.0)
         replica = doc.fresh()
-        assert replica.page_count() == 0
+        assert replica.list_pages() == []
         replica.write_page("x", "y")
         assert replica.read_page("x")["last_modified"] == 3.0
 

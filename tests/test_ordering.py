@@ -132,24 +132,19 @@ class TestEventualOrdering:
         assert wids(ordering.offer(rec("m", 1, touched=("q",)))) == [WriteId("m", 1)]
 
     def test_lww_drops_older_write_to_same_key(self):
-        ordering = EventualOrdering(lww=True)
+        ordering = EventualOrdering()
         ordering.offer(rec("a", 1, ts=5.0))
         assert ordering.offer(rec("b", 1, ts=2.0)) == []
         assert ordering.dropped == 1
 
     def test_lww_tiebreak_on_wid(self):
-        ordering = EventualOrdering(lww=True)
+        ordering = EventualOrdering()
         ordering.offer(rec("b", 1, ts=5.0))
         # Same timestamp, smaller client id: loses the tiebreak.
         assert ordering.offer(rec("a", 1, ts=5.0)) == []
 
-    def test_without_lww_everything_applies(self):
-        ordering = EventualOrdering(lww=False)
-        ordering.offer(rec("a", 1, ts=5.0))
-        assert wids(ordering.offer(rec("b", 1, ts=2.0))) == [WriteId("b", 1)]
-
     def test_different_keys_unaffected_by_lww(self):
-        ordering = EventualOrdering(lww=True)
+        ordering = EventualOrdering()
         ordering.offer(rec("a", 1, ts=5.0, touched=("p",)))
         assert wids(ordering.offer(rec("b", 1, ts=2.0, touched=("q",)))) == \
             [WriteId("b", 1)]
@@ -208,7 +203,7 @@ def test_sequential_applies_global_order(permutation):
                           st.floats(0, 10)), max_size=24))
 def test_eventual_lww_never_regresses(entries):
     """Property: under LWW the applied stamp for a key never decreases."""
-    ordering = EventualOrdering(lww=True)
+    ordering = EventualOrdering()
     best = None
     for client, seqno, ts in entries:
         for record in ordering.offer(rec(client, seqno, ts=ts)):
@@ -266,8 +261,8 @@ def arrival_sequences(draw):
 
 @pytest.mark.parametrize("factory", [
     PramOrdering, FifoOrdering, CausalOrdering, SequentialOrdering,
-    EventualOrdering, lambda: EventualOrdering(lww=False),
-], ids=["pram", "fifo", "causal", "sequential", "eventual-lww", "eventual"])
+    EventualOrdering,
+], ids=["pram", "fifo", "causal", "sequential", "eventual-lww"])
 @given(arrivals=arrival_sequences())
 def test_offer_matches_insert_then_drain_model(factory, arrivals):
     """Property: the fast path changes nothing an observer can see."""

@@ -19,6 +19,8 @@ from repro.replication.client import ClientReplicationObject
 from repro.replication.engine import StoreReplicationObject
 from repro.replication.policy import ReplicationPolicy
 from repro.runtime.live import BATCH, LiveLoop, LiveNetwork
+from repro.sim.future import Future
+from repro.sim.process import Delay, Process, ProcessKilled, WaitFor
 from repro.web.document import WebDocument
 
 
@@ -243,6 +245,73 @@ class TestLiveLoopReaders:
         finally:
             other.close()
             peer.close()
+
+
+class TestProcessOnLiveLoop:
+    """The simulator's process driver, unchanged, in wall-clock time."""
+
+    def test_delay_sleeps_in_wall_time_and_the_return_lands_on_done(
+        self, loop
+    ):
+        stamps = []
+
+        def body():
+            stamps.append(time.monotonic())
+            yield Delay(0.05)
+            stamps.append(time.monotonic())
+            return "slept"
+
+        process = Process(loop, body())
+        assert wait_for(lambda: process.done.done)
+        assert stamps[1] - stamps[0] >= 0.045
+        assert process.done.result() == "slept"
+        assert not process.alive
+
+    def test_wait_for_resumes_on_the_dispatcher_with_the_value(self, loop):
+        future = Future()
+        got = []
+
+        def body():
+            value = yield WaitFor(future)
+            got.append((value, threading.current_thread().name))
+
+        Process(loop, body())
+        loop.schedule(0.02, future.set_result, "payload")
+        assert wait_for(lambda: got)
+        assert got == [("payload", "repro-live-loop")]
+
+    def test_a_future_error_is_raised_inside_the_generator(self, loop):
+        future = Future()
+        caught = []
+
+        def body():
+            try:
+                yield WaitFor(future)
+            except ValueError as exc:
+                caught.append(str(exc))
+            return "recovered"
+
+        process = Process(loop, body())
+        loop.schedule(0.02, future.set_error, ValueError("boom"))
+        assert wait_for(lambda: process.done.done)
+        assert caught == ["boom"]
+        assert process.done.result() == "recovered"
+
+    def test_kill_fails_done_with_process_killed(self, loop):
+        progress = []
+
+        def body():
+            progress.append("started")
+            yield Delay(10.0)
+            progress.append("never")
+
+        process = Process(loop, body())
+        assert wait_for(lambda: progress)
+        loop.submit(process.kill)  # a process is only touched on its clock
+        assert wait_for(lambda: process.done.done)
+        assert progress == ["started"]
+        with pytest.raises(ProcessKilled):
+            process.done.result()
 
 
 class TestLiveNetwork:

@@ -19,7 +19,7 @@ import time
 
 import pytest
 
-from repro.replication.policy import ReplicationPolicy
+from repro.replication.policy import ReplicationPolicy, TransferInstant
 from repro.runtime.registry import Registry
 from repro.runtime.wire import (
     FrameChannel,
@@ -244,29 +244,31 @@ class TestCheckpointRoundTrip:
 class TestRunProfileOnLiveBackends:
     """The declarative workload driver on wall-clock substrates."""
 
-    TINY = None  # built lazily to keep import-time side effects out
+    PAGES = {"a.html": "a" * 64, "b.html": "b" * 64}
 
     @classmethod
     def tiny_profile(cls):
         from repro.workload.profiles import WorkloadProfile
 
+        # Think times in wall-clock seconds: the whole run takes ~0.05 s.
         return WorkloadProfile(
             name="tiny", writes=2, reads_per_client=3,
-            write_interval=0.2, read_think=0.1,
+            write_interval=0.01, read_think=0.005,
         )
 
-    @pytest.mark.parametrize("backend", ["live", "live-socket"])
-    def test_profile_runs_and_converges(self, backend):
+    @pytest.mark.parametrize("backend,policy", [
+        ("live", ReplicationPolicy()),
+        ("live-socket", ReplicationPolicy()),
+        # Drains the final lazy window in wall-clock time.
+        ("live", ReplicationPolicy(transfer_instant=TransferInstant.LAZY,
+                                   lazy_interval=0.05)),
+    ], ids=["live", "live-socket", "live-lazy"])
+    def test_profile_runs_and_converges(self, backend, policy):
         from repro.workload.profiles import run_profile
 
         deployment = run_profile(
-            ReplicationPolicy(),
-            self.tiny_profile(),
-            n_caches=1,
-            seed=11,
-            pages={"a.html": "a" * 64, "b.html": "b" * 64},
-            backend=backend,
-            time_scale=0.05,
+            policy, self.tiny_profile(), n_caches=1, seed=11,
+            pages=self.PAGES, backend=backend,
         )
         try:
             versions = {
@@ -281,6 +283,21 @@ class TestRunProfileOnLiveBackends:
                         for s in states.values()}) == 1
         finally:
             deployment.shutdown()
+
+    def test_a_failed_live_run_is_shut_down_before_it_raises(
+        self, monkeypatch
+    ):
+        from repro.transport.backend import BackendError, LiveBackend
+        from repro.workload import profiles
+
+        monkeypatch.setattr(profiles, "LIVE_RUN_TIMEOUT", 0.0)
+        backend = LiveBackend(seed=11)
+        with pytest.raises(BackendError, match="unfinished"):
+            profiles.run_profile(
+                ReplicationPolicy(), self.tiny_profile(), n_caches=1,
+                seed=11, pages=self.PAGES, backend=backend,
+            )
+        assert backend.clock._thread is None  # the dispatcher was stopped
 
     def test_virtual_time_features_rejected_on_live(self):
         from repro.transport.backend import BackendError

@@ -147,6 +147,23 @@ def test_already_resolved_future_resumes_immediately():
     assert got == ["ready"]
 
 
+def test_processes_created_at_one_instant_start_in_creation_order():
+    sim = Simulator()
+    started = []
+
+    def body(name):
+        started.append((name, sim.now))
+        yield Delay(1.0)
+
+    sim.schedule(0.0, started.append, ("event", 0.0))
+    for name in "abc":
+        Process(sim, body(name), name)
+    assert started == []  # the first step is scheduled, never inline
+    sim.run_until_idle()
+    # After the event already due at this instant, then in creation order.
+    assert started == [("event", 0.0), ("a", 0.0), ("b", 0.0), ("c", 0.0)]
+
+
 class TestFuture:
     def test_double_resolve_rejected(self):
         future = Future()

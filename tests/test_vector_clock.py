@@ -63,8 +63,9 @@ class TestVectorClock:
     def test_concurrent(self):
         left = VectorClock({"a": 2})
         right = VectorClock({"b": 1})
-        assert left.concurrent_with(right)
-        assert not left.concurrent_with(left)
+        # Concurrent: neither clock dominates the other.
+        assert not left.dominates(right) and not right.dominates(left)
+        assert left.dominates(left)
 
     def test_equality_ignores_zero_entries(self):
         assert VectorClock({"a": 1, "b": 0}) == VectorClock({"a": 1})

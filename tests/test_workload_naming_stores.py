@@ -4,15 +4,22 @@ import pytest
 
 from repro.naming.service import NameService, UnknownObject
 from repro.replication.policy import ReplicationPolicy
+from repro.sim.process import Process
 from repro.sim.rng import SeededRng
 from repro.stores.hierarchy import describe_hierarchy
 from repro.workload.generator import (
     ReaderWorkload,
     WriterWorkload,
     ZipfPagePicker,
-    drive,
 )
 from repro.workload.scenarios import build_tree, conference_deployment
+
+
+def drive(sim, workloads):
+    """Run each workload as a process until the simulation quiesces."""
+    for index, workload in enumerate(workloads):
+        Process(sim, workload.run(), name=f"workload-{index}")
+    sim.run()
 
 
 class TestNameService:
