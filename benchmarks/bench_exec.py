@@ -58,12 +58,12 @@ def large_trace_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     base = seed % (1 << 20)
     return {
         "label": config["tag"],
-        # Per-metric sample arrays: the codec's packed-array fast path
-        # and the bulk of a real grid point's bytes.
+        # Per-metric sample arrays: the bulk of a real grid point's
+        # bytes.
         "latencies": [(base + i) / 1024.0 for i in range(samples)],
         "lags": [(base + 2 * i) / 2048.0 for i in range(samples)],
         "versions": [(base + i) % 251 for i in range(samples)],
-        # Trace records: small heterogeneous dicts, per-item encoded.
+        # Trace records: small heterogeneous dicts.
         "records": [
             {"node": f"cache-{i % 7}", "version": i, "stale": False}
             for i in range(256)

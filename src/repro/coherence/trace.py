@@ -273,4 +273,6 @@ def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
                 # signatures stay byte-identical.
                 entry = entry + (event.weight,)
             lane("client", event.client_id).append(entry)
-    return signature
+    # Lanes were opened in event order; sorting them drops that last
+    # trace of the global interleaving.
+    return dict(sorted(signature.items()))

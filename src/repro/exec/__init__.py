@@ -10,9 +10,9 @@ function -- and :func:`run_sweep` executes it; how is one number:
   pull hub over the framed wire layer
   (:class:`DistributedExecutor`), which also admits workers started on
   other hosts when ``REPRO_HUB_BIND`` names a reachable address;
-- the codec (:mod:`repro.exec.codec`) gives the large per-point
-  artifacts one compact binary form shared by the hub's result frames
-  and the on-disk :class:`ResultCache`;
+- the codec (:mod:`repro.exec.codec`, memo-free pickle) gives every
+  per-point result one canonical byte form shared by the hub's result
+  frames and the on-disk :class:`ResultCache`;
 - seeds derive from a stable hash of each point's config
   (:func:`derive_seed`), so both paths produce bit-identical results.
 

@@ -115,9 +115,10 @@ class TaskResult(NamedTuple):
     """One evaluated task, as the runner iterates it.
 
     ``payload`` is the point's return value, or the traceback text when
-    ``ok`` is false.  ``blob`` is the payload's canonical codec bytes
-    when the transport already produced them (the hub path), so the
-    cache write can skip re-encoding.
+    ``ok`` is false.  ``blob`` is the payload's canonical
+    :func:`~repro.exec.codec.encode_result` bytes when the transport
+    already produced them (the hub path), so the cache write can skip
+    re-encoding.
     """
 
     index: int

@@ -1,13 +1,13 @@
 """On-disk result cache for sweep points.
 
-Finished point results are stored in the :mod:`repro.exec.codec` binary
-format under ``<root>/<code fingerprint>/<spec>/<key>.res`` where the
-key hashes the point's config and the sweep's base seed, and the
-fingerprint hashes the ``repro`` package sources.  Any code change
+Finished point results are stored as :mod:`repro.exec.codec` bytes
+(memo-free pickle) under ``<root>/<code fingerprint>/<spec>/<key>.res``
+where the key hashes the point's config and the sweep's base seed, and
+the fingerprint hashes the ``repro`` package sources.  Any code change
 therefore invalidates the whole cache (stale results can never be
 served), while re-runs and re-renders of an unchanged sweep are
-near-instant.  Entries written by older code -- including the
-pre-codec ``.pkl`` pickle format -- live under rotated fingerprints and
+near-instant.  Entries written by older code -- including the older
+``.pkl`` and ``RXC1`` formats -- live under rotated fingerprints and
 are swept away by :meth:`ResultCache.evict_stale`.
 """
 

@@ -12,8 +12,8 @@ The three pillars, each usable on its own:
   simulated run's trace is deterministic (and golden-pinnable) while a
   live run's trace carries wall-clock seconds.
 - :mod:`repro.obs.metrics` -- a registry of named counters, gauges and
-  histograms whose snapshots are plain data: they ride the
-  :mod:`repro.exec.codec` result transport and land in the
+  histograms whose snapshots are plain data: they ride the sweep result
+  transport (:mod:`repro.exec.codec`) and land in the
   :class:`~repro.exec.ResultCache` next to sweep payloads.  The network
   transports' :class:`~repro.net.network.NetworkStats` counters mirror
   into one of these registries behind a compatibility shim.

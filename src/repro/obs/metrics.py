@@ -4,8 +4,8 @@ A :class:`MetricsRegistry` is a flat namespace of metric instruments.
 Instruments are cheap mutable cells (``__slots__``, no locks -- they
 mutate on the protocol thread like the rest of the stack);
 :meth:`MetricsRegistry.snapshot` renders the whole registry as plain
-``{name: value}`` data that the :mod:`repro.exec.codec` serializes
-as-is, so per-run metrics ride the sweep result transport and land in
+``{name: value}`` data that :mod:`repro.exec.codec` serializes like
+any payload, so per-run metrics ride the sweep result transport and land in
 the :class:`~repro.exec.ResultCache` next to the payloads they
 describe.
 

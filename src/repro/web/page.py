@@ -48,7 +48,3 @@ class Page:
             version=int(data.get("version", 0)),
             last_modified=float(data.get("last_modified", 0.0)),
         )
-
-    def size_bytes(self) -> int:
-        """Content size, used for transfer accounting."""
-        return len(self.content.encode("utf-8"))

@@ -148,8 +148,5 @@ class TestPage:
         page = Page("a", "body", "text/plain", 4, 1.5)
         assert Page.from_dict(page.to_dict()) == page
 
-    def test_size_bytes_utf8(self):
-        assert Page("a", "é").size_bytes() == 2
-
     def test_page_not_found_str_is_plain(self):
         assert str(PageNotFound("x.html")) == "x.html"

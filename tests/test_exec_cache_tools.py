@@ -10,6 +10,7 @@ from repro.exec import (
     add_exec_arguments,
     apply_cache_maintenance,
     cached_point_labels,
+    encode_result,
     run_cached_single,
     run_sweep,
 )
@@ -54,7 +55,7 @@ def identity_point(config, seed):
 
 
 class TestCodecBackedCache:
-    #: A payload exercising every codec shape: scalars, arrays, nesting.
+    #: A payload of every plain shape: scalars, sequences, nesting.
     PAYLOAD = {
         "samples": [0.25 * i for i in range(64)],
         "counts": list(range(32)),
@@ -72,20 +73,20 @@ class TestCodecBackedCache:
         assert type(value["nested"]["label"]) is tuple
         assert list(value) == list(self.PAYLOAD), "dict order not preserved"
 
-    def test_entries_are_codec_files_not_pickles(self, tmp_path):
+    def test_entries_are_encoded_payloads(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put("spec", 0, {}, {"x": 1.0})
         (entry,) = tmp_path.rglob("*.res")
-        assert entry.read_bytes()[:4] == b"RXC1"
+        assert entry.read_bytes() == encode_result({"x": 1.0})
         assert not list(tmp_path.rglob("*.pkl"))
 
-    def test_old_format_pickle_entry_is_a_miss(self, tmp_path):
-        # An entry written at the right path but in the pre-codec pickle
-        # format must be recomputed, never unpickled as a hit.
+    def test_old_codec_entry_is_a_miss(self, tmp_path):
+        # An entry written at the right path but in the retired
+        # hand-written format must be recomputed, never served as a hit.
         cache = ResultCache(tmp_path)
         cache.put("spec", 0, {"payload": 1}, 1)
         (entry,) = tmp_path.rglob("*.res")
-        entry.write_bytes(pickle.dumps({"stale": "pickle"}))
+        entry.write_bytes(b"RXC1i" + (1).to_bytes(8, "big"))
         hit, value = cache.get("spec", 0, {"payload": 1})
         assert not hit and value is None
 

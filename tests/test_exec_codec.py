@@ -1,12 +1,13 @@
-"""Tests for the compact binary payload codec (``repro.exec.codec``)."""
+"""Tests for the sweep-payload serialiser (``repro.exec.codec``)."""
 
 import dataclasses
 import math
-import pickle
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.exec.codec import MAGIC, CodecError, decode_result, encode_result
+from repro.exec.codec import CodecError, decode_result, encode_result
 
 
 def roundtrip(value):
@@ -56,8 +57,7 @@ class TestRoundTrip:
         assert all(type(item) is bool for item in result)
 
     def test_bytearray_round_trips_as_bytearray(self):
-        # Mutable buffers ride the pickle frame, not the bytes tag:
-        # decoding them as bytes would silently freeze them.
+        # Decoding a mutable buffer as bytes would silently freeze it.
         value = {"buf": bytearray(b"mutable")}
         result = roundtrip(value)
         assert result == value
@@ -89,12 +89,26 @@ class TestDeterminism:
         blob = encode_result(value)
         assert encode_result(decode_result(blob)) == blob
 
-    def test_large_float_arrays_are_denser_than_pickle(self):
-        samples = [0.001 * i for i in range(10_000)]
-        blob = encode_result(samples)
-        assert len(blob) < len(pickle.dumps(samples, protocol=5))
-        # 8 bytes per element plus a constant-size header.
-        assert len(blob) <= 8 * len(samples) + 16
+    def test_bytes_ignore_object_sharing(self):
+        samples = [1.0, 2.0]
+        shared = Metrics(1, [samples, samples])
+        assert encode_result(shared) == encode_result(
+            Metrics(1, [samples, list(samples)]))
+
+    @given(st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats()
+        | st.text(max_size=8)
+        | st.builds(lambda count, samples: Metrics(count, [samples, samples]),
+                    st.integers(), st.lists(st.floats(), max_size=4)),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    ))
+    def test_encoding_is_canonical(self, value):
+        blob = encode_result(value)
+        assert encode_result(decode_result(blob)) == blob
+        assert encode_result(unshared(value)) == blob
 
 
 class TestStrictDecode:
@@ -116,14 +130,15 @@ class TestStrictDecode:
         with pytest.raises(CodecError):
             decode_result(blob + b"junk")
 
-    def test_unknown_tag_rejected(self):
+    def test_old_codec_payload_rejected(self):
+        # The retired hand-written format: magic, then a dict tag.
         with pytest.raises(CodecError):
-            decode_result(MAGIC + b"?")
+            decode_result(b"RXC1m\x00\x00\x00\x00")
 
     def test_corrupt_pickle_frame_rejected(self):
         blob = bytearray(encode_result(Metrics(1, [2.0])))
-        # The frame's final byte is pickle's STOP opcode; 0x00 is not a
-        # valid opcode, so loading must fail loudly.
+        # The final byte is pickle's STOP opcode; 0x00 is not a valid
+        # opcode, so loading must fail loudly.
         blob[-1] = 0x00
         with pytest.raises(CodecError):
             decode_result(bytes(blob))
@@ -135,3 +150,16 @@ class Metrics:
 
     count: int
     samples: list
+
+
+def unshared(value):
+    """An equal copy of ``value`` in which no two parts share an object."""
+    if isinstance(value, Metrics):
+        return Metrics(value.count, unshared(value.samples))
+    if isinstance(value, (list, tuple)):
+        return type(value)(unshared(item) for item in value)
+    if isinstance(value, dict):
+        return {unshared(key): unshared(item) for key, item in value.items()}
+    if isinstance(value, str):
+        return value.encode("utf-8").decode("utf-8")
+    return value
