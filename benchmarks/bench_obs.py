@@ -16,8 +16,9 @@ Two measurements, emitted as ``BENCH_obs.json``::
    points/sec moves far more than 2% between hosts.
 
 2. **Tracing throughput** -- a deterministic simulated scenario (the
-   backend-smoke workload) runs with tracing off and with a
-   :class:`~repro.obs.tracer.RecordingTracer` installed, reporting
+   backend-smoke workload) runs with tracing off and under
+   :func:`~repro.obs.tracer.trace_run` (a recording
+   :class:`~repro.coherence.trace.TraceRecorder`), reporting
    events-traced/sec and the enabled-run overhead ratio.
 
 Not a pytest module: run it directly (CI treats the perf trajectory as
@@ -79,7 +80,7 @@ def bench_sim_tracing(repeats: int) -> Dict[str, Any]:
         with trace_run() as tracer:
             live_smoke_point(dict(SIM_CONFIG), seed=0)
         enabled = min(enabled, time.perf_counter() - started)
-        events = len(tracer)
+        events = len(tracer.events)
     return {
         "scenario": dict(SIM_CONFIG),
         "events_per_run": events,

@@ -6,22 +6,25 @@ clients report issued writes, acknowledgements and reads.  The checkers in
 :mod:`repro.coherence.checkers` then verify the declared coherence models
 against the recorded history -- the machine-checked replacement for the
 paper's manual observation of its prototype.
+
+The same class is the observability recorder: :func:`repro.obs.tracer.
+trace_run` installs a fresh one whose :meth:`TraceRecorder.event` hook
+sites across the stack append plain, JSONL-ready dicts.  An event's
+place in :attr:`TraceRecorder.events` is its global order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.ids import WriteId
 
 
 @dataclasses.dataclass(frozen=True)
 class TraceEvent:
-    """Base event: global order index plus virtual timestamp."""
+    """Base event: the recording clock's timestamp."""
 
-    index: int
     time: float
 
 
@@ -84,17 +87,56 @@ class ReadEvent(TraceEvent):
     weight: int = 1
 
 
+def _plain(value: Any) -> Any:
+    """Coerce one detail value to deterministic plain data.
+
+    Scalars pass through; mappings and sequences recurse; anything else
+    (enums, ids, records) becomes its ``str`` so traces serialize the
+    same way under every executor and never hold object references.
+    """
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, Mapping):
+        return {str(key): _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple, set, frozenset)):
+        items = sorted(value, key=str) if isinstance(
+            value, (set, frozenset)) else value
+        return [_plain(item) for item in items]
+    return str(value)
+
+
 class TraceRecorder:
     """Append-only recorder shared by all components of one system."""
 
     def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self._counter = itertools.count()
+        #: :class:`TraceEvent` records from the ``record_*`` methods, or
+        #: plain dicts from :meth:`event` (an observability recorder).
+        self.events: List[Any] = []
 
     # -- recording -----------------------------------------------------------
 
-    def _next_index(self) -> int:
-        return next(self._counter)
+    def event(
+        self,
+        time: float,
+        kind: str,
+        node: Optional[str] = None,
+        obj: Optional[str] = None,
+        **detail: Any,
+    ) -> None:
+        """Append one observability event as a plain dict.
+
+        ``time`` comes from the caller's clock; detail values are
+        flattened to plain data (see :func:`_plain`).
+        """
+        record: Dict[str, Any] = {
+            "t": float(time),
+            "kind": kind,
+            "node": node,
+            "obj": obj,
+        }
+        for key, value in detail.items():
+            record[key] = _plain(value)
+        self.events.append(record)
 
     def record_apply(
         self,
@@ -113,7 +155,6 @@ class TraceRecorder:
         """
         self.events.append(
             ApplyEvent(
-                index=self._next_index(),
                 time=time,
                 store=store,
                 wid=wid,
@@ -128,17 +169,12 @@ class TraceRecorder:
     ) -> None:
         """A store installed a full snapshot covering ``version``."""
         self.events.append(
-            InstallEvent(
-                index=self._next_index(), time=time, store=store,
-                version=dict(version),
-            )
+            InstallEvent(time=time, store=store, version=dict(version))
         )
 
     def record_drop(self, time: float, store: str, wid: WriteId) -> None:
         """A store discarded a superseded write."""
-        self.events.append(
-            DropEvent(index=self._next_index(), time=time, store=store, wid=wid)
-        )
+        self.events.append(DropEvent(time=time, store=store, wid=wid))
 
     def record_write_issue(
         self,
@@ -150,10 +186,8 @@ class TraceRecorder:
     ) -> None:
         """A client submitted a write to a store."""
         self.events.append(
-            WriteIssueEvent(
-                index=self._next_index(), time=time, client_id=client_id,
-                wid=wid, store=store, deps=deps,
-            )
+            WriteIssueEvent(time=time, client_id=client_id, wid=wid,
+                            store=store, deps=deps)
         )
 
     def record_write_ack(
@@ -161,10 +195,8 @@ class TraceRecorder:
     ) -> None:
         """A store acknowledged a client's write."""
         self.events.append(
-            WriteAckEvent(
-                index=self._next_index(), time=time, client_id=client_id,
-                wid=wid, store=store,
-            )
+            WriteAckEvent(time=time, client_id=client_id, wid=wid,
+                          store=store)
         )
 
     def record_read(
@@ -184,9 +216,9 @@ class TraceRecorder:
         """
         self.events.append(
             ReadEvent(
-                index=self._next_index(), time=time, store=store,
-                client_id=client_id, served_vc=served_vc,
-                requirement=requirement or {}, weight=weight,
+                time=time, store=store, client_id=client_id,
+                served_vc=served_vc, requirement=requirement or {},
+                weight=weight,
             )
         )
 

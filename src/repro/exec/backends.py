@@ -152,7 +152,7 @@ def _evaluate(task: PointTask) -> TaskResult:
         if _obs.env_trace_requested():
             with _obs.trace_run() as run_tracer:
                 payload = task.run_point(task.config, task.seed)
-                events = len(run_tracer)
+                events = len(run_tracer.events)
             _obs.env_trace_write(task.label, run_tracer)
         else:
             payload = task.run_point(task.config, task.seed)

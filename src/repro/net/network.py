@@ -48,7 +48,6 @@ from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 from repro.faults.transport import FaultableTransportMixin
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.obs import tracer as _obs
-from repro.obs.metrics import MetricsRegistry
 from repro.sim.kernel import Simulator
 
 #: A receive handler: ``handler(src, payload, size_bytes)``.
@@ -60,14 +59,9 @@ class NetworkStats:
     """Counters for everything the network carried or dropped.
 
     Both the simulated and the live transport fill the same counter set,
-    so fault metrics aggregate identically across backends.
-
-    Counter bumps are plain slotted-attribute writes -- nothing runs per
-    increment.  :meth:`bind` registers a registry collector instead: the
-    counters are mirrored into named
-    :class:`~repro.obs.metrics.Counter` instruments when the registry
-    takes a snapshot (or when :meth:`sync` is called explicitly), so the
-    export surface costs the datagram path nothing.
+    so fault metrics aggregate identically across backends.  Counter
+    bumps are plain slotted-attribute writes; readers (traffic and
+    fault metrics, the benchmark) read the fields or :meth:`as_dict`.
     """
 
     datagrams_sent: int = 0
@@ -82,53 +76,10 @@ class NetworkStats:
     #: channels (data + control); zero on the in-process transports.
     frames_sent: int = 0
     frames_received: int = 0
-    #: Mirror bookkeeping (set by :meth:`bind`); not counters.
-    _registry: Optional[MetricsRegistry] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-    _prefix: str = dataclasses.field(default="net", repr=False, compare=False)
-
-    #: The counter field names, in declaration order (excludes the
-    #: mirror bookkeeping fields).
-    COUNTER_FIELDS = (
-        "datagrams_sent",
-        "datagrams_delivered",
-        "datagrams_dropped_loss",
-        "datagrams_dropped_partition",
-        "datagrams_dropped_crashed",
-        "datagrams_dropped_unregistered",
-        "bytes_sent",
-        "bytes_delivered",
-        "frames_sent",
-        "frames_received",
-    )
-
-    def bind(self, registry: MetricsRegistry,
-             prefix: str = "net") -> "NetworkStats":
-        """Mirror the counters into ``registry`` as ``prefix.field``.
-
-        The mirror is kept current lazily: :meth:`sync` runs as a
-        registry collector on every ``registry.snapshot()``.  Returns
-        ``self`` so construction chains: ``NetworkStats().bind(metrics)``.
-        """
-        self._registry = registry
-        self._prefix = prefix
-        registry.add_collector(self.sync)
-        self.sync()
-        return self
-
-    def sync(self) -> None:
-        """Publish the current counter values into the bound registry."""
-        registry = self._registry
-        if registry is None:
-            return
-        prefix = self._prefix
-        for name in self.COUNTER_FIELDS:
-            registry.counter(f"{prefix}.{name}").set(getattr(self, name))
 
     def as_dict(self) -> Dict[str, int]:
         """The counters as a plain ``{field: value}`` dict."""
-        return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
+        return dataclasses.asdict(self)
 
 
 class NodeNotRegistered(KeyError):
@@ -159,8 +110,7 @@ class Network(FaultableTransportMixin):
     ) -> None:
         self.sim = sim
         self.latency = latency or ConstantLatency()
-        self.metrics = MetricsRegistry()
-        self.stats = NetworkStats().bind(self.metrics)
+        self.stats = NetworkStats()
         self._handlers: Dict[str, ReceiveHandler] = {}
         self._fifo_clock: Dict[Tuple[str, str], float] = {}
         self._init_faults(
@@ -226,7 +176,7 @@ class Network(FaultableTransportMixin):
         stats.bytes_sent += size_bytes
         if _obs.ACTIVE is not None:
             # send() may run on any thread on the wall-clock substrates;
-            # RecordingTracer's list append is atomic, so concurrent
+            # the recorder's list append is atomic, so concurrent
             # emissions interleave but never corrupt.
             _obs.ACTIVE.event(
                 self._obs_now(), "net.send", node=src,

@@ -4,8 +4,9 @@
 per-spec run-health statistics from the run manifest the cached sweeps
 append to (``--check`` additionally validates its well-formedness and
 fails on malformed records); ``slow --top N`` lists the slowest
-computed points; ``trace FILE`` pretty-prints a JSONL trace written by
-:func:`repro.obs.tracer.RecordingTracer`, with ``--kind`` / ``--node``
+computed points; ``trace FILE`` pretty-prints a JSONL trace (one per
+sweep point under ``REPRO_TRACE=<dir>``, written by
+:func:`repro.obs.tracer.env_trace_write`), with ``--kind`` / ``--node``
 / ``--object`` filters.
 """
 

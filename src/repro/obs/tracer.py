@@ -1,10 +1,11 @@
 """Structured event tracing, zero-cost when disabled.
 
-One module-level slot, :data:`ACTIVE`, holds the installed tracer (or
-``None``).  Every hook site in the stack guards its emission with
-``if tracer.ACTIVE is not None`` -- one attribute load and an identity
-check -- so an untraced run pays essentially nothing on its hot paths
-(the bench gate in ``benchmarks/bench_obs.py`` pins this below 2%).
+One module-level slot, :data:`ACTIVE`, holds the installed
+:class:`~repro.coherence.trace.TraceRecorder` (or ``None``).  Every hook
+site in the stack guards its emission with ``if tracer.ACTIVE is not
+None`` -- one attribute load and an identity check -- so an untraced
+run pays essentially nothing on its hot paths (the bench gate in
+``benchmarks/bench_obs.py`` pins this below 2%).
 
 Timestamps are *passed in* by the hook site from its own
 :class:`~repro.transport.interface.Clock`: virtual seconds under the
@@ -15,7 +16,7 @@ bit-identical across sweep executors (the trace is built inside the
 worker evaluating the point, wherever that worker runs).
 
 Always check the live slot through the module (``tracer.ACTIVE``), not
-through a ``from``-import -- the binding changes at install time.
+through a ``from``-import -- the binding changes inside :func:`trace_run`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,10 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:
+    from repro.coherence.trace import TraceRecorder
 
 #: Environment variable enabling tracing inside sweep workers.  ``"1"``
 #: (or any non-path truthy value) traces each point and records the
@@ -31,123 +35,9 @@ from typing import Any, Dict, Iterator, List, Mapping, Optional, Protocol
 #: writes one ``trace-<label>.jsonl`` file per point under it.
 TRACE_ENV = "REPRO_TRACE"
 
-#: The installed tracer; ``None`` means tracing is disabled and every
-#: hook site short-circuits.  Mutate only through :func:`install` /
-#: :func:`uninstall` / :func:`trace_run`.
-ACTIVE: Optional["Tracer"] = None
-
-#: Event keys reserved for the envelope; detail kwargs must not collide.
-RESERVED_KEYS = ("t", "kind", "node", "obj")
-
-
-class Tracer(Protocol):
-    """What a hook site needs from an installed tracer."""
-
-    def event(
-        self,
-        time: float,
-        kind: str,
-        node: Optional[str] = None,
-        obj: Optional[str] = None,
-        **detail: Any,
-    ) -> None:
-        """Record one structured event at ``time`` (the caller's clock)."""
-        ...
-
-
-def _plain(value: Any) -> Any:
-    """Coerce one detail value to deterministic plain data.
-
-    Scalars pass through; mappings and sequences recurse; anything else
-    (enums, ids, records) becomes its ``str`` so traces serialize the
-    same way under every executor and never hold object references.
-    """
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    if isinstance(value, Mapping):
-        return {str(key): _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        items = sorted(value, key=str) if isinstance(
-            value, (set, frozenset)) else value
-        return [_plain(item) for item in items]
-    return str(value)
-
-
-class RecordingTracer:
-    """Collects events in memory as plain, JSONL-serializable dicts."""
-
-    __slots__ = ("events",)
-
-    def __init__(self) -> None:
-        self.events: List[Dict[str, Any]] = []
-
-    def event(
-        self,
-        time: float,
-        kind: str,
-        node: Optional[str] = None,
-        obj: Optional[str] = None,
-        **detail: Any,
-    ) -> None:
-        """Append one event; detail values are flattened to plain data."""
-        record: Dict[str, Any] = {
-            "t": float(time),
-            "kind": kind,
-            "node": node,
-            "obj": obj,
-        }
-        for key, value in detail.items():
-            record[key] = _plain(value)
-        self.events.append(record)
-
-    @contextlib.contextmanager
-    def span(
-        self,
-        clock: Any,
-        kind: str,
-        node: Optional[str] = None,
-        obj: Optional[str] = None,
-        **detail: Any,
-    ) -> Iterator[None]:
-        """Record one event covering the enclosed block, with ``dur``.
-
-        ``clock`` is anything with a ``now`` attribute (Simulator or
-        LiveLoop); the event is stamped at entry time and carries the
-        elapsed clock duration.
-        """
-        started = clock.now
-        try:
-            yield
-        finally:
-            self.event(started, kind, node=node, obj=obj,
-                       dur=clock.now - started, **detail)
-
-    def to_jsonl(self) -> str:
-        """The whole trace as deterministic JSONL."""
-        return events_jsonl(self.events)
-
-    def write_jsonl(self, path: os.PathLike) -> None:
-        """Persist the trace to ``path`` as JSONL."""
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(self.to_jsonl())
-
-    def __len__(self) -> int:
-        """Number of recorded events."""
-        return len(self.events)
-
-
-class NullTracer:
-    """A tracer that drops everything (for API-compatible no-op wiring)."""
-
-    def event(self, time: float, kind: str, node: Optional[str] = None,
-              obj: Optional[str] = None, **detail: Any) -> None:
-        """Discard the event."""
-
-    @contextlib.contextmanager
-    def span(self, clock: Any, kind: str, node: Optional[str] = None,
-             obj: Optional[str] = None, **detail: Any) -> Iterator[None]:
-        """Run the block; record nothing."""
-        yield
+#: The installed recorder; ``None`` means tracing is disabled and every
+#: hook site short-circuits.  Mutate only through :func:`trace_run`.
+ACTIVE: Optional[TraceRecorder] = None
 
 
 def events_jsonl(events: List[Dict[str, Any]]) -> str:
@@ -162,37 +52,25 @@ def events_jsonl(events: List[Dict[str, Any]]) -> str:
     )
 
 
-def install(tracer: Optional[Tracer]) -> None:
-    """Install ``tracer`` as the active tracer (``None`` disables)."""
-    global ACTIVE
-    ACTIVE = tracer
-
-
-def uninstall() -> None:
-    """Disable tracing (hook sites return to the no-op fast path)."""
-    install(None)
-
-
-def enabled() -> bool:
-    """Whether a tracer is currently installed."""
-    return ACTIVE is not None
-
-
 @contextlib.contextmanager
-def trace_run() -> Iterator[RecordingTracer]:
-    """Trace the enclosed block into a fresh :class:`RecordingTracer`.
+def trace_run() -> Iterator[TraceRecorder]:
+    """Trace the enclosed block into a fresh :class:`TraceRecorder`.
 
-    The previously installed tracer (usually ``None``) is restored on
-    exit, so nested scopes compose: the innermost tracer owns the
+    The previously installed recorder (usually ``None``) is restored on
+    exit, so nested scopes compose: the innermost recorder owns the
     events emitted while it is active.
     """
-    tracer = RecordingTracer()
-    previous = ACTIVE
-    install(tracer)
+    # Imported here: repro.coherence imports modules whose hook sites
+    # import this one, so a top-level import would close a cycle.
+    from repro.coherence.trace import TraceRecorder
+
+    global ACTIVE
+    recorder = TraceRecorder()
+    previous, ACTIVE = ACTIVE, recorder
     try:
-        yield tracer
+        yield recorder
     finally:
-        install(previous)
+        ACTIVE = previous
 
 
 def env_trace_requested() -> bool:
@@ -200,7 +78,7 @@ def env_trace_requested() -> bool:
     return bool(os.environ.get(TRACE_ENV))
 
 
-def env_trace_write(label: Any, tracer: RecordingTracer) -> None:
+def env_trace_write(label: Any, tracer: TraceRecorder) -> None:
     """Persist one point's trace if :data:`TRACE_ENV` names a directory.
 
     With the variable set to a plain flag (``"1"``), only the event
@@ -216,6 +94,8 @@ def env_trace_write(label: Any, tracer: RecordingTracer) -> None:
     )
     try:
         os.makedirs(target, exist_ok=True)
-        tracer.write_jsonl(os.path.join(target, f"trace-{safe}.jsonl"))
+        path = os.path.join(target, f"trace-{safe}.jsonl")
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(events_jsonl(tracer.events))
     except OSError:
         pass

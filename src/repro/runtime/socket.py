@@ -38,7 +38,6 @@ once instead of holding the dispatcher in a write nobody reads.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import os
 import shutil
@@ -275,16 +274,13 @@ class SocketHub:
     def _on_trace(self, _channel: FrameChannel, body: Dict[str, Any]) -> None:
         """Append a node's trace event to the shared recorder.
 
-        The event is re-indexed into the hub recorder's global order;
-        per-lane order (all the signature cares about) is preserved
+        Its position in the hub recorder's ``events`` is its global
+        order.  Per-lane order (all the signature cares about) is kept
         because each node streams its own events in recording order.
         """
-        event, recorder = body["event"], self.trace
-        if recorder is None:
-            return
-        recorder.events.append(
-            dataclasses.replace(event, index=recorder._next_index())
-        )
+        recorder = self.trace
+        if recorder is not None:
+            recorder.events.append(body["event"])
 
     def _resolve_call(self, body: Dict[str, Any]) -> None:
         with self._lock:

@@ -1,5 +1,7 @@
 """Unit tests for the datagram network: delivery, FIFO, loss, partitions."""
 
+import contextlib
+
 import pytest
 
 from repro.net.latency import ConstantLatency, UniformLatency
@@ -328,17 +330,13 @@ def test_multicast_equals_loop_of_sends(reliable):
 def test_multicast_equals_loop_of_sends_traced():
     # With a tracer installed the traced event streams must coincide
     # exactly, too.
-    from repro.obs import tracer as obs
+    from repro.obs import trace_run
 
     streams = []
     for use_multicast in (False, True):
         sim, net, boxes = _fanout_build()
-        recorder = obs.RecordingTracer()
-        obs.install(recorder)
-        try:
+        with trace_run() as recorder:
             _fanout_drive(sim, net, use_multicast, reliable=True)
-        finally:
-            obs.uninstall()
         net_events = [e for e in recorder.events
                       if e["kind"].startswith("net.")]
         streams.append((net_events, net.stats.as_dict(), boxes))
@@ -470,20 +468,17 @@ def _mixed_traffic(sim, net):
 
 
 def test_installed_tracer_does_not_change_the_traffic():
-    # A NullTracer arms every trace hook on the path while discarding the
-    # events: stats, delivery order, arrival times and the final clock
-    # must equal the untraced run's exactly.
-    from repro.obs import tracer as obs
+    # A recorder arms every trace hook on the path: stats, delivery
+    # order, arrival times and the final clock must equal the untraced
+    # run's exactly.
+    from repro.obs import trace_run
 
     outcomes = []
-    for tracer in (None, obs.NullTracer()):
+    for traced in (False, True):
         sim = Simulator(seed=11)
         net = make_net(sim, latency=ConstantLatency(0.002), loss_rate=0.1)
-        obs.install(tracer)
-        try:
+        with trace_run() if traced else contextlib.nullcontext():
             outcomes.append(_mixed_traffic(sim, net))
-        finally:
-            obs.uninstall()
     assert outcomes[0] == outcomes[1]
     assert outcomes[0][0]["datagrams_dropped_loss"] > 0
 

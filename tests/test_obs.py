@@ -1,26 +1,26 @@
-"""The observability layer: tracer, metrics registry, run manifests, CLI.
+"""The observability layer: trace recording, run manifests, CLI.
 
 The golden-trace and cross-executor determinism claims live in
 ``test_obs_trace_golden.py``; this module covers the unit surface --
-event flattening, the zero-cost disabled path, the NetworkStats mirror,
-manifest round-trips, the ``python -m repro.obs`` commands, and the
-telemetry the runner attaches to sweeps and failures.
+event flattening, the zero-cost disabled path, manifest round-trips,
+the ``python -m repro.obs`` commands, and the telemetry the runner
+attaches to sweeps and failures.
 """
 
 import json
 
 import pytest
 
+import repro.obs
+from repro.coherence.trace import TraceRecorder, _plain, coherence_signature
 from repro.exec import ResultCache, run_sweep
 from repro.exec.runner import SweepPointError
 from repro.exec.spec import SweepSpec
+from repro.faults.catalog import FAULT_PLANS
 from repro.net.latency import ConstantLatency
-from repro.net.network import Network, NetworkStats
+from repro.net.network import Network
 from repro.obs import (
     MANIFEST_NAME,
-    MetricsRegistry,
-    NullTracer,
-    RecordingTracer,
     RunManifest,
     events_jsonl,
     load_manifest,
@@ -31,30 +31,25 @@ from repro.obs import (
 from repro.obs import tracer as tracer_module
 from repro.obs.cli import main as obs_main
 from repro.obs.manifest import point_record
-from repro.obs.metrics import Counter, Gauge, Histogram
-from repro.obs.tracer import _plain, env_trace_write
+from repro.obs.tracer import env_trace_write
 from repro.replication.policy import Propagation
+from repro.report.grid import STRATEGIES
 from repro.sim.kernel import Simulator
+from repro.workload.profiles import PROFILES, run_profile
 
 
-class FakeClock:
-    def __init__(self):
-        self.now = 0.0
-
-
-class TestRecordingTracer:
+class TestTraceRecorderEvent:
     def test_event_envelope_and_detail(self):
-        tracer = RecordingTracer()
+        tracer = TraceRecorder()
         tracer.event(1.5, "net.send", node="a", obj="index.html",
                      dst="b", size=42)
         assert tracer.events == [{
             "t": 1.5, "kind": "net.send", "node": "a",
             "obj": "index.html", "dst": "b", "size": 42,
         }]
-        assert len(tracer) == 1
 
     def test_detail_values_flattened_to_plain_data(self):
-        tracer = RecordingTracer()
+        tracer = TraceRecorder()
         tracer.event(0.0, "x", reason=Propagation.INVALIDATE,
                      keys={"b", "a"}, nested={"k": (1, 2)})
         event = tracer.events[0]
@@ -68,44 +63,32 @@ class TestRecordingTracer:
         for value in (None, True, 3, 2.5, "s"):
             assert _plain(value) is value
 
-    def test_span_records_duration_from_caller_clock(self):
-        tracer = RecordingTracer()
-        clock = FakeClock()
-        with tracer.span(clock, "phase", node="n"):
-            clock.now = 2.0
-        (event,) = tracer.events
-        assert event["t"] == 0.0
-        assert event["dur"] == 2.0
-        assert event["kind"] == "phase"
-
     def test_jsonl_is_canonical(self):
-        tracer = RecordingTracer()
+        tracer = TraceRecorder()
         tracer.event(0.25, "b.kind", node="n", z=1, a=2)
-        line = tracer.to_jsonl()
-        assert line == (
+        assert events_jsonl(tracer.events) == (
             '{"a":2,"kind":"b.kind","node":"n","obj":null,"t":0.25,"z":1}\n'
         )
-        assert events_jsonl(tracer.events) == line
-
-    def test_write_jsonl_round_trip(self, tmp_path):
-        tracer = RecordingTracer()
-        tracer.event(0.0, "k", node="n")
-        path = tmp_path / "trace.jsonl"
-        tracer.write_jsonl(path)
-        assert path.read_text() == tracer.to_jsonl()
 
 
 class TestInstallAndDisabledPath:
     def test_disabled_by_default(self):
         assert tracer_module.ACTIVE is None
-        assert not tracer_module.enabled()
 
     def test_trace_run_installs_and_restores(self):
         assert tracer_module.ACTIVE is None
         with trace_run() as tracer:
             assert tracer_module.ACTIVE is tracer
-            assert tracer_module.enabled()
+            assert isinstance(tracer, TraceRecorder)
         assert tracer_module.ACTIVE is None
+
+    def test_package_holds_no_stale_copy_of_the_slot(self):
+        # A from-import would bind the slot's value at import time and
+        # read None even inside trace_run(); the slot lives only in the
+        # tracer module.
+        with trace_run() as recorder:
+            assert tracer_module.ACTIVE is recorder
+            assert not hasattr(repro.obs, "ACTIVE")
 
     def test_nested_trace_runs_compose(self):
         with trace_run() as outer:
@@ -127,19 +110,13 @@ class TestInstallAndDisabledPath:
         # tracer installed a later recording scope must start empty.
         with trace_run() as tracer:
             pass
-        assert len(tracer) == 0
-
-    def test_null_tracer_drops_everything(self):
-        null = NullTracer()
-        null.event(0.0, "k", node="n", extra=1)
-        with null.span(FakeClock(), "k"):
-            pass  # must simply run the block
+        assert tracer.events == []
 
     def test_env_trace_write_flag_value_writes_nothing(self, tmp_path,
                                                        monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
         monkeypatch.chdir(tmp_path)
-        tracer = RecordingTracer()
+        tracer = TraceRecorder()
         tracer.event(0.0, "k")
         env_trace_write("pt", tracer)
         assert list(tmp_path.iterdir()) == []
@@ -148,88 +125,36 @@ class TestInstallAndDisabledPath:
                                                          monkeypatch):
         target = tmp_path / "traces"
         monkeypatch.setenv("REPRO_TRACE", str(target))
-        tracer = RecordingTracer()
+        tracer = TraceRecorder()
         tracer.event(0.0, "k")
         env_trace_write("pt/..x", tracer)
         (written,) = list(target.iterdir())
         assert written.name == "trace-pt_..x.jsonl"
-        assert written.read_text() == tracer.to_jsonl()
+        assert written.read_text() == events_jsonl(tracer.events)
 
 
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        counter = Counter("c")
-        counter.inc()
-        counter.inc(4)
-        assert counter.value == 5
-        gauge = Gauge("g")
-        gauge.set(1.5)
-        assert gauge.value == 1.5
-        histogram = Histogram("h")
-        assert histogram.summary()["count"] == 0
-        for value in (1.0, 3.0, 2.0):
-            histogram.observe(value)
-        assert histogram.summary() == {
-            "count": 3, "sum": 6.0, "min": 1.0, "max": 3.0, "mean": 2.0,
-        }
+@pytest.mark.parametrize("plan", sorted(FAULT_PLANS))
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_tracing_never_changes_a_run(strategy, plan):
+    # Every hook site across the stack is armed under trace_run(); the
+    # coherence history, the traffic and the kernel's clock must equal
+    # the untraced run's exactly.
+    def outcome():
+        deployment = run_profile(
+            STRATEGIES[strategy].build_policy(), PROFILES["balanced"],
+            n_caches=2, seed=5, horizon=STRATEGIES[strategy].horizon,
+            fault_plan=plan, request_timeout=0.5, request_retries=2,
+        )
+        sim = deployment.sim
+        return (coherence_signature(deployment.site.trace),
+                deployment.network.stats.as_dict(), sim.now,
+                sim.events_fired)
 
-    def test_registry_creates_once_and_type_checks(self):
-        registry = MetricsRegistry()
-        counter = registry.counter("net.sent")
-        assert registry.counter("net.sent") is counter
-        assert "net.sent" in registry
-        assert len(registry) == 1
-        with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("net.sent")
-
-    def test_snapshot_is_sorted_plain_data(self):
-        registry = MetricsRegistry()
-        registry.counter("b").inc(2)
-        registry.gauge("a").set(0.5)
-        registry.histogram("c").observe(1.0)
-        snapshot = registry.snapshot()
-        assert list(snapshot) == ["a", "b", "c"]
-        assert snapshot["a"] == 0.5
-        assert snapshot["b"] == 2
-        assert snapshot["c"]["count"] == 1
-
-
-class TestNetworkStatsMirror:
-    def test_snapshot_syncs_every_counter(self):
-        registry = MetricsRegistry()
-        stats = NetworkStats().bind(registry)
-        stats.datagrams_sent += 3
-        stats.bytes_sent += 120
-        snapshot = registry.snapshot()
-        assert snapshot["net.datagrams_sent"] == 3
-        assert snapshot["net.bytes_sent"] == 120
-        # The mirror is lazy: bumps are plain attribute writes, and the
-        # registry instruments are brought current by snapshot()/sync().
-        stats.datagrams_sent += 1
-        assert registry.counter("net.datagrams_sent").value == 3
-        stats.sync()
-        assert registry.counter("net.datagrams_sent").value == 4
-
-    def test_bind_carries_existing_values(self):
-        stats = NetworkStats()
-        stats.datagrams_sent = 7
-        registry = MetricsRegistry()
-        stats.bind(registry)
-        assert registry.counter("net.datagrams_sent").value == 7
-
-    def test_network_exports_registry(self, network):
-        network.register("a", lambda src, payload, size: None)
-        network.register("x", lambda src, payload, size: None)
-        network.send("x", "a", {"m": 1}, size_bytes=10)
-        network.sim.run_until_idle()
-        snapshot = network.metrics.snapshot()
-        assert snapshot["net.datagrams_sent"] == 1
-        assert snapshot["net.datagrams_delivered"] == 1
-        assert snapshot["net.bytes_delivered"] == 10
-        assert snapshot == {
-            f"net.{name}": value
-            for name, value in network.stats.as_dict().items()
-        }
+    untraced = outcome()
+    with trace_run() as recorder:
+        traced = outcome()
+    assert recorder.events
+    assert traced == untraced
 
 
 def _valid_records(tmp_path):
@@ -428,11 +353,11 @@ class TestCli:
 
     def test_trace_filters(self, tmp_path, capsys):
         path = tmp_path / "trace.jsonl"
-        tracer = RecordingTracer()
+        tracer = TraceRecorder()
         tracer.event(0.0, "net.send", node="a", dst="b")
         tracer.event(0.1, "net.deliver", node="b", src="a")
         tracer.event(0.2, "repl.write", node="a", decision="accept")
-        tracer.write_jsonl(path)
+        path.write_text(events_jsonl(tracer.events))
         assert obs_main(["trace", str(path), "--kind", "net",
                          "--node", "a"]) == 0
         captured = capsys.readouterr()

@@ -47,7 +47,8 @@ def traced_smoke_run(config=CONFIG):
 
 class TestGoldenTrace:
     def test_trace_matches_pinned_golden(self):
-        assert traced_smoke_run().to_jsonl() == GOLDEN.read_text(), (
+        text = events_jsonl(traced_smoke_run().events)
+        assert text == GOLDEN.read_text(), (
             "simulated trace diverged from tests/golden/"
             "trace_backend_smoke.jsonl -- if the event vocabulary "
             "changed intentionally, regenerate the pin (see module "
@@ -55,7 +56,8 @@ class TestGoldenTrace:
         )
 
     def test_trace_is_deterministic_across_runs(self):
-        assert traced_smoke_run().to_jsonl() == traced_smoke_run().to_jsonl()
+        assert events_jsonl(traced_smoke_run().events) == events_jsonl(
+            traced_smoke_run().events)
 
     def test_trace_covers_every_layer(self):
         kinds = {event["kind"] for event in traced_smoke_run().events}

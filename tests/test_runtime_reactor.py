@@ -20,6 +20,7 @@ import time
 
 import pytest
 
+from repro.coherence.trace import coherence_signature
 from repro.replication.policy import ReplicationPolicy
 from repro.transport.backend import SocketBackend
 from repro.workload.scenarios import build_tree
@@ -128,8 +129,17 @@ class TestCallsFromTheDispatcher:
         assert deployment.wait_until(
             lambda: all(engine.version() == {"master": 1}
                         for engine in deployment.engines), timeout=10.0)
-        indices = [event.index for event in deployment.site.trace.events]
-        assert indices == sorted(set(indices))  # strictly increasing
+        # Per-lane order is what the signature checks rely on: each
+        # store reaches the write exactly once, and the master saw its
+        # write issued before it was acknowledged.
+        signature = coherence_signature(deployment.site.trace)
+        assert signature["client:master"] == [
+            ("write", "master:1", "server"), ("ack", "master:1", "server")]
+        assert signature["store:server"] == [
+            ("apply", "master:1", None, (("master", 1),))]
+        for cache in ("cache-0", "cache-1"):
+            assert signature[f"store:{cache}"] == [
+                ("install", (("master", 1),))]
 
     def test_a_call_to_a_node_that_dies_mid_call_fails_promptly(
             self, deployment):

@@ -38,7 +38,7 @@ def real_frames():
             "content_type": "text/html", "version": 3, "last_modified": 1.5}
     message = Message("read_reply", {"result": page, "version": {"master": 3}},
                       reply_to=7)
-    event = ApplyEvent(index=4, time=0.25, store="cache-0",
+    event = ApplyEvent(time=0.25, store="cache-0",
                        wid=WriteId("master", 3), global_seq=None,
                        deps={"master": 2}, applied_vc={"master": 3})
     return [
