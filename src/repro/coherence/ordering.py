@@ -14,7 +14,7 @@ object-based models weaker than causal (design decision D2).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Set, Tuple
 
 from repro.coherence.models import CoherenceModel
 from repro.coherence.records import WriteRecord
@@ -30,12 +30,12 @@ class OrderingDiscipline:
     def __init__(self) -> None:
         #: Version vector of all applied writes.
         self.applied = VectorClock()
-        #: WiDs applied (dedupe against redelivery).
-        self.seen: Set[WriteId] = set()
         #: Held-back records, keyed by WiD.
         self.buffer: Dict[WriteId, WriteRecord] = {}
         #: Writes discarded as superseded (FIFO / eventual LWW).
         self.dropped = 0
+        #: Called with every record the discipline discards.
+        self.on_drop: Callable[[WriteRecord], None] = lambda record: None
 
     # -- API ---------------------------------------------------------------
 
@@ -45,8 +45,9 @@ class OrderingDiscipline:
             return []
         if self._superseded(record):
             self.dropped += 1
+            self.on_drop(record)
             return []
-        if self._is_duplicate(record):
+        if self.incorporated(record.wid):
             return []
         if (
             not self.buffer
@@ -60,14 +61,13 @@ class OrderingDiscipline:
         self.buffer[record.wid] = record
         return self._drain()
 
-    def _is_duplicate(self, record: WriteRecord) -> bool:
-        """Whether the record was already incorporated.
+    def incorporated(self, wid: WriteId) -> bool:
+        """Whether the write ``wid`` is already part of this replica.
 
-        For gapless disciplines the applied vector only covers writes that
-        were actually applied, so VC inclusion is a safe dedupe; gap-skipping
-        disciplines override this.
+        A gapless discipline's applied vector covers exactly the writes it
+        has; the gap-skipping eventual discipline overrides this.
         """
-        return record.wid in self.seen or self.applied.includes(record.wid)
+        return self.applied.includes(wid)
 
     def has_gaps(self) -> bool:
         """Whether buffered records are waiting on missing predecessors.
@@ -77,15 +77,21 @@ class OrderingDiscipline:
         """
         return bool(self.buffer)
 
-    def install(self, version: VectorClock) -> None:
-        """Reset after a full-state transfer that covers ``version``."""
+    def install(self, version: VectorClock, fields: Dict[str, Any]) -> None:
+        """Reset after a full-state transfer (``version``, body ``fields``)."""
         self.applied = version.copy()
         self.buffer = {
             wid: rec
             for wid, rec in self.buffer.items()
             if not version.includes(wid)
         }
-        self.seen = {wid for wid in self.seen if not version.includes(wid)}
+
+    def transfer_fields(self) -> Dict[str, Any]:
+        """What this discipline adds to a full-state transfer body."""
+        return {}
+
+    def replay(self, records: Iterable[WriteRecord]) -> None:
+        """Note journalled ``records`` replayed into the log, unoffered."""
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -98,19 +104,16 @@ class OrderingDiscipline:
         coherence signatures identical across backends.
 
         ``full=False`` is the journal form: only the parts whose size
-        does not grow with the write history.  ``seen`` is left out (the
-        journalled log tail's wids imply its additions) and so is the
-        per-key state, which :meth:`key_state` reports for just the keys
-        a delta touched.
+        does not grow with the write history.  The eventual discipline's
+        ``seen`` is left out (:meth:`replay` restores it from the
+        journalled log tail) and so is the per-key state, which
+        :meth:`key_state` reports for just the keys a delta touched.
         """
-        state = {
+        return {
             "applied": self.applied.as_dict(),
             "buffer": [self.buffer[wid].to_wire() for wid in sorted(self.buffer)],
             "dropped": self.dropped,
         }
-        if full:
-            state["seen"] = sorted(str(wid) for wid in self.seen)
-        return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
         """Inverse of :meth:`state_dict`, in either form."""
@@ -120,8 +123,6 @@ class OrderingDiscipline:
             for record in (WriteRecord.from_wire(w) for w in state["buffer"])
         }
         self.dropped = state["dropped"]
-        if "seen" in state:
-            self.seen = {WriteId.parse(text) for text in state["seen"]}
 
     def key_state(self, keys: Iterable[str]) -> Dict[str, Any]:
         """Plain-data per-key state restricted to ``keys`` (none here)."""
@@ -142,7 +143,6 @@ class OrderingDiscipline:
 
     def _mark_applied(self, record: WriteRecord) -> None:
         self.applied.record(record.wid)
-        self.seen.add(record.wid)
 
     def _deps_satisfied(self, record: WriteRecord) -> bool:
         return record.deps is None or self.applied.dominates(record.deps)
@@ -158,6 +158,7 @@ class OrderingDiscipline:
                 if self._superseded(record):
                     del self.buffer[wid]
                     self.dropped += 1
+                    self.on_drop(record)
                     progress = True
                     continue
                 if self._deps_satisfied(record) and self._ready(record):
@@ -237,17 +238,24 @@ class SequentialOrdering(OrderingDiscipline):
         super()._mark_applied(record)
         self.next_global += 1
 
-    def install(self, version: VectorClock, next_global: Optional[int] = None) -> None:
-        super().install(version)
-        if next_global is not None:
-            self.next_global = next_global
+    def install(self, version: VectorClock, fields: Dict[str, Any]) -> None:
+        """Also adopt the sender's ``next_global``, when ``fields`` has one."""
+        super().install(version, fields)
+        if "next_global" in fields:
+            self.next_global = fields["next_global"]
+
+    def transfer_fields(self) -> Dict[str, Any]:
+        """The sequencer position a full-state transfer carries."""
+        return {"next_global": self.next_global}
 
     def state_dict(self, full: bool = True) -> Dict[str, Any]:
+        """The base state plus ``next_global``."""
         state = super().state_dict(full)
         state["next_global"] = self.next_global
         return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict`."""
         super().load_state(state)
         self.next_global = state["next_global"]
 
@@ -257,25 +265,35 @@ class EventualOrdering(OrderingDiscipline):
 
     A record is discarded when every state key it touches already carries
     a newer applied write, which makes replicas converge for overwrite
-    workloads.
+    workloads.  The only discipline that skips gaps, and so the only one
+    whose applied vector covers writes it never saw: it keeps ``seen``.
     """
 
     model = CoherenceModel.EVENTUAL
 
     def __init__(self) -> None:
         super().__init__()
+        #: WiDs applied and not covered by an install (dedupe).
+        self.seen: Set[WriteId] = set()
         self._key_latest: Dict[str, Tuple[float, WriteId]] = {}
         #: Writes incorporated via snapshot installs; the applied vector
         #: cannot be used for dedupe here because gap-skipping makes it
         #: cover writes that were never seen.
         self._floor = VectorClock()
 
-    def install(self, version: VectorClock) -> None:
-        super().install(version)
+    def install(self, version: VectorClock, fields: Dict[str, Any]) -> None:
+        """Also raise the install floor and forget what ``version`` covers."""
+        super().install(version, fields)
+        self.seen = {wid for wid in self.seen if not version.includes(wid)}
         self._floor.merge(version)
 
-    def _is_duplicate(self, record: WriteRecord) -> bool:
-        return record.wid in self.seen or self._floor.includes(record.wid)
+    def incorporated(self, wid: WriteId) -> bool:
+        """Whether ``wid`` was applied here or covered by an install."""
+        return wid in self.seen or self._floor.includes(wid)
+
+    def replay(self, records: Iterable[WriteRecord]) -> None:
+        """The replayed records were applied: add them to ``seen``."""
+        self.seen.update(record.wid for record in records)
 
     def _superseded(self, record: WriteRecord) -> bool:
         if not record.touched:
@@ -288,26 +306,33 @@ class EventualOrdering(OrderingDiscipline):
 
     def _mark_applied(self, record: WriteRecord) -> None:
         super()._mark_applied(record)
+        self.seen.add(record.wid)
         stamp = (record.timestamp, record.wid)
         for key in record.touched:
             if key not in self._key_latest or self._key_latest[key] < stamp:
                 self._key_latest[key] = stamp
 
     def state_dict(self, full: bool = True) -> Dict[str, Any]:
+        """The base state plus the floor; ``full`` adds ``seen`` and stamps."""
         state = super().state_dict(full)
         if full:
+            state["seen"] = sorted(str(wid) for wid in self.seen)
             state["key_latest"] = self.key_state(self._key_latest)
         state["floor"] = self._floor.as_dict()
         return state
 
     def load_state(self, state: Dict[str, Any]) -> None:
+        """Inverse of :meth:`state_dict`, in either form."""
         super().load_state(state)
+        if "seen" in state:
+            self.seen = {WriteId.parse(text) for text in state["seen"]}
         if "key_latest" in state:
             self._key_latest = {}
             self.load_key_state(state["key_latest"])
         self._floor = VectorClock(state["floor"])
 
     def key_state(self, keys: Iterable[str]) -> Dict[str, Any]:
+        """The LWW stamps of ``keys``, as plain data."""
         latest = self._key_latest
         return {
             key: [latest[key][0], str(latest[key][1])]
@@ -316,6 +341,7 @@ class EventualOrdering(OrderingDiscipline):
         }
 
     def load_key_state(self, state: Dict[str, Any]) -> None:
+        """Merge LWW stamps from a :meth:`key_state` dict."""
         for key, (timestamp, text) in state.items():
             self._key_latest[key] = (timestamp, WriteId.parse(text))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from repro.coherence.ordering import SequentialOrdering
 from repro.coherence.records import WriteRecord
 from repro.comm.message import Message
 from repro.obs import tracer as _obs
@@ -97,10 +96,8 @@ class CoherenceEmitter:
     def snapshot_body(self) -> Dict[str, Any]:
         """The full-state transfer body (UPDATE_FULL / full DEMAND_REPLY)."""
         engine = self.engine
-        body = {
+        return {
             "state": engine.control.semantics_snapshot(),
             "version": engine.ordering.applied.as_dict(),
+            **engine.ordering.transfer_fields(),
         }
-        if isinstance(engine.ordering, SequentialOrdering):
-            body["next_global"] = engine.ordering.next_global
-        return body

@@ -95,6 +95,7 @@ class StoreReplicationObject(ReplicationObject):
             if self.enforced
             else make_ordering(CoherenceModel.EVENTUAL)
         )
+        self.ordering.on_drop = self._on_drop
         #: Applied records, in application order (the catch-up log).
         self.log: List[WriteRecord] = []
         #: Writes covered before the log begins (set by snapshot installs).
@@ -278,17 +279,20 @@ class StoreReplicationObject(ReplicationObject):
         """Offer received records to the ordering, applying what's released."""
         ready: List[WriteRecord] = []
         for record in records:
-            before = self.ordering.dropped
             ready.extend(self.ordering.offer(record))
-            if self.ordering.dropped > before and self.trace is not None:
-                self.trace.record_drop(
-                    self.control.now(), self.control.address, record.wid
-                )
         # Propagation cascade happens inside apply_records; the skip
         # parameter prevents echoing records straight back to the sender.
         if ready:
             self.apply_records(ready, skip=skip)
         self.react_to_gap()
+
+    def _on_drop(self, record: WriteRecord) -> None:
+        """The ordering discarded ``record``: trace it and settle its ack."""
+        if self.trace is not None:
+            self.trace.record_drop(
+                self.control.now(), self.control.address, record.wid
+            )
+        self.writes.settle_ack(record.wid)
 
     def react_to_gap(self) -> None:
         """Object-outdate reaction: the ordering buffer signals missed writes."""
@@ -334,7 +338,7 @@ class StoreReplicationObject(ReplicationObject):
 
         Everything :meth:`checkpoint` holds except the three parts that
         grow with the write history or the document (``log``, ``as_of``,
-        the ordering's ``seen`` and per-key state); :meth:`delta` compares
+        the ordering's history-sized state); :meth:`delta` compares
         this dict with the last persisted one field by field.
         """
         return {
@@ -425,7 +429,7 @@ class StoreReplicationObject(ReplicationObject):
         self.reads.replies = {}
         tail = [WriteRecord.from_wire(w) for w in delta.get("log", ())]
         self.log.extend(tail)
-        self.ordering.seen.update(record.wid for record in tail)
+        self.ordering.replay(tail)
         self._load_fields(delta["fields"])
         state = delta.get("state", {})
         gone = []

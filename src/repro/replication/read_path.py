@@ -20,7 +20,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Collection, Dict, List, Optional, Sequence, Set
 
-from repro.coherence.ordering import SequentialOrdering
 from repro.coherence.records import WriteRecord
 from repro.coherence.vector_clock import VectorClock
 from repro.comm.invocation import MarshalledInvocation, decode_invocation
@@ -368,12 +367,7 @@ class ReadDemandPath:
         self.replies = {}
         engine.control.semantics_restore(body["state"], partial=False)
         engine.has_full_state = True
-        if isinstance(engine.ordering, SequentialOrdering):
-            engine.ordering.install(
-                version, next_global=body.get("next_global")
-            )
-        else:
-            engine.ordering.install(version)
+        engine.ordering.install(version, body)
         engine.log = []
         engine.log_base = version.copy()
         engine.note_install(None)

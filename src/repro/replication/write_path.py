@@ -43,10 +43,7 @@ class WritePath:
         record = WriteRecord.from_wire(message.body["record"])
         session = message.body.get("session", {})
         # Duplicate (client retry after a lost ack): acknowledge idempotently.
-        if (
-            engine.ordering.applied.includes(record.wid)
-            or record.wid in engine.ordering.seen
-        ):
+        if engine.ordering.incorporated(record.wid):
             self.ack(src, message, record.wid)
             return
         self.accept_or_forward(record, session, src, message)
@@ -85,17 +82,7 @@ class WritePath:
             return
         record = self.stamp(record)
         self.pending_acks[record.wid] = (src, request)
-        before_dropped = engine.ordering.dropped
-        ready = engine.ordering.offer(record)
-        if engine.ordering.dropped > before_dropped:
-            # Superseded under FIFO/LWW: honored by being ignored.
-            if engine.trace is not None:
-                engine.trace.record_drop(
-                    engine.control.now(), engine.control.address, record.wid
-                )
-            self.settle_ack(record.wid)
-        engine.apply_records(ready)
-        engine.react_to_gap()
+        engine.ingest_records((record,), skip=None)
 
     def _forward(
         self,

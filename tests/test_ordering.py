@@ -1,5 +1,7 @@
 """Unit tests for the ordering disciplines (one per coherence model)."""
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -67,7 +69,7 @@ class TestPramOrdering:
     def test_install_clears_covered_buffer(self):
         ordering = PramOrdering()
         ordering.offer(rec("m", 2))
-        ordering.install(VectorClock({"m": 2}))
+        ordering.install(VectorClock({"m": 2}), {})
         assert not ordering.has_gaps()
         assert wids(ordering.offer(rec("m", 3))) == [WriteId("m", 3)]
 
@@ -121,7 +123,7 @@ class TestSequentialOrdering:
 
     def test_install_resets_next_global(self):
         ordering = SequentialOrdering()
-        ordering.install(VectorClock({"a": 5}), next_global=6)
+        ordering.install(VectorClock({"a": 5}), {"next_global": 6})
         assert wids(ordering.offer(rec("b", 1, global_seq=6))) == [WriteId("b", 1)]
 
 
@@ -148,6 +150,37 @@ class TestEventualOrdering:
         ordering.offer(rec("a", 1, ts=5.0, touched=("p",)))
         assert wids(ordering.offer(rec("b", 1, ts=2.0, touched=("q",)))) == \
             [WriteId("b", 1)]
+
+
+@pytest.mark.parametrize("factory,first,second", [
+    (PramOrdering, [], ["a:1", "a:2"]),
+    (CausalOrdering, [], ["a:1", "a:2"]),
+    (EventualOrdering, ["a:2"], []),
+], ids=["pram", "causal", "eventual"])
+def test_concurrent_install_releases_the_writes_it_does_not_cover(
+    factory, first, second
+):
+    """An install concurrent with ``a:1`` drops it, so a gapless store takes
+    it again (then ``a:2``); eventual still counts ``a:1`` as seen."""
+    ordering = factory()
+    assert wids(ordering.offer(rec("a", 1, deps={}))) == [WriteId("a", 1)]
+    ordering.install(VectorClock({"b": 1}), {})
+    assert [str(w) for w in wids(ordering.offer(rec("a", 2, deps={})))] == first
+    assert [str(w) for w in wids(ordering.offer(rec("a", 1, deps={})))] == second
+
+
+@pytest.mark.parametrize("factory", [
+    PramOrdering, FifoOrdering, CausalOrdering, SequentialOrdering,
+], ids=["pram", "fifo", "causal", "sequential"])
+def test_gapless_state_does_not_grow_with_history(factory):
+    """The full checkpoint of a gapless discipline is bounded by replicas."""
+    def size_after(n):
+        ordering = factory()
+        for seqno in range(1, n + 1):
+            ordering.offer(rec("m", seqno, global_seq=seqno))
+        return len(pickle.dumps(ordering.state_dict(), 5))
+
+    assert size_after(300) == size_after(3000)
 
 
 class TestFactory:
@@ -224,8 +257,9 @@ def reference_offer(ordering, record):
         return []
     if ordering._superseded(record):
         ordering.dropped += 1
+        ordering.on_drop(record)
         return []
-    if ordering._is_duplicate(record):
+    if ordering.incorporated(record.wid):
         return []
     ordering.buffer[record.wid] = record
     return ordering._drain()
@@ -267,13 +301,15 @@ def arrival_sequences(draw):
 def test_offer_matches_insert_then_drain_model(factory, arrivals):
     """Property: the fast path changes nothing an observer can see."""
     ordering, model = factory(), factory()
+    drops, model_drops = [], []
+    ordering.on_drop, model.on_drop = drops.append, model_drops.append
     for record in arrivals:
         released = ordering.offer(record)
         expected = reference_offer(model, record)
         assert [id(r) for r in released] == [id(r) for r in expected]
         assert ordering.applied == model.applied
-        assert ordering.seen == model.seen
+        assert [id(r) for r in drops] == [id(r) for r in model_drops]
         assert ordering.buffer == model.buffer
         assert ordering.dropped == model.dropped
-        # next_global, LWW stamps and the install floor, where they exist.
+        # next_global, seen, LWW stamps and the install floor, where they exist.
         assert ordering.state_dict() == model.state_dict()

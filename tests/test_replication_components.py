@@ -10,10 +10,14 @@ import pytest
 
 from repro.coherence.models import CoherenceModel
 from repro.coherence.records import WriteRecord
+from repro.coherence.trace import ApplyEvent, DropEvent
+from repro.coherence.vector_clock import VectorClock
 from repro.comm.invocation import MarshalledInvocation
+from repro.comm.message import Message
 from repro.core.ids import WriteId
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.replication import messages as mk
 from repro.replication.emission import CoherenceEmitter
 from repro.replication.policy import (
     CoherenceTransfer,
@@ -39,12 +43,14 @@ def build(policy=None, seed=1, pages=None, writer=None, **kwargs):
     return sim, net, site
 
 
-def write_record(client="w", seqno=1, page="index.html", content="x"):
+def write_record(client="w", seqno=1, page="index.html", content="x",
+                 **fields):
     return WriteRecord(
         wid=WriteId(client, seqno),
         invocation=MarshalledInvocation(
             "write_page", (page, content), read_only=False
         ),
+        **fields,
     )
 
 
@@ -102,6 +108,49 @@ class TestWritePath:
         # A record the sequencer already numbered keeps its number.
         assert engine.writes.stamp(first).global_seq == 1
         assert engine.writes.next_global == 3
+
+    def test_write_dropped_while_buffered_is_acked(self):
+        # a:1 waits on a dependency; the newer b:1 to the same page then
+        # supersedes it inside the drain, which must settle a:1's ack.
+        policy = ReplicationPolicy(model=CoherenceModel.EVENTUAL,
+                                   write_set=WriteSet.MULTIPLE)
+        sim, _, site = build(policy=policy)
+        site.create_server("server")
+        engine = site.create_cache("cache").engine
+        sim.run_until_idle()
+        request = Message(mk.WRITE, {})
+        engine.writes.accept_or_forward(
+            write_record("a", 1, deps=VectorClock({"z": 1})), {}, "c", request
+        )
+        assert WriteId("a", 1) in engine.writes.pending_acks
+        engine.ingest_records(
+            [write_record("b", 1, touched=("index.html",),
+                          timestamp=sim.now + 1.0)],
+            skip=None,
+        )
+        assert engine.ordering.dropped == 1
+        assert engine.writes.pending_acks == {}
+        assert engine.counters["tx:write_ack"] == 1
+
+
+class TestIngestRecords:
+    def test_drop_inside_the_drain_is_traced_under_its_own_wid(self):
+        sim, _, site = build(policy=ReplicationPolicy(
+            model=CoherenceModel.FIFO))
+        site.create_server("server")
+        engine = site.create_cache("cache").engine
+        sim.run_until_idle()
+        before = len(site.trace.events)
+        # a:1 waits on b:1; a:2 applies, which supersedes the buffered a:1.
+        engine.ingest_records([
+            write_record("a", 1, touched=("index.html",),
+                         deps=VectorClock({"b": 1})),
+            write_record("a", 2, touched=("index.html",)),
+        ], skip=None)
+        events = site.trace.events[before:]
+        assert [(type(e), str(e.wid)) for e in events] == [
+            (DropEvent, "a:1"), (ApplyEvent, "a:2"),
+        ]
 
 
 class TestReadDemandPath:
