@@ -45,7 +45,6 @@ from repro.core.interfaces import ReplicationObject, Role
 from repro.replication import messages as mk
 from repro.replication.emission import CoherenceEmitter
 from repro.replication.policy import (
-    OutdateReaction,
     PolicyError,
     ReplicationPolicy,
     TransferInitiative,
@@ -221,13 +220,11 @@ class StoreReplicationObject(ReplicationObject):
             self.invalid_keys.update(self.control.semantics_snapshot().keys())
         else:
             self.invalid_keys.update(keys)
-        if self.policy.object_outdate_reaction is OutdateReaction.DEMAND:
-            self.reads.demand(keys=sorted(self.invalid_keys) or None)
+        self.reads.outdated(self.invalid_keys)
 
     def _on_notify(self, src: str, message: Message) -> None:
         self.known_remote.merge(VectorClock(message.body["version"]))
-        if self.policy.object_outdate_reaction is OutdateReaction.DEMAND:
-            self.reads.demand()
+        self.reads.outdated()
 
     # -- the apply path every component converges on ---------------------------
 
@@ -284,7 +281,8 @@ class StoreReplicationObject(ReplicationObject):
         # parameter prevents echoing records straight back to the sender.
         if ready:
             self.apply_records(ready, skip=skip)
-        self.react_to_gap()
+        if self.ordering.has_gaps():
+            self.reads.outdated()
 
     def _on_drop(self, record: WriteRecord) -> None:
         """The ordering discarded ``record``: trace it and settle its ack."""
@@ -293,14 +291,6 @@ class StoreReplicationObject(ReplicationObject):
                 self.control.now(), self.control.address, record.wid
             )
         self.writes.settle_ack(record.wid)
-
-    def react_to_gap(self) -> None:
-        """Object-outdate reaction: the ordering buffer signals missed writes."""
-        if not self.ordering.has_gaps():
-            return
-        if self.policy.object_outdate_reaction is OutdateReaction.DEMAND:
-            if self.parent is not None:
-                self.reads.demand()
 
     # -- checkpointing ---------------------------------------------------------
 

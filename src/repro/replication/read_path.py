@@ -3,10 +3,10 @@
 One of the four protocol components behind the
 :class:`~repro.replication.engine.StoreReplicationObject` façade.  This
 component admits reads (serving them when the replica is fresh enough,
-parking them otherwise), reacts to blocked reads per the client-outdate
-reaction, issues *demands* (catch-up requests) to the parent, installs the
-full/partial/log-suffix state transfers that come back, and serves the
-downstream side of the same exchange.
+parking them otherwise), alone decides what to *demand* (catch-up) from
+the parent, for a parked read or a replica the engine reports outdated,
+installs the full/partial/log-suffix state transfers that come back, and
+serves the downstream side of the same exchange.
 
 Served reads share the **reply table** ``replies``: per invocation, the
 reply (involved keys, served version, frozen body, size) the first serve
@@ -124,29 +124,24 @@ class ReadDemandPath:
         entry = WaitingRead(src, message, invocation, client_id,
                             VectorClock(requirement), involved, weight, key)
         self.waiting.append(entry)
-        if pull:
-            self.demand()
-        else:
-            self.react_to_blocked_read(entry)
+        need = (None, None) if pull else self._need(entry)
+        if need is not None:
+            self.demand(*need)
 
-    def react_to_blocked_read(self, entry: WaitingRead) -> None:
-        """Fetch missing content, or apply the client-outdate reaction."""
+    def _need(self, entry: WaitingRead) -> Optional[tuple]:
+        """The :meth:`demand` arguments that would help a parked read.
+
+        ``None``: it waits for a push.  Missing or invalid content is always
+        fetched, a pure session gap only under the ``demand`` client reaction.
+        """
         engine = self.engine
-        fetch_keys = self.keys_needing_fetch(entry.involved, entry.absent)
-        if fetch_keys:
-            if engine.parent is not None:
-                want_full = (
-                    engine.policy.access_transfer is AccessTransfer.FULL
-                )
-                self.demand(keys=None if want_full else fetch_keys,
-                            want_full=want_full)
-            return
-        # Pure session-requirement gap: the client-outdate reaction decides.
-        if (
-            engine.policy.client_outdate_reaction is OutdateReaction.DEMAND
-            and engine.parent is not None
-        ):
-            self.demand()
+        keys = self.keys_needing_fetch(entry.involved, entry.absent)
+        if keys:
+            full = engine.policy.access_transfer is AccessTransfer.FULL
+            return (None, True) if full else (keys, False)
+        if engine.policy.client_outdate_reaction is OutdateReaction.WAIT:
+            return None
+        return None if engine.parent is None else (None, None)
 
     def keys_needing_fetch(
         self, involved: Sequence[str], absent: Collection[str] = ()
@@ -296,7 +291,7 @@ class ReadDemandPath:
         try:
             reply = resolved.result()
         except BaseException:
-            self._schedule_redemand()
+            engine.control.schedule(DEMAND_RETRY_INTERVAL, self._retry)
             return
         body = reply.body
         if body.get("full"):
@@ -318,38 +313,30 @@ class ReadDemandPath:
         if self._demand_again:
             self._demand_again = False
             self.demand()
-        elif any(self._retryable(entry) for entry in self.waiting):
-            self._schedule_redemand()
+        elif any(self._need(entry) is not None for entry in self.waiting):
+            engine.control.schedule(DEMAND_RETRY_INTERVAL, self._retry)
 
-    def _retryable(self, entry: WaitingRead) -> bool:
-        """Whether a blocked read justifies another demand round.
+    def _retry(self) -> None:
+        """Demand for the first parked read that needs it, unless in flight.
 
-        Missing/invalidated content is always fetched (access semantics);
-        a pure session-requirement gap retries only under the ``demand``
-        client-outdate reaction -- under ``wait`` the read sits until a
-        push arrives.
+        No parked read is admissible, so none is re-checked: every state
+        change that can admit one (``apply_records``, both installs, the
+        ``absent`` marking above) ends in :meth:`serve_waiting`.  A
+        pull-first read a failed round left parked may be; it pulls again.
         """
-        engine = self.engine
-        if engine.parent is None or self.admissible(
-            entry.involved, entry.requirement, entry.absent
-        ) is not None:
-            return False
-        return bool(self.keys_needing_fetch(entry.involved, entry.absent)) or (
-            engine.policy.client_outdate_reaction is OutdateReaction.DEMAND
-        )
-
-    def _schedule_redemand(self) -> None:
-        engine = self.engine
-
-        def retry() -> None:
-            if self._demand_inflight:
+        if self._demand_inflight:
+            return
+        for entry in self.waiting:
+            need = self._need(entry)
+            if need is not None:
+                self.demand(*need)
                 return
-            for entry in self.waiting:
-                if self._retryable(entry):
-                    self.react_to_blocked_read(entry)
-                    return
 
-        engine.control.schedule(DEMAND_RETRY_INTERVAL, retry)
+    def outdated(self, keys: Optional[Collection[str]] = None) -> None:
+        """The object-outdate reaction: demand (``keys``, if any), or wait."""
+        policy = self.engine.policy
+        if policy.object_outdate_reaction is OutdateReaction.DEMAND:
+            self.demand(keys=sorted(keys) if keys else None)
 
     # -- state-transfer installation ------------------------------------------
 
