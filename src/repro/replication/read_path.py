@@ -311,13 +311,15 @@ class ReadDemandPath:
             engine.ingest_records(records, skip=engine.parent)
         self.serve_waiting()
         if self._demand_again:
+            # What was asked for in flight: a parked read's keys first.
             self._demand_again = False
-            self.demand()
+            if not self._retry():
+                self.demand()
         elif any(self._need(entry) is not None for entry in self.waiting):
             engine.control.schedule(DEMAND_RETRY_INTERVAL, self._retry)
 
-    def _retry(self) -> None:
-        """Demand for the first parked read that needs it, unless in flight.
+    def _retry(self) -> bool:
+        """Demand for the first parked read needing it; True if a round is out.
 
         No parked read is admissible, so none is re-checked: every state
         change that can admit one (``apply_records``, both installs, the
@@ -325,17 +327,17 @@ class ReadDemandPath:
         pull-first read a failed round left parked may be; it pulls again.
         """
         if self._demand_inflight:
-            return
+            return True
         for entry in self.waiting:
             need = self._need(entry)
             if need is not None:
                 self.demand(*need)
-                return
+                return True
+        return False
 
     def outdated(self, keys: Optional[Collection[str]] = None) -> None:
         """The object-outdate reaction: demand (``keys``, if any), or wait."""
-        policy = self.engine.policy
-        if policy.object_outdate_reaction is OutdateReaction.DEMAND:
+        if self.engine.policy.object_outdate_reaction is OutdateReaction.DEMAND:
             self.demand(keys=sorted(keys) if keys else None)
 
     # -- state-transfer installation ------------------------------------------

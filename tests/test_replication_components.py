@@ -20,6 +20,7 @@ from repro.net.network import Network
 from repro.replication import messages as mk
 from repro.replication.emission import CoherenceEmitter
 from repro.replication.policy import (
+    AccessTransfer,
     CoherenceTransfer,
     Propagation,
     ReplicationPolicy,
@@ -28,7 +29,7 @@ from repro.replication.policy import (
     WriteSet,
 )
 from repro.replication.propagation import PropagationStrategy
-from repro.replication.read_path import ReadDemandPath
+from repro.replication.read_path import DEMAND_RETRY_INTERVAL, ReadDemandPath
 from repro.replication.write_path import WritePath
 from repro.sim.kernel import Simulator
 from repro.web.webobject import WebObject
@@ -192,8 +193,51 @@ class TestReadDemandPath:
         cache_engine.reads.demand()  # inflight: queued, not sent
         assert cache_engine.counters["tx:demand"] == 1
         sim.run_until_idle()
-        # The queued round fires after the first reply lands.
+        # No read is parked, so the queued round goes out as a log-suffix
+        # demand once the first reply lands.
         assert cache_engine.counters["tx:demand"] == 2
+
+    @staticmethod
+    def record_demands(monkeypatch, sim, server):
+        """The ``(time, keys, want_full)`` of every demand ``server`` serves."""
+        received = []
+        serve = server.engine.reads.serve_demand
+
+        def spy(src, message):
+            body = message.body
+            received.append((round(sim.now, 6), body["keys"],
+                             body["want_full"]))
+            serve(src, message)
+
+        monkeypatch.setattr(server.engine.reads, "serve_demand", spy)
+        return received
+
+    def test_keyed_demand_made_during_a_round_keeps_its_keys(
+            self, monkeypatch):
+        # b.html parks while a.html's round is out.  Its keys must go out
+        # as soon as that round lands, not after a keyless log-suffix
+        # round and a retry interval.
+        policy = ReplicationPolicy(
+            propagation=Propagation.UPDATE,
+            coherence_transfer=CoherenceTransfer.PARTIAL,
+            access_transfer=AccessTransfer.PARTIAL,
+        )
+        sim, _, site = build(policy=policy,
+                             pages={"a.html": "A", "b.html": "B"})
+        server = site.create_server("server")
+        cache = site.create_cache("cache")
+        reader = site.bind_browser("c-space", "r", read_store="cache")
+        received = self.record_demands(monkeypatch, sim, server)
+        resolved = {}
+        reader.read_page("a.html")
+        sim.run(until=0.01)
+        asked = sim.now
+        reader.read_page("b.html").add_callback(
+            lambda future: resolved.setdefault("b", sim.now))
+        sim.run_until_idle()
+        assert [keys for _, keys, _ in received] == [["a.html"], ["b.html"]]
+        assert cache.engine.counters["tx:demand"] == 2
+        assert resolved["b"] - asked < DEMAND_RETRY_INTERVAL
 
 
 class TestPropagationStrategy:

@@ -16,7 +16,7 @@ from benchmarks.perf.workloads import QUICK, sim_rep
 
 DIGESTS = {
     "sim_read_heavy":
-        "e62ea05a106ce709e948fc4208a3dc4b7a8550348fcf7ac986bbf5802475ec44",
+        "140e146c7925f51028c07ea0572d7e2de545d9a1f5031037ac4260a42623f919",
     "sim_write_fanout":
         "8ddd1898c9de3014738345ab12766fe1c9262c05cfd1eabe8ae6cd9a98a25d9e",
     "sim_faults":
