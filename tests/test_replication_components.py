@@ -8,7 +8,7 @@ on the simulator.
 
 import pytest
 
-from repro.coherence.models import CoherenceModel
+from repro.coherence.models import CoherenceModel, SessionGuarantee
 from repro.coherence.records import WriteRecord
 from repro.coherence.trace import ApplyEvent, DropEvent
 from repro.coherence.vector_clock import VectorClock
@@ -22,6 +22,7 @@ from repro.replication.emission import CoherenceEmitter
 from repro.replication.policy import (
     AccessTransfer,
     CoherenceTransfer,
+    OutdateReaction,
     Propagation,
     ReplicationPolicy,
     TransferInitiative,
@@ -198,15 +199,13 @@ class TestReadDemandPath:
         assert cache_engine.counters["tx:demand"] == 2
 
     @staticmethod
-    def record_demands(monkeypatch, sim, server):
-        """The ``(time, keys, want_full)`` of every demand ``server`` serves."""
+    def record_demands(monkeypatch, server):
+        """The ``(keys, want_full)`` of every demand ``server`` serves."""
         received = []
         serve = server.engine.reads.serve_demand
 
         def spy(src, message):
-            body = message.body
-            received.append((round(sim.now, 6), body["keys"],
-                             body["want_full"]))
+            received.append((message.body["keys"], message.body["want_full"]))
             serve(src, message)
 
         monkeypatch.setattr(server.engine.reads, "serve_demand", spy)
@@ -227,7 +226,7 @@ class TestReadDemandPath:
         server = site.create_server("server")
         cache = site.create_cache("cache")
         reader = site.bind_browser("c-space", "r", read_store="cache")
-        received = self.record_demands(monkeypatch, sim, server)
+        received = self.record_demands(monkeypatch, server)
         resolved = {}
         reader.read_page("a.html")
         sim.run(until=0.01)
@@ -235,9 +234,57 @@ class TestReadDemandPath:
         reader.read_page("b.html").add_callback(
             lambda future: resolved.setdefault("b", sim.now))
         sim.run_until_idle()
-        assert [keys for _, keys, _ in received] == [["a.html"], ["b.html"]]
+        assert [keys for keys, _ in received] == [["a.html"], ["b.html"]]
         assert cache.engine.counters["tx:demand"] == 2
         assert resolved["b"] - asked < DEMAND_RETRY_INTERVAL
+
+    @pytest.mark.parametrize("case, policy, expected", [
+        ("cold", dict(access_transfer=AccessTransfer.PARTIAL),
+         [(["index.html"], False)]),
+        ("cold", dict(access_transfer=AccessTransfer.FULL), [(None, True)]),
+        ("gap", dict(client_outdate_reaction=OutdateReaction.DEMAND),
+         [(None, False)]),
+        ("gap", dict(client_outdate_reaction=OutdateReaction.WAIT), []),
+        ("primary", dict(access_transfer=AccessTransfer.PARTIAL), []),
+    ], ids=["cold-partial", "cold-full", "gap-demand", "gap-wait",
+            "primary-missing"])
+    def test_a_parked_read_demands_what_the_policy_says(
+            self, monkeypatch, case, policy, expected):
+        if case == "gap":
+            # A pull-periodic cache that never pulls in the test's window.
+            policy = dict(
+                policy,
+                transfer_initiative=TransferInitiative.PULL,
+                transfer_instant=TransferInstant.LAZY,
+                lazy_interval=1000.0,
+                coherence_transfer=CoherenceTransfer.PARTIAL,
+                access_transfer=AccessTransfer.PARTIAL,
+            )
+        sim, _, site = build(policy=ReplicationPolicy(**policy), writer="m")
+        server = site.create_server("server")
+        site.create_cache("cache")
+        received = self.record_demands(monkeypatch, server)
+        if case == "primary":
+            reader = site.bind_browser("c-space", "r", read_store="server")
+            read = reader.read_page("ghost.html")
+        else:
+            reader = site.bind_browser(
+                "c-space", "m", read_store="cache", write_store="server",
+                guarantees=[SessionGuarantee.READ_YOUR_WRITES])
+            if case == "gap":
+                # Cache the page, then write past the cached copy: the
+                # next read is held back by its session requirement alone.
+                reader.read_page("index.html")
+                sim.run(until=1.0)
+                reader.write_page("index.html", "v1")
+                sim.run(until=2.0)
+                received.clear()
+            read = reader.read_page("index.html")
+        sim.run(until=sim.now + 1.0)
+        assert received == expected
+        if case == "primary":  # the semantics error, not a fetch
+            with pytest.raises(Exception, match="ghost.html"):
+                read.result()
 
 
 class TestPropagationStrategy:

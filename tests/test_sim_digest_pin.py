@@ -6,8 +6,10 @@ counter, the per-kind engine counters and the time-free coherence
 signature.  A change meant only to make the code faster (or smaller)
 must leave all three digests below unchanged.  A deliberate model change
 (one that alters what goes on the wire or which decisions a store takes)
-re-records them here, in the same commit, together with the benchmark's
-``baseline.json``.
+re-records the digests it moves here, in the same commit.  The
+benchmark's ``baseline.json`` is not touched by such a change: it is
+re-recorded by the one change to the benchmark itself (ROADMAP item
+2(a)).
 """
 
 import pytest
