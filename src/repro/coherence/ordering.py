@@ -180,6 +180,25 @@ class PramOrdering(OrderingDiscipline):
 
     model = CoherenceModel.PRAM
 
+    def offer(self, record: WriteRecord) -> List[WriteRecord]:
+        """The base :meth:`~OrderingDiscipline.offer`, short in order.
+
+        With nothing buffered and no dependency vector, PRAM never
+        supersedes and its duplicate test is ``applied`` itself: the
+        client's next seqno is released and recorded, a covered one is
+        dropped silently.  Anything else takes the general body.
+        """
+        if not self.buffer and record.deps is None:
+            wid = record.wid
+            applied = self.applied
+            last = applied.get(wid.client_id)
+            if wid.seqno == last + 1:
+                applied.advance(wid.client_id, wid.seqno)
+                return [record]
+            if wid.seqno <= last:
+                return []
+        return super().offer(record)
+
     def _ready(self, record: WriteRecord) -> bool:
         return record.wid.seqno == self.applied.get(record.wid.client_id) + 1
 

@@ -39,8 +39,13 @@ class ControlObject(ControlInterface):
         self.replication = replication
         self.semantics = semantics
         self._role = role
-        comm.set_handler(self._on_message)
+        comm.set_handler(replication.handle_message)
         replication.attach(self)
+        if semantics is not None:
+            # Every applied write and served read calls these: bind them
+            # to the semantics object once instead of forwarding per call.
+            self.apply_local = semantics.apply
+            self.can_apply = semantics.can_apply
 
     # -- ControlInterface ---------------------------------------------------
 
@@ -127,9 +132,6 @@ class ControlObject(ControlInterface):
         for (1 for an ordinary client; see :mod:`repro.workload.cohort`).
         """
         return self.replication.handle_invocation(invocation, weight=weight)
-
-    def _on_message(self, src: str, message: Message) -> None:
-        self.replication.handle_message(src, message)
 
     def close(self) -> None:
         """Tear down the composition."""

@@ -231,57 +231,79 @@ class StoreReplicationObject(ReplicationObject):
     def apply_records(
         self, records: Sequence[WriteRecord], skip: Optional[str] = None
     ) -> None:
-        """Apply ordering-released records, then propagate and serve reads."""
+        """Apply ordering-released records, then propagate and serve reads.
+
+        Runs once per pushed batch at every replica, so what the loop
+        reads is looked up once per batch: the control's bound semantics
+        calls, the trace's clock and address, and whether any write ack
+        or parked read could be waiting on this batch at all.
+        """
         if not records:
             return
         self.reads.replies = {}
         control = self.control
+        can_apply = control.can_apply
+        apply_local = control.apply_local
         trace = self.trace
+        if trace is not None:
+            now = control.now()
+            address = control.address
         primary = self.parent is None
         applied = self.ordering.applied
+        as_of = self.as_of
+        invalid_keys = self.invalid_keys
+        log = self.log
+        writes = self.writes
+        pending_acks = writes.pending_acks
         # The ordering advanced ``applied`` for the whole batch before
         # releasing it, so one stamp serves every record in it.
         stamp = applied.copy()
         for record in records:
-            applicable = primary or control.can_apply(record.invocation)
-            self.log.append(record)
-            if applicable:
-                control.apply_local(record.invocation)
+            log.append(record)
+            if primary or can_apply(record.invocation):
+                apply_local(record.invocation)
                 for key in record.touched:
-                    self.as_of[key] = stamp
-                    self.invalid_keys.discard(key)
+                    as_of[key] = stamp
+                    invalid_keys.discard(key)
             else:
                 # A delta for content this partial replica never cached:
                 # leave the page uncached so a later read fetches it whole.
                 for key in record.touched:
-                    self.as_of.pop(key, None)
-                    self.invalid_keys.add(key)
+                    as_of.pop(key, None)
+                    invalid_keys.add(key)
             if trace is not None:
                 deps = record.deps
                 trace.record_apply(
-                    time=control.now(),
-                    store=control.address,
+                    time=now,
+                    store=address,
                     wid=record.wid,
                     applied_vc=applied.as_dict(),
                     global_seq=record.global_seq,
                     deps=deps.as_dict() if deps is not None else None,
                 )
-            self.writes.settle_ack(record.wid)
+            if pending_acks:
+                writes.settle_ack(record.wid)
         self.propagation.propagate(records, skip=skip)
-        self.reads.serve_waiting()
+        if self.reads.waiting:
+            self.reads.serve_waiting()
 
     def ingest_records(
         self, records: Sequence[WriteRecord], skip: Optional[str]
     ) -> None:
         """Offer received records to the ordering, applying what's released."""
-        ready: List[WriteRecord] = []
-        for record in records:
-            ready.extend(self.ordering.offer(record))
+        ordering = self.ordering
+        if len(records) == 1:
+            # A one-write push or an accepted write: no batch to build.
+            ready = ordering.offer(records[0])
+        else:
+            ready = []
+            for record in records:
+                ready.extend(ordering.offer(record))
         # Propagation cascade happens inside apply_records; the skip
         # parameter prevents echoing records straight back to the sender.
         if ready:
             self.apply_records(ready, skip=skip)
-        if self.ordering.has_gaps():
+        if ordering.has_gaps():
             self.reads.outdated()
 
     def _on_drop(self, record: WriteRecord) -> None:

@@ -86,7 +86,10 @@ class PropagationStrategy:
                 decision=decision, records=len(records),
                 strategy=engine.strategy_label,
             )
-        if engine.policy.transfer_initiative is TransferInitiative.PULL:
+        if (
+            engine.policy.transfer_initiative is TransferInitiative.PULL
+            or not engine.children
+        ):
             return
         targets = [c for c in engine.children if c != skip]
         if not targets:

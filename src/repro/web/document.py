@@ -35,6 +35,8 @@ class WebDocument(SemanticsObject):
     WRITE_METHODS = frozenset(
         {"write_page", "append_to_page", "delete_page"}
     )
+    #: The invocation targets: all a marshalled invocation may name.
+    METHODS = ("read_page", "list_pages") + tuple(sorted(WRITE_METHODS))
 
     def __init__(
         self,
@@ -43,6 +45,10 @@ class WebDocument(SemanticsObject):
     ) -> None:
         self.pages: Dict[str, Page] = {}
         self._clock = clock or (lambda: 0.0)
+        #: What :meth:`apply` may call: the document methods, bound once.
+        self._methods: Dict[str, Callable[..., Any]] = {
+            name: getattr(self, name) for name in self.METHODS
+        }
         for name, content in (pages or {}).items():
             self.pages[name] = Page(
                 name=name, content=content, version=1, last_modified=0.0
@@ -65,17 +71,22 @@ class WebDocument(SemanticsObject):
         self, name: str, content: str, content_type: str = "text/html"
     ) -> Dict[str, Any]:
         """Create or replace a page."""
-        existing = self.pages.get(name)
-        version = existing.version + 1 if existing is not None else 1
-        page = Page(
-            name=name,
-            content=content,
-            content_type=content_type,
-            version=version,
-            last_modified=self._clock(),
-        )
-        self.pages[name] = page
-        return {"name": name, "version": version}
+        if name not in self.pages:
+            self.pages[name] = Page(
+                name=name,
+                content=content,
+                content_type=content_type,
+                version=1,
+                last_modified=self._clock(),
+            )
+            return {"name": name, "version": 1}
+        # In place, as an append: every reader got a copy (``to_dict``).
+        existing = self.pages[name]
+        existing.content = content
+        existing.content_type = content_type
+        existing.version += 1
+        existing.last_modified = self._clock()
+        return {"name": name, "version": existing.version}
 
     def append_to_page(self, name: str, text: str) -> Dict[str, Any]:
         """Incrementally extend a page (creating it if absent).
@@ -105,12 +116,16 @@ class WebDocument(SemanticsObject):
     # -- SemanticsObject interface ----------------------------------------------
 
     def apply(self, invocation: MarshalledInvocation) -> Any:
-        method = getattr(self, invocation.method, None)
-        if method is None or invocation.method.startswith("_"):
+        """Run one of :attr:`METHODS` named by ``invocation``."""
+        try:
+            method = self._methods[invocation.method]
+        except KeyError:
             raise AttributeError(
                 f"WebDocument has no method {invocation.method!r}"
-            )
-        return method(*invocation.args, **invocation.kwargs_dict())
+            ) from None
+        if invocation.kwargs:
+            return method(*invocation.args, **dict(invocation.kwargs))
+        return method(*invocation.args)
 
     def touched_keys(self, invocation: MarshalledInvocation) -> Sequence[str]:
         if invocation.method in (

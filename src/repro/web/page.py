@@ -13,7 +13,7 @@ class PageNotFound(KeyError):
         return self.args[0] if self.args else "page not found"
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Page:
     """One named page (or embedded resource) of a Web document.
 
