@@ -116,13 +116,23 @@ class WebDocument(SemanticsObject):
     # -- SemanticsObject interface ----------------------------------------------
 
     def apply(self, invocation: MarshalledInvocation) -> Any:
-        """Run one of :attr:`METHODS` named by ``invocation``."""
+        """Run one of :attr:`METHODS` named by ``invocation``.
+
+        A read-only invocation of a :attr:`WRITE_METHODS` member is
+        refused: only replication may change a replica, so a "read" that
+        would write never reaches the page.
+        """
         try:
             method = self._methods[invocation.method]
         except KeyError:
             raise AttributeError(
                 f"WebDocument has no method {invocation.method!r}"
             ) from None
+        if invocation.read_only and invocation.method in self.WRITE_METHODS:
+            raise ValueError(
+                f"{invocation.method!r} modifies the document; a read-only "
+                "invocation cannot call it"
+            )
         if invocation.kwargs:
             return method(*invocation.args, **dict(invocation.kwargs))
         return method(*invocation.args)

@@ -154,3 +154,65 @@ class TestWriteRecordWire:
         assert restored.wid == record.wid
         assert restored.deps == record.deps
         assert restored.timestamp == ts
+
+
+class TestReadsCannotWrite:
+    """A read-only invocation never changes a replica.
+
+    Only replication may change a replica: a write is ordered, logged and
+    pushed.  A "read" naming a write method, or anything that is not a
+    document method, is refused with the read's error reply, and the
+    replica it reached stays as it was.
+    """
+
+    @staticmethod
+    def warmed():
+        from repro.report.grid import STRATEGIES
+        from repro.workload.profiles import default_pages
+        from repro.workload.scenarios import build_tree
+
+        deployment = build_tree(
+            policy=STRATEGIES["push-update"].build_policy(), n_caches=2,
+            pages=dict(default_pages()))
+        reader = deployment.browsers["reader-0-0"]
+        resolve(deployment.sim, reader.read_page("page-0.html"))
+        return deployment, reader
+
+    @pytest.mark.parametrize("method,args", [
+        ("delete_page", ("page-0.html",)),
+        ("write_page", ("page-0.html", "forged")),
+        ("append_to_page", ("page-0.html", "forged")),
+        ("set_clock", (None,)),
+        ("snapshot", ()),
+        ("pages", ()),
+    ])
+    def test_read_of_a_non_read_method_is_refused(self, method, args):
+        from repro.replication.client import ReplicaError
+
+        deployment, reader = self.warmed()
+        states = deployment.site.store_states()
+        before = reader.read_page("page-0.html")
+        resolve(deployment.sim, before)
+        future = reader._stub.read(method, *args)
+        with pytest.raises(ReplicaError):
+            resolve(deployment.sim, future)
+        assert deployment.site.store_states() == states
+        after = reader.read_page("page-0.html")
+        assert resolve(deployment.sim, after) == before.result()
+        # The cache still stamps and serves writes pushed to it.
+        master = deployment.browsers["master"]
+        resolve(deployment.sim, master.write_page("page-0.html", "new"))
+        deployment.sim.run_until_idle()
+        fresh = resolve(deployment.sim, reader.read_page("page-0.html"))
+        assert fresh["content"] == "new"
+
+    def test_document_refuses_a_read_only_write_method(self):
+        doc = WebDocument(pages={"p": "x"})
+        for method, args in [("write_page", ("p", "y")),
+                             ("append_to_page", ("p", "y")),
+                             ("delete_page", ("p",))]:
+            with pytest.raises(ValueError, match="read-only"):
+                doc.apply(MarshalledInvocation(method, args))
+        assert doc.read_page("p")["content"] == "x"
+        assert doc.apply(MarshalledInvocation("read_page", ("p",)))[
+            "content"] == "x"
