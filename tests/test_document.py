@@ -134,6 +134,39 @@ class TestStateTransfer:
         replica.write_page("x", "y")
         assert replica.read_page("x")["last_modified"] == 3.0
 
+    def test_write_in_place_changes_no_earlier_copy(self):
+        # ``write_page`` updates the page object in place: every copy
+        # handed out before must keep the old content and version.
+        doc = WebDocument(pages={"a": "old", "b": "keep"}, clock=lambda: 2.0)
+        read = doc.read_page("a")
+        full = doc.snapshot()
+        partial = doc.partial_snapshot(["a"])
+        doc.write_page("a", "new", content_type="text/plain")
+        for copy in (read, full["a"], partial["a"]):
+            assert copy == {"name": "a", "content": "old",
+                            "content_type": "text/html", "version": 1,
+                            "last_modified": 0.0}
+        assert doc.read_page("a") == {"name": "a", "content": "new",
+                                      "content_type": "text/plain",
+                                      "version": 2, "last_modified": 2.0}
+
+    def test_write_after_restore_partial_changes_neither_source(self):
+        source = WebDocument(pages={"a": "old"})
+        state = source.partial_snapshot(["a"])
+        replica = WebDocument()
+        replica.restore_partial(state)
+        replica.write_page("a", "new")
+        assert state["a"]["content"] == "old"
+        assert state["a"]["version"] == 1
+        assert source.read_page("a")["content"] == "old"
+        assert replica.read_page("a")["version"] == 2
+        # Restoring the same state again resets the replica's page only.
+        replica.restore_partial(state)
+        replica.write_page("a", "newer")
+        assert state["a"]["content"] == "old"
+        assert replica.read_page("a")["content"] == "newer"
+        assert replica.read_page("a")["version"] == 2
+
     @given(st.dictionaries(st.text(min_size=1, max_size=8),
                            st.text(max_size=32), max_size=6))
     def test_snapshot_roundtrip_property(self, pages):
@@ -144,6 +177,9 @@ class TestStateTransfer:
 
 
 class TestPage:
+    def test_slotted(self):
+        assert not hasattr(Page("a"), "__dict__")
+
     def test_wire_roundtrip(self):
         page = Page("a", "body", "text/plain", 4, 1.5)
         assert Page.from_dict(page.to_dict()) == page
