@@ -51,13 +51,20 @@ class ControlObject(ControlInterface):
 
     @property
     def address(self) -> str:
+        """The communication object's network address."""
         return self.comm.address
 
     @property
     def role(self) -> Role:
+        """The store role (or client) this local object plays."""
         return self._role
 
     def apply_local(self, invocation: MarshalledInvocation) -> Any:
+        """Apply ``invocation`` to the semantics object.
+
+        Only reached without one: ``__init__`` binds this name to
+        ``semantics.apply`` when there is a semantics object.
+        """
         if self.semantics is None:
             raise RuntimeError(
                 f"{self.address}: no semantics object in a {self._role.value} "
@@ -66,16 +73,22 @@ class ControlObject(ControlInterface):
         return self.semantics.apply(invocation)
 
     def touched_keys(self, invocation: MarshalledInvocation) -> Sequence[str]:
+        """The semantics object's keys for ``invocation``; none without one."""
         if self.semantics is None:
             return ()
         return self.semantics.touched_keys(invocation)
 
     def missing_keys(self, keys) -> Sequence[str]:
+        """The ``keys`` absent here; all of them without a semantics object."""
         if self.semantics is None:
             return tuple(keys)
         return self.semantics.missing_keys(keys)
 
     def can_apply(self, invocation: MarshalledInvocation) -> bool:
+        """Whether this replica can apply ``invocation``.
+
+        Only reached without a semantics object, as :meth:`apply_local`.
+        """
         if self.semantics is None:
             return False
         return self.semantics.can_apply(invocation)
@@ -83,6 +96,7 @@ class ControlObject(ControlInterface):
     def semantics_snapshot(
         self, keys: Optional[Sequence[str]] = None
     ) -> Dict[str, Any]:
+        """A full snapshot, or one of ``keys`` only."""
         if self.semantics is None:
             raise RuntimeError(f"{self.address}: no semantics object")
         if keys is None:
@@ -90,6 +104,7 @@ class ControlObject(ControlInterface):
         return self.semantics.partial_snapshot(keys)
 
     def semantics_restore(self, state: Dict[str, Any], partial: bool) -> None:
+        """Install a full or (``partial``) per-key snapshot."""
         if self.semantics is None:
             raise RuntimeError(f"{self.address}: no semantics object")
         if partial:
@@ -98,9 +113,11 @@ class ControlObject(ControlInterface):
             self.semantics.restore(state)
 
     def send(self, dst: str, message: Message) -> None:
+        """Send ``message`` one way to ``dst``."""
         self.comm.send(dst, message)
 
     def multicast(self, dsts: Sequence[str], message: Message) -> None:
+        """Send one ``message`` to every address in ``dsts``."""
         self.comm.multicast(dsts, message)
 
     def request(
@@ -110,15 +127,19 @@ class ControlObject(ControlInterface):
         timeout: Optional[float] = None,
         retries: int = 0,
     ) -> Future:
+        """Send a request to ``dst``; the future resolves with its reply."""
         return self.comm.request(dst, message, timeout=timeout, retries=retries)
 
     def reply(self, dst: str, response: Message) -> None:
+        """Answer a request from ``dst`` with ``response``."""
         self.comm.reply(dst, response)
 
     def schedule(self, delay: float, fn, *args, daemon: bool = False) -> Any:
+        """Run ``fn(*args)`` after ``delay`` on the local clock."""
         return self.sim.schedule(delay, fn, *args, daemon=daemon)
 
     def now(self) -> float:
+        """The local clock's current time."""
         return self.sim.now
 
     # -- inbound paths --------------------------------------------------------

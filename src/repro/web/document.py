@@ -138,6 +138,7 @@ class WebDocument(SemanticsObject):
         return method(*invocation.args)
 
     def touched_keys(self, invocation: MarshalledInvocation) -> Sequence[str]:
+        """The page a page method names, by position or as ``name=``."""
         if invocation.method in (
             "read_page", "write_page", "append_to_page", "delete_page"
         ):
@@ -149,9 +150,11 @@ class WebDocument(SemanticsObject):
         return ()
 
     def missing_keys(self, keys: Sequence[str]) -> Sequence[str]:
+        """The names in ``keys`` this document holds no page for."""
         return tuple(key for key in keys if key not in self.pages)
 
     def can_apply(self, invocation: MarshalledInvocation) -> bool:
+        """Whether the page a delta (append, delete) needs is here."""
         # Appends and deletes are deltas: they need the base page.  A
         # replica that never cached the page must skip them (the engine
         # marks the page uncached; a later read refetches it whole).
@@ -161,14 +164,17 @@ class WebDocument(SemanticsObject):
         return True
 
     def snapshot(self) -> Dict[str, Any]:
+        """Every page, in wire form."""
         return {name: page.to_dict() for name, page in self.pages.items()}
 
     def restore(self, state: Dict[str, Any]) -> None:
+        """Replace every page with those of a :meth:`snapshot`."""
         self.pages = {
             name: Page.from_dict(data) for name, data in state.items()
         }
 
     def partial_snapshot(self, keys: Sequence[str]) -> Dict[str, Any]:
+        """The pages named in ``keys`` that exist, in wire form."""
         return {
             name: self.pages[name].to_dict()
             for name in keys
@@ -176,10 +182,12 @@ class WebDocument(SemanticsObject):
         }
 
     def restore_partial(self, state: Dict[str, Any]) -> None:
+        """Replace or add the pages of a :meth:`partial_snapshot`."""
         for name, data in state.items():
             self.pages[name] = Page.from_dict(data)
 
     def fresh(self) -> "WebDocument":
+        """An empty document on the same clock."""
         return WebDocument(clock=self._clock)
 
     # -- equality (convergence checks compare snapshots) ----------------------
