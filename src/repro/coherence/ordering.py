@@ -181,12 +181,13 @@ class PramOrdering(OrderingDiscipline):
     model = CoherenceModel.PRAM
 
     def offer(self, record: WriteRecord) -> List[WriteRecord]:
-        """The base :meth:`~OrderingDiscipline.offer`, short in order.
+        """The base :meth:`~OrderingDiscipline.offer`, shorter in order.
 
-        With nothing buffered and no dependency vector, PRAM never
-        supersedes and its duplicate test is ``applied`` itself: the
-        client's next seqno is released and recorded, a covered one is
-        dropped silently.  Anything else takes the general body.
+        With nothing buffered and no dependency vector, only ``applied``
+        decides (PRAM never supersedes, and ``applied`` is its duplicate
+        test): the client's next seqno is recorded and released, and a
+        seqno already covered is ignored.  Anything else takes the
+        general body.
         """
         if not self.buffer and record.deps is None:
             wid = record.wid

@@ -35,8 +35,6 @@ class WebDocument(SemanticsObject):
     WRITE_METHODS = frozenset(
         {"write_page", "append_to_page", "delete_page"}
     )
-    #: The invocation targets: all a marshalled invocation may name.
-    METHODS = ("read_page", "list_pages") + tuple(sorted(WRITE_METHODS))
 
     def __init__(
         self,
@@ -45,10 +43,6 @@ class WebDocument(SemanticsObject):
     ) -> None:
         self.pages: Dict[str, Page] = {}
         self._clock = clock or (lambda: 0.0)
-        #: What :meth:`apply` may call: the document methods, bound once.
-        self._methods: Dict[str, Callable[..., Any]] = {
-            name: getattr(self, name) for name in self.METHODS
-        }
         for name, content in (pages or {}).items():
             self.pages[name] = Page(
                 name=name, content=content, version=1, last_modified=0.0
@@ -113,17 +107,26 @@ class WebDocument(SemanticsObject):
         """Names of all pages, sorted."""
         return sorted(self.pages)
 
+    #: The invocation targets, by name: all :meth:`apply` may call.
+    METHODS: Dict[str, Callable[..., Any]] = {
+        "read_page": read_page,
+        "write_page": write_page,
+        "append_to_page": append_to_page,
+        "delete_page": delete_page,
+        "list_pages": list_pages,
+    }
+
     # -- SemanticsObject interface ----------------------------------------------
 
     def apply(self, invocation: MarshalledInvocation) -> Any:
-        """Run one of :attr:`METHODS` named by ``invocation``.
+        """Run the one of :attr:`METHODS` that ``invocation`` names.
 
         A read-only invocation of a :attr:`WRITE_METHODS` member is
         refused: only replication may change a replica, so a "read" that
         would write never reaches the page.
         """
         try:
-            method = self._methods[invocation.method]
+            method = self.METHODS[invocation.method]
         except KeyError:
             raise AttributeError(
                 f"WebDocument has no method {invocation.method!r}"
@@ -134,8 +137,8 @@ class WebDocument(SemanticsObject):
                 "invocation cannot call it"
             )
         if invocation.kwargs:
-            return method(*invocation.args, **dict(invocation.kwargs))
-        return method(*invocation.args)
+            return method(self, *invocation.args, **dict(invocation.kwargs))
+        return method(self, *invocation.args)
 
     def touched_keys(self, invocation: MarshalledInvocation) -> Sequence[str]:
         """The page a page method names, by position or as ``name=``."""
