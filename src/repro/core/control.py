@@ -65,12 +65,10 @@ class ControlObject(ControlInterface):
         Only reached without one: ``__init__`` binds this name to
         ``semantics.apply`` when there is a semantics object.
         """
-        if self.semantics is None:
-            raise RuntimeError(
-                f"{self.address}: no semantics object in a {self._role.value} "
-                "local object"
-            )
-        return self.semantics.apply(invocation)
+        raise RuntimeError(
+            f"{self.address}: no semantics object in a {self._role.value} "
+            "local object"
+        )
 
     def touched_keys(self, invocation: MarshalledInvocation) -> Sequence[str]:
         """The semantics object's keys for ``invocation``; none without one."""
@@ -87,11 +85,10 @@ class ControlObject(ControlInterface):
     def can_apply(self, invocation: MarshalledInvocation) -> bool:
         """Whether this replica can apply ``invocation``.
 
-        Only reached without a semantics object, as :meth:`apply_local`.
+        Only reached without a semantics object, which holds nothing to
+        apply to (see :meth:`apply_local`).
         """
-        if self.semantics is None:
-            return False
-        return self.semantics.can_apply(invocation)
+        return False
 
     def semantics_snapshot(
         self, keys: Optional[Sequence[str]] = None

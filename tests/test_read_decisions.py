@@ -19,7 +19,6 @@ from repro.coherence import session
 from repro.comm import message
 from repro.comm.invocation import MarshalledInvocation
 from repro.comm.message import estimate_size
-from repro.core.control import ControlObject
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.obs import trace_run
@@ -34,6 +33,7 @@ from repro.replication.policy import (
 )
 from repro.report.grid import STRATEGIES
 from repro.sim.kernel import Simulator
+from repro.web.document import WebDocument
 from repro.web.webobject import WebObject
 
 from tests.conftest import resolve
@@ -105,17 +105,19 @@ class TestWarmRead:
         for _ in range(2):  # fills the table and the client's caches
             resolve(sim, reader.read_page("p"))
         calls = collections.Counter()
-        apply_local = ControlObject.apply_local
+        read_page = WebDocument.METHODS["read_page"]
 
-        def counted_apply(self, invocation):
-            calls["apply_local"] += 1
-            return apply_local(self, invocation)
+        def counted_read(self, name):
+            calls["read_page"] += 1
+            return read_page(self, name)
 
         def counted_size(value):
             calls["estimate_size"] += 1
             return estimate_size(value)
 
-        monkeypatch.setattr(ControlObject, "apply_local", counted_apply)
+        # The store's control calls the document's bound ``apply``,
+        # which dispatches through this table.
+        monkeypatch.setitem(WebDocument.METHODS, "read_page", counted_read)
         for module in (message, read_path, client, session):
             monkeypatch.setattr(module, "estimate_size", counted_size,
                                 raising=False)
