@@ -11,11 +11,15 @@ from repro.core.interfaces import Role, STORE_LAYERS
 from repro.core.local_object import LocalObject
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
+from repro.replication.client import ReplicaError
 from repro.replication.engine import StoreReplicationObject
 from repro.replication.policy import ReplicationPolicy
+from repro.report.grid import STRATEGIES
 from repro.sim.kernel import Simulator
 from repro.web.document import WebDocument
 from repro.web.webobject import WebObject
+from repro.workload.profiles import default_pages
+from repro.workload.scenarios import build_tree
 from tests.conftest import resolve
 
 
@@ -167,10 +171,6 @@ class TestReadsCannotWrite:
 
     @staticmethod
     def warmed():
-        from repro.report.grid import STRATEGIES
-        from repro.workload.profiles import default_pages
-        from repro.workload.scenarios import build_tree
-
         deployment = build_tree(
             policy=STRATEGIES["push-update"].build_policy(), n_caches=2,
             pages=dict(default_pages()))
@@ -187,8 +187,6 @@ class TestReadsCannotWrite:
         ("pages", ()),
     ])
     def test_read_of_a_non_read_method_is_refused(self, method, args):
-        from repro.replication.client import ReplicaError
-
         deployment, reader = self.warmed()
         states = deployment.site.store_states()
         before = reader.read_page("page-0.html")
@@ -199,7 +197,7 @@ class TestReadsCannotWrite:
         assert deployment.site.store_states() == states
         after = reader.read_page("page-0.html")
         assert resolve(deployment.sim, after) == before.result()
-        # The cache still stamps and serves writes pushed to it.
+        # The cache still applies and serves a write pushed to it.
         master = deployment.browsers["master"]
         resolve(deployment.sim, master.write_page("page-0.html", "new"))
         deployment.sim.run_until_idle()
