@@ -11,8 +11,10 @@ sub-objects behind standardized interfaces:
   system-provided messaging;
 - **replication object** (:class:`ReplicationObject`) -- the pluggable
   coherence protocol (implementations live in :mod:`repro.replication`);
+  it sends through the communication object and reads the clock directly;
 - **control object** (:class:`ControlObject`) -- glue that routes client
-  invocations between the semantics and replication objects.
+  invocations to the replication object and fronts the semantics object
+  for it.
 
 Clients never see the composition: :meth:`DistributedSharedObject.bind`
 installs a local object in the client's address space and hands back a
@@ -20,12 +22,7 @@ installs a local object in the client's address space and hands back a
 """
 
 from repro.core.ids import Address, ObjectId, WriteId, fresh_object_id
-from repro.core.interfaces import (
-    ControlInterface,
-    ReplicationObject,
-    Role,
-    SemanticsObject,
-)
+from repro.core.interfaces import ReplicationObject, Role, SemanticsObject
 from repro.core.control import ControlObject
 from repro.core.local_object import LocalObject
 from repro.core.stub import Stub
@@ -50,7 +47,6 @@ __all__ = [
     "BindError",
     "BoundClient",
     "Store",
-    "ControlInterface",
     "ControlObject",
     "DistributedSharedObject",
     "LocalObject",

@@ -1,9 +1,12 @@
 """The control sub-object.
 
-The control object is the hub of a local object: incoming client method
-calls and incoming protocol messages both land here and are routed to the
-replication object, which in turn reaches the semantics object back through
-the control object's :class:`~repro.core.interfaces.ControlInterface`.
+The control object routes the client method calls issued in its address
+space to the replication object and fronts the semantics object for it:
+the replication object applies, checks and snapshots state only through
+the control object.  Protocol messages reach the replication object from
+the communication object directly, and the replication object sends
+through that communication object and reads the clock itself (bound once
+by :meth:`~repro.core.interfaces.ReplicationObject.attach`).
 """
 
 from __future__ import annotations
@@ -12,18 +15,12 @@ from typing import Any, Dict, Optional, Sequence
 
 from repro.comm.endpoint import CommunicationObject
 from repro.comm.invocation import MarshalledInvocation
-from repro.comm.message import Message
-from repro.core.interfaces import (
-    ControlInterface,
-    ReplicationObject,
-    Role,
-    SemanticsObject,
-)
+from repro.core.interfaces import ReplicationObject, Role, SemanticsObject
 from repro.sim.future import Future
 from repro.transport.interface import Clock
 
 
-class ControlObject(ControlInterface):
+class ControlObject:
     """Concrete control object wiring the four sub-objects together."""
 
     def __init__(
@@ -47,7 +44,7 @@ class ControlObject(ControlInterface):
             self.apply_local = semantics.apply
             self.can_apply = semantics.can_apply
 
-    # -- ControlInterface ---------------------------------------------------
+    # -- identity and the semantics object -------------------------------------
 
     @property
     def address(self) -> str:
@@ -108,36 +105,6 @@ class ControlObject(ControlInterface):
             self.semantics.restore_partial(state)
         else:
             self.semantics.restore(state)
-
-    def send(self, dst: str, message: Message) -> None:
-        """Send ``message`` one way to ``dst``."""
-        self.comm.send(dst, message)
-
-    def multicast(self, dsts: Sequence[str], message: Message) -> None:
-        """Send one ``message`` to every address in ``dsts``."""
-        self.comm.multicast(dsts, message)
-
-    def request(
-        self,
-        dst: str,
-        message: Message,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-    ) -> Future:
-        """Send a request to ``dst``; the future resolves with its reply."""
-        return self.comm.request(dst, message, timeout=timeout, retries=retries)
-
-    def reply(self, dst: str, response: Message) -> None:
-        """Answer a request from ``dst`` with ``response``."""
-        self.comm.reply(dst, response)
-
-    def schedule(self, delay: float, fn, *args, daemon: bool = False) -> Any:
-        """Run ``fn(*args)`` after ``delay`` on the local clock."""
-        return self.sim.schedule(delay, fn, *args, daemon=daemon)
-
-    def now(self) -> float:
-        """The local clock's current time."""
-        return self.sim.now
 
     # -- inbound paths --------------------------------------------------------
 

@@ -4,18 +4,23 @@ The paper's key structural claim is that replication and communication
 objects have *standardized* interfaces and are unaware of the semantics
 object's methods and state -- they see only marshalled invocations.  These
 abstract classes are those interfaces; every concrete coherence protocol in
-:mod:`repro.replication` implements :class:`ReplicationObject` against
-:class:`ControlInterface` without ever importing a semantics class.
+:mod:`repro.replication` implements :class:`ReplicationObject` without ever
+importing a semantics class.  A replication object sends through its
+communication object and reads its clock directly; it reaches the semantics
+object only through the control object.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Sequence, Tuple
 
 from repro.comm.invocation import MarshalledInvocation
 from repro.comm.message import Message
 from repro.sim.future import Future
+
+if TYPE_CHECKING:
+    from repro.core.control import ControlObject
 
 
 class Role(enum.Enum):
@@ -99,91 +104,31 @@ class SemanticsObject:
         raise NotImplementedError
 
 
-class ControlInterface:
-    """What a replication object may ask of its control object."""
-
-    @property
-    def address(self) -> str:
-        """Network address of this local object's address space."""
-        raise NotImplementedError
-
-    @property
-    def role(self) -> Role:
-        """This local object's store role."""
-        raise NotImplementedError
-
-    def apply_local(self, invocation: MarshalledInvocation) -> Any:
-        """Apply an invocation to the co-located semantics object."""
-        raise NotImplementedError
-
-    def touched_keys(self, invocation: MarshalledInvocation) -> Sequence[str]:
-        """Delegate of :meth:`SemanticsObject.touched_keys`."""
-        raise NotImplementedError
-
-    def missing_keys(self, keys) -> Sequence[str]:
-        """Delegate of :meth:`SemanticsObject.missing_keys`."""
-        raise NotImplementedError
-
-    def can_apply(self, invocation: MarshalledInvocation) -> bool:
-        """Delegate of :meth:`SemanticsObject.can_apply`."""
-        raise NotImplementedError
-
-    def semantics_snapshot(self, keys: Optional[Sequence[str]] = None) -> Dict[str, Any]:
-        """Full (``keys is None``) or partial snapshot of local semantics."""
-        raise NotImplementedError
-
-    def semantics_restore(self, state: Dict[str, Any], partial: bool) -> None:
-        """Install a received snapshot into local semantics."""
-        raise NotImplementedError
-
-    def send(self, dst: str, message: Message) -> None:
-        """Point-to-point send through the communication object."""
-        raise NotImplementedError
-
-    def multicast(self, dsts: Sequence[str], message: Message) -> None:
-        """Multicast through the communication object."""
-        raise NotImplementedError
-
-    def request(
-        self,
-        dst: str,
-        message: Message,
-        timeout: Optional[float] = None,
-        retries: int = 0,
-    ) -> Future:
-        """Send/receive through the communication object."""
-        raise NotImplementedError
-
-    def reply(self, dst: str, response: Message) -> None:
-        """Answer a request through the communication object."""
-        raise NotImplementedError
-
-    def schedule(self, delay: float, fn, *args, daemon: bool = False) -> Any:
-        """Schedule a timer on the simulation kernel.
-
-        ``daemon`` timers (periodic pulls) do not keep drain runs alive.
-        """
-        raise NotImplementedError
-
-    def now(self) -> float:
-        """Current virtual time."""
-        raise NotImplementedError
-
-
 class ReplicationObject:
     """The pluggable coherence/replication protocol of a local object.
 
     Exactly one replication object exists per local object.  The control
     object calls :meth:`handle_invocation` for client method calls arriving
-    in this address space and :meth:`handle_message` for protocol traffic
-    from peers; the replication object drives everything else through its
-    :class:`ControlInterface`.  Only a client's replication object takes
-    method calls: a store's one input is a protocol message.
+    in this address space; the communication object calls
+    :meth:`handle_message` for protocol traffic from peers.  The
+    replication object sends through ``comm``, arms timers on ``clock``
+    and reaches the semantics object through ``control``.  Only a client's
+    replication object takes method calls: a store's one input is a
+    protocol message.
     """
 
-    def attach(self, control: ControlInterface) -> None:
-        """Wire the control object; called once during composition."""
+    def attach(self, control: ControlObject) -> None:
+        """Wire the control object; called once during composition.
+
+        Binds the substrate the control object was built over, once:
+        ``comm`` (sends, requests and replies), ``clock`` (timers and
+        ``clock.now``) and ``address``.  ``control`` itself stays the way
+        to the semantics object.
+        """
         self.control = control
+        self.comm = control.comm
+        self.clock = control.sim
+        self.address = control.comm.address
 
     def start(self) -> None:
         """Begin timers/subscriptions; called after the composition is wired."""

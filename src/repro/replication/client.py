@@ -110,7 +110,7 @@ class ClientReplicationObject(ReplicationObject):
         self, invocation: MarshalledInvocation, weight: int = 1
     ) -> Future:
         self.reads_issued += weight
-        started = self.control.now()
+        started = self.clock.now
         result: Future = Future()
         try:
             cached = self._read_encodings.get(invocation)
@@ -135,7 +135,7 @@ class ClientReplicationObject(ReplicationObject):
             size += 16  # 2 + len("weight") + 8 for the int value
         message = Message(mk.READ, body)
         message._size = size
-        request = self.control.request(
+        request = self.comm.request(
             self.read_store,
             message,
             timeout=self.request_timeout,
@@ -157,7 +157,7 @@ class ClientReplicationObject(ReplicationObject):
             # One latency entry per represented client, so latency and
             # availability metrics weight cohort reads without needing a
             # schema change in ``op_latencies``.
-            elapsed = self.control.now() - started
+            elapsed = self.clock.now - started
             self.op_latencies += [("read", elapsed)] * weight
             result.set_result(reply.body.get("result"))
 
@@ -168,7 +168,7 @@ class ClientReplicationObject(ReplicationObject):
 
     def _do_write(self, invocation: MarshalledInvocation) -> Future:
         self.writes_issued += 1
-        started = self.control.now()
+        started = self.clock.now
         result: Future = Future()
         wid = self.session.mint_wid()
         deps = self._write_deps()
@@ -176,19 +176,19 @@ class ClientReplicationObject(ReplicationObject):
             wid=wid,
             invocation=invocation,
             deps=deps,
-            timestamp=self.control.now(),
+            timestamp=self.clock.now,
             origin=self.client_id,
         )
         if self.trace is not None:
             self.trace.record_write_issue(
-                time=self.control.now(),
+                time=self.clock.now,
                 client_id=self.client_id,
                 wid=wid,
                 store=self.write_store,
                 deps=deps.as_dict() if deps is not None else None,
             )
         body = {"record": record.to_wire(), "session": self.session.to_wire()}
-        request = self.control.request(
+        request = self.comm.request(
             self.write_store,
             Message(mk.WRITE, body),
             timeout=self.request_timeout,
@@ -210,12 +210,12 @@ class ClientReplicationObject(ReplicationObject):
             self.session.observe_write(wid, store)
             if self.trace is not None:
                 self.trace.record_write_ack(
-                    time=self.control.now(),
+                    time=self.clock.now,
                     client_id=self.client_id,
                     wid=wid,
                     store=store,
                 )
-            self.op_latencies.append(("write", self.control.now() - started))
+            self.op_latencies.append(("write", self.clock.now - started))
             result.set_result(wid)
 
         request.add_callback(on_reply)

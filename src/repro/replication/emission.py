@@ -37,7 +37,7 @@ class CoherenceEmitter:
             )
             engine.counters["tx:notify"] += len(targets)
             self._trace_emit("notify", targets)
-            engine.control.multicast(targets, message)
+            engine.comm.multicast(targets, message)
             return
         if engine.policy.propagation is Propagation.INVALIDATE:
             keys: Optional[List[str]] = None
@@ -52,20 +52,20 @@ class CoherenceEmitter:
             )
             engine.counters["tx:invalidate"] += len(targets)
             self._trace_emit("invalidate", targets)
-            engine.control.multicast(targets, message)
+            engine.comm.multicast(targets, message)
             return
         if engine.policy.coherence_transfer is CoherenceTransfer.FULL:
             message = Message(mk.UPDATE_FULL, self.snapshot_body())
             engine.counters["tx:update_full"] += len(targets)
             self._trace_emit("update_full", targets)
-            engine.control.multicast(targets, message)
+            engine.comm.multicast(targets, message)
             return
         message = Message(
             mk.UPDATE, {"records": [r.to_wire() for r in records]}
         )
         engine.counters["tx:update"] += len(targets)
         self._trace_emit("update", targets, records=len(records))
-        engine.control.multicast(targets, message)
+        engine.comm.multicast(targets, message)
 
     def _trace_emit(
         self, message: str, targets: Sequence[str], **detail: Any
@@ -75,8 +75,8 @@ class CoherenceEmitter:
             return
         engine = self.engine
         _obs.ACTIVE.event(
-            engine.control.now(), "repl.emit",
-            node=engine.control.address,
+            engine.clock.now, "repl.emit",
+            node=engine.address,
             message=message, targets=len(targets),
             strategy=engine.strategy_label, **detail,
         )
@@ -91,7 +91,7 @@ class CoherenceEmitter:
         )
         engine.counters["tx:update"] += 1
         self._trace_emit("update", (target,), records=len(records))
-        engine.control.send(target, message)
+        engine.comm.send(target, message)
 
     def snapshot_body(self) -> Dict[str, Any]:
         """The full-state transfer body (UPDATE_FULL / full DEMAND_REPLY)."""

@@ -18,10 +18,12 @@ when applied records travel) and
 :class:`~repro.replication.emission.CoherenceEmitter` (what one coherence
 transmission carries).  What remains here is the shared replica state, the
 message dispatch table, and the apply path every component converges on.
-The stack reaches the substrate only through its
-:class:`~repro.core.interfaces.ControlInterface`, implemented over the
-unified :mod:`repro.transport` protocols -- so the identical protocol code
-runs in virtual time and wall-clock time.
+The stack sends through the store's communication object, arms timers on
+its clock and reaches the semantics object through the control object
+(:meth:`~repro.core.interfaces.ReplicationObject.attach` binds all three
+once); the communication object and the clock are the unified
+:mod:`repro.transport` protocols -- so the identical protocol code runs in
+virtual time and wall-clock time.
 
 A store's one input is a protocol message (:meth:`handle_message`) whose
 body is plain data.  Clients "only translate method calls to messages",
@@ -235,7 +237,7 @@ class StoreReplicationObject(ReplicationObject):
 
         Runs once per pushed batch at every replica, so what the loop
         reads is looked up once per batch: the control's bound semantics
-        calls, the trace's clock and address, and whether any write ack
+        calls, the trace's time and address, and whether any write ack
         or parked read could be waiting on this batch at all.
         """
         if not records:
@@ -246,8 +248,8 @@ class StoreReplicationObject(ReplicationObject):
         apply_local = control.apply_local
         trace = self.trace
         if trace is not None:
-            now = control.now()
-            address = control.address
+            now = self.clock.now
+            address = self.address
         primary = self.parent is None
         applied = self.ordering.applied
         as_of = self.as_of
@@ -310,7 +312,7 @@ class StoreReplicationObject(ReplicationObject):
         """The ordering discarded ``record``: trace it and settle its ack."""
         if self.trace is not None:
             self.trace.record_drop(
-                self.control.now(), self.control.address, record.wid
+                self.clock.now, self.address, record.wid
             )
         self.writes.settle_ack(record.wid)
 

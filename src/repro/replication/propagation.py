@@ -46,7 +46,7 @@ class PropagationStrategy:
             and engine.policy.transfer_instant is TransferInstant.LAZY
             and engine.parent is not None
         ):
-            self._pull_timer = engine.control.schedule(
+            self._pull_timer = engine.clock.schedule(
                 engine.policy.lazy_interval, self._periodic_pull, daemon=True
             )
 
@@ -69,7 +69,7 @@ class PropagationStrategy:
         # Nothing to scan for at the root or when the parent sent the batch.
         if engine.parent is not None and skip != engine.parent:
             locally_accepted = [
-                r for r in records if r.origin == engine.control.address
+                r for r in records if r.origin == engine.address
             ]
             if locally_accepted:
                 engine.emission.send_update(engine.parent, locally_accepted)
@@ -81,8 +81,8 @@ class PropagationStrategy:
             else:
                 decision = "push"
             _obs.ACTIVE.event(
-                engine.control.now(), "repl.propagate",
-                node=engine.control.address,
+                engine.clock.now, "repl.propagate",
+                node=engine.address,
                 decision=decision, records=len(records),
                 strategy=engine.strategy_label,
             )
@@ -99,7 +99,7 @@ class PropagationStrategy:
             if self._lazy_timer is None:
                 # One aggregation window per burst: the flush fires one
                 # period after the first buffered change.
-                self._lazy_timer = engine.control.schedule(
+                self._lazy_timer = engine.clock.schedule(
                     engine.policy.lazy_interval, self._lazy_flush
                 )
             return
@@ -135,6 +135,6 @@ class PropagationStrategy:
         try:
             engine.reads.demand()
         finally:
-            self._pull_timer = engine.control.schedule(
+            self._pull_timer = engine.clock.schedule(
                 engine.policy.lazy_interval, self._periodic_pull, daemon=True
             )

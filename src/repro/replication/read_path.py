@@ -104,7 +104,7 @@ class ReadDemandPath:
             involved, served = reply[0], reply[1]
         if _obs.ACTIVE is not None:
             detail = dict(
-                node=engine.control.address,
+                node=engine.address,
                 obj=involved[0] if involved else None,
                 decision=(
                     "pull-first" if pull
@@ -116,7 +116,7 @@ class ReadDemandPath:
                 # Stamped only for cohort reads so per-client traffic keeps
                 # its historical (golden-pinned) trace shape.
                 detail["weight"] = weight
-            _obs.ACTIVE.event(engine.control.now(), "repl.read", **detail)
+            _obs.ACTIVE.event(engine.clock.now, "repl.read", **detail)
         if served is not None:
             self.serve(src, message, invocation, client_id, requirement,
                        weight, served, involved, key, reply)
@@ -202,12 +202,12 @@ class ReadDemandPath:
                 result = engine.control.apply_local(invocation)
             except Exception as exc:
                 engine.counters["tx:error"] += 1
-                engine.control.reply(
+                engine.comm.reply(
                     src, request.reply(mk.ERROR, {"error": str(exc)})
                 )
                 return
             body = {"result": result, "version": served.as_dict(),
-                    "store": engine.control.address}
+                    "store": engine.address}
             reply = (involved, served, body,
                      envelope_cost(mk.READ_REPLY) + estimate_size(body))
             if key is not None:
@@ -215,8 +215,8 @@ class ReadDemandPath:
         body = reply[2]
         if engine.trace is not None:
             engine.trace.record_read(
-                time=engine.control.now(),
-                store=engine.control.address,
+                time=engine.clock.now,
+                store=engine.address,
                 client_id=client_id,
                 served_vc=body["version"],
                 requirement=requirement,
@@ -225,7 +225,7 @@ class ReadDemandPath:
         engine.counters["tx:read_reply"] += 1
         message = Message(mk.READ_REPLY, body, reply_to=request.msg_id)
         message._size = reply[3]
-        engine.control.reply(src, message)
+        engine.comm.reply(src, message)
 
     def serve_waiting(self) -> None:
         """Serve every parked read the (possibly fresher) replica can."""
@@ -277,7 +277,7 @@ class ReadDemandPath:
         engine.counters["tx:demand"] += 1
         # Timeout + retries make demands survive a lossy transport: a lost
         # demand (or reply) would otherwise wedge the inflight flag forever.
-        future = engine.control.request(
+        future = engine.comm.request(
             engine.parent,
             Message(mk.DEMAND, body),
             timeout=DEMAND_TIMEOUT,
@@ -291,7 +291,7 @@ class ReadDemandPath:
         try:
             reply = resolved.result()
         except BaseException:
-            engine.control.schedule(DEMAND_RETRY_INTERVAL, self._retry)
+            engine.clock.schedule(DEMAND_RETRY_INTERVAL, self._retry)
             return
         body = reply.body
         if body.get("full"):
@@ -316,7 +316,7 @@ class ReadDemandPath:
             if not self._retry():
                 self.demand()
         elif any(self._need(entry) is not None for entry in self.waiting):
-            engine.control.schedule(DEMAND_RETRY_INTERVAL, self._retry)
+            engine.clock.schedule(DEMAND_RETRY_INTERVAL, self._retry)
 
     def _retry(self) -> bool:
         """Demand for the first parked read needing it; True if a round is out.
@@ -367,7 +367,7 @@ class ReadDemandPath:
         engine.invalid_keys.clear()
         if engine.trace is not None:
             engine.trace.record_install(
-                engine.control.now(), engine.control.address, version.as_dict()
+                engine.clock.now, engine.address, version.as_dict()
             )
         self.serve_waiting()
 
@@ -401,7 +401,7 @@ class ReadDemandPath:
         if want_full or (not have.dominates(engine.log_base) and keys is None):
             body = dict(engine.emission.snapshot_body())
             body["full"] = True
-            engine.control.reply(src, message.reply(mk.DEMAND_REPLY, body))
+            engine.comm.reply(src, message.reply(mk.DEMAND_REPLY, body))
             return
         if keys is not None:
             present = [
@@ -418,13 +418,13 @@ class ReadDemandPath:
                 "as_of": served.as_dict(),
                 "absent": absent,
             }
-            engine.control.reply(src, message.reply(mk.DEMAND_REPLY, body))
+            engine.comm.reply(src, message.reply(mk.DEMAND_REPLY, body))
             return
         records = [
             record.to_wire()
             for record in engine.log
             if not have.includes(record.wid)
         ]
-        engine.control.reply(
+        engine.comm.reply(
             src, message.reply(mk.DEMAND_REPLY, {"records": records})
         )

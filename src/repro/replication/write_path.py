@@ -66,8 +66,8 @@ class WritePath:
         if _obs.ACTIVE is not None:
             keys = tuple(engine.control.touched_keys(record.invocation))
             _obs.ACTIVE.event(
-                engine.control.now(), "repl.write",
-                node=engine.control.address,
+                engine.clock.now, "repl.write",
+                node=engine.address,
                 obj=keys[0] if keys else None,
                 decision="accept" if accepts_here else "forward",
                 wid=str(record.wid),
@@ -94,7 +94,7 @@ class WritePath:
         engine = self.engine
         body = {"record": record.to_wire(), "session": session}
         engine.counters["tx:write-forward"] += 1
-        upstream = engine.control.request(engine.parent,
+        upstream = engine.comm.request(engine.parent,
                                           Message(mk.WRITE, body))
 
         def relay(resolved: Future) -> None:
@@ -107,7 +107,7 @@ class WritePath:
                 self.fail(src, request,
                           reply.body.get("error", "write failed"))
                 return
-            engine.control.reply(
+            engine.comm.reply(
                 src,
                 Message(reply.kind, dict(reply.body), reply_to=request.msg_id),
             )
@@ -142,8 +142,8 @@ class WritePath:
         return dataclasses.replace(
             record,
             touched=tuple(engine.control.touched_keys(record.invocation)),
-            timestamp=engine.control.now(),
-            origin=engine.control.address,
+            timestamp=engine.clock.now,
+            origin=engine.address,
             global_seq=global_seq,
         )
 
@@ -155,10 +155,10 @@ class WritePath:
         body = {
             "wid": str(wid),
             "version": engine.ordering.applied.as_dict(),
-            "store": engine.control.address,
+            "store": engine.address,
         }
         engine.counters["tx:write_ack"] += 1
-        engine.control.reply(src, request.reply(mk.WRITE_ACK, body))
+        engine.comm.reply(src, request.reply(mk.WRITE_ACK, body))
 
     def settle_ack(self, wid: WriteId) -> None:
         """Acknowledge a write whose fate is now decided (applied/dropped)."""
@@ -172,4 +172,4 @@ class WritePath:
         """Report one write's failure to its submitter."""
         engine = self.engine
         engine.counters["tx:error"] += 1
-        engine.control.reply(src, request.reply(mk.ERROR, {"error": error}))
+        engine.comm.reply(src, request.reply(mk.ERROR, {"error": error}))

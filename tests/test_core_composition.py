@@ -59,6 +59,9 @@ class TestLocalObject:
         local = LocalObject(sim, net, "server", Role.PERMANENT, engine,
                             semantics=WebDocument(pages={"p": "x"}))
         assert engine.control is local.control
+        assert engine.comm is local.comm
+        assert engine.clock is sim
+        assert engine.address == "server"
         assert local.control.address == "server"
         assert local.control.role is Role.PERMANENT
         assert net.is_registered("server")

@@ -6,6 +6,8 @@ propagation strategy and coherence emitter -- against a real composition
 on the simulator.
 """
 
+import types
+
 import pytest
 
 from repro.coherence.models import CoherenceModel, SessionGuarantee
@@ -457,20 +459,27 @@ class TestFacadeSurface:
         assert cache.state()["index.html"]["content"] == "seed"
 
 
-class _RecordingControl:
-    """Minimal control stub: captures requests, never replies."""
+class _RecordingComm:
+    """Minimal communication stub: captures requests, never replies."""
+
+    address = "c1"
 
     def __init__(self):
         self.requests = []
-
-    def now(self):
-        return 0.0
 
     def request(self, dst, message, timeout=None, retries=0):
         from repro.sim.future import Future
 
         self.requests.append((dst, message))
         return Future()
+
+
+class _RecordingControl:
+    """Minimal control stub over a recording comm and a stopped clock."""
+
+    def __init__(self):
+        self.comm = _RecordingComm()
+        self.sim = types.SimpleNamespace(now=0.0)
 
 
 class TestReadRequestSizing:
@@ -491,7 +500,7 @@ class TestReadRequestSizing:
         return client
 
     def _sent_message(self, client):
-        return client.control.requests[-1][1]
+        return client.comm.requests[-1][1]
 
     def assert_size_pinned(self, message):
         from repro.comm.message import envelope_cost, estimate_size

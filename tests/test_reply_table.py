@@ -24,7 +24,7 @@ from repro.coherence.models import SessionGuarantee
 from repro.coherence.vector_clock import VectorClock
 from repro.comm.invocation import decode_invocation
 from repro.comm.message import envelope_cost, estimate_size
-from repro.core.control import ControlObject
+from repro.comm.endpoint import CommunicationObject
 from repro.faults.catalog import FAULT_PLANS
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -66,7 +66,7 @@ def oracle(monkeypatch):
     """Check every table-answered reply; count hits and replies."""
     counts = collections.Counter()
     serve = ReadDemandPath.serve
-    send_reply = ControlObject.reply
+    send_reply = CommunicationObject.reply
 
     def checked_serve(self, src, request, invocation, client_id, requirement,
                       weight, served, involved, key, reply=None):
@@ -86,7 +86,7 @@ def oracle(monkeypatch):
         send_reply(self, dst, response)
 
     monkeypatch.setattr(ReadDemandPath, "serve", checked_serve)
-    monkeypatch.setattr(ControlObject, "reply", checked_reply)
+    monkeypatch.setattr(CommunicationObject, "reply", checked_reply)
     return counts
 
 
