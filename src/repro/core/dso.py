@@ -21,7 +21,7 @@ from repro.core.stub import Stub
 from repro.naming.service import NameService
 from repro.replication.client import ClientReplicationObject
 from repro.replication.engine import StoreReplicationObject
-from repro.replication.policy import ReplicationPolicy
+from repro.replication.policy import PolicyError, ReplicationPolicy
 from repro.transport.interface import Clock, Transport
 
 
@@ -199,17 +199,22 @@ class DistributedSharedObject:
         return self.primary
 
     def set_policy(self, policy: ReplicationPolicy) -> None:
-        """Swap the object's policy for ``policy`` at every replica here.
+        """Swap the object's policy for ``policy`` at every replica.
 
-        Every store in this address space adopts it through
+        Every store adopts it through
         :meth:`StoreReplicationObject.set_policy`, which refuses a change
         of coherence model or store scope (then nothing is swapped), and
-        every bound client holds it.  A store in another process keeps
-        the policy it was spawned with.
+        every bound client holds it.  A store in another process cannot
+        adopt it, so with any such store this raises :class:`PolicyError`
+        naming them and swaps nothing.
         """
+        remote = [name for name, store in sorted(self.stores.items())
+                  if not isinstance(store.engine, StoreReplicationObject)]
+        if remote:
+            raise PolicyError("cannot swap the policy of stores in another "
+                              f"process: {', '.join(remote)}")
         for store in self.stores.values():
-            if isinstance(store.engine, StoreReplicationObject):
-                store.engine.set_policy(policy)
+            store.engine.set_policy(policy)
         for client in self.clients:
             client.replication.policy = policy
         self.policy = policy

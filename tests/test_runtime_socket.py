@@ -9,6 +9,7 @@ deployment teardown leaves no orphan or zombie node processes (checked
 with plain ``os.kill(pid, 0)`` / ``os.waitpid``, no psutil).
 """
 
+import dataclasses
 import json
 import os
 import pickle
@@ -19,7 +20,13 @@ import time
 
 import pytest
 
-from repro.replication.policy import ReplicationPolicy, TransferInstant
+from repro.coherence.models import CoherenceModel
+from repro.replication.policy import (
+    PolicyError,
+    Propagation,
+    ReplicationPolicy,
+    TransferInstant,
+)
 from repro.runtime.registry import Registry
 from repro.runtime.wire import (
     FrameChannel,
@@ -333,6 +340,25 @@ class TestSocketDeploymentLifecycle:
                 assert pid != own_pid, f"{name} must be a separate process"
                 os.kill(pid, 0)  # raises if the process were gone
                 assert hub.registry.alive(name, now=time.monotonic()), name
+        finally:
+            deployment.shutdown()
+
+    def test_set_policy_refuses_stores_in_other_processes(self):
+        # A node keeps the policy it was spawned with, so swapping it here
+        # would leave the clients stamping for a policy no store runs.
+        deployment = build_tree(ReplicationPolicy(), n_caches=1,
+                                backend="live-socket", seed=7)
+        try:
+            dso = deployment.site.dso
+            current = dso.policy
+            for change in ({"model": CoherenceModel.CAUSAL},
+                           {"propagation": Propagation.INVALIDATE}):
+                with pytest.raises(PolicyError, match="cache-0, server"):
+                    dso.set_policy(dataclasses.replace(current, **change))
+                assert dso.policy is current
+                assert dso.clients
+                for client in dso.clients:
+                    assert client.replication.policy is current
         finally:
             deployment.shutdown()
 
