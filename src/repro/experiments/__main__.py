@@ -72,6 +72,7 @@ RUNNERS: Dict[str, Callable] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command line: experiment ids, ``--only`` and the exec options."""
     parser = argparse.ArgumentParser(
         prog="python -m repro.experiments",
         description="Regenerate paper tables, figures and experiments.",
@@ -90,6 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str]) -> int:
+    """Run the requested experiments in order; 2 on an unknown id."""
     args = build_parser().parse_args(argv)
     requested = [exp.lower() for exp in args.experiments]
     if args.only:
