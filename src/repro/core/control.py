@@ -1,12 +1,9 @@
 """The control sub-object.
 
-The control object routes the client method calls issued in its address
-space to the replication object and fronts the semantics object for it:
-the replication object applies, checks and snapshots state only through
-the control object.  Protocol messages reach the replication object from
-the communication object directly, and the replication object sends
-through that communication object and reads the clock itself (bound once
-by :meth:`~repro.core.interfaces.ReplicationObject.attach`).
+The control object routes client method calls issued in its address space
+to the replication object and fronts the semantics object for it.  The
+replication object takes protocol messages from, and sends through, the
+communication object directly, and reads the clock itself.
 """
 
 from __future__ import annotations

@@ -5,9 +5,8 @@ objects have *standardized* interfaces and are unaware of the semantics
 object's methods and state -- they see only marshalled invocations.  These
 abstract classes are those interfaces; every concrete coherence protocol in
 :mod:`repro.replication` implements :class:`ReplicationObject` without ever
-importing a semantics class.  A replication object sends through its
-communication object and reads its clock directly; it reaches the semantics
-object only through the control object.
+importing a semantics class: it reaches the semantics object only through
+the control object.
 """
 
 from __future__ import annotations
@@ -118,13 +117,8 @@ class ReplicationObject:
     """
 
     def attach(self, control: ControlObject) -> None:
-        """Wire the control object; called once during composition.
-
-        Binds the substrate the control object was built over, once:
-        ``comm`` (sends, requests and replies), ``clock`` (timers and
-        ``clock.now``) and ``address``.  ``control`` itself stays the way
-        to the semantics object.
-        """
+        """Wire the control object and bind its ``comm``, ``clock`` and
+        ``address``; called once during composition."""
         self.control = control
         self.comm = control.comm
         self.clock = control.sim

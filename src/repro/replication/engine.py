@@ -18,12 +18,9 @@ when applied records travel) and
 :class:`~repro.replication.emission.CoherenceEmitter` (what one coherence
 transmission carries).  What remains here is the shared replica state, the
 message dispatch table, and the apply path every component converges on.
-The stack sends through the store's communication object, arms timers on
-its clock and reaches the semantics object through the control object
-(:meth:`~repro.core.interfaces.ReplicationObject.attach` binds all three
-once); the communication object and the clock are the unified
-:mod:`repro.transport` protocols -- so the identical protocol code runs in
-virtual time and wall-clock time.
+The stack sends through the store's communication object and arms timers
+on its clock, both over the unified :mod:`repro.transport` protocols -- so
+the identical protocol code runs in virtual time and wall-clock time.
 
 A store's one input is a protocol message (:meth:`handle_message`) whose
 body is plain data.  Clients "only translate method calls to messages",
