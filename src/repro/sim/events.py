@@ -14,7 +14,7 @@ unique, never reach the event.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class Event:
@@ -26,10 +26,12 @@ class Event:
     ``daemon`` events (periodic pulls, housekeeping) do not keep a
     drain-the-queue run alive: :meth:`repro.sim.kernel.Simulator.run` with
     no deadline stops once only daemon events remain.
+
+    ``sim`` is the simulator while the event is live (queued, not daemon)
+    and ``None`` otherwise; :meth:`cancel` decrements its live count.
     """
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "daemon",
-                 "_cancel_hook")
+    __slots__ = ("time", "seq", "fn", "args", "cancelled", "daemon", "sim")
 
     def __init__(
         self,
@@ -37,16 +39,16 @@ class Event:
         seq: int,
         fn: Callable[..., Any],
         args: tuple = (),
-        cancelled: bool = False,
         daemon: bool = False,
+        sim: Any = None,
     ) -> None:
         self.time = time
         self.seq = seq
         self.fn = fn
         self.args = args
-        self.cancelled = cancelled
+        self.cancelled = False
         self.daemon = daemon
-        self._cancel_hook: Optional[Callable[[], None]] = None
+        self.sim = sim
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(
@@ -65,5 +67,7 @@ class Event:
         """
         if not self.cancelled:
             self.cancelled = True
-            if self._cancel_hook is not None:
-                self._cancel_hook()
+            sim = self.sim
+            if sim is not None:
+                sim._live -= 1
+                self.sim = None

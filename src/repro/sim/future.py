@@ -21,25 +21,21 @@ class Future:
 
     Unlike ``asyncio.Future`` there is no event loop affinity: callbacks run
     synchronously when the result is set, in registration order, which keeps
-    the simulation deterministic.
+    the simulation deterministic.  ``done`` (a result or error is set) is
+    a plain attribute, read-only outside this class.
     """
 
-    __slots__ = ("_done", "_value", "_error", "_callbacks")
+    __slots__ = ("done", "_value", "_error", "_callbacks")
 
     def __init__(self) -> None:
-        self._done = False
+        self.done = False
         self._value: Any = None
         self._error: BaseException | None = None
         self._callbacks: List[Callable[["Future"], None]] = []
 
-    @property
-    def done(self) -> bool:
-        """Whether a result or error has been set."""
-        return self._done
-
     def result(self) -> Any:
         """Return the value, re-raising the stored error if one was set."""
-        if not self._done:
+        if not self.done:
             raise SimulationError("future is not resolved yet")
         if self._error is not None:
             raise self._error
@@ -47,36 +43,35 @@ class Future:
 
     def set_result(self, value: Any = None) -> None:
         """Resolve the future and run its callbacks synchronously."""
-        if self._done:
+        if self.done:
             raise SimulationError("future already resolved")
         # Publish the value before the done flag: the live backend polls
         # ``done`` from another thread and must never observe a resolved
         # future whose value is still the placeholder.
         self._value = value
-        self._done = True
-        self._run_callbacks()
+        self.done = True
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
 
     def set_error(self, error: BaseException) -> None:
         """Fail the future and run its callbacks synchronously."""
-        if self._done:
+        if self.done:
             raise SimulationError("future already resolved")
         self._error = error
-        self._done = True
-        self._run_callbacks()
+        self.done = True
+        callbacks, self._callbacks = self._callbacks, []
+        for fn in callbacks:
+            fn(self)
 
     def cancel(self) -> None:
         """Fail the future with :class:`FutureCancelled` if still pending."""
-        if not self._done:
+        if not self.done:
             self.set_error(FutureCancelled("future cancelled"))
 
     def add_callback(self, fn: Callable[["Future"], None]) -> None:
         """Register ``fn(self)`` to run at resolution (or now, if resolved)."""
-        if self._done:
+        if self.done:
             fn(self)
         else:
             self._callbacks.append(fn)
-
-    def _run_callbacks(self) -> None:
-        callbacks, self._callbacks = self._callbacks, []
-        for fn in callbacks:
-            fn(self)

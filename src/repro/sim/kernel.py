@@ -97,7 +97,7 @@ class Simulator:
         ``daemon`` marks housekeeping (periodic pulls and the like) that
         should not keep :meth:`run_until_idle` alive.
         """
-        if delay < 0:
+        if not delay >= 0:  # also refuses NaN
             raise SchedulingInPastError(f"negative delay {delay!r}")
         return self.schedule_at(self.now + delay, fn, *args, daemon=daemon)
 
@@ -109,11 +109,12 @@ class Simulator:
         daemon: bool = False,
     ) -> Event:
         """Schedule ``fn(*args)`` at an absolute virtual time."""
-        if time < self.now:
+        if not time >= self.now:  # also refuses NaN
             raise SchedulingInPastError(
                 f"cannot schedule at {time!r}; clock is already at {self.now!r}"
             )
-        event = Event(time, self._seq, fn, args, daemon=daemon)
+        event = Event(time, self._seq, fn, args, daemon,
+                      None if daemon else self)
         self._seq += 1
         if _obs.ACTIVE is not None:
             _obs.ACTIVE.event(
@@ -122,12 +123,8 @@ class Simulator:
             )
         if not daemon:
             self._live += 1
-            event._cancel_hook = self._on_live_cancel
         heappush(self._heap, (time, event.seq, event))
         return event
-
-    def _on_live_cancel(self) -> None:
-        self._live -= 1
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` if the queue is empty."""
@@ -136,9 +133,9 @@ class Simulator:
             event = heappop(heap)[2]
             if event.cancelled:
                 continue
-            if not event.daemon:
+            if event.sim is not None:
                 self._live -= 1
-                event._cancel_hook = None  # a late cancel is a no-op
+                event.sim = None  # a late cancel is a no-op
             self.now = event.time
             self._fired += 1
             if _obs.ACTIVE is not None:
@@ -200,9 +197,9 @@ class Simulator:
                         f"run exceeded {max_events} events at t={self.now}"
                     )
                 heappop(heap)
-                if not event.daemon:
+                if event.sim is not None:
                     self._live -= 1
-                    event._cancel_hook = None  # a late cancel is a no-op
+                    event.sim = None  # a late cancel is a no-op
                 self.now = event.time
                 self._fired += 1
                 fired += 1

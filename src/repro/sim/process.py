@@ -37,12 +37,15 @@ class Delay:
     """Yielded by a process to sleep for ``seconds`` of clock time.
 
     A bare ``__slots__`` class (one is created per workload step, so
-    construction cost matters); treat instances as immutable.
+    construction cost matters); treat instances as immutable.  Negative or
+    NaN ``seconds`` raise ``ValueError`` in the generator: one process fails.
     """
 
     __slots__ = ("seconds",)
 
     def __init__(self, seconds: float) -> None:
+        if not seconds >= 0:  # also refuses NaN
+            raise ValueError(f"Delay needs seconds >= 0, not {seconds!r}")
         self.seconds = seconds
 
     def __repr__(self) -> str:
@@ -73,6 +76,10 @@ class Process:
     (call :meth:`kill` there too: on a ``LiveLoop``, via ``submit``).
     The first step is scheduled at zero delay, so all processes created
     at one instant begin in creation order.
+
+    Yields dispatch on their exact type.  A pending future gets the one
+    bound :meth:`_resume` as its callback; a resolved one is fed back into
+    the generator in the same frame.
     """
 
     def __init__(
@@ -110,54 +117,41 @@ class Process:
             if not self.done.done:
                 self.done.set_error(ProcessKilled(f"{self.name} killed"))
 
+    def _resume(self, future: Future) -> None:
+        """An awaited future resolved: send its value or throw its error."""
+        self._advance(future._value, future._error)
+
     def _advance(self, value: Any, error: Optional[BaseException]) -> None:
-        if not self._alive:
-            return
-        try:
-            if error is not None:
-                yielded = self._generator.throw(error)
-            else:
-                yielded = self._generator.send(value)
-        except StopIteration as stop:
-            self._alive = False
-            self.done.set_result(stop.value)
-            return
-        except ProcessKilled:
-            self._alive = False
-            if not self.done.done:
-                self.done.set_error(ProcessKilled(f"{self.name} killed"))
-            return
-        except BaseException as exc:
-            # An uncaught exception terminates the process, not the kernel;
-            # it surfaces through the process's done future.
-            self._alive = False
-            if not self.done.done:
-                self.done.set_error(exc)
-            return
-        self._dispatch(yielded)
-
-    def _dispatch(self, yielded: Any) -> None:
-        if isinstance(yielded, Delay):
-            self.clock.schedule(yielded.seconds, self._advance, None, None)
-        elif isinstance(yielded, WaitFor):
-            self._wait(yielded.future)
-        elif isinstance(yielded, Future):
-            self._wait(yielded)
-        else:
-            self._advance(
-                None,
-                SimulationError(
-                    f"{self.name} yielded unsupported value {yielded!r}"
-                ),
-            )
-
-    def _wait(self, future: Future) -> None:
-        def resume(resolved: Future) -> None:
+        generator = self._generator
+        while self._alive:
             try:
-                value = resolved.result()
-            except BaseException as exc:  # re-inject into the generator
-                self._advance(None, exc)
-            else:
-                self._advance(value, None)
-
-        future.add_callback(resume)
+                yielded = (generator.send(value) if error is None
+                           else generator.throw(error))
+            except StopIteration as stop:
+                self._alive = False
+                self.done.set_result(stop.value)
+                return
+            except BaseException as exc:
+                # An uncaught exception terminates the process, not the
+                # kernel; it surfaces through the process's done future.
+                self._alive = False
+                if not self.done.done:
+                    self.done.set_error(
+                        ProcessKilled(f"{self.name} killed")
+                        if isinstance(exc, ProcessKilled) else exc)
+                return
+            kind = type(yielded)
+            if kind is Delay:
+                self.clock.schedule(yielded.seconds, self._advance, None,
+                                    None)
+                return
+            if kind is WaitFor:
+                yielded = yielded.future
+            elif kind is not Future:
+                value, error = None, SimulationError(
+                    f"{self.name} yielded unsupported value {yielded!r}")
+                continue
+            if not yielded.done:
+                yielded.add_callback(self._resume)
+                return
+            value, error = yielded._value, yielded._error

@@ -64,6 +64,24 @@ def test_negative_delay_rejected():
         sim.schedule(-0.1, lambda: None)
 
 
+def test_nan_delay_and_time_rejected():
+    # NaN compares false both ways: a ``delay < 0`` guard let it in, and
+    # the event then fired mid-queue with ``sim.now`` reading nan.
+    sim = Simulator()
+    for at in (0.5, 2.5, 3.0, 5.0):
+        sim.schedule_at(at, lambda: None)
+    with pytest.raises(SchedulingInPastError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SchedulingInPastError):
+        sim.schedule_at(float("nan"), lambda: None)
+    seen = []
+    sim.schedule(4.0, lambda: seen.append(sim.now))
+    sim.run_until_idle()
+    assert seen == [4.0]
+    assert sim.now == 5.0
+    assert sim.pending == 0
+
+
 def test_schedule_at_in_past_rejected():
     sim = Simulator()
     sim.schedule(1.0, lambda: None)

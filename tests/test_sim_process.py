@@ -164,6 +164,57 @@ def test_processes_created_at_one_instant_start_in_creation_order():
     assert started == [("event", 0.0), ("a", 0.0), ("b", 0.0), ("c", 0.0)]
 
 
+def test_long_run_of_resolved_futures_does_not_recurse():
+    # Each already-resolved future used to resume the generator one frame
+    # deeper; ~200 in a row raised RecursionError out of the kernel.
+    sim = Simulator()
+    n = 10_000
+    values = []
+    for i in range(n):
+        future = Future()
+        future.set_result(i)
+        values.append(future)
+    failed = Future()
+    failed.set_error(ValueError("boom"))
+    seen = []
+
+    def body():
+        for i, future in enumerate(values):
+            seen.append((yield WaitFor(future) if i % 2 else future))
+        try:
+            yield WaitFor(failed)
+        except ValueError as exc:
+            seen.append(str(exc))
+        return "finished"
+
+    process = Process(sim, body())
+    sim.run_until_idle()
+    assert seen == list(range(n)) + ["boom"]
+    assert process.done.result() == "finished"
+    assert not process.alive
+
+
+@pytest.mark.parametrize("seconds", [-1.0, float("nan")])
+def test_negative_or_nan_delay_fails_only_its_process(seconds):
+    sim = Simulator()
+    finished = []
+
+    def bad():
+        yield Delay(seconds)
+
+    def good():
+        yield Delay(1.0)
+        finished.append(sim.now)
+
+    failing = Process(sim, bad())
+    Process(sim, good())
+    sim.run_until_idle()
+    assert not failing.alive
+    with pytest.raises(ValueError):
+        failing.done.result()
+    assert finished == [1.0]
+
+
 class TestFuture:
     def test_double_resolve_rejected(self):
         future = Future()
