@@ -24,10 +24,11 @@ what genuinely differs per substrate:
 - the clock (``Network.sim``: a ``Simulator`` or a ``LiveLoop``);
 - :meth:`Network._schedule_arrival` -- virtual time, the model's fixed
   delay and the reliable FIFO clamp here, ``LiveLoop.schedule`` there;
-- :meth:`Network._handler_for` -- how a destination resolves to a
-  receive handler (plain dict, locked dict, or a node channel);
 - :attr:`Network.MEMBERSHIP_AT_SEND` -- whether ``send`` rejects an
   unregistered source and drops an unknown destination up front.
+
+An arrival's one ``dict.get`` on the handler table is atomic under the
+GIL, so the wall-clock substrates lock only membership changes.
 
 The fault gate and the trace hooks are data on that path, not a second
 lane: ``send`` reads ``_faults_active`` (kept by
@@ -90,7 +91,7 @@ class Network(FaultableTransportMixin):
     """Datagram network between named nodes, in virtual time.
 
     Also the core the wall-clock substrates specialise: see the module
-    docstring for the four things a subclass supplies.  ``sim`` is the
+    docstring for the three things a subclass supplies.  ``sim`` is the
     clock the network runs on -- a ``Simulator`` here, the ``LiveLoop``
     when a wall-clock subclass constructs it.
     """
@@ -141,10 +142,6 @@ class Network(FaultableTransportMixin):
     def is_registered(self, node: str) -> bool:
         """Whether a node currently has a receive handler."""
         return node in self._handlers
-
-    def _handler_for(self, dst: str) -> Optional[ReceiveHandler]:
-        """The receive handler a datagram for ``dst`` is handed to."""
-        return self._handlers.get(dst)
 
     def _obs_now(self) -> float:
         """Trace timestamps come from the substrate's clock."""
@@ -232,15 +229,10 @@ class Network(FaultableTransportMixin):
         """A datagram lands: last crash check, then hand it to ``dst``."""
         if self._faults_active and self._crashed_at_arrival(src, dst):
             return
-        handler = self._handler_for(dst)
+        handler = self._handlers.get(dst)
         if handler is None:
             self._drop("unregistered", src, dst)
             return
-        self._delivered(src, dst, size_bytes)
-        handler(src, payload, size_bytes)
-
-    def _delivered(self, src: str, dst: str, size_bytes: int) -> None:
-        """Count one datagram handed over at ``dst`` and trace it."""
         stats = self.stats
         stats.datagrams_delivered += 1
         stats.bytes_delivered += size_bytes
@@ -249,6 +241,7 @@ class Network(FaultableTransportMixin):
                 self._obs_now(), "net.deliver", node=dst,
                 src=src, size=size_bytes,
             )
+        handler(src, payload, size_bytes)
 
     # -- introspection ---------------------------------------------------------------
 

@@ -215,9 +215,10 @@ class LiveNetwork(Network):
     """The :class:`~repro.net.network.Network` datagram path in wall-clock time.
 
     ``send``, ``multicast``, the fault gate and ``_arrive`` are inherited
-    unchanged; this substrate supplies a locked handler table (``send``
-    may run on any thread), no membership check at send time, and
-    arrivals scheduled on the loop's dispatcher thread after the
+    unchanged; this substrate supplies a lock around membership changes
+    (``register`` may run on any thread; an arrival's single ``dict.get``
+    on the handler table needs none), no membership check at send time,
+    and arrivals scheduled on the loop's dispatcher thread after the
     configured latency -- which preserves the single-threaded protocol
     model.  Fault mutations must run on the dispatcher thread (route
     through ``Backend.call`` or a
@@ -241,21 +242,11 @@ class LiveNetwork(Network):
         with self._lock:
             self._handlers.pop(node, None)
 
-    def is_registered(self, node: str) -> bool:
-        """Whether a node currently has a receive handler."""
-        with self._lock:
-            return node in self._handlers
-
     @property
     def nodes(self) -> set:
         """The currently registered node names."""
         with self._lock:
             return set(self._handlers)
-
-    def _handler_for(self, dst: str) -> Optional[Callable]:
-        """The registered handler, read under the membership lock."""
-        with self._lock:
-            return self._handlers.get(dst)
 
     def _schedule_arrival(self, src: str, dst: str, payload: object,
                           size_bytes: int, reliable: bool) -> None:

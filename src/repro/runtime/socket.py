@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional
 
 from repro.coherence.trace import TraceRecorder
 from repro.core.interfaces import Role
+from repro.obs import tracer as _obs
 from repro.runtime.live import LiveLoop, LiveNetwork
 from repro.runtime.server import FrameServer
 from repro.runtime.supervisor import NodeSupervisor
@@ -325,10 +326,7 @@ class SocketNetwork(LiveNetwork):
 
     def is_registered(self, node: str) -> bool:
         """Whether the address is attached, locally or remotely."""
-        with self._lock:
-            if node in self._remote:
-                return True
-        return super().is_registered(node)
+        return node in self._remote or super().is_registered(node)
 
     @property
     def nodes(self) -> set:
@@ -348,9 +346,7 @@ class SocketNetwork(LiveNetwork):
         reports the frame written; a node whose channel is gone (never
         attached, or closed under the write) drops as unregistered.
         """
-        with self._lock:
-            remote = dst in self._remote
-        if not remote:
+        if dst not in self._remote:
             super()._arrive(src, dst, payload, size_bytes)
         elif self._faults_active and self._crashed_at_arrival(src, dst):
             return
@@ -359,14 +355,23 @@ class SocketNetwork(LiveNetwork):
         else:
             self._drop("unregistered", src, dst)
 
+    def _delivered(self, src: str, dst: str, size_bytes: int) -> None:
+        """Count one frame handed to a node's channel and trace it."""
+        stats = self.stats
+        stats.datagrams_delivered += 1
+        stats.bytes_delivered += size_bytes
+        if _obs.ACTIVE is not None:
+            _obs.ACTIVE.event(
+                self._obs_now(), "net.deliver", node=dst,
+                src=src, size=size_bytes,
+            )
+
     # -- fault teeth ---------------------------------------------------------
 
     def crash_node(self, node: str) -> None:
         """Crash semantics, then SIGKILL the real process (if remote)."""
         super().crash_node(node)
-        with self._lock:
-            remote = node in self._remote
-        if remote:
+        if node in self._remote:
             self.hub.kill_node(node)
 
     def restart_node(self, node: str) -> None:
@@ -376,9 +381,7 @@ class SocketNetwork(LiveNetwork):
         straggling traffic keeps dropping as crashed until the replica
         is actually back.
         """
-        with self._lock:
-            remote = node in self._remote
-        if remote:
+        if node in self._remote:
             self.hub.restart_node(node)
         super().restart_node(node)
 

@@ -2,15 +2,18 @@
 
 ``LiveNetwork`` inherits ``send`` / ``multicast`` / ``_arrive`` and the
 fault gate from ``Network`` and supplies only its clock, its arrival
-scheduling and its locked handler table.  The scripted scenario below
+scheduling and a lock around membership changes.  The scripted scenario below
 therefore has to produce the *same* counters and the same per-destination
 delivery order on both -- checked against one literal expectation, so a
 substrate cannot drift without this file changing.
 
-The threaded test covers what only the wall-clock substrate can get
-wrong: ``send`` reads ``_faults_active`` without the fault lock, so a
+The threaded tests cover what only the wall-clock substrate can get
+wrong.  ``send`` reads ``_faults_active`` without the fault lock, so a
 sender thread racing the dispatcher's ``heal()`` must still land behind
-the backlog that heal is flushing.
+the backlog that heal is flushing.  And an arrival reads the handler
+table with one unlocked ``dict.get``, so a thread that registers and
+unregisters the destination meanwhile must leave every datagram either
+delivered or dropped as unregistered.
 """
 
 import sys
@@ -145,3 +148,60 @@ def test_concurrent_sends_never_overtake_a_heal_flush():
         [("queued", index) for index in range(backlog)]
         + [("raced", index) for index in range(racers)]
     )
+
+
+def test_arrivals_race_register_and_unregister_without_the_lock(monkeypatch):
+    total = 5000
+    errors = []
+
+    def run(fn, args):
+        try:
+            fn(*args)
+        except Exception as exc:  # what LiveLoop would print and swallow
+            errors.append(exc)
+
+    monkeypatch.setattr(LiveLoop, "_run", staticmethod(run))
+    loop = LiveLoop(seed=1)
+    net = LiveNetwork(loop, latency=0.0)
+    received = []
+
+    def handler(src, payload, size):
+        received.append(payload)
+
+    sending = threading.Event()
+
+    def churn():
+        while not sending.is_set():
+            net.register("b", handler)
+            net.unregister("b")
+
+    def send():
+        for index in range(total):
+            net.send("a", "b", index, 1)
+        sending.set()
+
+    threads = [threading.Thread(target=churn, name="membership-churn"),
+               threading.Thread(target=send, name="sender")]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        loop.start()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=20.0)
+            assert not thread.is_alive()
+        # Every send has been scheduled: idle means every arrival ran.
+        deadline = time.monotonic() + 20.0
+        while not loop.idle:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+    finally:
+        sys.setswitchinterval(interval)
+        loop.stop()
+    stats = net.stats
+    assert errors == []
+    assert stats.datagrams_sent == total
+    assert stats.datagrams_sent == (stats.datagrams_delivered
+                                    + stats.datagrams_dropped_unregistered)
+    assert len(received) == stats.datagrams_delivered
