@@ -71,8 +71,10 @@ class CommunicationObject:
     # -- primitives -------------------------------------------------------
 
     def send(self, dst: str, message: Message) -> None:
-        """One-way send."""
-        size = message.payload_size()
+        """One-way send; also the reply path (:attr:`reply`)."""
+        size = message._size
+        if size is None:
+            size = message.payload_size()
         self.messages_sent += 1
         self.bytes_sent += size
         self.network.send(
@@ -112,12 +114,14 @@ class CommunicationObject:
         """
         future = Future()
         self._pending[message.msg_id] = future
-        self._transmit_request(dst, message, future, timeout, retries)
+        if timeout is None:
+            self.send(dst, message)
+        else:
+            self._transmit_request(dst, message, future, timeout, retries)
         return future
 
-    def reply(self, dst: str, response: Message) -> None:
-        """Send a response built with :meth:`Message.reply`."""
-        self.send(dst, response)
+    #: Send a response built with :meth:`Message.reply`.
+    reply = send
 
     # -- internals ----------------------------------------------------------
 
@@ -126,14 +130,12 @@ class CommunicationObject:
         dst: str,
         message: Message,
         future: Future,
-        timeout: Optional[float],
+        timeout: float,
         retries_left: int,
     ) -> None:
         if future.done:
             return
         self.send(dst, message)
-        if timeout is None:
-            return
 
         def on_timeout() -> None:
             if future.done:

@@ -50,9 +50,12 @@ class Stub:
     def read(
         self, method: str, *args: Any, weight: int = 1, **kwargs: Any
     ) -> Future:
-        """Shorthand for a read-only invocation."""
-        return self.invoke(method, *args, read_only=True, weight=weight,
-                           **kwargs)
+        """Shorthand for a read-only invocation (built here, not through
+        :meth:`invoke`: it is every client read's entry point)."""
+        invocation = MarshalledInvocation(
+            method, args, tuple(sorted(kwargs.items())) if kwargs else (),
+            True)
+        return self._control.invoke(invocation, weight=weight)
 
     def write(self, method: str, *args: Any, **kwargs: Any) -> Future:
         """Shorthand for a state-modifying invocation."""

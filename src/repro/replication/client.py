@@ -14,6 +14,7 @@ web master writes directly to the web server while reading from its cache.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.coherence.models import CoherenceModel, SessionGuarantee
@@ -31,6 +32,25 @@ from repro.sim.future import Future
 #: A ``READ`` request's fixed size: envelope + 2 + len("invocation") + 2 +
 #: len("session").  Tests pin request sizes to a fresh ``estimate_size``.
 _READ_REQUEST_COST = envelope_cost(mk.READ) + 21
+
+
+@functools.lru_cache(maxsize=1024)
+def _read_encoding(
+    invocation: MarshalledInvocation,
+) -> Tuple[Dict[str, Any], int]:
+    """A read invocation's wire dict and size, shared by every client.
+
+    The encode and size walk are paid once per distinct invocation, and
+    the dict is shared by reference (request bodies are frozen).  Only
+    string arguments are cached -- ``1``, ``1.0`` and ``True`` are one
+    key with three encodings -- so any other raises ``TypeError``, as an
+    unhashable one does, and the caller encodes it uncached.
+    """
+    values = invocation.args + tuple(value for _, value in invocation.kwargs)
+    if any(type(value) is not str for value in values):
+        raise TypeError("only string arguments are cached")
+    encoded = encode_invocation(invocation)
+    return encoded, estimate_size(encoded)
 
 
 class ReplicaError(Exception):
@@ -82,14 +102,6 @@ class ClientReplicationObject(ReplicationObject):
         self.writes_issued = 0
         #: Completed operation latencies: ("read"|"write", seconds).
         self.op_latencies: list = []
-        #: Encoded read-invocation cache: invocation -> (wire dict, size).
-        #: Clients re-read the same small page set, so the encode +
-        #: size walk is paid once per distinct invocation; the encoded
-        #: dict is shared by reference (request bodies are frozen).  The
-        #: invocation is a tuple, so the lookup hashes and compares in C.
-        self._read_encodings: Dict[
-            MarshalledInvocation, Tuple[Dict[str, Any], int]
-        ] = {}
 
     # -- ReplicationObject -----------------------------------------------------
 
@@ -113,17 +125,10 @@ class ClientReplicationObject(ReplicationObject):
         started = self.clock.now
         result: Future = Future()
         try:
-            cached = self._read_encodings.get(invocation)
-            cacheable = True
-        except TypeError:  # unhashable argument values: encode uncached
-            cached = None
-            cacheable = False
-        if cached is None:
+            encoded, encoded_size = _read_encoding(invocation)
+        except TypeError:  # an argument the cache refuses: encode uncached
             encoded = encode_invocation(invocation)
-            cached = (encoded, estimate_size(encoded))
-            if cacheable:
-                self._read_encodings[invocation] = cached
-        encoded, encoded_size = cached
+            encoded_size = estimate_size(encoded)
         wire, wire_size = self.session.wire_sized()
         body = {"invocation": encoded, "session": wire}
         size = _READ_REQUEST_COST + encoded_size + wire_size

@@ -546,8 +546,26 @@ class TestReadRequestSizing:
         self.assert_size_pinned(self._sent_message(client))
 
     def test_unhashable_args_fall_back_to_uncached(self):
+        from repro.replication.client import _read_encoding
+
         client = self._client()
+        before = _read_encoding.cache_info().currsize
         invocation = MarshalledInvocation("read_page", (["list-arg"],))
         client.handle_invocation(invocation)
         self.assert_size_pinned(self._sent_message(client))
-        assert not client._read_encodings
+        assert _read_encoding.cache_info().currsize == before
+
+    def test_equal_args_of_other_types_are_not_conflated(self):
+        # 1, 1.0 and True are one dict key but three encodings: only
+        # string arguments may share a cached wire dict across clients.
+        from repro.replication.client import _read_encoding
+
+        before = _read_encoding.cache_info().currsize
+        for arg in (1, True, 1.0):
+            client = self._client()
+            client.handle_invocation(MarshalledInvocation("read_page", (arg,)))
+            message = self._sent_message(client)
+            [sent] = message.body["invocation"]["args"]
+            assert type(sent) is type(arg)
+            self.assert_size_pinned(message)
+        assert _read_encoding.cache_info().currsize == before
