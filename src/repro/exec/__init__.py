@@ -49,7 +49,6 @@ from repro.exec.runner import (
     run_sweep,
 )
 from repro.exec.seeding import config_hash, derive_seed
-from repro.exec.single import run_cached_single
 from repro.exec.spec import SweepPoint, SweepSpec
 
 __all__ = [
@@ -72,7 +71,6 @@ __all__ = [
     "derive_seed",
     "encode_result",
     "exec_kwargs",
-    "run_cached_single",
     "run_sweep",
     "supported_exec_kwargs",
 ]

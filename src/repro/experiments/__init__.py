@@ -1,9 +1,9 @@
 """Experiment harness (S15): one module per paper table/figure + sweeps.
 
-Every module exposes ``run(...) -> ExperimentResult`` (or several) and is
-driven both by the benchmark suite (``benchmarks/``) and by integration
-tests.  See DESIGN.md section 4 for the experiment index and
-EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+Every module exposes ``run(...) -> ExperimentResult`` (or several); each
+result states the paper's claims it reproduces with their verdicts, which
+``python -m repro.experiments`` prints and ``tests/test_claims.py`` checks.
+EXPERIMENTS.md is the experiment index.
 """
 
 from repro.experiments.harness import ExperimentResult

@@ -9,13 +9,16 @@ Usage::
     python -m repro.experiments --parallel 0 --cache-dir .sweep-cache
     python -m repro.experiments --cache-dir .sweep-cache --cache-clear
 
-Experiment ids match DESIGN.md section 4 (t1 t2 f1 f2 f3 f4 x1..x13).
-Every experiment accepts ``--cache-dir`` (on-disk result cache keyed by
-config hash + code version; stale code-fingerprint trees are evicted on
-startup, ``--cache-clear`` wipes the cache entirely); sweep-shaped
-experiments also accept ``--parallel`` (worker count: 1 evaluates in
-this process, more are forked and served by the sweep hub, 0 means one
-worker per CPU).  Results are bit-identical at any parallelism.
+Experiment ids (t1 t2 f1 f2 f3 f4 x1..x13) are catalogued in EXPERIMENTS.md.
+Sweep-shaped experiments accept ``--cache-dir`` (on-disk result cache
+keyed by config hash + code version; stale code-fingerprint trees are
+evicted on startup, ``--cache-clear`` wipes the cache entirely) and
+``--parallel`` (worker count: 1 evaluates in this process, more are
+forked and served by the sweep hub, 0 means one worker per CPU).
+Results are bit-identical at any parallelism.
+
+Each report ends with the experiment's claim verdicts; after printing
+every selected report the command exits 1 if any claim failed.
 """
 
 from __future__ import annotations
@@ -91,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: List[str]) -> int:
-    """Run the requested experiments in order; 2 on an unknown id."""
+    """Run the requested experiments in order.
+
+    Returns 2 on an unknown id, 1 when any claim failed, else 0.
+    """
     args = build_parser().parse_args(argv)
     requested = [exp.lower() for exp in args.experiments]
     if args.only:
@@ -109,12 +115,14 @@ def main(argv: List[str]) -> int:
     if maintenance:
         print(maintenance)
     options = exec_kwargs(args)
+    failed = False
     for exp_id in requested:
         runner = RUNNERS[exp_id]
         result = runner(**supported_exec_kwargs(runner, options))
         print(result.render())
         print()
-    return 0
+        failed |= bool(result.failed_claims())
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ out-of-order updates, demand-update on RYW misses).
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Generator, List
 
 from repro.coherence import checkers
-from repro.exec import run_cached_single
 from repro.experiments.harness import ExperimentResult, measure
 from repro.sim.process import Delay, Process, WaitFor
 from repro.workload.scenarios import Deployment, conference_deployment
@@ -45,36 +44,14 @@ def _user_script(deployment: Deployment, reads: int) -> Generator:
         yield WaitFor(user.read_page("program.html"))
 
 
-def _conference_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
-    """Cacheable F3 point; scenario parameters ride in the config."""
-    del seed
-    return _conference(**config)
-
-
 def run_conference(
     seed: int = 0,
     updates: int = 10,
     reads: int = 12,
     lazy_interval: float = 5.0,
     read_back: bool = True,
-    cache_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """Run the prototype scenario and validate its coherence claims."""
-    return run_cached_single(
-        "f3-conference", _conference_point,
-        {"seed": seed, "updates": updates, "reads": reads,
-         "lazy_interval": lazy_interval, "read_back": read_back},
-        cache_dir=cache_dir,
-    )
-
-
-def _conference(
-    seed: int,
-    updates: int,
-    reads: int,
-    lazy_interval: float,
-    read_back: bool,
-) -> ExperimentResult:
     deployment = conference_deployment(seed=seed, lazy_interval=lazy_interval)
     sim = deployment.sim
     Process(sim, _master_script(deployment, updates, read_back), "master")
@@ -111,18 +88,14 @@ def _conference(
         "final program.html version",
         server_state["program.html"]["version"],
     )
-    result.data.update(
-        pram_violations=pram,
-        ryw_violations=ryw,
-        demand_from_cache_m=cache_m.counters["tx:demand"],
-        demand_from_cache_u=cache_u.counters["tx:demand"],
-        metrics=metrics,
-        converged=_converged(deployment),
-    )
-    result.note(
-        "RYW is enforced at cache M via demand-update; cache U, with no "
-        "client-based model, waits for periodic pushes (Table 2: "
-        "object-outdate reaction 'wait', client-outdate reaction 'demand')."
+    result.claim("no store violates PRAM", not pram)
+    result.claim("client M never misses its own writes (RYW)", not ryw)
+    result.claim("every store converges to the server's content",
+                 _converged(deployment))
+    result.claim(
+        "cache M enforces RYW by demand-updates while cache U waits for "
+        "the periodic pushes: cache M demands more than cache U",
+        cache_m.counters["tx:demand"] > cache_u.counters["tx:demand"],
     )
     return result
 
@@ -145,25 +118,13 @@ def _converged(deployment: Deployment) -> bool:
     return True
 
 
-def _fig4_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
-    """Cacheable F4 point; the scenario seed rides in the config."""
-    del seed
-    return _fig4_wid_flow(seed=config["seed"])
-
-
-def run_fig4_wid_flow(seed: int = 0,
-                      cache_dir: Optional[str] = None) -> ExperimentResult:
+def run_fig4_wid_flow(seed: int = 0) -> ExperimentResult:
     """Trace the Fig. 4 mechanics explicitly: WiDs and expected-write state.
 
     Issues three incremental writes, captures the per-store expected-write
     vectors after each propagation round, and verifies the buffered
     out-of-order path by checking the final vectors agree.
     """
-    return run_cached_single("f4-wid-flow", _fig4_point, {"seed": seed},
-                             cache_dir=cache_dir)
-
-
-def _fig4_wid_flow(seed: int) -> ExperimentResult:
     deployment = conference_deployment(seed=seed, lazy_interval=2.0)
     sim = deployment.sim
     master = deployment.browsers["master"]
@@ -192,6 +153,11 @@ def _fig4_wid_flow(seed: int) -> ExperimentResult:
     )
     for index, (server_v, cm, cu) in enumerate(vectors, start=1):
         result.add_row(index, server_v, cm, cu)
-    result.data["vectors"] = vectors
-    result.data["pram_violations"] = checkers.check_pram(deployment.site.trace)
+    result.claim(
+        "after each write's propagation round every store expects the "
+        "same next WiD: (1,1,1), (2,2,2), (3,3,3)",
+        vectors == [(1, 1, 1), (2, 2, 2), (3, 3, 3)],
+    )
+    result.claim("no store violates PRAM",
+                 not checkers.check_pram(deployment.site.trace))
     return result

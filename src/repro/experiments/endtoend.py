@@ -174,9 +174,16 @@ def run_endtoend(
             run["messages"],
         )
     result.data["measured"] = measured
-    result.note(
-        "Changing the object-outdate reaction from wait to demand recovers "
-        "lost pushes through WiD gap detection: reliability as a "
-        "side-effect of PRAM, with no transport-level retransmission."
+    tcp, udp_wait, udp_demand = (measured[label] for label, _, _ in variants)
+    result.claim("TCP + wait catches up with no PRAM violation",
+                 tcp["caught_up"] and tcp["pram_violations"] == 0)
+    result.claim("UDP + wait does not catch up", not udp_wait["caught_up"])
+    result.claim(
+        "UDP + demand catches up with no PRAM violation by demanding the "
+        "lost pushes: reliability as a side effect of PRAM",
+        udp_demand["caught_up"] and udp_demand["pram_violations"] == 0
+        and udp_demand["demands"] > 0,
     )
+    result.claim("UDP + demand sends fewer than 3x TCP + wait's messages",
+                 udp_demand["messages"] < 3 * tcp["messages"])
     return result

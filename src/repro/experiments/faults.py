@@ -112,9 +112,20 @@ def run_fault_soak(
             "= sim" if point["signature"] == reference else "DIVERGED",
         )
     result.data["measured"] = measured
-    result.data["parity"] = all(
-        point["signature"] == reference for point in measured.values()
-    )
+    for key, text in (
+        ("stale_read_under_partition",
+         "a cut-off cache serves its stale copy during the partition"),
+        ("demand_refresh_ok",
+         "an RYW read through the restarted cache demand-refreshes it"),
+        ("recovered_after_heal", "every store catches up after the heal"),
+        ("recovered_after_restart",
+         "every store catches up after the restart"),
+    ):
+        result.claim(f"{text}, on every backend",
+                     all(point[key] for point in measured.values()))
+    result.claim("every backend's coherence signature equals sim's",
+                 all(point["signature"] == reference
+                     for point in measured.values()))
     result.note(
         "The plan (partition 2s -> heal, one crash/restart) is applied "
         "at convergence barriers via FaultInjector.step, so both "

@@ -12,11 +12,10 @@
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, Optional
+from typing import Generator
 
 from repro.coherence.models import CoherenceModel
 from repro.core.interfaces import Role
-from repro.exec import run_cached_single
 from repro.experiments.harness import ExperimentResult
 from repro.metrics.staleness import staleness_summary
 from repro.replication.policy import (
@@ -31,20 +30,8 @@ from repro.stores.hierarchy import describe_hierarchy
 from repro.workload.scenarios import build_tree
 
 
-def _fig1_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
-    """Cacheable F1 point; the scenario seed rides in the config."""
-    del seed
-    return _fig1(seed=config["seed"])
-
-
-def run_fig1(seed: int = 0,
-             cache_dir: Optional[str] = None) -> ExperimentResult:
+def run_fig1(seed: int = 0) -> ExperimentResult:
     """F1: one Web object distributed across four address spaces."""
-    return run_cached_single("f1-architecture", _fig1_point,
-                             {"seed": seed}, cache_dir=cache_dir)
-
-
-def _fig1(seed: int) -> ExperimentResult:
     deployment = build_tree(
         policy=ReplicationPolicy(),
         n_mirrors=1,
@@ -84,43 +71,26 @@ def _fig1(seed: int) -> ExperimentResult:
             type(local.comm).__name__,
             type(local.control).__name__,
         )
-    result.data["n_spaces"] = len(spaces)
-    result.data["store_roles"] = sorted(
-        store.role.value for store in site.dso.stores.values()
-    )
     result.note(
         "Store address spaces hold the full four-component composition; "
         "pure clients hold no semantics object and translate method calls "
         "to messages, exactly as in Fig. 1."
     )
+    roles = {store.role.value for store in site.dso.stores.values()}
+    result.claim(f"the object spans at least 4 address spaces ({len(spaces)})",
+                 len(spaces) >= 4)
+    result.claim("it has permanent, object-initiated and client-initiated "
+                 "stores",
+                 {"permanent", "object-initiated", "client-initiated"} <= roles)
     return result
-
-
-def _fig2_point(config: Dict[str, Any], seed: int) -> ExperimentResult:
-    """Cacheable F2 point; scenario parameters ride in the config."""
-    del seed
-    return _fig2(
-        seed=config["seed"],
-        scope=StoreScope(config["scope"]),
-        writes=config["writes"],
-    )
 
 
 def run_fig2(
     seed: int = 0,
     scope: StoreScope = StoreScope.PERMANENT_AND_OBJECT_INITIATED,
     writes: int = 12,
-    cache_dir: Optional[str] = None,
 ) -> ExperimentResult:
     """F2: layered stores; guarantee weakening below the scope layer."""
-    return run_cached_single(
-        "f2-store-layers", _fig2_point,
-        {"seed": seed, "scope": scope, "writes": writes},
-        cache_dir=cache_dir,
-    )
-
-
-def _fig2(seed: int, scope: StoreScope, writes: int) -> ExperimentResult:
     policy = ReplicationPolicy(
         model=CoherenceModel.PRAM,
         store_scope=scope,
@@ -175,34 +145,31 @@ def _fig2(seed: int, scope: StoreScope, writes: int) -> ExperimentResult:
         headers=["layer", "stores", "model enforced", "stale read fraction",
                  "mean time lag (s)"],
     )
-    layer_stats = {}
-    for role in (Role.PERMANENT, Role.OBJECT_INITIATED, Role.CLIENT_INITIATED):
+    layers = (Role.PERMANENT, Role.OBJECT_INITIATED, Role.CLIENT_INITIATED)
+    enforced, time_lag = {}, {}
+    for role in layers:
         infos = view.layer(role)
         if not infos:
             continue
         addresses = [info.address for info in infos]
         stale = staleness_summary(trace, stores=addresses)
-        enforced = all(info.enforced for info in infos)
-        layer_stats[role.value] = {
-            "stores": addresses,
-            "enforced": enforced,
-            "stale_fraction": stale.stale_fraction,
-            "time_lag": stale.time_lag.mean,
-        }
+        enforced[role] = all(info.enforced for info in infos)
+        time_lag[role] = stale.time_lag.mean
         result.add_row(
             role.value,
             ", ".join(addresses),
-            policy.model.value if enforced else "eventual (weakened)",
+            policy.model.value if enforced[role] else "eventual (weakened)",
             f"{stale.stale_fraction:.3f}" if stale.reads else "n/a",
             f"{stale.time_lag.mean:.3f}" if stale.reads else "n/a",
         )
-    result.data["layers"] = layer_stats
-    result.data["hierarchy"] = view
-    result.data["scope"] = scope.value
-    result.note(
-        "The store-scope parameter bounds the layers that enforce the "
-        "object model; client-initiated stores below it run eventual "
-        "coherence -- 'weaker coherence, but perhaps offering the benefit "
-        "of higher performance'."
+    result.claim(
+        f"a layer enforces {policy.model.value} exactly when it lies within "
+        f"the store scope ({scope.value}); the layers below run eventual",
+        enforced == {role: role in scope.enforced_roles() for role in layers},
+    )
+    result.claim(
+        "the permanent layer's time lag is at most the client-initiated "
+        "layer's",
+        time_lag[Role.PERMANENT] <= time_lag[Role.CLIENT_INITIATED],
     )
     return result

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.coherence.trace import TraceRecorder
 from repro.metrics.staleness import staleness_summary
@@ -14,10 +14,11 @@ from repro.workload.scenarios import Deployment
 
 @dataclasses.dataclass
 class ExperimentResult:
-    """Rows + free-form measured data for one experiment.
+    """Rows, measured data and checked claims for one experiment.
 
     ``rows``/``headers`` are what the harness prints (the paper-table
-    analog); ``data`` carries the raw measurements assertions run against.
+    analog); ``data`` carries the raw measurements; ``claims`` are the
+    paper's qualitative claims, each with whether this run bears it out.
     """
 
     name: str
@@ -25,6 +26,7 @@ class ExperimentResult:
     rows: List[List[Any]] = dataclasses.field(default_factory=list)
     notes: List[str] = dataclasses.field(default_factory=list)
     data: Dict[str, Any] = dataclasses.field(default_factory=dict)
+    claims: List[Tuple[str, bool]] = dataclasses.field(default_factory=list)
 
     def add_row(self, *cells: Any) -> None:
         """Append one result row."""
@@ -34,10 +36,22 @@ class ExperimentResult:
         """Attach a free-form note printed under the table."""
         self.notes.append(text)
 
+    def claim(self, text: str, holds: bool) -> None:
+        """State one claim and whether this run's measurements bear it out."""
+        self.claims.append((text, bool(holds)))
+
+    def failed_claims(self) -> List[str]:
+        """The text of every claim this run does not bear out."""
+        return [text for text, holds in self.claims if not holds]
+
     def render(self) -> str:
-        """The printable experiment report."""
+        """The printable experiment report: table, notes, claim verdicts."""
         parts = [render_table(self.headers, self.rows, title=self.name)]
         parts.extend(f"  note: {note}" for note in self.notes)
+        parts.extend(
+            f"  claim: {text} -- {'holds' if holds else 'FAILS'}"
+            for text, holds in self.claims
+        )
         return "\n".join(parts)
 
 

@@ -165,6 +165,18 @@ def run_model_costs(
         "replica holds (and has not been told is stale) matches the "
         "primary's copy."
     )
+    sequential, pram, eventual = (
+        measured[name]["metrics"] for name in ("sequential", "pram", "eventual")
+    )
+    result.claim("eventual writes faster than sequential",
+                 eventual.mean_write_latency < sequential.mean_write_latency)
+    result.claim("eventual ships fewer bytes than pram",
+                 eventual.traffic.bytes_sent < pram.traffic.bytes_sent)
+    result.claim("every model converges",
+                 all(point["converged"] for point in measured.values()))
+    result.claim("sequential, causal and pram show no PRAM violation",
+                 all(measured[name]["pram_violations"] == 0
+                     for name in ("sequential", "causal", "pram")))
     return result
 
 

@@ -118,10 +118,20 @@ def run_transfer_instant(
             f"{metrics.mean_time_lag:.3f}",
         )
     result.data["measured"] = measured
-    result.note(
-        "Lazy aggregation trades coherence traffic for staleness; the "
-        "longer the window, the fewer messages and the staler the reads "
-        "(Section 3.3's aggregation argument, measured)."
+    immediate = measured["immediate"]
+    lazy = [measured[f"lazy ({interval:g}s)"]
+            for interval in sorted(lazy_intervals)]
+    lazy_msgs = [run.traffic.coherence_messages for run in lazy]
+    result.claim(
+        "every lazy window sends fewer coherence messages than immediate, "
+        "and no more than the next shorter window",
+        all(msgs < immediate.traffic.coherence_messages for msgs in lazy_msgs)
+        and lazy_msgs == sorted(lazy_msgs, reverse=True),
+    )
+    result.claim(
+        "immediate serves no stale read; every lazy window lags longer",
+        immediate.stale_fraction == 0.0
+        and all(run.mean_time_lag > immediate.mean_time_lag for run in lazy),
     )
     return result
 
@@ -185,11 +195,20 @@ def run_propagation(
             f"{metrics.mean_read_latency:.4f}",
         )
     result.data["measured"] = measured
-    result.note(
-        "Invalidation sends tiny invalidations and pays a refetch only on "
-        "the next read, so it wins on bytes when reads are rare; update "
-        "propagation wins read latency when reads dominate."
+    low, high = min(read_ratios), max(read_ratios)
+    gap = {ratio: measured[(ratio, "update")].traffic.bytes_sent
+           - measured[(ratio, "invalidate")].traffic.bytes_sent
+           for ratio in (low, high)}
+    result.claim(f"at {low:g} reads per write, invalidate ships fewer bytes "
+                 "than update", gap[low] > 0)
+    result.claim(
+        f"at {high:g} reads per write, update's mean read latency is at "
+        "most invalidate's",
+        measured[(high, "update")].mean_read_latency
+        <= measured[(high, "invalidate")].mean_read_latency,
     )
+    result.claim("the update-invalidate byte gap narrows as reads grow",
+                 gap[high] < gap[low])
     return result
 
 
@@ -268,10 +287,20 @@ def run_initiative_and_transfer(
             f"{metrics.mean_read_latency:.4f}",
         )
     result.data["measured"] = measured
-    result.note(
-        "Partial transfer ships only modified pages; full transfer ships "
-        "the whole ten-page document each time.  Pull-on-access pays a "
-        "validation round trip per read (the IMS pattern); periodic pull "
-        "trades that for staleness."
+    push, full, pull_now, pull_lazy = (
+        measured[tuple(axis.value for axis in variant)]
+        for variant in variants
+    )
+    result.claim("full transfer ships over twice partial's bytes",
+                 full.traffic.bytes_sent > 2 * push.traffic.bytes_sent)
+    result.claim(
+        "pull-on-access reads slower than push, and never stale",
+        pull_now.mean_read_latency > push.mean_read_latency
+        and pull_now.stale_fraction == 0.0,
+    )
+    result.claim(
+        "periodic pull reads faster than pull-on-access, and sometimes stale",
+        pull_lazy.mean_read_latency < pull_now.mean_read_latency
+        and pull_lazy.stale_fraction > 0.0,
     )
     return result

@@ -59,6 +59,30 @@ def run_table1_grid(
     result.data["grid"] = grid_def.name
     result.data["measured"] = results
     result.data["tables"] = tables
+    smallest = min(grid_def.sizes)
+
+    def cell(metric: str, protocol: str, workload: str,
+             size: int = largest) -> float:
+        return tables[metric].cell(protocol, (workload, size)).mean
+
+    result.claim(
+        f"write-heavy, {largest} caches: push-invalidate ships less than "
+        "push-update",
+        cell("wire_kb", "push-invalidate", "write-heavy")
+        < cell("wire_kb", "push-update", "write-heavy"),
+    )
+    result.claim(f"read-heavy, {largest} caches: push-invalidate serves "
+                 "stale reads",
+                 cell("stale_fraction", "push-invalidate", "read-heavy") > 0)
+    result.claim(f"read-heavy, {largest} caches: push-update serves no "
+                 "stale read",
+                 cell("stale_fraction", "push-update", "read-heavy") == 0)
+    result.claim(
+        f"push-update's read-heavy wire traffic grows from {smallest} to "
+        f"{largest} caches",
+        cell("wire_kb", "push-update", "read-heavy")
+        > cell("wire_kb", "push-update", "read-heavy", smallest),
+    )
     result.note(
         "Means over the grid's replications.  The rendered results book "
         "(RESULTS.md, one heat map per metric) is regenerated by "

@@ -1,5 +1,4 @@
-"""Tests for cache maintenance, the codec-backed cache store, and the
-single-run cache port."""
+"""Tests for cache maintenance and the codec-backed cache store."""
 
 import argparse
 import pickle
@@ -11,7 +10,6 @@ from repro.exec import (
     apply_cache_maintenance,
     cached_point_labels,
     encode_result,
-    run_cached_single,
     run_sweep,
 )
 
@@ -158,51 +156,3 @@ class TestCliMaintenance:
         )
         assert "cleared" in summary
         assert list(tmp_path.iterdir()) == []
-
-
-def _stateful_point(config, seed):
-    # A deliberately impure point: proves the second call is a cache hit.
-    _CALLS.append(config["tag"])
-    return {"tag": config["tag"], "calls": len(_CALLS)}
-
-
-_CALLS = []
-
-
-class TestSingleRunCaching:
-    # A single run is one point, so it is evaluated in this process:
-    # these tests observe the in-process _CALLS side effect.
-    def test_run_cached_single_hits_cache(self, tmp_path):
-        _CALLS.clear()
-        first = run_cached_single("single", _stateful_point, {"tag": "a"},
-                                  cache_dir=tmp_path)
-        again = run_cached_single("single", _stateful_point, {"tag": "a"},
-                                  cache_dir=tmp_path)
-        assert first == again == {"tag": "a", "calls": 1}
-        assert _CALLS == ["a"]
-        # A different config is a different cache key.
-        other = run_cached_single("single", _stateful_point, {"tag": "b"},
-                                  cache_dir=tmp_path)
-        assert other["tag"] == "b"
-        assert _CALLS == ["a", "b"]
-
-    def test_without_cache_dir_runs_inline(self):
-        _CALLS.clear()
-        run_cached_single("single", _stateful_point, {"tag": "c"})
-        run_cached_single("single", _stateful_point, {"tag": "c"})
-        assert _CALLS == ["c", "c"]
-
-
-class TestPortedExperimentsCache:
-    def test_figure_experiment_round_trips_the_cache(self, tmp_path):
-        from repro.experiments.conference import run_conference
-
-        cold = run_conference(seed=1, updates=3, reads=3,
-                              cache_dir=str(tmp_path))
-        warm = run_conference(seed=1, updates=3, reads=3,
-                              cache_dir=str(tmp_path))
-        assert cold.render() == warm.render()
-        assert warm.data["converged"]
-        # And the ported runner matches the pre-port (uncached) output.
-        direct = run_conference(seed=1, updates=3, reads=3)
-        assert direct.render() == cold.render()

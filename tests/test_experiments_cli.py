@@ -1,6 +1,7 @@
 """Tests for the experiment-runner CLI module."""
 
 from repro.experiments.__main__ import RUNNERS, main
+from repro.experiments.harness import ExperimentResult
 
 
 def test_all_experiment_ids_registered():
@@ -26,3 +27,17 @@ def test_unknown_id_rejected(capsys):
 
 def test_case_insensitive(capsys):
     assert main(["T1"]) == 0
+
+
+def test_failed_claim_exits_1_after_printing_every_report(capsys,
+                                                          monkeypatch):
+    def refuted():
+        result = ExperimentResult(name="Refuted", headers=["h"])
+        result.claim("the paper's claim", False)
+        return result
+
+    monkeypatch.setitem(RUNNERS, "t1", refuted)
+    assert main(["t1", "t2"]) == 1
+    out = capsys.readouterr().out
+    assert "claim: the paper's claim -- FAILS" in out
+    assert "Table 2" in out

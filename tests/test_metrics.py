@@ -10,7 +10,9 @@ from repro.metrics.staleness import read_staleness, staleness_summary
 from repro.metrics.tables import render_table
 from repro.metrics.traffic import collect_traffic
 from repro.net.network import Network
+from repro.report.grid import STRATEGIES
 from repro.sim.kernel import Simulator
+from repro.workload.profiles import get_profile, run_profile
 
 
 class TestPercentile:
@@ -114,6 +116,28 @@ class TestTraffic:
         assert summary.bytes_sent == 10
         assert summary.kind("tx:update") == 3
         assert summary.coherence_messages == 3
+
+    @pytest.mark.parametrize("workload",
+                             ["read-heavy", "write-heavy", "balanced"])
+    @pytest.mark.parametrize("protocol", ["push-invalidate", "push-update"])
+    def test_fault_free_traffic_decomposes_by_kind(self, protocol, workload):
+        # Reads, demands and writes are request/reply pairs; pushes are
+        # one datagram each.  A demand beyond one cold miss per page per
+        # cache plus one per invalidation received is wasted traffic.
+        deployment = run_profile(
+            STRATEGIES[protocol].build_policy(), get_profile(workload),
+            n_caches=4, seed=3,
+        )
+        traffic = collect_traffic(deployment.network, deployment.engines)
+        assert traffic.datagrams_sent == (
+            2 * traffic.kind("rx:read") + traffic.kind("tx:invalidate")
+            + traffic.kind("tx:update") + 2 * traffic.kind("tx:demand")
+            + 2 * traffic.kind("rx:write")
+        )
+        pages = len(deployment.store("server").state())
+        assert traffic.kind("tx:demand") <= (
+            pages * len(deployment.caches) + traffic.kind("rx:invalidate")
+        )
 
 
 class TestRenderTable:

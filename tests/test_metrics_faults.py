@@ -1,5 +1,8 @@
 """Tests for the partition-aware metrics."""
 
+import pytest
+
+from repro.coherence.checkers import check_eventual_delivery
 from repro.coherence.trace import TraceRecorder
 from repro.core.ids import WriteId
 from repro.metrics.faults import (
@@ -8,7 +11,11 @@ from repro.metrics.faults import (
     staleness_under_partition,
     unavailable_read_fraction,
 )
-from repro.report.grid import STRATEGIES
+from repro.report.grid import (
+    FAULT_REQUEST_RETRIES,
+    FAULT_REQUEST_TIMEOUT,
+    STRATEGIES,
+)
 from repro.workload.profiles import get_profile, run_profile
 
 
@@ -127,3 +134,20 @@ def test_fault_run_metrics_sees_partition_effects():
         "unavailable_fraction", "partition_stale_lag", "recovery_lag",
     }
     assert metrics["recovery_lag"] > 0.0
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "F3: the restarted cache-0 freezes behind an update lost while it "
+    "was down (12 updates stay buffered, 15 eventual-delivery violations)"
+))
+def test_restarted_replica_catches_up_under_push_update():
+    deployment = run_profile(
+        STRATEGIES["push-update"].build_policy(), get_profile("balanced"),
+        n_caches=2, seed=0, fault_plan="crash-restart",
+        request_timeout=FAULT_REQUEST_TIMEOUT,
+        request_retries=FAULT_REQUEST_RETRIES,
+    )
+    buffered = {engine.address: len(engine.ordering.buffer)
+                for engine in deployment.engines}
+    assert buffered == dict.fromkeys(buffered, 0)
+    assert check_eventual_delivery(deployment.site.trace) == []

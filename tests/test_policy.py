@@ -1,5 +1,7 @@
 """Unit tests for replication policies (Table 1) and their validation."""
 
+import itertools
+
 import pytest
 
 from repro.coherence.models import CoherenceModel
@@ -40,6 +42,28 @@ class TestValidation:
     def test_validate_returns_self_for_chaining(self):
         policy = ReplicationPolicy()
         assert policy.validate() is policy
+
+    def test_full_axis_space(self):
+        """Validate every raw combination of the Table-1 axes x each model."""
+        valid = rejected = 0
+        for combo in itertools.product(
+            CoherenceModel, Propagation, StoreScope, WriteSet,
+            TransferInitiative, TransferInstant, AccessTransfer,
+            CoherenceTransfer,
+        ):
+            policy = ReplicationPolicy(
+                model=combo[0], propagation=combo[1], store_scope=combo[2],
+                write_set=combo[3], transfer_initiative=combo[4],
+                transfer_instant=combo[5], access_transfer=combo[6],
+                coherence_transfer=combo[7],
+            )
+            try:
+                policy.validate()
+                valid += 1
+            except PolicyError:
+                rejected += 1
+        assert valid + rejected == 5 * 2 * 3 * 2 * 2 * 2 * 2 * 3
+        assert valid > rejected
 
 
 class TestStoreScope:
