@@ -4,7 +4,8 @@ Each experiment states the paper's qualitative claims it reproduces
 (who wins, in which regime) beside the run that measures them, through
 ``ExperimentResult.claim``.  This test runs every experiment id at its
 defaults, the seeded single runs and sweeps once more at another seed,
-and F2 once at the widest store scope.
+F2 once at the widest store scope, and F3 and X6 once more at the
+smaller sizes their earlier tests ran at.
 """
 
 import pytest
@@ -24,7 +25,11 @@ CASES = (
     [pytest.param(exp_id, {}, id=exp_id) for exp_id in RUNNERS]
     + [pytest.param(exp_id, {"seed": 1}, id=f"{exp_id}-seed1")
        for exp_id in SEEDED]
-    + [pytest.param("f2", {"scope": StoreScope.ALL}, id="f2-scope-all")]
+    + [pytest.param("f2", {"scope": StoreScope.ALL}, id="f2-scope-all"),
+       pytest.param("f3", {"updates": 8, "reads": 10},
+                    id="f3-updates8-reads10"),
+       pytest.param("x6", {"seed": 1, "writes": 12, "n_caches": 3},
+                    id="x6-seed1-writes12-caches3")]
 )
 
 

@@ -1,5 +1,7 @@
 """Tests for the experiment-runner CLI module."""
 
+import pytest
+
 from repro.experiments.__main__ import RUNNERS, main
 from repro.experiments.harness import ExperimentResult
 
@@ -17,6 +19,15 @@ def test_selected_experiment_runs(capsys):
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "Consistency propagation" in out
+
+
+@pytest.mark.parametrize("exp_id", ["t1", "t2", "f3"])
+def test_command_prints_every_claim_holding(exp_id, capsys):
+    assert main([exp_id]) == 0
+    verdicts = [line for line in capsys.readouterr().out.splitlines()
+                if line.lstrip().startswith("claim: ")]
+    assert verdicts
+    assert all(line.endswith(" -- holds") for line in verdicts), verdicts
 
 
 def test_unknown_id_rejected(capsys):
