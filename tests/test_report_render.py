@@ -1,9 +1,10 @@
 """Tests for the renderers and the generated results book.
 
 The golden files under ``tests/golden/`` pin the rendered wire-traffic
-table and ASCII heat map for the small grid byte-for-byte: any engine or
-renderer change that moves the numbers (or the formatting) must be a
-conscious golden update, never drift.
+table and ASCII heat map for the small grid, and every metric table of
+the small fault grid, byte-for-byte: any engine or renderer change that
+moves the numbers (or the formatting) must be a conscious golden update,
+never drift.
 """
 
 import xml.etree.ElementTree as ET
@@ -37,6 +38,17 @@ def test_golden_ascii_heatmap_small_grid():
     _, _, tables = _small_tables()
     rendered = ascii_heatmap(tables["wire_kb"]) + "\n"
     assert rendered == (GOLDEN / "table1_small_wire_kb_heatmap.txt").read_text()
+
+
+def test_golden_fault_book_small_grid():
+    """Every metric of ``x11-faults-small``, one markdown table each."""
+    grid = get_grid("x11-faults-small")
+    tables = aggregate(grid, run_grid(grid))
+    rendered = "\n".join(
+        f"## {key}\n\n{markdown_metric_table(table)}\n"
+        for key, table in tables.items()
+    )
+    assert rendered == (GOLDEN / "x11_faults_small_book.md").read_text()
 
 
 def test_book_bit_identical_on_warm_cache_rerun(tmp_path):
