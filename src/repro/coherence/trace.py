@@ -155,9 +155,9 @@ class TraceRecorder:
     ) -> None:
         """A store applied ``wid``; ``applied_vc`` is the VC *after* apply.
 
-        The event keeps ``applied_vc`` itself: the caller hands over a
-        dict it will not touch again (the engine passes a fresh
-        ``as_dict()`` per apply), so it is not copied a second time here.
+        The event keeps ``applied_vc`` itself, uncopied: the caller hands
+        over a dict no one mutates (the engine passes its batch's stamp,
+        shared by every record of the batch), and no reader mutates it.
         """
         self.events.append(
             ApplyEvent(

@@ -44,6 +44,10 @@ class VectorClock:
         """Plain-dict copy, for embedding in messages."""
         return dict(self._entries)
 
+    def view(self) -> Dict[str, int]:
+        """The entries themselves, not a copy: only for a clock no one mutates."""
+        return self._entries
+
     def copy(self) -> "VectorClock":
         """Independent copy."""
         clone = VectorClock.__new__(VectorClock)

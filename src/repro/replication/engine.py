@@ -244,9 +244,6 @@ class StoreReplicationObject(ReplicationObject):
         can_apply = control.can_apply
         apply_local = control.apply_local
         trace = self.trace
-        if trace is not None:
-            now = self.clock.now
-            address = self.address
         primary = self.parent is None
         applied = self.ordering.applied
         as_of = self.as_of
@@ -255,8 +252,13 @@ class StoreReplicationObject(ReplicationObject):
         writes = self.writes
         pending_acks = writes.pending_acks
         # The ordering advanced ``applied`` for the whole batch before
-        # releasing it, so one stamp serves every record in it.
+        # releasing it, so one stamp serves every record in it -- and,
+        # never mutated, the trace of every record as well.
         stamp = applied.copy()
+        if trace is not None:
+            now = self.clock.now
+            address = self.address
+            stamped = stamp.view()
         for record in records:
             log.append(record)
             if primary or can_apply(record.invocation):
@@ -276,7 +278,7 @@ class StoreReplicationObject(ReplicationObject):
                     time=now,
                     store=address,
                     wid=record.wid,
-                    applied_vc=applied.as_dict(),
+                    applied_vc=stamped,
                     global_seq=record.global_seq,
                     deps=deps.as_dict() if deps is not None else None,
                 )

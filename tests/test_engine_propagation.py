@@ -4,6 +4,7 @@ update/invalidate/notify, partial/full transfers."""
 import pytest
 
 from repro.coherence.models import CoherenceModel
+from repro.coherence.trace import ApplyEvent
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
 from repro.replication.policy import (
@@ -59,6 +60,36 @@ def test_lazy_push_aggregates_one_flush_per_window():
     assert cache.version() == {"master": 4}
     # All four writes arrived in a single aggregated update message.
     assert server.engine.counters["tx:update"] == 1
+
+
+def test_applied_batch_traces_its_one_stamp_uncopied_and_unmutated():
+    """Every record of an applied batch shares the batch's stamp in the
+    trace; no later apply, at that store or another, changes a traced
+    vector."""
+    policy = ReplicationPolicy(
+        transfer_instant=TransferInstant.LAZY,
+        lazy_interval=5.0,
+        coherence_transfer=CoherenceTransfer.PARTIAL,
+    )
+    sim, site, server, cache, master = build(policy)
+    for index in range(4):
+        master.append_to_page("p.html", f"+{index}")
+    sim.run(until=8.0)
+    applies = [e for e in site.trace.events if isinstance(e, ApplyEvent)]
+    at_server = [e.applied_vc for e in applies if e.store == "server"]
+    at_cache = [e.applied_vc for e in applies if e.store == "cache"]
+    # One write per batch at the server, so one stamp per record there.
+    assert at_server == [{"master": n} for n in (1, 2, 3, 4)]
+    assert len({id(vc) for vc in at_server}) == 4
+    # The cache applies the one aggregated push as a single batch.
+    assert at_cache == [{"master": 4}] * 4
+    assert all(vc is at_cache[0] for vc in at_cache)
+    assert server.engine.as_of["p.html"].view() is at_server[-1]
+    master.append_to_page("p.html", "+4")
+    sim.run(until=16.0)
+    assert cache.version() == {"master": 5}
+    assert at_server == [{"master": n} for n in (1, 2, 3, 4)]
+    assert at_cache == [{"master": 4}] * 4
 
 
 def test_lazy_fifo_aggregation_compresses_superseded_writes():
