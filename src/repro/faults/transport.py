@@ -20,12 +20,12 @@ the *identical* semantics:
 
 The one datagram path (:class:`~repro.net.network.Network`, which the
 wall-clock substrates specialise) calls :meth:`_fault_blocked` from
-``send`` whenever ``_faults_active`` is up, :meth:`_lose_unreliable` for
+its send-side gate whenever ``_faults_active`` is up, :meth:`_lose_unreliable` for
 the loss draw and :meth:`_crashed_at_arrival` when a datagram lands; it
 provides ``stats`` (a :class:`~repro.net.network.NetworkStats`),
 ``_obs_now()`` (its clock reading, for trace timestamps) and
-``_schedule_arrival(src, dst, payload, size_bytes, reliable)``, which a
-heal uses to release queued datagrams.
+``_schedule_arrival(src, dsts, payload, size_bytes, reliable)``, which a
+heal uses to release queued datagrams, one recipient at a time.
 
 Fault state is normally mutated on the protocol thread (the simulator's
 event loop or the live dispatcher): the
@@ -227,8 +227,8 @@ class FaultableTransportMixin:
                 ):
                     still_blocked.append((src, dst, payload, size_bytes))
                 else:
-                    self._schedule_arrival(src, dst, payload, size_bytes,
-                                           True)
+                    self._schedule_arrival(src, (dst,), payload,
+                                           size_bytes, True)
             # Prepend: delivery above may have queued nothing, but a
             # re-partition during flush must not reorder survivors.
             self._partition_queue = still_blocked + self._partition_queue

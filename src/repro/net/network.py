@@ -14,24 +14,27 @@ This split mirrors the paper's prototype, which used TCP "for the sake of
 simplicity" while observing that the coherence protocol's own ordering would
 permit UDP (Section 4.2; measured in experiment X5).
 
-**One path.**  :meth:`Network.send`, :meth:`Network.multicast` and
-:meth:`Network._arrive` are the only bodies that count, gate, trace and
-hand over a datagram; the wall-clock
-:class:`~repro.runtime.live.LiveNetwork` and the multi-process
-:class:`~repro.runtime.socket.SocketNetwork` inherit them and supply only
-what genuinely differs per substrate:
+**One path.**  :meth:`Network.send` and :meth:`Network.multicast` run
+each recipient through the one gate, :meth:`Network._admit`, and hand the
+admitted ones as a list to :meth:`Network._schedule_arrival`;
+:meth:`Network._arrive` hands such a list over in order.  A unicast is a
+list of one, and a multicast landing at one instant is one event.  The
+wall-clock :class:`~repro.runtime.live.LiveNetwork` and the multi-process
+:class:`~repro.runtime.socket.SocketNetwork` inherit all of this and
+supply only what genuinely differs per substrate:
 
 - the clock (``Network.sim``: a ``Simulator`` or a ``LiveLoop``);
 - :meth:`Network._schedule_arrival` -- virtual time, the model's fixed
-  delay and the reliable FIFO clamp here, ``LiveLoop.schedule`` there;
-- :attr:`Network.MEMBERSHIP_AT_SEND` -- whether ``send`` rejects an
+  delay, the reliable FIFO clamp and one event per distinct arrival time
+  here, one ``LiveLoop.schedule`` per recipient there;
+- :attr:`Network.MEMBERSHIP_AT_SEND` -- whether the gate rejects an
   unregistered source and drops an unknown destination up front.
 
 An arrival's one ``dict.get`` on the handler table is atomic under the
 GIL, so the wall-clock substrates lock only membership changes.
 
 The fault gate and the trace hooks are data on that path, not a second
-lane: ``send`` reads ``_faults_active`` (kept by
+lane: the gate reads ``_faults_active`` (kept by
 :class:`~repro.faults.transport.FaultableTransportMixin`, which owns the
 partition / heal / crash state) and ``repro.obs.tracer.ACTIVE``, and a
 healthy, untraced network pays exactly those two reads per datagram.
@@ -44,6 +47,7 @@ without one is called per datagram.
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.faults.transport import FaultableTransportMixin
@@ -96,7 +100,7 @@ class Network(FaultableTransportMixin):
     when a wall-clock subclass constructs it.
     """
 
-    #: Whether :meth:`send` enforces membership: an unregistered source
+    #: Whether :meth:`_admit` enforces membership: an unregistered source
     #: raises :class:`NodeNotRegistered` and an unknown destination is
     #: dropped before the fault gate.  The wall-clock substrates accept
     #: any source (node processes and ad-hoc senders are not in the
@@ -113,7 +117,7 @@ class Network(FaultableTransportMixin):
         self.latency = latency or ConstantLatency()
         self.stats = NetworkStats()
         self._handlers: Dict[str, ReceiveHandler] = {}
-        self._fifo_clock: Dict[Tuple[str, str], float] = {}
+        self._fifo_clock: Dict[Tuple[str, str], float] = defaultdict(float)
         self._init_faults(
             loss_rng=sim.rng.fork("network-loss"), loss_rate=loss_rate
         )
@@ -149,21 +153,30 @@ class Network(FaultableTransportMixin):
 
     # -- the datagram path ----------------------------------------------------
 
-    def send(
-        self,
-        src: str,
-        dst: str,
-        payload: object,
-        size_bytes: int = 0,
-        reliable: bool = True,
-    ) -> None:
-        """Send one datagram.  ``reliable`` selects the delivery class.
+    def send(self, src: str, dst: str, payload: object,
+             size_bytes: int = 0, reliable: bool = True) -> None:
+        """Send one datagram.  ``reliable`` selects the delivery class."""
+        if self._admit(src, dst, payload, size_bytes, reliable):
+            self._schedule_arrival(src, (dst,), payload, size_bytes, reliable)
+
+    def multicast(self, src: str, dsts: Sequence[str], payload: object,
+                  size_bytes: int = 0, reliable: bool = True) -> None:
+        """Send the same payload to every destination (skipping ``src``)."""
+        admit = self._admit
+        admitted = [dst for dst in dsts if dst != src
+                    and admit(src, dst, payload, size_bytes, reliable)]
+        if admitted:
+            self._schedule_arrival(src, admitted, payload, size_bytes,
+                                   reliable)
+
+    def _admit(self, src: str, dst: str, payload: object, size_bytes: int,
+               reliable: bool) -> bool:
+        """The send-side gate: whether one datagram is to be scheduled.
 
         Counted as sent, then consumed by the first gate that applies --
         unknown destination, active fault (crash drop, partition queue or
         drop), loss draw (unreliable only, after the partition check so a
-        partitioned datagram never shifts the loss stream) -- or
-        scheduled to arrive.
+        partitioned datagram never shifts the loss stream) -- or admitted.
         """
         strict = self.MEMBERSHIP_AT_SEND
         if strict and src not in self._handlers:
@@ -181,67 +194,69 @@ class Network(FaultableTransportMixin):
             )
         if strict and dst not in self._handlers:
             self._drop("unregistered", src, dst)
-            return
+            return False
         if self._faults_active and self._fault_blocked(
             src, dst, payload, size_bytes, reliable
         ):
-            return
-        if not reliable and self._lose_unreliable(src, dst):
-            return
-        self._schedule_arrival(src, dst, payload, size_bytes, reliable)
-
-    def multicast(
-        self,
-        src: str,
-        dsts: Sequence[str],
-        payload: object,
-        size_bytes: int = 0,
-        reliable: bool = True,
-    ) -> None:
-        """Send the same payload to every destination (skipping ``src``)."""
-        send = self.send
-        for dst in dsts:
-            if dst != src:
-                send(src, dst, payload, size_bytes, reliable)
+            return False
+        return reliable or not self._lose_unreliable(src, dst)
 
     def _schedule_arrival(
-        self, src: str, dst: str, payload: object, size_bytes: int,
-        reliable: bool,
+        self, src: str, dsts: Sequence[str], payload: object,
+        size_bytes: int, reliable: bool,
     ) -> None:
-        """Schedule :meth:`_arrive` after this datagram's network delay."""
-        delay = self._fixed_delay
-        if delay is None:
-            delay = self._latency.delay(src, dst, size_bytes)
-        arrival = self.sim.now + delay
-        if reliable:
-            # FIFO clamp: a reliable stream never reorders within a
-            # (src, dst) pair, exactly like a TCP connection.
-            key = (src, dst)
-            fifo = self._fifo_clock
-            floor = fifo.get(key, 0.0)
-            if arrival < floor:
-                arrival = floor
-            fifo[key] = arrival
-        self.sim.schedule_at(arrival, self._arrive, src, dst, payload,
-                             size_bytes)
+        """Schedule one :meth:`_arrive` per distinct arrival time.
 
-    def _arrive(self, src: str, dst: str, payload: object, size_bytes: int) -> None:
-        """A datagram lands: last crash check, then hand it to ``dst``."""
-        if self._faults_active and self._crashed_at_arrival(src, dst):
-            return
-        handler = self._handlers.get(dst)
-        if handler is None:
-            self._drop("unregistered", src, dst)
-            return
-        stats = self.stats
-        stats.datagrams_delivered += 1
-        stats.bytes_delivered += size_bytes
-        if _obs.ACTIVE is not None:
-            _obs.ACTIVE.event(
-                self._obs_now(), "net.deliver", node=dst,
-                src=src, size=size_bytes,
-            )
-        handler(src, payload, size_bytes)
+        Times are scheduled in first-appearance order, recipients in
+        ``dsts`` order: no other event can take a ``seq`` between them,
+        so they fire exactly as one event per recipient would.
+        """
+        now = self.sim.now
+        delay = self._fixed_delay
+        fifo = self._fifo_clock
+        batch = batches = None  # batches: by arrival, once a second shows
+        for dst in dsts:
+            arrival = now + (delay if delay is not None
+                             else self._latency.delay(src, dst, size_bytes))
+            if reliable:
+                # FIFO clamp: a reliable stream never reorders within a
+                # (src, dst) pair, exactly like a TCP connection.
+                key = (src, dst)
+                if arrival < fifo[key]:
+                    arrival = fifo[key]
+                fifo[key] = arrival
+            if batch is None:
+                at, batch = arrival, [dst]
+            elif arrival == at:
+                batch.append(dst)
+            else:
+                batches = batches or {at: batch}
+                at, batch = arrival, batches.setdefault(arrival, [])
+                batch.append(dst)
+        for at, batch in batches.items() if batches else ((at, batch),):
+            self.sim.schedule_at(at, self._arrive, src, batch, payload,
+                                 size_bytes)
+
+    def _arrive(self, src: str, dsts: Sequence[str], payload: object,
+                size_bytes: int) -> None:
+        """Datagrams land in ``dsts`` order, each checked and handed over
+        on its own (an earlier handler may crash a later recipient)."""
+        for dst in dsts:
+            if self._faults_active and self._crashed_at_arrival(src, dst):
+                continue
+            handler = self._handlers.get(dst)
+            if handler is None:
+                self._drop("unregistered", src, dst)
+                continue
+            stats = self.stats
+            stats.datagrams_delivered += 1
+            stats.bytes_delivered += size_bytes
+            if _obs.ACTIVE is not None:
+                _obs.ACTIVE.event(
+                    self._obs_now(), "net.deliver", node=dst,
+                    src=src, size=size_bytes,
+                )
+            handler(src, payload, size_bytes)
 
     # -- introspection ---------------------------------------------------------------
 

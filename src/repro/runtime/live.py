@@ -21,7 +21,7 @@ import socket
 import threading
 import time
 import traceback
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 from repro.net.latency import ConstantLatency
 from repro.net.network import Network
@@ -248,8 +248,11 @@ class LiveNetwork(Network):
         with self._lock:
             return set(self._handlers)
 
-    def _schedule_arrival(self, src: str, dst: str, payload: object,
-                          size_bytes: int, reliable: bool) -> None:
-        """Arrive on the dispatcher; loop seq order keeps pairs FIFO."""
-        self.loop.schedule(self._latency.delay(src, dst, size_bytes),
-                           self._arrive, src, dst, payload, size_bytes)
+    def _schedule_arrival(self, src: str, dsts: Sequence[str],
+                          payload: object, size_bytes: int,
+                          reliable: bool) -> None:
+        """One dispatcher callback per recipient; seq order keeps pairs FIFO."""
+        for dst in dsts:
+            self.loop.schedule(self._latency.delay(src, dst, size_bytes),
+                               self._arrive, src, (dst,), payload,
+                               size_bytes)

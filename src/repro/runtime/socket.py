@@ -44,7 +44,7 @@ import shutil
 import tempfile
 import threading
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.coherence.trace import TraceRecorder
 from repro.core.interfaces import Role
@@ -337,7 +337,7 @@ class SocketNetwork(LiveNetwork):
 
     # -- delivery ------------------------------------------------------------
 
-    def _arrive(self, src: str, dst: str, payload: object,
+    def _arrive(self, src: str, dsts: Sequence[str], payload: object,
                 size_bytes: int) -> None:
         """Local destinations take the shared body; remote ones a frame.
 
@@ -346,14 +346,15 @@ class SocketNetwork(LiveNetwork):
         reports the frame written; a node whose channel is gone (never
         attached, or closed under the write) drops as unregistered.
         """
-        if dst not in self._remote:
-            super()._arrive(src, dst, payload, size_bytes)
-        elif self._faults_active and self._crashed_at_arrival(src, dst):
-            return
-        elif self.hub.forward(dst, src, payload, size_bytes):
-            self._delivered(src, dst, size_bytes)
-        else:
-            self._drop("unregistered", src, dst)
+        for dst in dsts:
+            if dst not in self._remote:
+                super()._arrive(src, (dst,), payload, size_bytes)
+            elif self._faults_active and self._crashed_at_arrival(src, dst):
+                continue
+            elif self.hub.forward(dst, src, payload, size_bytes):
+                self._delivered(src, dst, size_bytes)
+            else:
+                self._drop("unregistered", src, dst)
 
     def _delivered(self, src: str, dst: str, size_bytes: int) -> None:
         """Count one frame handed to a node's channel and trace it."""

@@ -283,7 +283,7 @@ def test_unregister_stops_delivery():
     assert received == []
 
 
-# -- multicast is a loop of sends ----------------------------------------------
+# -- multicast delivers like a loop of sends -----------------------------------
 
 
 def _fanout_build(seed=11, latency=None):
@@ -354,6 +354,124 @@ def test_multicast_to_only_self_is_a_noop():
     net.multicast("a", ["a"], "x", size_bytes=10)
     assert net.stats.datagrams_sent == 0
     assert net.stats.bytes_sent == 0
+
+
+# -- a multicast arrives as one event per distinct arrival time ---------------
+
+
+RECIPIENTS = [f"r{index}" for index in range(8)]
+
+
+def _batch_build(seed=5, latency=None, loss_rate=0.0, on_arrival=None):
+    """A sender ``s`` and eight recipients logging ``(dst, payload, now)``.
+
+    ``on_arrival(net, dst)`` runs inside every recipient's handler, after
+    its arrival is logged.
+    """
+    sim = Simulator(seed=seed)
+    net = make_net(sim, latency=latency, loss_rate=loss_rate)
+    log = []
+    net.register("s", collector([]))
+    for name in RECIPIENTS:
+        def handler(src, payload, size, _name=name):
+            log.append((_name, payload, sim.now))
+            if on_arrival is not None:
+                on_arrival(net, _name)
+        net.register(name, handler)
+    return sim, net, log
+
+
+def _post(net, use_multicast, payload, reliable=True, dsts=RECIPIENTS):
+    """One multicast, or the reference: one ``send`` per recipient."""
+    if use_multicast:
+        net.multicast("s", dsts, payload, size_bytes=24, reliable=reliable)
+    else:
+        for dst in dsts:
+            net.send("s", dst, payload, size_bytes=24, reliable=reliable)
+
+
+def test_fixed_delay_multicast_is_one_event_delivered_in_dsts_order():
+    outcomes = []
+    for use_multicast in (False, True):
+        sim, net, log = _batch_build()
+        _post(net, use_multicast, "x")
+        sim.run_until_idle()
+        outcomes.append((log, net.stats.as_dict(), sim.events_fired))
+    (ref_log, ref_stats, ref_events), (log, stats, events) = outcomes
+    assert log == ref_log
+    assert [dst for dst, _, _ in log] == RECIPIENTS
+    assert stats == ref_stats
+    assert (ref_events, events) == (len(RECIPIENTS), 1)
+
+
+def test_event_a_handler_schedules_now_runs_after_the_last_recipient():
+    def first_schedules(net, dst):
+        if dst == RECIPIENTS[0]:
+            net.sim.schedule(0.0, log.append, "zero-delay")
+
+    logs = []
+    for use_multicast in (False, True):
+        sim, net, log = _batch_build(on_arrival=first_schedules)
+        _post(net, use_multicast, "x")
+        sim.run_until_idle()
+        logs.append(log)
+    assert logs[0] == logs[1]
+    assert logs[1][-1] == "zero-delay"
+    assert len(logs[1]) == len(RECIPIENTS) + 1
+
+
+def test_recipient_crashed_by_an_earlier_recipient_drops_the_rest_arrive():
+    def second_crashes_fifth(net, dst):
+        if dst == RECIPIENTS[1]:
+            net.crash_node(RECIPIENTS[4])
+
+    outcomes = []
+    for use_multicast in (False, True):
+        sim, net, log = _batch_build(on_arrival=second_crashes_fifth)
+        _post(net, use_multicast, "x")
+        sim.run_until_idle()
+        outcomes.append((log, net.stats.as_dict()))
+    assert outcomes[0] == outcomes[1]
+    log, stats = outcomes[1]
+    assert [dst for dst, _, _ in log] == (
+        RECIPIENTS[:4] + RECIPIENTS[5:])
+    assert stats["datagrams_dropped_crashed"] == 1
+    assert stats["datagrams_delivered"] == len(RECIPIENTS) - 1
+
+
+def test_fifo_clamp_binding_for_some_recipients_keeps_order_and_times():
+    # Slow datagrams to r1 and r3 set their FIFO clamps; after the swap
+    # to a fast model a multicast to r1..r4 lands at 0.5, 0.05, 0.5,
+    # 0.05 -- two distinct times, so two events, not four.
+    outcomes = []
+    for use_multicast in (False, True):
+        sim, net, log = _batch_build(latency=ConstantLatency(0.5))
+        for dst in ("r1", "r3"):
+            net.send("s", dst, "slow")
+        net.latency = ConstantLatency(0.05)
+        before = sim.events_fired
+        _post(net, use_multicast, "fast", dsts=["r1", "r2", "r3", "r4"])
+        sim.run_until_idle()
+        outcomes.append((log, dict(net._fifo_clock),
+                         sim.events_fired - before - 2))
+    (ref_log, ref_fifo, ref_events), (log, fifo, events) = outcomes
+    assert (log, fifo) == (ref_log, ref_fifo)
+    assert [(dst, at) for dst, payload, at in log if payload == "fast"] == [
+        ("r2", 0.05), ("r4", 0.05), ("r1", 0.5), ("r3", 0.5)]
+    assert (ref_events, events) == (4, 2)
+
+
+def test_unreliable_multicast_draws_losses_in_recipient_order():
+    outcomes = []
+    for use_multicast in (False, True):
+        sim, net, log = _batch_build(seed=9, loss_rate=0.5)
+        for round_no in range(6):
+            _post(net, use_multicast, round_no, reliable=False)
+        sim.run_until_idle()
+        outcomes.append((log, net.stats.as_dict()))
+    assert outcomes[0] == outcomes[1]
+    lost = outcomes[1][1]["datagrams_dropped_loss"]
+    assert 0 < lost < 6 * len(RECIPIENTS)
 
 
 # -- the model's one delay is asked at assignment, not per datagram ------------

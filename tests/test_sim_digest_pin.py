@@ -30,11 +30,11 @@ from repro.coherence.trace import coherence_signature
 
 DIGESTS = {
     "sim_read_heavy":
-        "140e146c7925f51028c07ea0572d7e2de545d9a1f5031037ac4260a42623f919",
+        "9237056e0dc588726ef47ad0955867a6b9ecf4778902693b0664497aac3a9613",
     "sim_write_fanout":
-        "8ddd1898c9de3014738345ab12766fe1c9262c05cfd1eabe8ae6cd9a98a25d9e",
+        "323f7c233b83bd73249041e22d7f04d8f49a4a5c68ea3743d4e43d8a09c4a807",
     "sim_faults":
-        "92cf2643eb375633c27bdcc50e86a8ba8ec6f6f08578c55fe65a604e0b842092",
+        "bcba5c000636db7c76864b7a42c1ce19df69ae8fb18dac3f8578415dc9ba36d0",
 }
 
 #: Every counter of ``NetworkStats`` that is not zero on all three runs.
@@ -48,7 +48,7 @@ _QUIET = {
 
 PARTS = {
     "sim_read_heavy": {
-        "events": 3913,
+        "events": 3883,
         "network": {
             "bytes_delivered": 1858905, "bytes_sent": 1858905,
             "datagrams_delivered": 2588, "datagrams_sent": 2588,
@@ -63,7 +63,7 @@ PARTS = {
             "d6cff34e5ce23d4cde1aee20f07380aa6bb7762586dd6b523427630a18917abf",
     },
     "sim_write_fanout": {
-        "events": 1651,
+        "events": 781,
         "network": {
             "bytes_delivered": 1498181, "bytes_sent": 1498181,
             "datagrams_delivered": 1380, "datagrams_sent": 1380,
@@ -78,7 +78,7 @@ PARTS = {
             "35482a8b11fe3dddbef9d646cf7d6ef156ab42d0a690f935260ea5015be190b1",
     },
     "sim_faults": {
-        "events": 6028,
+        "events": 5981,
         "network": {
             "bytes_delivered": 2165731, "bytes_sent": 2356347,
             "datagrams_delivered": 2821, "datagrams_sent": 3377,
