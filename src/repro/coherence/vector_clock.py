@@ -45,7 +45,7 @@ class VectorClock:
         return dict(self._entries)
 
     def view(self) -> Dict[str, int]:
-        """The entries themselves, not a copy: only for a clock no one mutates."""
+        """The entries themselves, uncopied: for a clock no one mutates."""
         return self._entries
 
     def copy(self) -> "VectorClock":

@@ -19,9 +19,9 @@ the *identical* semantics:
   seeded RNG the concrete transport hands to :meth:`_init_faults`.
 
 The one datagram path (:class:`~repro.net.network.Network`, which the
-wall-clock substrates specialise) calls :meth:`_fault_blocked` from
-its send-side gate whenever ``_faults_active`` is up, :meth:`_lose_unreliable` for
-the loss draw and :meth:`_crashed_at_arrival` when a datagram lands; it
+wall-clock substrates specialise) calls :meth:`_fault_blocked` from its
+send-side gate while ``_faults_active`` is up, :meth:`_lose_unreliable`
+for the loss draw and :meth:`_crashed_at_arrival` when a datagram lands; it
 provides ``stats`` (a :class:`~repro.net.network.NetworkStats`),
 ``_obs_now()`` (its clock reading, for trace timestamps) and
 ``_schedule_arrival(src, dsts, payload, size_bytes, reliable)``, which a

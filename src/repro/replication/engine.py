@@ -252,8 +252,7 @@ class StoreReplicationObject(ReplicationObject):
         writes = self.writes
         pending_acks = writes.pending_acks
         # The ordering advanced ``applied`` for the whole batch before
-        # releasing it, so one stamp serves every record in it -- and,
-        # never mutated, the trace of every record as well.
+        # releasing it, so one stamp, never mutated, serves every record.
         stamp = applied.copy()
         if trace is not None:
             now = self.clock.now

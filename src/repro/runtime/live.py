@@ -251,7 +251,7 @@ class LiveNetwork(Network):
     def _schedule_arrival(self, src: str, dsts: Sequence[str],
                           payload: object, size_bytes: int,
                           reliable: bool) -> None:
-        """One dispatcher callback per recipient; seq order keeps pairs FIFO."""
+        """One loop callback per recipient; seq order keeps pairs FIFO."""
         for dst in dsts:
             self.loop.schedule(self._latency.delay(src, dst, size_bytes),
                                self._arrive, src, (dst,), payload,

@@ -1,8 +1,9 @@
 """Scheduled events.
 
 Events order by ``(time, seq)``.  The sequence number is assigned by the
-kernel in scheduling order, which makes the execution order of simultaneous
-events deterministic (design decision D5 in DESIGN.md).
+kernel in scheduling order, so simultaneous events run in the order they
+were scheduled.  A multicast's batched arrival takes its first recipient's
+``seq`` (ARCHITECTURE.md, simulation core, shows the order is unchanged).
 
 :class:`Event` is a ``__slots__`` class, not a dataclass: one instance is
 created per scheduled callback, so construction cost and attribute-access

@@ -55,7 +55,7 @@ class Simulator:
     seed:
         Seed for the simulation-wide random number generator.  Two
         simulations built with the same seed and the same scheduling calls
-        execute identically (design decision D5).
+        execute identically (see :mod:`repro.sim.events`).
     """
 
     def __init__(self, seed: int = 0) -> None:

@@ -1,4 +1,4 @@
-"""Golden trace determinism: one scenario, one byte-exact trace.
+r"""Golden trace determinism: one scenario, one byte-exact trace.
 
 The observability acceptance claims: a seeded simulated run traces
 deterministically (so the JSONL is golden-pinnable), the identical
@@ -9,7 +9,17 @@ live backend emits the same protocol-decision shape as the simulator
 for the same scenario (timestamps and transport interleavings differ,
 decisions must not).
 
-Regenerate the pin after an intentional event-vocabulary change::
+Regenerate the pin after an intentional event-vocabulary change, or after
+a kernel change that moves only how many events carry the same work (one
+arrival event per multicast, say).  The latter may move only the
+``sim.schedule`` / ``sim.fire`` lines: with every ``sim.*`` line dropped,
+the old and new pins must be byte-equal::
+
+    diff <(git show HEAD:tests/golden/trace_backend_smoke.jsonl \
+             | grep -v '"kind":"sim\.') \
+         <(grep -v '"kind":"sim\.' tests/golden/trace_backend_smoke.jsonl)
+
+The regenerating command::
 
     PYTHONPATH=src python - <<'EOF'
     from repro.exec.live import live_smoke_point
