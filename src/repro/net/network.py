@@ -47,7 +47,6 @@ without one is called per datagram.
 from __future__ import annotations
 
 import dataclasses
-from collections import defaultdict
 from typing import Callable, Dict, Optional, Sequence, Set, Tuple
 
 from repro.faults.transport import FaultableTransportMixin
@@ -117,7 +116,7 @@ class Network(FaultableTransportMixin):
         self.latency = latency or ConstantLatency()
         self.stats = NetworkStats()
         self._handlers: Dict[str, ReceiveHandler] = {}
-        self._fifo_clock: Dict[Tuple[str, str], float] = defaultdict(float)
+        self._fifo_clock: Dict[Tuple[str, str], float] = {}
         self._init_faults(
             loss_rng=sim.rng.fork("network-loss"), loss_rate=loss_rate
         )
@@ -222,7 +221,7 @@ class Network(FaultableTransportMixin):
                 # FIFO clamp: a reliable stream never reorders within a
                 # (src, dst) pair, exactly like a TCP connection.
                 key = (src, dst)
-                if arrival < fifo[key]:
+                if key in fifo and arrival < fifo[key]:
                     arrival = fifo[key]
                 fifo[key] = arrival
             if batch is None:
