@@ -213,7 +213,7 @@ class Network(FaultableTransportMixin):
         now = self.sim.now
         delay = self._fixed_delay
         fifo = self._fifo_clock
-        batch = batches = None  # batches: by arrival, once a second shows
+        batch = batches = None  # batches: arrival -> batch, from a 2nd time
         for dst in dsts:
             arrival = now + (delay if delay is not None
                              else self._latency.delay(src, dst, size_bytes))
