@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Tuple
+from array import array
 
 from repro.baselines import origin as http
 from repro.comm.endpoint import CommunicationObject
@@ -40,8 +40,9 @@ class HttpBrowser:
         self.server = server
         self.comm = CommunicationObject(sim, network, address)
         self.comm.set_handler(lambda src, msg: None)
-        #: (kind, latency) samples, mirroring the framework client's metric.
-        self.op_latencies: List[Tuple[str, float]] = []
+        #: Latency samples, mirroring the framework client's metrics.
+        self.read_latencies = array("d")
+        self.write_latencies = array("d")
 
     def get(self, page: str) -> Future:
         """Fetch a page; resolves with a :class:`FetchResult`."""
@@ -58,7 +59,7 @@ class HttpBrowser:
                 result.set_error(exc)
                 return
             latency = self.sim.now - started
-            self.op_latencies.append(("read", latency))
+            self.read_latencies.append(latency)
             if reply.kind == http.OK:
                 data = reply.body["page_data"]
                 result.set_result(
@@ -103,7 +104,7 @@ class HttpBrowser:
             except BaseException as exc:
                 result.set_error(exc)
                 return
-            self.op_latencies.append(("write", self.sim.now - started))
+            self.write_latencies.append(self.sim.now - started)
             result.set_result(int(reply.body.get("version", 0)))
 
         reply_future.add_callback(on_reply)

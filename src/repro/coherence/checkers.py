@@ -222,9 +222,13 @@ def check_monotonic_reads(
 ) -> Violations:
     """MR: each client's successive reads see non-decreasing versions."""
     violations: Violations = []
+    reads_by: Dict[str, List[ReadEvent]] = {}
+    for event in trace.events:
+        if isinstance(event, ReadEvent):
+            reads_by.setdefault(event.client_id, []).append(event)
     for client_id in clients if clients is not None else trace.clients():
         floor = VectorClock()
-        for event in trace.reads_by(client_id):
+        for event in reads_by.get(client_id, ()):
             served = VectorClock(event.served_vc)
             if not served.dominates(floor):
                 violations.append(

@@ -20,6 +20,9 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.core.ids import WriteId
 
+#: The one requirement dict of every read that carried none.
+_EMPTY: Dict[str, int] = {}
+
 
 @dataclasses.dataclass(slots=True)
 class TraceEvent:
@@ -118,6 +121,12 @@ class TraceRecorder:
         #: :class:`TraceEvent` records from the ``record_*`` methods, or
         #: plain dicts from :meth:`event` (an observability recorder).
         self.events: List[Any] = []
+        #: Hash-consing pools keyed by a version's items, never mutated:
+        #: one dict per distinct version the events keep (``versions``),
+        #: one ``(VectorClock, its dict)`` per distinct applied stamp, which
+        #: every store reaching it shares (``stamps``, see apply_records).
+        self.versions: Dict[tuple, Dict[str, int]] = {}
+        self.stamps: Dict[tuple, tuple] = {}
 
     # -- recording -----------------------------------------------------------
 
@@ -156,9 +165,11 @@ class TraceRecorder:
         """A store applied ``wid``; ``applied_vc`` is the VC *after* apply.
 
         The event keeps ``applied_vc`` itself, uncopied: the caller hands
-        over a dict no one mutates (the engine passes its batch's stamp,
-        shared by every record of the batch), and no reader mutates it.
+        over a dict no one mutates (the engine's batch stamp, pooled in
+        :attr:`stamps`); ``deps`` goes through :attr:`versions`.
         """
+        if deps is not None:
+            deps = self.versions.setdefault(tuple(deps.items()), deps)
         self.events.append(
             ApplyEvent(
                 time=time,
@@ -173,9 +184,10 @@ class TraceRecorder:
     def record_install(
         self, time: float, store: str, version: Dict[str, int]
     ) -> None:
-        """A store installed a full snapshot covering ``version``."""
+        """A store installed a full snapshot covering ``version`` (pooled)."""
+        version = self.versions.setdefault(tuple(version.items()), version)
         self.events.append(
-            InstallEvent(time=time, store=store, version=dict(version))
+            InstallEvent(time=time, store=store, version=version)
         )
 
     def record_drop(self, time: float, store: str, wid: WriteId) -> None:
@@ -190,7 +202,9 @@ class TraceRecorder:
         store: str,
         deps: Optional[Dict[str, int]] = None,
     ) -> None:
-        """A client submitted a write to a store."""
+        """A client submitted a write to a store (``deps`` pooled)."""
+        if deps is not None:
+            deps = self.versions.setdefault(tuple(deps.items()), deps)
         self.events.append(
             WriteIssueEvent(time=time, client_id=client_id, wid=wid,
                             store=store, deps=deps)
@@ -218,12 +232,13 @@ class TraceRecorder:
 
         ``weight`` counts the cohort clients the read represents (1 for
         an ordinary per-client read).  Callers pass frozen message dicts
-        (a reply's version, a request's requirement), kept uncopied.
+        (a reply's version, a request's requirement), kept uncopied; every
+        empty requirement is the one ``_EMPTY``.
         """
         self.events.append(
             ReadEvent(
                 time=time, store=store, client_id=client_id,
-                served_vc=served_vc, requirement=requirement or {},
+                served_vc=served_vc, requirement=requirement or _EMPTY,
                 weight=weight,
             )
         )
@@ -236,29 +251,14 @@ class TraceRecorder:
 
     def stores(self) -> List[str]:
         """All stores that applied or installed anything, in first-seen order."""
-        seen: List[str] = []
-        for event in self.events:
-            store = getattr(event, "store", None)
-            if store is not None and not isinstance(event, (ReadEvent,)):
-                if store not in seen:
-                    seen.append(store)
-        return seen
+        stores = (getattr(e, "store", None) for e in self.events
+                  if not isinstance(e, ReadEvent))
+        return [name for name in dict.fromkeys(stores) if name is not None]
 
     def clients(self) -> List[str]:
         """All clients that issued writes or reads, in first-seen order."""
-        seen: List[str] = []
-        for event in self.events:
-            client = getattr(event, "client_id", None)
-            if client is not None and client not in seen:
-                seen.append(client)
-        return seen
-
-    def reads_by(self, client_id: str) -> List[ReadEvent]:
-        """Reads served to one client, in serve order."""
-        return [
-            e for e in self.events
-            if isinstance(e, ReadEvent) and e.client_id == client_id
-        ]
+        clients = (getattr(e, "client_id", None) for e in self.events)
+        return [name for name in dict.fromkeys(clients) if name is not None]
 
 
 def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
@@ -272,36 +272,39 @@ def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
     they are substrate artifacts -- so two runs of the same scripted
     workload on different backends (virtual vs wall-clock time) produce
     the *same* signature exactly when the protocol made the same
-    decisions.  This is what the sim/live parity tests compare.
+    decisions.  This is what the sim/live parity tests compare.  It is
+    hash-consed: equal entries are one tuple, built from one name per
+    WriteId and one sorted-items tuple per version dict.
     """
-    def vc(d: Dict[str, int]) -> tuple:
-        return tuple(sorted(d.items()))
-
+    vcs: Dict[int, tuple] = {}  # by dict identity: the trace keeps each alive
+    names: Dict[int, str] = {}  # by WriteId identity, likewise
+    entries: Dict[tuple, tuple] = {}
     signature: Dict[str, List[tuple]] = {}
 
-    def lane(kind: str, name: str) -> List[tuple]:
-        return signature.setdefault(f"{kind}:{name}", [])
+    def vc(d: Dict[str, int]) -> tuple:
+        items = vcs.get(id(d))
+        if items is None:
+            items = vcs[id(d)] = tuple(sorted(d.items()))
+        return items
+
+    def name(wid: WriteId) -> str:
+        text = names.get(id(wid))
+        if text is None:
+            text = names[id(wid)] = str(wid)
+        return text
 
     for event in trace.events:
         if isinstance(event, ApplyEvent):
-            lane("store", event.store).append(
-                ("apply", str(event.wid), event.global_seq,
-                 vc(event.applied_vc))
-            )
+            entry: tuple = ("apply", name(event.wid), event.global_seq,
+                            vc(event.applied_vc))
         elif isinstance(event, InstallEvent):
-            lane("store", event.store).append(
-                ("install", vc(event.version))
-            )
+            entry = ("install", vc(event.version))
         elif isinstance(event, DropEvent):
-            lane("store", event.store).append(("drop", str(event.wid)))
+            entry = ("drop", name(event.wid))
         elif isinstance(event, WriteIssueEvent):
-            lane("client", event.client_id).append(
-                ("write", str(event.wid), event.store)
-            )
+            entry = ("write", name(event.wid), event.store)
         elif isinstance(event, WriteAckEvent):
-            lane("client", event.client_id).append(
-                ("ack", str(event.wid), event.store)
-            )
+            entry = ("ack", name(event.wid), event.store)
         elif isinstance(event, ReadEvent):
             entry = ("read", event.store, vc(event.served_vc),
                      vc(event.requirement))
@@ -310,7 +313,11 @@ def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
                 # reads keep the historical 4-tuple so existing golden
                 # signatures stay byte-identical.
                 entry = entry + (event.weight,)
-            lane("client", event.client_id).append(entry)
+        else:
+            continue
+        client = getattr(event, "client_id", None)
+        lane = f"store:{event.store}" if client is None else f"client:{client}"
+        signature.setdefault(lane, []).append(entries.setdefault(entry, entry))
     # Lanes were opened in event order; sorting them drops that last
     # trace of the global interleaving.
     return dict(sorted(signature.items()))

@@ -76,11 +76,8 @@ def measure(deployment: Deployment,
     read_latencies: List[float] = []
     write_latencies: List[float] = []
     for browser in deployment.browsers.values():
-        for kind, value in browser.bound.replication.op_latencies:
-            if kind == "read":
-                read_latencies.append(value)
-            else:
-                write_latencies.append(value)
+        read_latencies += browser.bound.replication.read_latencies
+        write_latencies += browser.bound.replication.write_latencies
     return RunMetrics(
         traffic=collect_traffic(deployment.network, deployment.engines),
         stale_fraction=stale.stale_fraction,

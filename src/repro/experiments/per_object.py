@@ -192,9 +192,7 @@ def _framework_run(seed: int) -> Tuple[float, float, float]:
         if summary.reads:
             stale_fractions.append(summary.stale_fraction)
         for client in site.dso.clients:
-            for kind, value in client.replication.op_latencies:
-                if kind == "read":
-                    latencies.append(value)
+            latencies += client.replication.read_latencies
     return float(origin_messages), mean(stale_fractions), mean(latencies)
 
 

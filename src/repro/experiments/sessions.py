@@ -107,8 +107,7 @@ def run_x7_point(config: Dict[str, Any], seed: int) -> Dict[str, Any]:
     latencies = [
         value
         for browser in deployment.browsers.values()
-        for kind, value in browser.bound.replication.op_latencies
-        if kind == "read"
+        for value in browser.bound.replication.read_latencies
     ]
     return {
         "violations": violations,

@@ -39,15 +39,15 @@ def unavailable_read_fraction(clients: Iterable[object]) -> float:
 
     ``clients`` are :class:`~repro.replication.client.
     ClientReplicationObject`-shaped: ``reads_issued`` counts attempts and
-    ``op_latencies`` holds one ``("read", latency)`` entry per *served*
-    read, so the difference is exactly the reads lost to timeouts,
-    crashed stores, or run-end truncation.
+    ``read_latencies`` holds one entry per *served* read, so the
+    difference is exactly the reads lost to timeouts, crashed stores, or
+    run-end truncation.
     """
     issued = 0
     served = 0
     for client in clients:
         issued += client.reads_issued
-        served += sum(1 for kind, _ in client.op_latencies if kind == "read")
+        served += len(client.read_latencies)
     if issued == 0:
         return 0.0
     return max(0, issued - served) / issued

@@ -252,12 +252,19 @@ class StoreReplicationObject(ReplicationObject):
         writes = self.writes
         pending_acks = writes.pending_acks
         # The ordering advanced ``applied`` for the whole batch before
-        # releasing it, so one stamp, never mutated, serves every record.
-        stamp = applied.copy()
-        if trace is not None:
+        # releasing it, so one stamp, never mutated, serves every record;
+        # the recorder's pool gives every store reaching it the same one.
+        if trace is None:
+            stamp = applied.copy()
+        else:
             now = self.clock.now
             address = self.address
-            stamped = stamp.view()
+            key = tuple(applied.view().items())
+            pooled = trace.stamps.get(key)
+            if pooled is None:
+                stamp = applied.copy()
+                pooled = trace.stamps[key] = (stamp, stamp.view())
+            stamp, stamped = pooled
         for record in records:
             log.append(record)
             if primary or can_apply(record.invocation):

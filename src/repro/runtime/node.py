@@ -116,15 +116,25 @@ class NodeTransport:
 
 
 class _ForwardingList(List[TraceEvent]):
-    """A trace-event list whose appends also stream to the hub."""
+    """A trace-event list that streams each append to the hub and keeps
+    nothing: no node reads its own history."""
 
     def __init__(self, channel: FrameChannel) -> None:
         super().__init__()
         self._channel = channel
 
     def append(self, event: TraceEvent) -> None:
-        super().append(event)
         self._channel.send("trace", event=event)
+
+
+class _NoPool(Dict[tuple, Any]):
+    """A hash-consing pool that keeps nothing, for a node's recorder."""
+
+    def __setitem__(self, key: tuple, value: Any) -> None:
+        pass
+
+    def setdefault(self, key: tuple, default: Any = None) -> Any:
+        return default
 
 
 class ForwardingTraceRecorder(TraceRecorder):
@@ -139,6 +149,8 @@ class ForwardingTraceRecorder(TraceRecorder):
     def __init__(self, channel: FrameChannel) -> None:
         super().__init__()
         self.events = _ForwardingList(channel)
+        self.versions = _NoPool()
+        self.stamps = _NoPool()
 
 
 class NodeRuntime:

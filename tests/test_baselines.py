@@ -112,6 +112,10 @@ def test_ims_304_cheaper_than_200():
 def test_browser_latency_samples():
     sim, origin, proxy, browser = build()
     resolve(sim, browser.get("p.html"))
-    assert len(browser.op_latencies) == 1
-    kind, value = browser.op_latencies[0]
-    assert kind == "read" and value > 0
+    assert len(browser.read_latencies) == 1
+    assert browser.read_latencies[0] > 0
+    assert len(browser.write_latencies) == 0
+    resolve(sim, browser.put("p.html", "v2"))
+    assert len(browser.read_latencies) == 1
+    assert len(browser.write_latencies) == 1
+    assert browser.write_latencies[0] > 0

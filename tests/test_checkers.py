@@ -179,3 +179,65 @@ class TestSessionCheckers:
         trace.record_write_ack(1.0, "m", WriteId("m", 1), "server")
         trace.record_read(2.0, "cache", "m", served_vc={})
         assert checkers.check_read_your_writes(trace, clients=["other"]) == []
+
+
+def _monotonic_reads_by_scan(trace, clients=None):
+    """The per-client rescan ``check_monotonic_reads`` used to be: one pass
+    over the trace for the client list and one more per client."""
+    from repro.coherence.trace import ReadEvent
+    from repro.coherence.vector_clock import VectorClock
+
+    if clients is None:
+        clients = []
+        for event in trace.events:
+            client = getattr(event, "client_id", None)
+            if client is not None and client not in clients:
+                clients.append(client)
+    violations = []
+    for client_id in clients:
+        floor = VectorClock()
+        reads = [e for e in trace.events
+                 if isinstance(e, ReadEvent) and e.client_id == client_id]
+        for event in reads:
+            served = VectorClock(event.served_vc)
+            if not served.dominates(floor):
+                violations.append(
+                    f"MR violation: read by {client_id} at {event.store} "
+                    f"(t={event.time:.3f}) regressed below {floor.as_dict()}"
+                )
+            floor.merge(served)
+    return violations
+
+
+class TestSinglePassScans:
+    """The one-pass participant scans give the rescans' exact answers."""
+
+    @staticmethod
+    def many_clients_with_planted_regressions():
+        trace = TraceRecorder()
+        for step in range(1, 6):
+            apply(trace, f"cache-{step % 3}", "m", step)
+            trace.record_write_issue(float(step), "m", WriteId("m", step),
+                                     "server")
+            for client in range(120):
+                # Reader 7 and reader 99 each read one stale copy.
+                seen = step - 2 if client in (7, 99) and step == 4 else step
+                trace.record_read(float(step), f"cache-{client % 3}",
+                                  f"reader-{client}",
+                                  served_vc={"m": seen} if seen else {})
+        return trace
+
+    def test_monotonic_reads_matches_the_rescan(self):
+        trace = self.many_clients_with_planted_regressions()
+        violations = checkers.check_monotonic_reads(trace)
+        assert len(violations) == 2
+        assert violations == _monotonic_reads_by_scan(trace)
+        subset = ["reader-99", "nobody", "reader-7", "reader-3"]
+        assert (checkers.check_monotonic_reads(trace, clients=subset)
+                == _monotonic_reads_by_scan(trace, clients=subset))
+
+    def test_participants_in_first_seen_order(self):
+        trace = self.many_clients_with_planted_regressions()
+        # A write issue names its store too; only reads are left out.
+        assert trace.stores() == ["cache-1", "server", "cache-2", "cache-0"]
+        assert trace.clients() == ["m"] + [f"reader-{n}" for n in range(120)]

@@ -1,5 +1,7 @@
 """Tests for the partition-aware metrics."""
 
+from array import array
+
 import pytest
 
 from repro.coherence.checkers import check_eventual_delivery
@@ -22,7 +24,8 @@ from repro.workload.profiles import get_profile, run_profile
 class FakeClient:
     def __init__(self, issued, served):
         self.reads_issued = issued
-        self.op_latencies = [("read", 0.1)] * served + [("write", 0.1)]
+        self.read_latencies = array("d", [0.1] * served)
+        self.write_latencies = array("d", [0.1])
 
 
 def test_unavailable_read_fraction_counts_unserved_reads():
