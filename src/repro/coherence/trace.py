@@ -16,12 +16,14 @@ place in :attr:`TraceRecorder.events` is its global order.
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from repro.coherence.vector_clock import VectorClock
 from repro.core.ids import WriteId
 
 #: The one requirement dict of every read that carried none.
 _EMPTY: Dict[str, int] = {}
+Stamp = Tuple[VectorClock, Dict[str, int]]
 
 
 @dataclasses.dataclass(slots=True)
@@ -121,12 +123,23 @@ class TraceRecorder:
         #: :class:`TraceEvent` records from the ``record_*`` methods, or
         #: plain dicts from :meth:`event` (an observability recorder).
         self.events: List[Any] = []
-        #: Hash-consing pools keyed by a version's items, never mutated:
-        #: one dict per distinct version the events keep (``versions``),
-        #: one ``(VectorClock, its dict)`` per distinct applied stamp, which
-        #: every store reaching it shares (``stamps``, see apply_records).
+        #: Hash-consing pools keyed by a version's items in order: one dict
+        #: (see :meth:`_intern`) or stamp (see :meth:`stamp`) per value.
         self.versions: Dict[tuple, Dict[str, int]] = {}
-        self.stamps: Dict[tuple, tuple] = {}
+        self.stamps: Dict[tuple, Stamp] = {}
+
+    def stamp(self, applied: VectorClock) -> Stamp:
+        """``applied``'s frozen copy and dict, one per value: never mutate."""
+        key = tuple(applied._entries.items())  # read in place: no call
+        pooled = self.stamps.get(key)
+        if pooled is None:
+            clock = applied.copy()
+            pooled = self.stamps[key] = (clock, clock.view())
+        return pooled
+
+    def _intern(self, version: Dict[str, int]) -> Dict[str, int]:
+        """The pooled dict equal to ``version``: never mutate either."""
+        return self.versions.setdefault(tuple(version.items()), version)
 
     # -- recording -----------------------------------------------------------
 
@@ -165,11 +178,11 @@ class TraceRecorder:
         """A store applied ``wid``; ``applied_vc`` is the VC *after* apply.
 
         The event keeps ``applied_vc`` itself, uncopied: the caller hands
-        over a dict no one mutates (the engine's batch stamp, pooled in
-        :attr:`stamps`); ``deps`` goes through :attr:`versions`.
+        over a dict no one mutates (the engine's batch stamp, see
+        :meth:`stamp`); ``deps`` is interned, so never mutate it either.
         """
         if deps is not None:
-            deps = self.versions.setdefault(tuple(deps.items()), deps)
+            deps = self._intern(deps)
         self.events.append(
             ApplyEvent(
                 time=time,
@@ -184,8 +197,8 @@ class TraceRecorder:
     def record_install(
         self, time: float, store: str, version: Dict[str, int]
     ) -> None:
-        """A store installed a full snapshot covering ``version`` (pooled)."""
-        version = self.versions.setdefault(tuple(version.items()), version)
+        """A store installed ``version`` (kept uncopied: never mutate it)."""
+        version = self._intern(version)
         self.events.append(
             InstallEvent(time=time, store=store, version=version)
         )
@@ -202,9 +215,9 @@ class TraceRecorder:
         store: str,
         deps: Optional[Dict[str, int]] = None,
     ) -> None:
-        """A client submitted a write to a store (``deps`` pooled)."""
+        """A client issued a write; ``deps`` kept uncopied: never mutate it."""
         if deps is not None:
-            deps = self.versions.setdefault(tuple(deps.items()), deps)
+            deps = self._intern(deps)
         self.events.append(
             WriteIssueEvent(time=time, client_id=client_id, wid=wid,
                             store=store, deps=deps)

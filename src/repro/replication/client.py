@@ -161,8 +161,7 @@ class ClientReplicationObject(ReplicationObject):
                 )
                 return
             self.session.observe_read(reply.body.get("version", {}))
-            # One latency entry per represented client, so latency and
-            # availability metrics weight cohort reads.
+            # One entry per represented client: metrics weight cohort reads.
             self.read_latencies.extend([self.clock.now - started] * weight)
             result.set_result(reply.body.get("result"))
 

@@ -253,18 +253,13 @@ class StoreReplicationObject(ReplicationObject):
         pending_acks = writes.pending_acks
         # The ordering advanced ``applied`` for the whole batch before
         # releasing it, so one stamp, never mutated, serves every record;
-        # the recorder's pool gives every store reaching it the same one.
+        # the recorder gives every store reaching it the same one.
         if trace is None:
             stamp = applied.copy()
         else:
             now = self.clock.now
             address = self.address
-            key = tuple(applied.view().items())
-            pooled = trace.stamps.get(key)
-            if pooled is None:
-                stamp = applied.copy()
-                pooled = trace.stamps[key] = (stamp, stamp.view())
-            stamp, stamped = pooled
+            stamp, stamped = trace.stamp(applied)
         for record in records:
             log.append(record)
             if primary or can_apply(record.invocation):

@@ -40,7 +40,8 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.coherence.trace import TraceEvent, TraceRecorder
+from repro.coherence.trace import Stamp, TraceEvent, TraceRecorder
+from repro.coherence.vector_clock import VectorClock
 from repro.core.interfaces import Role
 from repro.core.local_object import LocalObject
 from repro.replication.engine import StoreReplicationObject
@@ -127,16 +128,6 @@ class _ForwardingList(List[TraceEvent]):
         self._channel.send("trace", event=event)
 
 
-class _NoPool(Dict[tuple, Any]):
-    """A hash-consing pool that keeps nothing, for a node's recorder."""
-
-    def __setitem__(self, key: tuple, value: Any) -> None:
-        pass
-
-    def setdefault(self, key: tuple, default: Any = None) -> Any:
-        return default
-
-
 class ForwardingTraceRecorder(TraceRecorder):
     """A recorder that forwards every event to the hub as it is recorded.
 
@@ -149,8 +140,15 @@ class ForwardingTraceRecorder(TraceRecorder):
     def __init__(self, channel: FrameChannel) -> None:
         super().__init__()
         self.events = _ForwardingList(channel)
-        self.versions = _NoPool()
-        self.stamps = _NoPool()
+
+    def stamp(self, applied: VectorClock) -> Stamp:
+        """A fresh copy: a node pickles each event alone, so pools nothing."""
+        clock = applied.copy()
+        return clock, clock.view()
+
+    def _intern(self, version: Dict[str, int]) -> Dict[str, int]:
+        """``version`` itself (see :meth:`stamp`)."""
+        return version
 
 
 class NodeRuntime:

@@ -4,19 +4,23 @@ The recorder hash-conses the version dicts its events hold, and
 ``coherence_signature`` its entries, so a history keeps each distinct
 value once while staying value-identical to an unshared one.  Checked on
 the push-update tree of the ``--quick`` ``sim_write_fanout`` benchmark
-workload (30 caches, 30 writes):
+workload (30 caches, 30 writes) under its own PRAM model, where the
+applied stamps are pooled, and under a causal model, where every write
+and every apply also records a dependency vector:
 
 - every distinct version is one retained object;
 - the signature equals the one the non-interning implementation below
   (the signature as it was before hash-consing) computes;
-- live heap under ``repro/coherence/`` per applied record stays under a
-  ratchet that the unpooled history (one stamp dict per apply, about
-  390 B per apply on Python 3.11) fails.
+- the digest equals that of the same run recorded without pools, and
+  the live heap under ``repro/coherence/`` is under a fixed share of
+  that run's, measured in the same interpreter.
 
 A ``live-socket`` node's recorder forwards each event to the hub and
 keeps neither the event nor a pool entry.
 """
 
+import dataclasses
+import functools
 import tracemalloc
 from typing import Dict, List
 
@@ -24,6 +28,7 @@ import pytest
 
 from benchmarks.perf import workloads
 from benchmarks.perf.workloads import QUICK, sim_rep
+from repro.coherence.models import CoherenceModel
 from repro.coherence.trace import (
     ApplyEvent,
     DropEvent,
@@ -34,13 +39,17 @@ from repro.coherence.trace import (
     WriteIssueEvent,
     coherence_signature,
 )
+from repro.coherence.vector_clock import VectorClock
 from repro.core.ids import WriteId
 from repro.runtime.node import ForwardingTraceRecorder
 
-#: Ceiling on live ``repro/coherence/`` heap per applied record.  At
-#: this tree it measures about 193 B on Python 3.11, the unpooled
-#: history about 394 B.
-BYTES_PER_APPLY = 280
+#: Ceiling on pooled / unpooled live ``repro/coherence/`` heap at the end
+#: of a run.  On Python 3.11 it measures 0.52 (PRAM) and 0.37 (causal);
+#: a history without pools (the node recorder's, or the one before
+#: hash-consing) reads 1.0.
+POOLED_SHARE = 0.7
+
+MODELS = [CoherenceModel.PRAM, CoherenceModel.CAUSAL]
 
 
 def reference_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
@@ -83,30 +92,41 @@ def reference_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
     return dict(sorted(signature.items()))
 
 
-@pytest.fixture(scope="module")
-def fanout_run():
-    """The quick ``sim_write_fanout`` rep at seed 7, traced by tracemalloc.
+@functools.lru_cache(maxsize=None)
+def traced_rep(model, pooled):
+    """The quick ``sim_write_fanout`` rep at seed 7 under ``model``.
 
-    Returns its recorder and a heap snapshot taken where ``sim_digest``
-    starts, before the signature is built.
+    Returns its digest, recorder and a ``tracemalloc`` snapshot taken
+    where ``sim_digest`` starts, before the signature is built.  An
+    unpooled run records through the node recorder's ``stamp`` and
+    ``_intern``, which copy or keep every version as it comes.
     """
-    real = workloads.sim_digest
+    real_digest, real_policy = workloads.sim_digest, workloads.policy_for
     seen = {}
 
     def spy(deployment, traffic):
         seen["snapshot"] = tracemalloc.take_snapshot()
         seen["trace"] = deployment.site.trace
-        return real(deployment, traffic)
+        return real_digest(deployment, traffic)
 
-    workloads.sim_digest = spy
-    tracemalloc.start()
-    try:
-        rep = sim_rep(QUICK["sim_write_fanout"], seed=7, full_checks=True)
-    finally:
-        tracemalloc.stop()
-        workloads.sim_digest = real
+    def policy_for(strategy):
+        return dataclasses.replace(real_policy(strategy), model=model)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(workloads, "sim_digest", spy)
+        patch.setattr(workloads, "policy_for", policy_for)
+        if not pooled:
+            for name in ("stamp", "_intern"):
+                patch.setattr(TraceRecorder, name,
+                              getattr(ForwardingTraceRecorder, name))
+        tracemalloc.start()
+        try:
+            rep = sim_rep(QUICK["sim_write_fanout"], seed=7,
+                          full_checks=True)
+        finally:
+            tracemalloc.stop()
     assert rep.violations == []
-    return seen["trace"], seen["snapshot"]
+    return rep.digest, seen["trace"], seen["snapshot"]
 
 
 def distinct(dicts):
@@ -115,23 +135,49 @@ def distinct(dicts):
             len({frozenset(d.items()) for d in dicts}))
 
 
-def test_each_distinct_version_is_one_object(fanout_run):
-    trace, _ = fanout_run
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
+def test_each_distinct_version_is_one_object(model):
+    _, trace, _ = traced_rep(model, pooled=True)
     applies = [e for e in trace.events if isinstance(e, ApplyEvent)]
     assert len(applies) == 930
     objects, values = distinct([e.applied_vc for e in applies])
     assert objects == values == 30
-    versions = [e.deps for e in applies if e.deps is not None]
-    versions += [e.version for e in trace.events
-                 if isinstance(e, InstallEvent)]
-    versions += [e.deps for e in trace.events
-                 if isinstance(e, WriteIssueEvent) and e.deps is not None]
-    objects, values = distinct(versions)
-    assert objects == values
+    deps = [e.deps for e in applies if e.deps is not None]
+    deps += [e.deps for e in trace.events
+             if isinstance(e, WriteIssueEvent) and e.deps is not None]
+    if model is CoherenceModel.CAUSAL:
+        assert len(deps) == 960 and distinct(deps) == (30, 30)
+    else:
+        assert deps == []
+    _, unpooled, _ = traced_rep(model, pooled=False)
+    objects, values = distinct([e.applied_vc for e in unpooled.events
+                                if isinstance(e, ApplyEvent)])
+    assert (objects, values) == (930, 30)
 
 
-def test_signature_equals_the_unshared_one(fanout_run):
-    trace, _ = fanout_run
+def test_equal_install_versions_and_deps_share_one_dict():
+    trace = TraceRecorder()
+    first = {"w": 1}
+    trace.record_install(0.0, "cache-0", first)
+    trace.record_install(1.0, "cache-1", {"w": 1})
+    trace.record_write_issue(2.0, "w", WriteId("w", 2), "server",
+                             deps={"w": 1})
+    trace.record_apply(3.0, "server", WriteId("w", 2), {"w": 2},
+                       deps={"w": 1})
+    trace.record_install(4.0, "cache-0", {"w": 2})
+    kept = [getattr(e, "version", None) or e.deps for e in trace.events]
+    assert all(version is first for version in kept[:4])
+    assert kept[4] == {"w": 2} and kept[4] is not first
+    clock = VectorClock({"w": 2})
+    stamp, entries = trace.stamp(clock)
+    assert trace.stamp(VectorClock({"w": 2})) == (stamp, entries)
+    assert trace.stamp(VectorClock({"w": 2}))[0] is stamp
+    assert stamp is not clock and entries == {"w": 2}
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
+def test_signature_equals_the_unshared_one(model):
+    _, trace, _ = traced_rep(model, pooled=True)
     signature = coherence_signature(trace)
     assert signature == reference_signature(trace)
     assert repr(signature) == repr(reference_signature(trace))
@@ -139,14 +185,21 @@ def test_signature_equals_the_unshared_one(fanout_run):
     assert len({id(entry) for entry in entries}) == len(set(entries))
 
 
-def test_history_heap_per_applied_record(fanout_run):
-    trace, snapshot = fanout_run
-    applies = sum(isinstance(e, ApplyEvent) for e in trace.events)
+def coherence_heap(snapshot):
+    """Live bytes allocated under ``repro/coherence/`` in ``snapshot``."""
     coherence = snapshot.filter_traces(
         [tracemalloc.Filter(True, "*/repro/coherence/*")])
-    live = sum(stat.size for stat in coherence.statistics("filename"))
-    assert live / applies < BYTES_PER_APPLY, (
-        f"{live / applies:.1f} B of coherence heap per applied record")
+    return sum(stat.size for stat in coherence.statistics("filename"))
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: m.value)
+def test_pools_shrink_the_history_heap(model):
+    digest, _, snapshot = traced_rep(model, pooled=True)
+    unpooled_digest, _, unpooled_snapshot = traced_rep(model, pooled=False)
+    assert digest == unpooled_digest
+    share = coherence_heap(snapshot) / coherence_heap(unpooled_snapshot)
+    assert share < POOLED_SHARE, (
+        f"pooled history keeps {share:.2f} of the unpooled one's heap")
 
 
 class FakeChannel:
@@ -178,5 +231,9 @@ def test_a_node_recorder_forwards_every_event_and_keeps_none():
     assert events[-3].applied_vc == {"w": 50}
     assert len(recorder.events) == 0
     assert recorder.clients() == [] and recorder.stores() == []
-    recorder.stamps[("w", 1)] = ("clock", {"w": 1})
     assert not recorder.versions and not recorder.stamps
+    clock = VectorClock({"w": 1})
+    stamp, entries = recorder.stamp(clock)
+    assert stamp is not clock and entries == {"w": 1}
+    assert recorder.stamp(clock)[0] is not stamp
+    assert not recorder.stamps
