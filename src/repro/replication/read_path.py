@@ -206,7 +206,11 @@ class ReadDemandPath:
                     src, request.reply(mk.ERROR, {"error": str(exc)})
                 )
                 return
-            body = {"result": result, "version": served.as_dict(),
+            # One dict per distinct version, shared with the trace's
+            # stamps: a reply's version is never mutated.
+            version = (served.as_dict() if engine.trace is None
+                       else engine.trace.stamp(served)[1])
+            body = {"result": result, "version": version,
                     "store": engine.address}
             reply = (involved, served, body,
                      envelope_cost(mk.READ_REPLY) + estimate_size(body))

@@ -75,7 +75,8 @@ class Process:
     generator always issues its operations from the protocol thread
     (call :meth:`kill` there too: on a ``LiveLoop``, via ``submit``).
     The first step is scheduled at zero delay, so all processes created
-    at one instant begin in creation order.
+    at one instant begin in creation order.  A process that has ended
+    (returned, raised or been killed) drops its generator.
 
     Yields dispatch on their exact type.  A pending future gets the one
     bound :meth:`_resume` as its callback; a resolved one is fed back into
@@ -91,7 +92,7 @@ class Process:
         self.clock = clock
         self.name = name
         self.done = Future()
-        self._generator = generator
+        self._generator: Optional[Generator[Any, Any, Any]] = generator
         self._alive = True
         clock.schedule(0.0, self._advance, None, None)
 
@@ -114,6 +115,7 @@ class Process:
             pass
         finally:
             self._generator.close()
+            self._generator = None
             if not self.done.done:
                 self.done.set_error(ProcessKilled(f"{self.name} killed"))
 
@@ -129,12 +131,14 @@ class Process:
                            else generator.throw(error))
             except StopIteration as stop:
                 self._alive = False
+                self._generator = None
                 self.done.set_result(stop.value)
                 return
             except BaseException as exc:
                 # An uncaught exception terminates the process, not the
                 # kernel; it surfaces through the process's done future.
                 self._alive = False
+                self._generator = None
                 if not self.done.done:
                     self.done.set_error(
                         ProcessKilled(f"{self.name} killed")

@@ -13,7 +13,7 @@ import functools
 import hashlib
 import math
 import random
-from typing import List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Sequence, Tuple, TypeVar, Union
 
 T = TypeVar("T")
 
@@ -60,13 +60,26 @@ class SeededRng:
         # (one per client, per component) and the ones never sampled
         # should not pay the ~2500-word MT state initialization.  The
         # draw sequence per stream is untouched -- the seed is fixed at
-        # construction, only the state setup is deferred.
-        self._random: Optional[random.Random] = None
+        # construction, only the state setup is deferred.  It is
+        # ``False`` once released (:meth:`release`): falsy, so a draw
+        # still costs one ``or`` and only ``_materialize`` checks it.
+        self._random: Union[random.Random, None, bool] = None
         self._forks = 0
 
     def _materialize(self) -> random.Random:
+        if self._random is False:
+            raise RuntimeError(
+                f"stream {self.seed} was released: it has no draws left")
         rng = self._random = random.Random(self.seed)
         return rng
+
+    def release(self) -> None:
+        """Drop the generator state for good: its owner draws no more.
+
+        Every later draw raises instead of replaying the stream from its
+        seed; :meth:`fork` still works, because it needs only the seed.
+        """
+        self._random = False
 
     def fork(self, label: str = "") -> "SeededRng":
         """Create an independent child generator.

@@ -14,11 +14,17 @@ bisect over memoized cumulative Zipf weights.  Every block consumes its
 RNG stream in exactly the order the historical one-draw-per-request code
 did, so seeded results -- and therefore every cached sweep and golden --
 are unchanged; only the per-request Python overhead is gone.
+
+A workload owns the streams it is given (callers pass a fresh fork), so
+once its last block is drawn it releases them
+(:meth:`~repro.sim.rng.SeededRng.release`): a finished or idle client
+keeps no Mersenne-Twister state, only its seeds.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from bisect import bisect_right
 from typing import Callable, Generator, List, Optional, Sequence
 
@@ -27,8 +33,9 @@ from repro.sim.process import Delay, WaitFor
 from repro.sim.rng import SeededRng, zipf_cumulative
 
 #: Operations whose randomness is pre-drawn in one block.  Bounds the
-#: per-process buffer (a few hundred floats) while amortizing the
-#: block-draw call overhead across an epoch of requests.
+#: per-process buffer (an ``array('d')`` of think times, 8 B each, and a
+#: list of page references) while amortizing the block-draw call
+#: overhead across an epoch of requests.
 EPOCH = 256
 
 
@@ -103,8 +110,8 @@ class ReaderWorkload:
     pages / skew:
         Page population and Zipf skew.
     rng:
-        This process's random stream (think times; page picks use a
-        ``"pages"`` fork).
+        This process's own random stream (think times; page picks use a
+        ``"pages"`` fork), released after the last draw.
     mean_think / operations:
         Think time and rounds *per member*; each round issues one read
         representing one read by every member.
@@ -146,8 +153,9 @@ class ReaderWorkload:
         Randomness is pre-drawn one epoch at a time.  Think times come
         from this workload's own stream and page picks from the picker's
         forked stream, so blocking each independently consumes both
-        streams in the historical per-request order.  Each round is one
-        read of ``weight`` (or, after expansion, one read per member).
+        streams in the historical per-request order; both are released
+        once the last block is drawn.  Each round is one read of
+        ``weight`` (or, after expansion, one read per member).
         """
         weight = self.weight
         stats = self.stats
@@ -155,8 +163,12 @@ class ReaderWorkload:
         while remaining > 0:
             block = min(remaining, EPOCH)
             remaining -= block
-            thinks = self.rng.exponential_block(self.mean_think, block)
+            thinks = array("d", self.rng.exponential_block(self.mean_think,
+                                                           block))
             pages = self.picker.pick_block(block)
+            if not remaining:
+                self.rng.release()
+                self.picker.rng.release()
             for think, page in zip(thinks, pages):
                 yield Delay(think)
                 if self.members is None:
@@ -233,7 +245,10 @@ class WriterWorkload:
         return [(exponential(interval), choice(pages)) for _ in range(count)]
 
     def run(self) -> Generator:
-        """Generator body for :class:`~repro.sim.process.Process`."""
+        """Generator body for :class:`~repro.sim.process.Process`.
+
+        Draws one epoch at a time and releases its stream after the last.
+        """
         index = 0
         remaining = self.operations
         draws: List[tuple] = []
@@ -243,6 +258,8 @@ class WriterWorkload:
                 remaining -= block
                 draws = self._draw_epoch(block)
                 draws.reverse()  # consume via O(1) pops from the end
+                if not remaining:
+                    self.rng.release()
             think, page = draws.pop()
             yield Delay(think)
             content = self._payload(index)

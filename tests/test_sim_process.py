@@ -1,5 +1,7 @@
 """Unit tests for generator-based processes and futures."""
 
+import weakref
+
 import pytest
 
 from repro.sim.errors import SimulationError
@@ -252,3 +254,34 @@ class TestFuture:
         seen = []
         future.add_callback(lambda f: seen.append(f.result()))
         assert seen == ["x"]
+
+
+def _ended(how):
+    """A process ended by ``how``, and a weak reference to its generator."""
+    sim = Simulator()
+
+    def body():
+        yield Delay(1.0)
+        if how == "raise":
+            raise RuntimeError("workload bug")
+        yield Delay(10.0)
+
+    generator = body()
+    ref = weakref.ref(generator)
+    process = Process(sim, generator)
+    del generator
+    if how == "kill":
+        sim.run(until=2.0)
+        process.kill()
+    sim.run_until_idle()
+    return process, ref
+
+
+@pytest.mark.parametrize("how", ["return", "raise", "kill"])
+def test_an_ended_process_drops_its_generator(how):
+    process, ref = _ended(how)
+    assert not process.alive and process.done.done
+    assert process._generator is None
+    if how != "raise":  # else the done future's traceback holds its frame
+        assert ref() is None
+    process.kill()  # a no-op once ended

@@ -5,7 +5,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.sim.future import Future
+from repro.sim.process import Delay
 from repro.sim.rng import SeededRng
+from repro.workload.generator import EPOCH, ReaderWorkload, ZipfPagePicker
 
 
 def test_same_seed_same_stream():
@@ -128,3 +131,93 @@ def test_fork_does_not_materialize_parent():
     assert all(child._random is None for child in children)
     # Forking never consumed parent draws: the stream starts fresh.
     assert parent.random() == random.Random(7).random()
+
+
+# -- release ----------------------------------------------------------------
+
+#: One call of every draw, as (name, args).
+DRAWS = [
+    ("random", ()), ("uniform", (0.0, 1.0)), ("randint", (0, 9)),
+    ("choice", (["a", "b"],)), ("shuffle", ([1, 2, 3],)),
+    ("sample", ([1, 2, 3], 2)), ("exponential", (1.0,)),
+    ("exponential_block", (1.0, 4)), ("bernoulli", (0.5,)),
+    ("weighted_index", ([1.0, 2.0],)),
+]
+
+
+def test_draws_before_release_equal_an_unreleased_twin():
+    released, twin = SeededRng(11), SeededRng(11)
+    before = [released.random(), released.exponential_block(0.5, 8)]
+    released.release()
+    assert before == [twin.random(), twin.exponential_block(0.5, 8)]
+    assert released._random is False
+
+
+@pytest.mark.parametrize("name,args", DRAWS, ids=[name for name, _ in DRAWS])
+def test_every_draw_after_release_raises(name, args):
+    rng = SeededRng(11)
+    rng.random()
+    rng.release()
+    with pytest.raises(RuntimeError, match="released"):
+        getattr(rng, name)(*args)
+
+
+def test_fork_still_works_after_release():
+    released, twin = SeededRng(5), SeededRng(5)
+    released.fork("a")
+    twin.fork("a")
+    released.random()
+    released.release()
+    child = released.fork("b")
+    assert child.seed == twin.fork("b").seed
+    assert child.random() == random.Random(child.seed).random()
+
+
+def test_releasing_a_stream_that_never_drew():
+    rng = SeededRng(3)
+    rng.release()
+    rng.release()  # idempotent
+    with pytest.raises(RuntimeError):
+        rng.random()
+    assert rng.fork("x").seed == SeededRng(3).fork("x").seed
+
+
+class RecordingBrowser:
+    """Records each page read; the workload is driven by hand."""
+
+    def __init__(self):
+        self.pages = []
+
+    def read_page(self, page, weight=1):
+        self.pages.append(page)
+        return Future()
+
+
+def test_reader_releases_both_streams_after_its_last_block():
+    pages = [f"p{i}" for i in range(9)]
+    browser = RecordingBrowser()
+    reader = ReaderWorkload(browser, pages=pages, rng=SeededRng(21),
+                            operations=300, mean_think=0.4)
+    assert reader.operations > EPOCH
+    streams = (reader.rng, reader.picker.rng)
+    thinks = []
+    run = reader.run()
+    step = next(run)
+    while True:
+        if isinstance(step, Delay):
+            thinks.append(step.seconds)
+            # The second (last) block is drawn just before delay 257.
+            released = [stream._random is False for stream in streams]
+            assert released == [len(thinks) > EPOCH] * 2
+        try:
+            step = run.send(None)
+        except StopIteration:
+            break
+    twin = SeededRng(21)
+    twin_picker = ZipfPagePicker(pages, twin.fork("pages"))
+    expected = [(twin.exponential(0.4), twin_picker.pick())
+                for _ in range(300)]
+    assert list(zip(thinks, browser.pages)) == expected
+    for stream in streams:
+        with pytest.raises(RuntimeError):
+            stream.random()
