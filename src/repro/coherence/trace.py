@@ -7,16 +7,29 @@ clients report issued writes, acknowledgements and reads.  The checkers in
 against the recorded history -- the machine-checked replacement for the
 paper's manual observation of its prototype.
 
+The history is stored as columns, in the manner of a column store: each
+recorded event is one row of typed :mod:`array` columns -- a kind byte,
+the time as a C double and five 32-bit ids into the recorder's tables of
+names, :class:`~repro.core.ids.WriteId` values and pooled version dicts,
+29 bytes in all.  The columns grow in chunks of :data:`CHUNK` rows, so a
+long run never re-allocates and copies a whole column.  This module alone
+knows that layout: readers fold over :meth:`TraceRecorder.rows` in one
+pass, and :attr:`TraceRecorder.events` builds typed events on demand.
+
 The same class is the observability recorder: :func:`repro.obs.tracer.
 trace_run` installs a fresh one whose :meth:`TraceRecorder.event` hook
-sites across the stack append plain, JSONL-ready dicts.  An event's
-place in :attr:`TraceRecorder.events` is its global order.
+sites across the stack record plain, JSONL-ready dicts.  Those dicts keep
+a list of their own, and a row points at each.  An event's place in
+:attr:`TraceRecorder.events` is its global order.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+import operator
+from array import array
+from collections.abc import Sequence
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from repro.coherence.vector_clock import VectorClock
 from repro.core.ids import WriteId
@@ -25,15 +38,31 @@ from repro.core.ids import WriteId
 _EMPTY: Dict[str, int] = {}
 Stamp = Tuple[VectorClock, Dict[str, int]]
 
+#: Row kinds.  :meth:`TraceRecorder.rows` yields each row as its kind
+#: followed by its event's fields in declaration order: ``(APPLY, time,
+#: store, wid, global_seq, deps, applied_vc)``, ``(INSTALL, time, store,
+#: version)``, ``(DROP, time, store, wid)``, ``(WRITE, time, client_id,
+#: wid, store, deps)``, ``(ACK, time, client_id, wid, store)``, ``(READ,
+#: time, store, client_id, served_vc, requirement, weight)`` and, for an
+#: observability dict, ``(NOTE, time, record)``.
+APPLY, INSTALL, DROP, WRITE, ACK, READ, NOTE = range(7)
+
+#: Rows per column chunk.
+CHUNK = 4096
+
+#: The column types: kind, time, then the five ids ``a`` to ``e``.
+_TYPECODES = "Bdiiiii"
+#: The ``global_seq`` column value of an apply that carried none.
+_NO_SEQ = -(2 ** 31)
+
 
 @dataclasses.dataclass(slots=True)
 class TraceEvent:
     """Base event: the recording clock's timestamp.
 
-    Events are slotted rather than frozen: a frozen dataclass sets every
-    field through ``object.__setattr__``, which more than doubles the
-    cost of the one event each replica records per applied write.
-    Nothing edits an event once recorded.
+    Events are built from the recorder's rows when asked for (see
+    :attr:`TraceRecorder.events`) and hold the recorder's pooled dicts:
+    never mutate one.
     """
 
     time: float
@@ -98,6 +127,22 @@ class ReadEvent(TraceEvent):
     weight: int = 1
 
 
+#: Event type of each coherence row kind.
+_TYPES = (ApplyEvent, InstallEvent, DropEvent, WriteIssueEvent,
+          WriteAckEvent, ReadEvent)
+#: The ``record_*`` method that records each coherence row kind.
+_RECORDS = ("record_apply", "record_install", "record_drop",
+            "record_write_issue", "record_write_ack", "record_read")
+
+
+def _event(row: tuple) -> Any:
+    """The typed event (or observability dict) of one :meth:`rows` row."""
+    kind = row[0]
+    if kind == NOTE:
+        return row[2]
+    return _TYPES[kind](*row[1:])
+
+
 def _plain(value: Any) -> Any:
     """Coerce one detail value to deterministic plain data.
 
@@ -116,32 +161,126 @@ def _plain(value: Any) -> Any:
     return str(value)
 
 
+class History(Sequence):
+    """A recorder's events in global order, built from its rows on demand.
+
+    Read-only: ``len``, indexing, slicing (a slice is a list) and
+    iteration.  Each coherence row becomes a fresh :class:`TraceEvent`
+    that holds the recorder's pooled dicts, and an observability row is
+    its plain dict.  Equal to a list, or another history, of equal
+    events.
+    """
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "TraceRecorder") -> None:
+        self._trace = trace
+
+    def __len__(self) -> int:
+        chunks = self._trace._chunks
+        return (len(chunks) - 1) * CHUNK + len(chunks[-1][0])
+
+    def __getitem__(self, index: Any) -> Any:
+        trace = self._trace
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if step != 1:
+                return [self[at] for at in range(start, stop, step)]
+            return [_event(row)
+                    for row in trace._scan(trace._window(start, stop))]
+        at = operator.index(index)
+        size = len(self)
+        if at < 0:
+            at += size
+        if not 0 <= at < size:
+            raise IndexError("history index out of range")
+        return _event(next(trace._scan(trace._window(at, at + 1))))
+
+    def __iter__(self) -> Iterator[Any]:
+        return map(_event, self._trace.rows())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, History)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"History({list(self)!r})"
+
+
 class TraceRecorder:
     """Append-only recorder shared by all components of one system."""
 
     def __init__(self) -> None:
-        #: :class:`TraceEvent` records from the ``record_*`` methods, or
-        #: plain dicts from :meth:`event` (an observability recorder).
-        self.events: List[Any] = []
-        #: Hash-consing pools keyed by a version's items in order: one dict
-        #: (see :meth:`_intern`) or stamp (see :meth:`stamp`) per value.
-        self.versions: Dict[tuple, Dict[str, int]] = {}
-        self.stamps: Dict[tuple, Stamp] = {}
+        #: The recorded events, built on demand (see :class:`History`).
+        self.events = History(self)
+        #: What the rows point at: names (stores and clients) and write
+        #: ids (as ``(client_id, seqno)``), numbered in first-seen order;
+        #: version dicts; observability dicts.  ``_names`` and ``_wids``
+        #: are the id maps' keys, listed when a reader needs them.
+        self._name_ids: Dict[str, int] = {}
+        self._wid_ids: Dict[Tuple[str, int], int] = {}
+        self._names: List[str] = []
+        self._wids: List[WriteId] = []
+        self._versions: List[Dict[str, int]] = [_EMPTY]
+        self._notes: List[Dict[str, Any]] = []
+        #: Hash-consing pool: a version's items in order -> its id.
+        self._pool: Dict[tuple, int] = {(): 0}
+        #: ``id()`` of a dict the recorder keeps alive -> its version id.
+        self._version_ids: Dict[int, int] = {id(_EMPTY): 0}
+        #: One frozen stamp per applied version (see :meth:`stamp`).
+        self._stamps: Dict[tuple, Stamp] = {}
+        #: Column chunks, each ``(kind, time, a, b, c, d, e)``; the last,
+        #: ``_tail``, is the one rows are appended to.
+        self._tail = tuple(map(array, _TYPECODES))
+        self._chunks: List[Tuple[array, ...]] = [self._tail]
+
+    def _version(self, version: Dict[str, int]) -> int:
+        """The id of the pooled dict equal to ``version``.
+
+        A new value pools ``version`` itself, uncopied: never mutate it.
+        """
+        versions = self._versions
+        at = self._pool.setdefault(tuple(version.items()), len(versions))
+        if at == len(versions):
+            versions.append(version)
+            self._version_ids[id(version)] = at
+        return at
 
     def stamp(self, applied: VectorClock) -> Stamp:
         """``applied``'s frozen copy and dict, one per value: never mutate."""
         key = tuple(applied._entries.items())  # read in place: no call
-        pooled = self.stamps.get(key)
+        pooled = self._stamps.get(key)
         if pooled is None:
             clock = applied.copy()
-            pooled = self.stamps[key] = (clock, clock.view())
+            pooled = self._stamps[key] = (clock, clock.view())
+            # Pooled inline, as in ``_version``; the stamp pool keeps the
+            # dict alive, so its id stays its own.
+            versions = self._versions
+            at = self._pool.setdefault(key, len(versions))
+            if at == len(versions):
+                versions.append(pooled[1])
+            self._version_ids[id(pooled[1])] = at
         return pooled
 
-    def _intern(self, version: Dict[str, int]) -> Dict[str, int]:
-        """The pooled dict equal to ``version``: never mutate either."""
-        return self.versions.setdefault(tuple(version.items()), version)
+    def _tables(self) -> Tuple[List[str], List[WriteId], List[Dict[str, int]]]:
+        """Names, write ids and versions, each indexed by its row id."""
+        if len(self._names) != len(self._name_ids):
+            self._names = list(self._name_ids)
+        if len(self._wids) != len(self._wid_ids):
+            self._wids = [WriteId(*key) for key in self._wid_ids]
+        return self._names, self._wids, self._versions
 
     # -- recording -----------------------------------------------------------
+    #
+    # Each ``record_*`` appends one row with its lookups inline: a name
+    # or write id costs a builtin ``setdefault`` and a version already
+    # seen a ``get``, with no call of a helper, and so does starting a
+    # new chunk.  The ``e`` column goes first, being the only one that
+    # can refuse a value (out of 32-bit range), and the kind last, so a
+    # reader that zips the columns sees only whole rows.
 
     def event(
         self,
@@ -151,7 +290,7 @@ class TraceRecorder:
         obj: Optional[str] = None,
         **detail: Any,
     ) -> None:
-        """Append one observability event as a plain dict.
+        """Record one observability event as a plain dict.
 
         ``time`` comes from the caller's clock; detail values are
         flattened to plain data (see :func:`_plain`).
@@ -164,7 +303,18 @@ class TraceRecorder:
         }
         for key, value in detail.items():
             record[key] = _plain(value)
-        self.events.append(record)
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(0)
+        times.append(time)
+        a.append(len(self._notes))
+        b.append(0)
+        c.append(0)
+        d.append(0)
+        self._notes.append(record)
+        kinds.append(NOTE)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
     def record_apply(
         self,
@@ -177,35 +327,64 @@ class TraceRecorder:
     ) -> None:
         """A store applied ``wid``; ``applied_vc`` is the VC *after* apply.
 
-        The event keeps ``applied_vc`` itself, uncopied: the caller hands
-        over a dict no one mutates (the engine's batch stamp, see
-        :meth:`stamp`); ``deps`` is interned, so never mutate it either.
+        The recorder keeps ``applied_vc`` uncopied (the engine hands over
+        its batch stamp, see :meth:`stamp`) and pools ``deps``: never
+        mutate either.
         """
-        if deps is not None:
-            deps = self._intern(deps)
-        self.events.append(
-            ApplyEvent(
-                time=time,
-                store=store,
-                wid=wid,
-                global_seq=global_seq,
-                deps=deps,
-                applied_vc=applied_vc,
-            )
-        )
+        names = self._name_ids
+        at = names.setdefault(store, len(names))
+        wids = self._wid_ids
+        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        version = self._version_ids.get(id(applied_vc))
+        if version is None:
+            version = self._version(applied_vc)
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(_NO_SEQ if global_seq is None else global_seq)
+        times.append(time)
+        a.append(at)
+        b.append(write)
+        c.append(version)
+        d.append(-1 if deps is None else self._version(deps))
+        kinds.append(APPLY)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
     def record_install(
         self, time: float, store: str, version: Dict[str, int]
     ) -> None:
-        """A store installed ``version`` (kept uncopied: never mutate it)."""
-        version = self._intern(version)
-        self.events.append(
-            InstallEvent(time=time, store=store, version=version)
-        )
+        """A store installed ``version`` (pooled uncopied: never mutate it)."""
+        names = self._name_ids
+        at = names.setdefault(store, len(names))
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(0)
+        times.append(time)
+        a.append(at)
+        b.append(self._version(version))
+        c.append(0)
+        d.append(0)
+        kinds.append(INSTALL)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
     def record_drop(self, time: float, store: str, wid: WriteId) -> None:
         """A store discarded a superseded write."""
-        self.events.append(DropEvent(time=time, store=store, wid=wid))
+        names = self._name_ids
+        at = names.setdefault(store, len(names))
+        wids = self._wid_ids
+        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(0)
+        times.append(time)
+        a.append(at)
+        b.append(write)
+        c.append(0)
+        d.append(0)
+        kinds.append(DROP)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
     def record_write_issue(
         self,
@@ -215,22 +394,44 @@ class TraceRecorder:
         store: str,
         deps: Optional[Dict[str, int]] = None,
     ) -> None:
-        """A client issued a write; ``deps`` kept uncopied: never mutate it."""
-        if deps is not None:
-            deps = self._intern(deps)
-        self.events.append(
-            WriteIssueEvent(time=time, client_id=client_id, wid=wid,
-                            store=store, deps=deps)
-        )
+        """A client issued a write; ``deps`` is pooled: never mutate it."""
+        names = self._name_ids
+        at = names.setdefault(store, len(names))
+        who = names.setdefault(client_id, len(names))
+        wids = self._wid_ids
+        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(0)
+        times.append(time)
+        a.append(at)
+        b.append(write)
+        c.append(who)
+        d.append(-1 if deps is None else self._version(deps))
+        kinds.append(WRITE)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
     def record_write_ack(
         self, time: float, client_id: str, wid: WriteId, store: str
     ) -> None:
         """A store acknowledged a client's write."""
-        self.events.append(
-            WriteAckEvent(time=time, client_id=client_id, wid=wid,
-                          store=store)
-        )
+        names = self._name_ids
+        at = names.setdefault(store, len(names))
+        who = names.setdefault(client_id, len(names))
+        wids = self._wid_ids
+        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(0)
+        times.append(time)
+        a.append(at)
+        b.append(write)
+        c.append(who)
+        d.append(0)
+        kinds.append(ACK)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
     def record_read(
         self,
@@ -245,33 +446,128 @@ class TraceRecorder:
 
         ``weight`` counts the cohort clients the read represents (1 for
         an ordinary per-client read).  Callers pass frozen message dicts
-        (a reply's version, a request's requirement), kept uncopied; every
-        empty requirement is the one ``_EMPTY``.
+        (a reply's version, a request's requirement); a new value is
+        pooled uncopied, and every empty requirement is the one
+        ``_EMPTY``.
         """
-        self.events.append(
-            ReadEvent(
-                time=time, store=store, client_id=client_id,
-                served_vc=served_vc, requirement=requirement or _EMPTY,
-                weight=weight,
-            )
-        )
+        names = self._name_ids
+        at = names.setdefault(store, len(names))
+        who = names.setdefault(client_id, len(names))
+        versions = self._version_ids
+        served = versions.get(id(served_vc))
+        if served is None:
+            served = self._version(served_vc)
+        need = versions.get(id(requirement)) if requirement else 0
+        if need is None:
+            need = self._version(requirement)  # type: ignore[arg-type]
+        kinds, times, a, b, c, d, e = self._tail
+        e.append(weight)
+        times.append(time)
+        a.append(at)
+        b.append(served)
+        c.append(who)
+        d.append(need)
+        kinds.append(READ)
+        if len(kinds) == CHUNK:
+            self._tail = tail = tuple(map(array, _TYPECODES))
+            self._chunks.append(tail)
 
-    # -- accessors -----------------------------------------------------------
+    # -- reading ---------------------------------------------------------------
 
-    def of_type(self, event_type: type) -> List[TraceEvent]:
-        """All events of one type, in global order."""
-        return [e for e in self.events if isinstance(e, event_type)]
+    def rows(self, *kinds: int) -> Iterator[tuple]:
+        """Every row in global order, or only those of ``kinds``.
+
+        A row is its kind followed by its event's fields (see
+        :data:`APPLY`), holding the recorder's pooled dicts: never mutate
+        one.  This is the one pass every checker folds over.
+        """
+        return self._scan(self._chunks, frozenset(kinds or range(NOTE + 1)))
+
+    def _scan(self, chunks: List[Tuple[array, ...]],
+              wanted: frozenset = frozenset(range(NOTE + 1)),
+              ) -> Iterator[tuple]:
+        names, wids, versions = self._tables()
+        for kinds, times, a, b, c, d, e in chunks:
+            for kind, time, x, y, z, dep, n in zip(kinds, times, a, b, c,
+                                                   d, e):
+                if kind not in wanted:
+                    continue
+                if kind == READ:
+                    yield (READ, time, names[x], names[z], versions[y],
+                           versions[dep], n)
+                elif kind == APPLY:
+                    yield (APPLY, time, names[x], wids[y],
+                           None if n == _NO_SEQ else n,
+                           None if dep < 0 else versions[dep], versions[z])
+                elif kind == INSTALL:
+                    yield (INSTALL, time, names[x], versions[y])
+                elif kind == DROP:
+                    yield (DROP, time, names[x], wids[y])
+                elif kind == WRITE:
+                    yield (WRITE, time, names[z], wids[y], names[x],
+                           None if dep < 0 else versions[dep])
+                elif kind == ACK:
+                    yield (ACK, time, names[z], wids[y], names[x])
+                else:
+                    yield (NOTE, time, self._notes[x])
+
+    def _window(self, start: int, stop: int) -> List[Tuple[array, ...]]:
+        """The column slices holding rows ``start`` to ``stop - 1``."""
+        window = []
+        for chunk in range(start // CHUNK, -(-stop // CHUNK)):
+            low = max(start - chunk * CHUNK, 0)
+            high = min(stop - chunk * CHUNK, CHUNK)
+            window.append(tuple(column[low:high]
+                                for column in self._chunks[chunk]))
+        return window
+
+    def drain(self) -> List[Tuple[str, tuple]]:
+        """Hand over every coherence row as a plain call; keep nothing.
+
+        Each call is ``(name, args)``: ``getattr(recorder, name)(*args)``
+        records the row again through the same ``record_*`` entry, so a
+        ``live-socket`` node forwards what it recorded to the hub's
+        recorder this way.  Afterwards this recorder holds no row and no
+        pool entry, as if new.  Observability rows are not handed over.
+        """
+        calls = []
+        for row in self.rows(APPLY, INSTALL, DROP, WRITE, ACK, READ):
+            kind = row[0]
+            if kind == APPLY:
+                _, time, store, wid, global_seq, deps, applied_vc = row
+                args: tuple = (time, store, wid, applied_vc, global_seq, deps)
+            else:
+                args = row[1:]
+            calls.append((_RECORDS[kind], args))
+        if calls or self._stamps or len(self.events):
+            self.__init__()  # type: ignore[misc]
+        return calls
+
+    def of_type(self, event_type: type) -> List[Any]:
+        """All events of one type (or its subtypes), in global order."""
+        kinds = [kind for kind, cls in enumerate(_TYPES)
+                 if issubclass(cls, event_type)]
+        return [_event(row) for row in self.rows(*kinds)] if kinds else []
 
     def stores(self) -> List[str]:
-        """All stores that applied or installed anything, in first-seen order."""
-        stores = (getattr(e, "store", None) for e in self.events
-                  if not isinstance(e, ReadEvent))
-        return [name for name in dict.fromkeys(stores) if name is not None]
+        """Every store named by a non-read event, in first-seen order."""
+        seen: Dict[int, None] = {}
+        for kinds, _times, a, *_ in self._chunks:
+            for kind, at in zip(kinds, a):
+                if kind < READ:
+                    seen[at] = None
+        names = self._tables()[0]
+        return [names[at] for at in seen]
 
     def clients(self) -> List[str]:
         """All clients that issued writes or reads, in first-seen order."""
-        clients = (getattr(e, "client_id", None) for e in self.events)
-        return [name for name in dict.fromkeys(clients) if name is not None]
+        seen: Dict[int, None] = {}
+        for kinds, _times, _a, _b, c, _d, _e in self._chunks:
+            for kind, who in zip(kinds, c):
+                if WRITE <= kind <= READ:
+                    seen[who] = None
+        names = self._tables()[0]
+        return [names[who] for who in seen]
 
 
 def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
@@ -287,12 +583,13 @@ def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
     the *same* signature exactly when the protocol made the same
     decisions.  This is what the sim/live parity tests compare.  It is
     hash-consed: equal entries are one tuple, built from one name per
-    WriteId and one sorted-items tuple per version dict.
+    WriteId and one sorted-items tuple per version dict.  One pass over
+    the rows folds every lane.
     """
     vcs: Dict[int, tuple] = {}  # by dict identity: the trace keeps each alive
     names: Dict[int, str] = {}  # by WriteId identity, likewise
     entries: Dict[tuple, tuple] = {}
-    signature: Dict[str, List[tuple]] = {}
+    lanes: Dict[str, List[tuple]] = {}
 
     def vc(d: Dict[str, int]) -> tuple:
         items = vcs.get(id(d))
@@ -306,31 +603,34 @@ def coherence_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
             text = names[id(wid)] = str(wid)
         return text
 
-    for event in trace.events:
-        if isinstance(event, ApplyEvent):
-            entry: tuple = ("apply", name(event.wid), event.global_seq,
-                            vc(event.applied_vc))
-        elif isinstance(event, InstallEvent):
-            entry = ("install", vc(event.version))
-        elif isinstance(event, DropEvent):
-            entry = ("drop", name(event.wid))
-        elif isinstance(event, WriteIssueEvent):
-            entry = ("write", name(event.wid), event.store)
-        elif isinstance(event, WriteAckEvent):
-            entry = ("ack", name(event.wid), event.store)
-        elif isinstance(event, ReadEvent):
-            entry = ("read", event.store, vc(event.served_vc),
-                     vc(event.requirement))
-            if event.weight != 1:
+    for row in trace.rows(APPLY, INSTALL, DROP, WRITE, ACK, READ):
+        kind = row[0]
+        if kind == READ:
+            _, _, store, who, served, requirement, weight = row
+            entry: tuple = ("read", store, vc(served), vc(requirement))
+            if weight != 1:
                 # Weighted (cohort) reads extend the tuple; per-client
                 # reads keep the historical 4-tuple so existing golden
                 # signatures stay byte-identical.
-                entry = entry + (event.weight,)
+                entry = entry + (weight,)
+            lane = "client:" + who
+        elif kind == APPLY:
+            entry = ("apply", name(row[3]), row[4], vc(row[6]))
+            lane = "store:" + row[2]
+        elif kind == INSTALL:
+            entry = ("install", vc(row[3]))
+            lane = "store:" + row[2]
+        elif kind == DROP:
+            entry = ("drop", name(row[3]))
+            lane = "store:" + row[2]
         else:
-            continue
-        client = getattr(event, "client_id", None)
-        lane = f"store:{event.store}" if client is None else f"client:{client}"
-        signature.setdefault(lane, []).append(entries.setdefault(entry, entry))
+            entry = ("write" if kind == WRITE else "ack", name(row[3]),
+                     row[4])
+            lane = "client:" + row[2]
+        sequence = lanes.get(lane)
+        if sequence is None:
+            sequence = lanes[lane] = []
+        sequence.append(entries.setdefault(entry, entry))
     # Lanes were opened in event order; sorting them drops that last
     # trace of the global interleaving.
-    return dict(sorted(signature.items()))
+    return dict(sorted(lanes.items()))

@@ -24,12 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.coherence.trace import (
-    ApplyEvent,
-    InstallEvent,
-    TraceRecorder,
-    WriteAckEvent,
-)
+from repro.coherence.trace import ACK, APPLY, INSTALL, TraceRecorder
 from repro.coherence.vector_clock import VectorClock
 from repro.metrics.staleness import read_staleness
 
@@ -111,24 +106,22 @@ def recovery_lag_after_heal(
     """
     if not marks:
         return 0.0
-    events = trace.events
-    end = events[-1].time if events else 0.0
-    # One pass over the trace: each store's (time, version) timeline and
-    # the time-ordered ack list, parsed exactly once however many
-    # (mark, store) pairs are evaluated below.
+    # One pass over the trace: each store's (time, version) timeline,
+    # the time-ordered ack list and the last event's time, read exactly
+    # once however many (mark, store) pairs are evaluated below.
+    end = 0.0
     timelines: Dict[str, List[Tuple[float, VectorClock]]] = {}
     acks: List[Tuple[float, object]] = []
-    for event in events:
-        if isinstance(event, ApplyEvent):
-            timelines.setdefault(event.store, []).append(
-                (event.time, VectorClock(event.applied_vc))
-            )
-        elif isinstance(event, InstallEvent):
-            timelines.setdefault(event.store, []).append(
-                (event.time, VectorClock(event.version))
-            )
-        elif isinstance(event, WriteAckEvent):
-            acks.append((event.time, event.wid))
+    for row in trace.rows():
+        kind, end = row[0], row[1]
+        if kind == APPLY:
+            timelines.setdefault(row[2], []).append(
+                (end, VectorClock(row[6])))
+        elif kind == INSTALL:
+            timelines.setdefault(row[2], []).append(
+                (end, VectorClock(row[3])))
+        elif kind == ACK:
+            acks.append((end, row[3]))
     if not timelines:
         return 0.0
     lags: List[float] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence
 
-from repro.coherence.trace import ReadEvent, TraceRecorder, WriteAckEvent
+from repro.coherence.trace import ACK, READ, TraceRecorder
 from repro.coherence.vector_clock import VectorClock
 from repro.core.ids import WriteId
 from repro.metrics.report import Summary, summarize
@@ -51,34 +51,35 @@ def read_staleness(
     """
     samples: List[StalenessSample] = []
     acked: Dict[WriteId, float] = {}
-    for event in trace.events:
-        if isinstance(event, WriteAckEvent):
-            acked.setdefault(event.wid, event.time)
-        elif isinstance(event, ReadEvent):
-            if stores is not None and event.store not in stores:
-                continue
-            if clients is not None and event.client_id not in clients:
-                continue
-            served = VectorClock(event.served_vc)
-            missing = [
-                (wid, ack_time)
-                for wid, ack_time in acked.items()
-                if not served.includes(wid)
-            ]
-            time_lag = 0.0
-            if missing:
-                oldest = min(ack_time for _, ack_time in missing)
-                time_lag = max(0.0, event.time - oldest)
-            samples.append(
-                StalenessSample(
-                    time=event.time,
-                    store=event.store,
-                    client_id=event.client_id,
-                    version_lag=len(missing),
-                    time_lag=time_lag,
-                    weight=event.weight,
-                )
+    for row in trace.rows(ACK, READ):
+        if row[0] == ACK:
+            acked.setdefault(row[3], row[1])
+            continue
+        _, time, store, client_id, served_vc, _, weight = row
+        if stores is not None and store not in stores:
+            continue
+        if clients is not None and client_id not in clients:
+            continue
+        served = VectorClock(served_vc)
+        missing = [
+            (wid, ack_time)
+            for wid, ack_time in acked.items()
+            if not served.includes(wid)
+        ]
+        time_lag = 0.0
+        if missing:
+            oldest = min(ack_time for _, ack_time in missing)
+            time_lag = max(0.0, time - oldest)
+        samples.append(
+            StalenessSample(
+                time=time,
+                store=store,
+                client_id=client_id,
+                version_lag=len(missing),
+                time_lag=time_lag,
+                weight=weight,
             )
+        )
     return samples
 
 

@@ -14,11 +14,12 @@ object -- and bridges its transport over one framed socket:
 - the dispatcher reads the hub socket itself and handles each ``data``
   and ``call`` frame as it reads it: it is the node's one protocol *and*
   I/O thread, the only one that touches engine, journal and socket;
-- trace events are streamed to the hub *eagerly* (a ``trace`` frame per
-  event, ahead of any datagram the same handler sends; everything one
-  handled ``data`` frame produced leaves in a single write), so the
+- trace rows are forwarded to the hub *eagerly*: the node's recorder is
+  drained into a ``trace`` frame ahead of every datagram, call reply and
+  heartbeat, and at the end of each handled ``data`` frame (everything
+  one handled ``data`` frame produced leaves in a single write), so the
   recorded history is complete even when the process is SIGKILLed the
-  next instant;
+  next instant, and the node keeps no row;
 - after every handled frame the node appends what durably changed to its
   :class:`~repro.runtime.journal.Journal` (nothing, for a frame that
   changed nothing) and now and then folds the journal into a new
@@ -40,8 +41,7 @@ import sys
 import threading
 from typing import Any, Dict, List, Optional
 
-from repro.coherence.trace import Stamp, TraceEvent, TraceRecorder
-from repro.coherence.vector_clock import VectorClock
+from repro.coherence.trace import TraceRecorder
 from repro.core.interfaces import Role
 from repro.core.local_object import LocalObject
 from repro.replication.engine import StoreReplicationObject
@@ -64,8 +64,9 @@ class NodeTransport:
     :meth:`deliver` on the dispatcher thread.
     """
 
-    def __init__(self, channel: FrameChannel) -> None:
+    def __init__(self, channel: FrameChannel, trace: TraceRecorder) -> None:
         self.channel = channel
+        self.trace = trace
         self._handlers: Dict[str, Any] = {}
 
     def register(self, node: str, handler: Any) -> None:
@@ -76,6 +77,17 @@ class NodeTransport:
         """Detach the local store."""
         self._handlers.pop(node, None)
 
+    def forward_trace(self) -> None:
+        """Frame the rows recorded since the last call to the hub.
+
+        The node's recorder keeps nothing after this (see
+        :meth:`~repro.coherence.trace.TraceRecorder.drain`); the hub
+        records each row through the same ``record_*`` entry.
+        """
+        rows = self.trace.drain()
+        if rows:
+            self.channel.send("trace", rows=rows)
+
     def send(
         self,
         src: str,
@@ -84,7 +96,9 @@ class NodeTransport:
         size_bytes: int = 0,
         reliable: bool = True,
     ) -> None:
-        """Frame one datagram to the hub for routing."""
+        """Frame one datagram to the hub for routing, after the trace
+        rows recorded before it."""
+        self.forward_trace()
         self.channel.send(
             "data",
             src=src,
@@ -116,41 +130,6 @@ class NodeTransport:
             handler(src, payload, size_bytes)
 
 
-class _ForwardingList(List[TraceEvent]):
-    """A trace-event list that streams each append to the hub and keeps
-    nothing: no node reads its own history."""
-
-    def __init__(self, channel: FrameChannel) -> None:
-        super().__init__()
-        self._channel = channel
-
-    def append(self, event: TraceEvent) -> None:
-        self._channel.send("trace", event=event)
-
-
-class ForwardingTraceRecorder(TraceRecorder):
-    """A recorder that forwards every event to the hub as it is recorded.
-
-    Events are framed on the same socket, from the same dispatcher
-    thread, *before* any datagram the recording callback sends next --
-    so the hub appends them to its shared recorder in the exact per-lane
-    order the in-process backends would produce.
-    """
-
-    def __init__(self, channel: FrameChannel) -> None:
-        super().__init__()
-        self.events = _ForwardingList(channel)
-
-    def stamp(self, applied: VectorClock) -> Stamp:
-        """A fresh copy: a node pickles each event alone, so pools nothing."""
-        clock = applied.copy()
-        return clock, clock.view()
-
-    def _intern(self, version: Dict[str, int]) -> Dict[str, int]:
-        """``version`` itself (see :meth:`stamp`)."""
-        return version
-
-
 class NodeRuntime:
     """Everything one store-node process runs: loop, store, wire bridge."""
 
@@ -165,8 +144,8 @@ class NodeRuntime:
         self.channel = channel
         self.spec = spec
         self.loop = LiveLoop(seed=spec["seed"])
-        self.transport = NodeTransport(channel)
-        self.trace = ForwardingTraceRecorder(channel)
+        self.trace = TraceRecorder()
+        self.transport = NodeTransport(channel, self.trace)
         document = WebDocument(clock=lambda: self.loop.now)
         if spec.get("semantics_state") is not None:
             document.restore(spec["semantics_state"])
@@ -212,6 +191,7 @@ class NodeRuntime:
             self.transport.deliver(
                 body["dst"], body["src"], body["payload"], body["size"]
             )
+            self.transport.forward_trace()
         finally:
             self.channel.uncork()
         self.journal.persist(self.engine)
@@ -241,15 +221,19 @@ class NodeRuntime:
             else:
                 raise ValueError(f"unknown node op {op!r}")
         except Exception as exc:
+            self.transport.forward_trace()
             self.journal.persist(self.engine)
             self.channel.send("reply", call_id=call_id, error=repr(exc))
             return
+        self.transport.forward_trace()
         self.journal.persist(self.engine)
         self.channel.send("reply", call_id=call_id, result=result)
 
     def _beat(self) -> None:
         self.loop.schedule(self.spec.get("heartbeat_interval", 0.25),
                            self._beat, daemon=True)
+        # Rows a timer recorded without sending anything go out here.
+        self.transport.forward_trace()
         self.channel.send("heartbeat", node=self.name)
 
     def run(self) -> int:

@@ -273,15 +273,19 @@ class SocketHub:
                           body["size"], body["reliable"])
 
     def _on_trace(self, _channel: FrameChannel, body: Dict[str, Any]) -> None:
-        """Append a node's trace event to the shared recorder.
+        """Record a node's trace rows through the shared recorder.
 
-        Its position in the hub recorder's ``events`` is its global
-        order.  Per-lane order (all the signature cares about) is kept
-        because each node streams its own events in recording order.
+        Each row is a plain ``record_*`` call (see
+        :meth:`~repro.coherence.trace.TraceRecorder.drain`), so the hub's
+        history is pooled like any other.  A row's position in the hub
+        recorder is its global order.  Per-lane order (all the signature
+        cares about) is kept because each node forwards its own rows in
+        recording order.
         """
         recorder = self.trace
         if recorder is not None:
-            recorder.events.append(body["event"])
+            for name, args in body["rows"]:
+                getattr(recorder, name)(*args)
 
     def _resolve_call(self, body: Dict[str, Any]) -> None:
         with self._lock:

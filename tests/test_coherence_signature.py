@@ -55,6 +55,7 @@ def test_every_event_kind_is_covered():
 
 def test_slotted_events_cross_the_socket_unchanged():
     for event in every_event_kind():
-        # The node-to-hub ``trace`` frame pickles the event at protocol 5.
+        # An event built from a row stays slotted and survives the
+        # protocol-5 pickle that frames and cached sweep results use.
         assert pickle.loads(pickle.dumps(event, 5)) == event
         assert not hasattr(event, "__dict__")

@@ -1,6 +1,7 @@
 """What a run's coherence history keeps, and what a node keeps of it.
 
-The recorder hash-conses the version dicts its events hold, and
+The recorder stores each event as one row of typed columns and
+hash-conses the version dicts the rows point at, and
 ``coherence_signature`` its entries, so a history keeps each distinct
 value once while staying value-identical to an unshared one.  Checked on
 the push-update tree of the ``--quick`` ``sim_write_fanout`` benchmark
@@ -13,14 +14,18 @@ and every apply also records a dependency vector:
   (the signature as it was before hash-consing) computes;
 - the digest equals that of the same run recorded without pools, and
   the live heap under ``repro/coherence/`` is under a fixed share of
-  that run's, measured in the same interpreter.
+  that run's, measured in the same interpreter;
+- on the ``--quick`` ``sim_read_heavy`` and ``sim_write_fanout`` trees,
+  the rows cost at most :data:`ROW_BYTES` each.
 
-A ``live-socket`` node's recorder forwards each event to the hub and
-keeps neither the event nor a pool entry.
+A ``live-socket`` node's recorder hands every row to the hub as it goes
+and keeps neither a row nor a pool entry.
 """
 
 import dataclasses
 import functools
+import inspect
+import pickle
 import tracemalloc
 from typing import Dict, List
 
@@ -28,6 +33,7 @@ import pytest
 
 from benchmarks.perf import workloads
 from benchmarks.perf.workloads import QUICK, sim_rep
+from repro.coherence import trace as trace_module
 from repro.coherence.models import CoherenceModel
 from repro.coherence.trace import (
     ApplyEvent,
@@ -41,13 +47,22 @@ from repro.coherence.trace import (
 )
 from repro.coherence.vector_clock import VectorClock
 from repro.core.ids import WriteId
-from repro.runtime.node import ForwardingTraceRecorder
+from repro.runtime.node import NodeTransport
 
 #: Ceiling on pooled / unpooled live ``repro/coherence/`` heap at the end
-#: of a run.  On Python 3.11 it measures 0.52 (PRAM) and 0.37 (causal);
-#: a history without pools (the node recorder's, or the one before
+#: of a run.  On Python 3.11 it measures 0.35 (PRAM) and 0.24 (causal);
+#: a history without pools (one dict kept per row, as before
 #: hash-consing) reads 1.0.
-POOLED_SHARE = 0.7
+POOLED_SHARE = 0.5
+
+#: Ceiling on the bytes a recorded row costs: what the ``record_*``
+#: bodies themselves hold at the end of a run (the columns, not the
+#: name, write-id and version tables, which grow with participants and
+#: writes, not with rows), per row.  A row's payload is 29 B
+#: (a kind byte, a C double, five 32-bit ids); on Python 3.11 the quick
+#: trees measure 29.4 B with the columns' over-allocation.  A
+#: ``ReadEvent`` with its list slot and boxed time took about 112 B.
+ROW_BYTES = 32
 
 MODELS = [CoherenceModel.PRAM, CoherenceModel.CAUSAL]
 
@@ -92,14 +107,26 @@ def reference_signature(trace: TraceRecorder) -> Dict[str, List[tuple]]:
     return dict(sorted(signature.items()))
 
 
+def _fresh_stamp(self, applied):
+    """``TraceRecorder.stamp`` without the pool: a fresh copy each time."""
+    clock = applied.copy()
+    return clock, clock.view()
+
+
+def _unpooled_version(self, version):
+    """``TraceRecorder._version`` without the pool: every dict kept."""
+    self._versions.append(version)
+    return len(self._versions) - 1
+
+
 @functools.lru_cache(maxsize=None)
-def traced_rep(model, pooled):
-    """The quick ``sim_write_fanout`` rep at seed 7 under ``model``.
+def traced_rep(model, pooled, workload="sim_write_fanout"):
+    """The quick ``workload`` rep at seed 7 under ``model``.
 
     Returns its digest, recorder and a ``tracemalloc`` snapshot taken
     where ``sim_digest`` starts, before the signature is built.  An
-    unpooled run records through the node recorder's ``stamp`` and
-    ``_intern``, which copy or keep every version as it comes.
+    unpooled run records through the stand-ins above, which copy or keep
+    every version as it comes.
     """
     real_digest, real_policy = workloads.sim_digest, workloads.policy_for
     seen = {}
@@ -110,19 +137,20 @@ def traced_rep(model, pooled):
         return real_digest(deployment, traffic)
 
     def policy_for(strategy):
-        return dataclasses.replace(real_policy(strategy), model=model)
+        policy = real_policy(strategy)
+        if model is None:
+            return policy
+        return dataclasses.replace(policy, model=model)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(workloads, "sim_digest", spy)
         patch.setattr(workloads, "policy_for", policy_for)
         if not pooled:
-            for name in ("stamp", "_intern"):
-                patch.setattr(TraceRecorder, name,
-                              getattr(ForwardingTraceRecorder, name))
+            patch.setattr(TraceRecorder, "stamp", _fresh_stamp)
+            patch.setattr(TraceRecorder, "_version", _unpooled_version)
         tracemalloc.start()
         try:
-            rep = sim_rep(QUICK["sim_write_fanout"], seed=7,
-                          full_checks=True)
+            rep = sim_rep(QUICK[workload], seed=7, full_checks=True)
         finally:
             tracemalloc.stop()
     assert rep.violations == []
@@ -202,6 +230,34 @@ def test_pools_shrink_the_history_heap(model):
         f"pooled history keeps {share:.2f} of the unpooled one's heap")
 
 
+def row_bytes(snapshot):
+    """Live bytes the ``record_*`` and ``event`` bodies allocated, less
+    their name and write-id table inserts (the ``setdefault`` lines)."""
+    lines = set()
+    for name, method in vars(TraceRecorder).items():
+        if name.startswith("record_") or name == "event":
+            source, first = inspect.getsourcelines(method)
+            lines.update(first + offset for offset, line in enumerate(source)
+                         if "setdefault(" not in line)
+    recorder = snapshot.filter_traces(
+        [tracemalloc.Filter(True, trace_module.__file__)])
+    return sum(stat.size for stat in recorder.statistics("lineno")
+               if stat.traceback[0].lineno in lines)
+
+
+@pytest.mark.parametrize("workload", ["sim_read_heavy", "sim_write_fanout"])
+def test_a_recorded_row_costs_at_most_row_bytes(workload):
+    _, trace, snapshot = traced_rep(None, pooled=True, workload=workload)
+    kinds = [row[0] for row in trace.rows()]
+    # Each tree is mostly reads or mostly applies, as its name says.
+    bulk = (trace_module.READ if workload == "sim_read_heavy"
+            else trace_module.APPLY)
+    assert kinds.count(bulk) > 0.8 * len(kinds)
+    per_row = row_bytes(snapshot) / len(kinds)
+    assert 29 <= per_row <= ROW_BYTES, (
+        f"{workload}: {per_row:.1f} B per recorded row")
+
+
 class FakeChannel:
     """Collects the frames a node would write to the hub."""
 
@@ -212,28 +268,48 @@ class FakeChannel:
         self.frames.append((kind, body))
 
 
-def test_a_node_recorder_forwards_every_event_and_keeps_none():
+def record_some(recorder, seqno):
+    """One write's worth of events, the way a store and a client record
+    them (the apply through the batch stamp)."""
+    wid = WriteId("w", seqno)
+    recorder.record_write_issue(0.0, "w", wid, "server", deps={"r": seqno})
+    _, stamped = recorder.stamp(VectorClock({"w": seqno}))
+    recorder.record_apply(1.0, "cache-0", wid, stamped, global_seq=seqno,
+                          deps={"r": seqno})
+    recorder.record_install(1.5, "cache-0", {"w": seqno})
+    recorder.record_read(2.0, "cache-0", "r", stamped,
+                         requirement={"w": seqno}, weight=2)
+    recorder.record_drop(2.5, "cache-1", wid)
+    recorder.record_write_ack(3.0, "w", wid, "server")
+
+
+def test_a_node_forwards_every_row_and_keeps_none():
     channel = FakeChannel()
-    recorder = ForwardingTraceRecorder(channel)
+    node = TraceRecorder()
+    transport = NodeTransport(channel, node)
+    reference = TraceRecorder()
     for seqno in range(1, 51):
-        wid = WriteId("w", seqno)
-        recorder.record_write_issue(0.0, "w", wid, "server",
-                                    deps={"r": seqno})
-        recorder.record_apply(1.0, "cache-0", wid, {"w": seqno},
-                              deps={"r": seqno})
-        recorder.record_install(1.5, "cache-0", {"w": seqno})
-        recorder.record_read(2.0, "cache-0", "r", {"w": seqno})
-    assert len(channel.frames) == 200
-    assert {kind for kind, _ in channel.frames} == {"trace"}
-    events = [body["event"] for _, body in channel.frames]
-    assert [type(e) for e in events[:4]] == [
-        WriteIssueEvent, ApplyEvent, InstallEvent, ReadEvent]
-    assert events[-3].applied_vc == {"w": 50}
-    assert len(recorder.events) == 0
-    assert recorder.clients() == [] and recorder.stores() == []
-    assert not recorder.versions and not recorder.stamps
-    clock = VectorClock({"w": 1})
-    stamp, entries = recorder.stamp(clock)
-    assert stamp is not clock and entries == {"w": 1}
-    assert recorder.stamp(clock)[0] is not stamp
-    assert not recorder.stamps
+        record_some(node, seqno)
+        record_some(reference, seqno)
+        transport.send("cache-0", "server", {"seqno": seqno})
+        # Nothing is left behind: no row, no name, no pool entry.
+        assert len(node.events) == 0 and list(node.rows()) == []
+        assert node.stores() == [] and node.clients() == []
+        assert vars(node) == vars(TraceRecorder())
+    assert [kind for kind, _ in channel.frames] == ["trace", "data"] * 50
+    hub = TraceRecorder()
+    for kind, body in channel.frames:
+        if kind == "trace":
+            # The frame crosses the socket as a protocol-5 pickle.
+            for name, args in pickle.loads(pickle.dumps(body["rows"], 5)):
+                getattr(hub, name)(*args)
+    assert hub.events == reference.events
+    assert coherence_signature(hub) == coherence_signature(reference)
+    # The hub pools what it records from nodes like anything else.
+    applied = [e.applied_vc for e in hub.of_type(ApplyEvent)]
+    assert distinct(applied) == (50, 50)
+    deps = [e.deps for e in hub.events if getattr(e, "deps", None)]
+    assert len(deps) == 100 and distinct(deps) == (50, 50)
+    # A send with nothing recorded frames only the datagram.
+    transport.send("cache-0", "server", {})
+    assert channel.frames[-1][0] == "data" and len(channel.frames) == 101
