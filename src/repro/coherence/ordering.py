@@ -73,7 +73,12 @@ class OrderingDiscipline:
         """Whether buffered records are waiting on missing predecessors.
 
         This is the store's signal that its replica is outdated and the
-        outdate-reaction parameter (wait vs demand) applies.
+        outdate-reaction parameter (wait vs demand) applies.  Under
+        ``WAIT`` a gap is waited on, never demanded: that is the paper's
+        behaviour, and experiment x5 claims it ("UDP + wait does not
+        catch up"); demanding on every gap breaks that claim.  So a
+        replica that a crash left behind a lost update (F3) has to be
+        repaired by its restart, not here.
         """
         return bool(self.buffer)
 

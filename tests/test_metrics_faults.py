@@ -139,14 +139,35 @@ def test_fault_run_metrics_sees_partition_effects():
     assert metrics["recovery_lag"] > 0.0
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "F3: the restarted cache-0 freezes behind an update lost while it "
-    "was down (12 updates stay buffered, 15 eventual-delivery violations)"
-))
-def test_restarted_replica_catches_up_under_push_update():
+#: Why a WAIT store's gap is not where F3 gets mended: making
+#: ``ingest_records`` demand on every remaining gap (instead of
+#: ``reads.outdated()``) fixes both cases below but fails x5's paper
+#: claim "UDP + wait does not catch up" (``test_claims_hold[x5]`` and
+#: ``[x5-seed1]``).  Waiting on a gap is the paper's behaviour; the
+#: repair belongs to the restart, which should recover what a crash lost.
+_NOT_AT_THE_GAP = (
+    " A gap-triggered demand mends it but breaks x5's 'UDP + wait does "
+    "not catch up' claim, so the fix belongs to restart, not to the gap "
+    "check."
+)
+
+
+@pytest.mark.parametrize("fault_plan", [
+    pytest.param("crash-restart", marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "F3: the restarted cache-0 freezes behind an update lost while "
+            "it was down (12 updates stay buffered, 15 eventual-delivery "
+            "violations)." + _NOT_AT_THE_GAP))),
+    pytest.param("churn", marks=pytest.mark.xfail(
+        strict=True, reason=(
+            "F3: under churn cache-0 freezes behind an update lost while "
+            "it was down (15 updates stay buffered, 16 eventual-delivery "
+            "violations)." + _NOT_AT_THE_GAP))),
+])
+def test_restarted_replica_catches_up_under_push_update(fault_plan):
     deployment = run_profile(
         STRATEGIES["push-update"].build_policy(), get_profile("balanced"),
-        n_caches=2, seed=0, fault_plan="crash-restart",
+        n_caches=2, seed=0, fault_plan=fault_plan,
         request_timeout=FAULT_REQUEST_TIMEOUT,
         request_retries=FAULT_REQUEST_RETRIES,
     )
