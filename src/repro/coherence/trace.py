@@ -275,10 +275,9 @@ class TraceRecorder:
 
     # -- recording -----------------------------------------------------------
     #
-    # Each ``record_*`` appends one row with its lookups inline: a name
-    # or write id costs a builtin ``setdefault`` and a version already
-    # seen a ``get``, with no call of a helper, and so does starting a
-    # new chunk.  The ``e`` column goes first, being the only one that
+    # Each ``record_*`` appends one row with its lookups inline: a name,
+    # write id or version already seen costs a builtin ``get``, and
+    # neither a new name or write id nor a new chunk calls a helper.  The ``e`` column goes first, being the only one that
     # can refuse a value (out of 32-bit range), and the kind last, so a
     # reader that zips the columns sees only whole rows.
 
@@ -332,9 +331,14 @@ class TraceRecorder:
         mutate either.
         """
         names = self._name_ids
-        at = names.setdefault(store, len(names))
+        at = names.get(store)
+        if at is None:
+            at = names[store] = len(names)
         wids = self._wid_ids
-        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        key = (wid.client_id, wid.seqno)
+        write = wids.get(key)
+        if write is None:
+            write = wids[key] = len(wids)
         version = self._version_ids.get(id(applied_vc))
         if version is None:
             version = self._version(applied_vc)
@@ -355,7 +359,9 @@ class TraceRecorder:
     ) -> None:
         """A store installed ``version`` (pooled uncopied: never mutate it)."""
         names = self._name_ids
-        at = names.setdefault(store, len(names))
+        at = names.get(store)
+        if at is None:
+            at = names[store] = len(names)
         kinds, times, a, b, c, d, e = self._tail
         e.append(0)
         times.append(time)
@@ -371,9 +377,14 @@ class TraceRecorder:
     def record_drop(self, time: float, store: str, wid: WriteId) -> None:
         """A store discarded a superseded write."""
         names = self._name_ids
-        at = names.setdefault(store, len(names))
+        at = names.get(store)
+        if at is None:
+            at = names[store] = len(names)
         wids = self._wid_ids
-        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        key = (wid.client_id, wid.seqno)
+        write = wids.get(key)
+        if write is None:
+            write = wids[key] = len(wids)
         kinds, times, a, b, c, d, e = self._tail
         e.append(0)
         times.append(time)
@@ -396,10 +407,17 @@ class TraceRecorder:
     ) -> None:
         """A client issued a write; ``deps`` is pooled: never mutate it."""
         names = self._name_ids
-        at = names.setdefault(store, len(names))
-        who = names.setdefault(client_id, len(names))
+        at = names.get(store)
+        if at is None:
+            at = names[store] = len(names)
+        who = names.get(client_id)
+        if who is None:
+            who = names[client_id] = len(names)
         wids = self._wid_ids
-        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        key = (wid.client_id, wid.seqno)
+        write = wids.get(key)
+        if write is None:
+            write = wids[key] = len(wids)
         kinds, times, a, b, c, d, e = self._tail
         e.append(0)
         times.append(time)
@@ -417,10 +435,17 @@ class TraceRecorder:
     ) -> None:
         """A store acknowledged a client's write."""
         names = self._name_ids
-        at = names.setdefault(store, len(names))
-        who = names.setdefault(client_id, len(names))
+        at = names.get(store)
+        if at is None:
+            at = names[store] = len(names)
+        who = names.get(client_id)
+        if who is None:
+            who = names[client_id] = len(names)
         wids = self._wid_ids
-        write = wids.setdefault((wid.client_id, wid.seqno), len(wids))
+        key = (wid.client_id, wid.seqno)
+        write = wids.get(key)
+        if write is None:
+            write = wids[key] = len(wids)
         kinds, times, a, b, c, d, e = self._tail
         e.append(0)
         times.append(time)
@@ -451,8 +476,12 @@ class TraceRecorder:
         ``_EMPTY``.
         """
         names = self._name_ids
-        at = names.setdefault(store, len(names))
-        who = names.setdefault(client_id, len(names))
+        at = names.get(store)
+        if at is None:
+            at = names[store] = len(names)
+        who = names.get(client_id)
+        if who is None:
+            who = names[client_id] = len(names)
         versions = self._version_ids
         served = versions.get(id(served_vc))
         if served is None:

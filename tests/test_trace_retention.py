@@ -50,17 +50,18 @@ from repro.core.ids import WriteId
 from repro.runtime.node import NodeTransport
 
 #: Ceiling on pooled / unpooled live ``repro/coherence/`` heap at the end
-#: of a run.  On Python 3.11 it measures 0.35 (PRAM) and 0.24 (causal);
+#: of a run.  On Python 3.11 it measures 0.31 (PRAM) and 0.24 (causal);
 #: a history without pools (one dict kept per row, as before
 #: hash-consing) reads 1.0.
 POOLED_SHARE = 0.5
 
 #: Ceiling on the bytes a recorded row costs: what the ``record_*``
-#: bodies themselves hold at the end of a run (the columns, not the
-#: name, write-id and version tables, which grow with participants and
+#: bodies' appends hold at the end of a run (the columns, not the name,
+#: write-id and version tables, which grow with participants and
 #: writes, not with rows), per row.  A row's payload is 29 B
 #: (a kind byte, a C double, five 32-bit ids); on Python 3.11 the quick
-#: trees measure 29.4 B with the columns' over-allocation.  A
+#: trees measure 29.4 B (read-heavy) and 30.0 B (write-fanout) with the
+#: columns' over-allocation.  A
 #: ``ReadEvent`` with its list slot and boxed time took about 112 B.
 ROW_BYTES = 32
 
@@ -231,14 +232,14 @@ def test_pools_shrink_the_history_heap(model):
 
 
 def row_bytes(snapshot):
-    """Live bytes the ``record_*`` and ``event`` bodies allocated, less
-    their name and write-id table inserts (the ``setdefault`` lines)."""
+    """Live bytes allocated by the ``.append(`` lines of the ``record_*``
+    and ``event`` bodies: the rows, without the tables they point at."""
     lines = set()
     for name, method in vars(TraceRecorder).items():
         if name.startswith("record_") or name == "event":
             source, first = inspect.getsourcelines(method)
             lines.update(first + offset for offset, line in enumerate(source)
-                         if "setdefault(" not in line)
+                         if ".append(" in line)
     recorder = snapshot.filter_traces(
         [tracemalloc.Filter(True, trace_module.__file__)])
     return sum(stat.size for stat in recorder.statistics("lineno")

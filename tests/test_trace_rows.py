@@ -20,7 +20,7 @@ its issue.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
