@@ -8,11 +8,12 @@ against the recorded history -- the machine-checked replacement for the
 paper's manual observation of its prototype.
 
 The history is stored as columns, in the manner of a column store: each
-recorded event is one row of typed :mod:`array` columns -- a kind byte,
-the time as a C double and five 32-bit ids into the recorder's tables of
-names, :class:`~repro.core.ids.WriteId` values and pooled version dicts,
-29 bytes in all.  The columns grow in chunks of :data:`CHUNK` rows, so a
-long run never re-allocates and copies a whole column.  This module alone
+recorded event is one row of three typed :mod:`array` columns -- a kind
+byte, the time as a C double and five 32-bit ids (a number, then ids
+into the recorder's tables of names, :class:`~repro.core.ids.WriteId`
+values and pooled version dicts), 29 bytes in all.  The columns grow in
+chunks of :data:`CHUNK` rows, so a long run never re-allocates and
+copies a whole column.  This module alone
 knows that layout: readers fold over :meth:`TraceRecorder.rows` in one
 pass, and :attr:`TraceRecorder.events` builds typed events on demand.
 
@@ -50,9 +51,9 @@ APPLY, INSTALL, DROP, WRITE, ACK, READ, NOTE = range(7)
 #: Rows per column chunk.
 CHUNK = 4096
 
-#: The column types: kind, time, then the five ids ``a`` to ``e``.
-_TYPECODES = "Bdiiiii"
-#: The ``global_seq`` column value of an apply that carried none.
+#: The column types: kind, time, and five ids per row.
+_TYPECODES = "Bdi"
+#: The ``global_seq`` id of an apply that carried none.
 _NO_SEQ = -(2 ** 31)
 
 
@@ -232,8 +233,10 @@ class TraceRecorder:
         self._version_ids: Dict[int, int] = {id(_EMPTY): 0}
         #: One frozen stamp per applied version (see :meth:`stamp`).
         self._stamps: Dict[tuple, Stamp] = {}
-        #: Column chunks, each ``(kind, time, a, b, c, d, e)``; the last,
-        #: ``_tail``, is the one rows are appended to.
+        #: Column chunks, each ``(kinds, times, ids)``; the last,
+        #: ``_tail``, is the one rows are appended to.  A row's ids are
+        #: ``(n, at, x, y, z)``: a number (``global_seq`` or ``weight``),
+        #: its store (or note) and up to three more, by kind.
         self._tail = tuple(map(array, _TYPECODES))
         self._chunks: List[Tuple[array, ...]] = [self._tail]
 
@@ -277,9 +280,10 @@ class TraceRecorder:
     #
     # Each ``record_*`` appends one row with its lookups inline: a name,
     # write id or version already seen costs a builtin ``get``, and
-    # neither a new name or write id nor a new chunk calls a helper.  The ``e`` column goes first, being the only one that
-    # can refuse a value (out of 32-bit range), and the kind last, so a
-    # reader that zips the columns sees only whole rows.
+    # neither a new name or write id nor a new chunk calls a helper.
+    # The ids go first, led by the number, the only one that can refuse
+    # a value (out of 32-bit range) before any is appended, and the kind
+    # last, so a reader that zips the columns sees only whole rows.
 
     def event(
         self,
@@ -302,13 +306,9 @@ class TraceRecorder:
         }
         for key, value in detail.items():
             record[key] = _plain(value)
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(0)
+        kinds, times, ids = self._tail
+        ids.extend((0, len(self._notes), 0, 0, 0))
         times.append(time)
-        a.append(len(self._notes))
-        b.append(0)
-        c.append(0)
-        d.append(0)
         self._notes.append(record)
         kinds.append(NOTE)
         if len(kinds) == CHUNK:
@@ -342,13 +342,11 @@ class TraceRecorder:
         version = self._version_ids.get(id(applied_vc))
         if version is None:
             version = self._version(applied_vc)
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(_NO_SEQ if global_seq is None else global_seq)
+        kinds, times, ids = self._tail
+        ids.extend((_NO_SEQ if global_seq is None else global_seq, at,
+                    write, version,
+                    -1 if deps is None else self._version(deps)))
         times.append(time)
-        a.append(at)
-        b.append(write)
-        c.append(version)
-        d.append(-1 if deps is None else self._version(deps))
         kinds.append(APPLY)
         if len(kinds) == CHUNK:
             self._tail = tail = tuple(map(array, _TYPECODES))
@@ -362,13 +360,9 @@ class TraceRecorder:
         at = names.get(store)
         if at is None:
             at = names[store] = len(names)
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(0)
+        kinds, times, ids = self._tail
+        ids.extend((0, at, self._version(version), 0, 0))
         times.append(time)
-        a.append(at)
-        b.append(self._version(version))
-        c.append(0)
-        d.append(0)
         kinds.append(INSTALL)
         if len(kinds) == CHUNK:
             self._tail = tail = tuple(map(array, _TYPECODES))
@@ -385,13 +379,9 @@ class TraceRecorder:
         write = wids.get(key)
         if write is None:
             write = wids[key] = len(wids)
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(0)
+        kinds, times, ids = self._tail
+        ids.extend((0, at, write, 0, 0))
         times.append(time)
-        a.append(at)
-        b.append(write)
-        c.append(0)
-        d.append(0)
         kinds.append(DROP)
         if len(kinds) == CHUNK:
             self._tail = tail = tuple(map(array, _TYPECODES))
@@ -418,13 +408,10 @@ class TraceRecorder:
         write = wids.get(key)
         if write is None:
             write = wids[key] = len(wids)
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(0)
+        kinds, times, ids = self._tail
+        ids.extend((0, at, write, who,
+                    -1 if deps is None else self._version(deps)))
         times.append(time)
-        a.append(at)
-        b.append(write)
-        c.append(who)
-        d.append(-1 if deps is None else self._version(deps))
         kinds.append(WRITE)
         if len(kinds) == CHUNK:
             self._tail = tail = tuple(map(array, _TYPECODES))
@@ -446,13 +433,9 @@ class TraceRecorder:
         write = wids.get(key)
         if write is None:
             write = wids[key] = len(wids)
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(0)
+        kinds, times, ids = self._tail
+        ids.extend((0, at, write, who, 0))
         times.append(time)
-        a.append(at)
-        b.append(write)
-        c.append(who)
-        d.append(0)
         kinds.append(ACK)
         if len(kinds) == CHUNK:
             self._tail = tail = tuple(map(array, _TYPECODES))
@@ -489,13 +472,9 @@ class TraceRecorder:
         need = versions.get(id(requirement)) if requirement else 0
         if need is None:
             need = self._version(requirement)  # type: ignore[arg-type]
-        kinds, times, a, b, c, d, e = self._tail
-        e.append(weight)
+        kinds, times, ids = self._tail
+        ids.extend((weight, at, served, who, need))
         times.append(time)
-        a.append(at)
-        b.append(served)
-        c.append(who)
-        d.append(need)
         kinds.append(READ)
         if len(kinds) == CHUNK:
             self._tail = tail = tuple(map(array, _TYPECODES))
@@ -516,29 +495,30 @@ class TraceRecorder:
               wanted: frozenset = frozenset(range(NOTE + 1)),
               ) -> Iterator[tuple]:
         names, wids, versions = self._tables()
-        for kinds, times, a, b, c, d, e in chunks:
-            for kind, time, x, y, z, dep, n in zip(kinds, times, a, b, c,
-                                                   d, e):
+        for kinds, times, ids in chunks:
+            row_ids = iter(ids)
+            for kind, time, n, at, x, y, z in zip(
+                    kinds, times, row_ids, row_ids, row_ids, row_ids, row_ids):
                 if kind not in wanted:
                     continue
                 if kind == READ:
-                    yield (READ, time, names[x], names[z], versions[y],
-                           versions[dep], n)
+                    yield (READ, time, names[at], names[y], versions[x],
+                           versions[z], n)
                 elif kind == APPLY:
-                    yield (APPLY, time, names[x], wids[y],
+                    yield (APPLY, time, names[at], wids[x],
                            None if n == _NO_SEQ else n,
-                           None if dep < 0 else versions[dep], versions[z])
+                           None if z < 0 else versions[z], versions[y])
                 elif kind == INSTALL:
-                    yield (INSTALL, time, names[x], versions[y])
+                    yield (INSTALL, time, names[at], versions[x])
                 elif kind == DROP:
-                    yield (DROP, time, names[x], wids[y])
+                    yield (DROP, time, names[at], wids[x])
                 elif kind == WRITE:
-                    yield (WRITE, time, names[z], wids[y], names[x],
-                           None if dep < 0 else versions[dep])
+                    yield (WRITE, time, names[y], wids[x], names[at],
+                           None if z < 0 else versions[z])
                 elif kind == ACK:
-                    yield (ACK, time, names[z], wids[y], names[x])
+                    yield (ACK, time, names[y], wids[x], names[at])
                 else:
-                    yield (NOTE, time, self._notes[x])
+                    yield (NOTE, time, self._notes[at])
 
     def _window(self, start: int, stop: int) -> List[Tuple[array, ...]]:
         """The column slices holding rows ``start`` to ``stop - 1``."""
@@ -546,8 +526,9 @@ class TraceRecorder:
         for chunk in range(start // CHUNK, -(-stop // CHUNK)):
             low = max(start - chunk * CHUNK, 0)
             high = min(stop - chunk * CHUNK, CHUNK)
-            window.append(tuple(column[low:high]
-                                for column in self._chunks[chunk]))
+            kinds, times, ids = self._chunks[chunk]
+            window.append((kinds[low:high], times[low:high],
+                           ids[5 * low:5 * high]))
         return window
 
     def drain(self) -> List[Tuple[str, tuple]]:
@@ -581,8 +562,8 @@ class TraceRecorder:
     def stores(self) -> List[str]:
         """Every store named by a non-read event, in first-seen order."""
         seen: Dict[int, None] = {}
-        for kinds, _times, a, *_ in self._chunks:
-            for kind, at in zip(kinds, a):
+        for kinds, _times, ids in self._chunks:
+            for kind, at in zip(kinds, ids[1::5]):
                 if kind < READ:
                     seen[at] = None
         names = self._tables()[0]
@@ -591,8 +572,8 @@ class TraceRecorder:
     def clients(self) -> List[str]:
         """All clients that issued writes or reads, in first-seen order."""
         seen: Dict[int, None] = {}
-        for kinds, _times, _a, _b, c, _d, _e in self._chunks:
-            for kind, who in zip(kinds, c):
+        for kinds, _times, ids in self._chunks:
+            for kind, who in zip(kinds, ids[3::5]):
                 if WRITE <= kind <= READ:
                     seen[who] = None
         names = self._tables()[0]

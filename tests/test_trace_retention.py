@@ -232,14 +232,15 @@ def test_pools_shrink_the_history_heap(model):
 
 
 def row_bytes(snapshot):
-    """Live bytes allocated by the ``.append(`` lines of the ``record_*``
-    and ``event`` bodies: the rows, without the tables they point at."""
+    """Live bytes allocated by the lines of the ``record_*`` and ``event``
+    bodies that append to a column: the rows, without the tables they
+    point at."""
     lines = set()
     for name, method in vars(TraceRecorder).items():
         if name.startswith("record_") or name == "event":
             source, first = inspect.getsourcelines(method)
             lines.update(first + offset for offset, line in enumerate(source)
-                         if ".append(" in line)
+                         if ".append(" in line or ".extend(" in line)
     recorder = snapshot.filter_traces(
         [tracemalloc.Filter(True, trace_module.__file__)])
     return sum(stat.size for stat in recorder.statistics("lineno")

@@ -171,7 +171,7 @@ def dicts_of(events):
             if value is not None]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(histories())
 def test_rows_rebuild_the_listed_events(calls):
     rows, listed = recorded(calls)
@@ -194,7 +194,7 @@ def test_rows_rebuild_the_listed_events(calls):
         assert rows.of_type(event_type) == listed.of_type(event_type)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(histories())
 def test_signature_equals_the_reference(calls):
     rows, listed = recorded(calls)
@@ -203,7 +203,7 @@ def test_signature_equals_the_reference(calls):
     assert repr(signature) == repr(reference_signature(listed))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(histories(), st.lists(st.sampled_from(STORES + ["nowhere"]),
                              max_size=4),
        st.lists(st.sampled_from(CLIENTS + ["nobody"]), max_size=4))
