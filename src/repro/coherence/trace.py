@@ -540,6 +540,8 @@ class TraceRecorder:
         recorder this way.  Afterwards this recorder holds no row and no
         pool entry, as if new.  Observability rows are not handed over.
         """
+        if not self._stamps and not len(self.events):
+            return []  # nothing recorded or pooled since the last drain
         calls = []
         for row in self.rows(APPLY, INSTALL, DROP, WRITE, ACK, READ):
             kind = row[0]
@@ -549,8 +551,7 @@ class TraceRecorder:
             else:
                 args = row[1:]
             calls.append((_RECORDS[kind], args))
-        if calls or self._stamps or len(self.events):
-            self.__init__()  # type: ignore[misc]
+        self.__init__()  # type: ignore[misc]
         return calls
 
     def of_type(self, event_type: type) -> List[Any]:
