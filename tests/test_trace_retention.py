@@ -60,7 +60,7 @@ POOLED_SHARE = 0.5
 #: write-id and version tables, which grow with participants and
 #: writes, not with rows), per row.  A row's payload is 29 B
 #: (a kind byte, a C double, five 32-bit ids); on Python 3.11 the quick
-#: trees measure 29.4 B (read-heavy) and 30.0 B (write-fanout) with the
+#: trees measure 30.2 B (read-heavy) and 29.6 B (write-fanout) with the
 #: columns' over-allocation.  A
 #: ``ReadEvent`` with its list slot and boxed time took about 112 B.
 ROW_BYTES = 32
